@@ -105,11 +105,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     if args.mode == "reference":
         result = solve(solved_graph, init, config)
-        norms = result.control_norm_history
     else:
         result = run_distributed(solved_graph, init, config,
                                  message_log_path=args.message_log)
-        norms = []
     wall = time.perf_counter() - start
 
     out_dir = Path(args.out_dir)
@@ -117,7 +115,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     (out_dir / "trajectory.csv").write_text(
         gio.export_trajectory_csv(result.estimates))
     (out_dir / "objective.csv").write_text(
-        gio.export_objective_csv(result.objective_history, norms))
+        gio.export_objective_csv(result.objective_history,
+                                 result.control_norm_history))
 
     final = result.objective_history[-1]
     summary = {

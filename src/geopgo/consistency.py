@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -220,43 +219,3 @@ def averaged_translation(
     """
     return 0.5 * (np.asarray(t_ij, dtype=float)
                   - np.asarray(r_ij_est, dtype=float) @ np.asarray(t_ji, dtype=float))
-
-
-def averaged_velocity_control(
-    own: Pose,
-    neighbors: Sequence[int],
-    neighbor_poses: Mapping[int, Pose],
-    t_out: Mapping[int, np.ndarray],
-    t_in: Mapping[int, np.ndarray],
-) -> np.ndarray:
-    """Translation velocity with the measurement term averaged in place.
-
-    Equivalent to first averaging each edge's translations with the
-    current rotation estimates and then applying the plain consensus
-    feedback; here the averaging is folded into the sum so a node needs
-    only one pass over its neighbors:
-
-        sum_j (t_j - t_i) + 0.5 * (R_j t_in[j] - R_i t_out[j])
-
-    Args:
-        own: this node's current pose estimate.
-        neighbors: neighbor ids; callers pass them in ascending order and
-            the sum follows that order term by term.
-        neighbor_poses: current neighbor estimates keyed by id.
-        t_out: translation measurements from this node toward each neighbor.
-        t_in: translation measurements from each neighbor toward this node.
-
-    Raises:
-        MissingNeighborDataError: a neighbor id lacks a pose or an entry
-            in either measurement map.
-    """
-    nu = np.zeros(3)
-    for j in neighbors:
-        if j not in neighbor_poses:
-            raise MissingNeighborDataError(f"no pose for neighbor {j}")
-        if j not in t_out or j not in t_in:
-            raise MissingNeighborDataError(
-                f"missing translation measurement on edge with neighbor {j}")
-        pj = neighbor_poses[j]
-        nu = nu + (pj.t - own.t) + 0.5 * (pj.r @ t_in[j] - own.r @ t_out[j])
-    return nu

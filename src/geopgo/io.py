@@ -14,6 +14,7 @@ are remapped to dense ``0..n-1`` in ascending order; the mapping is kept.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -69,9 +70,12 @@ def _floats(tokens: Sequence[str], line_no: int) -> list[float]:
     out = []
     for tok in tokens:
         try:
-            out.append(float(tok))
+            x = float(tok)
         except ValueError:
             raise ParseError(line_no, tok, "expected a number") from None
+        if not math.isfinite(x):
+            raise ParseError(line_no, tok, "expected a finite number")
+        out.append(x)
     return out
 
 
@@ -212,15 +216,6 @@ def g2o_text(
     return "\n".join(lines) + "\n"
 
 
-def write_g2o(poses: Sequence[Pose], g: PoseGraph) -> str:
-    """Render poses and every directed measurement of a graph as g2o text.
-
-    Both directions of each edge are written, so independently measured
-    reverse directions survive a round trip.
-    """
-    return g2o_text(poses, g.measurements)
-
-
 def export_trajectory_csv(poses: Sequence[Pose]) -> str:
     """CSV of poses: ``id,tx,ty,tz,qx,qy,qz,qw`` at full double precision."""
     lines = ["id,tx,ty,tz,qx,qy,qz,qw"]
@@ -315,25 +310,35 @@ def raw_payload(
     return d
 
 
+def _finite_t_r(entry: dict, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Translation and rotation of one JSON entry with ``t`` and ``q``."""
+    t = np.array(entry["t"], dtype=float)
+    q = np.array(entry["q"], dtype=float)
+    if not all(map(math.isfinite, t.tolist() + q.tolist())):
+        raise ValueError(f"{name} has a non-finite t or q")
+    return t, so3.quat_to_matrix(q)
+
+
 def raw_from_dict(d: dict) -> tuple[
     int, list[Pose] | None, list[RelativeMeasurement],
     ScenarioSpec | None, NoiseModel | None, str | None, int | None,
 ]:
-    """Inverse of :func:`raw_payload`; no graph pairing is applied."""
+    """Inverse of :func:`raw_payload`; no graph pairing is applied.
+
+    Raises:
+        ValueError: a measurement or vertex carries a non-finite number;
+            the message names the measurement index or the vertex id.
+    """
     measurements = [
         RelativeMeasurement(
-            int(m["src"]), int(m["dst"]), np.array(m["t"], dtype=float),
-            so3.quat_to_matrix(np.array(m["q"], dtype=float)))
-        for m in d["measurements"]
+            int(m["src"]), int(m["dst"]), *_finite_t_r(m, f"measurement {k}"))
+        for k, m in enumerate(d["measurements"])
     ]
     vertices = None
     if d.get("vertices") is not None:
         rows = sorted(d["vertices"], key=lambda v: int(v["id"]))
-        vertices = [
-            Pose(np.array(v["t"], dtype=float),
-                 so3.quat_to_matrix(np.array(v["q"], dtype=float)))
-            for v in rows
-        ]
+        vertices = [Pose(*_finite_t_r(v, f"vertex {int(v['id'])}"))
+                    for v in rows]
     scenario = (ScenarioSpec.from_dict(d["scenario"])
                 if d.get("scenario") else None)
     noise = NoiseModel.from_dict(d["noise"]) if d.get("noise") else None

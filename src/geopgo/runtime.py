@@ -5,9 +5,11 @@ pose, the measurements on its incident edges, and one inbound queue per
 neighbor. A round is: broadcast the current pose to all neighbors,
 receive one message per neighbor for this round, compute the velocity
 pair from those values only, integrate. A barrier separates rounds; its
-action runs the monitor, which owns the global stopping rule (it
-aggregates the objective across the per-round snapshots, a privilege of
-simulation rather than something a deployed node could do).
+action hands the round's snapshots and velocities to the solver's
+:class:`~geopgo.solver.Driver`, which owns the stop rule and the
+histories (it aggregates the objective across the snapshots, a privilege
+of simulation rather than something a deployed node could do). This
+module is thus only an executor plugged into that driver.
 
 Because updates are simultaneous, neighbor sums run in ascending id
 order, and the per-node arithmetic is the same function the reference
@@ -17,6 +19,7 @@ solver calls, the resulting trajectory is bitwise identical to
 
 from __future__ import annotations
 
+import itertools
 import json
 import queue
 import threading
@@ -26,8 +29,9 @@ import numpy as np
 
 from .consistency import paired_rotation_correction
 from .graph import Pose, PoseGraph, RelativeMeasurement, build_graph
-from .solver import (SolverConfig, all_controls, evaluate_objective,
-                     integrate_pose, node_controls)
+from .solver import (Driver, SolveResult, SolverConfig, all_controls,
+                     evaluate_objective, integrate_pose, local_views,
+                     node_controls)
 
 
 class DeadlockError(RuntimeError):
@@ -64,9 +68,10 @@ class NodeWorker:
     """Per-pose worker holding only local state.
 
     ``outboxes``/``inboxes`` are the channels to and from each neighbor;
-    the worker owns its pose exclusively and publishes it once per round
-    into its slot of the shared snapshot list (read by the monitor only
-    while all workers sit at the barrier).
+    the worker owns its pose exclusively. Once per round its pose and the
+    velocity pair it used go into its slot of the shared snapshot list
+    and its row of the shared velocity arrays, which the barrier action
+    reads only while all workers sit at the barrier.
     """
 
     def __init__(
@@ -118,7 +123,8 @@ class NodeWorker:
             received[j] = Pose(msg.t, msg.r)
         return received
 
-    def compute_round(self, round_no: int) -> None:
+    def compute_round(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
+        """Advance this pose one round; returns the velocity pair used."""
         self.broadcast(round_no)
         neighbor_poses = self.collect(round_no)
         nu, omega = node_controls(
@@ -126,28 +132,7 @@ class NodeWorker:
             self.r_out, self.t_out, self.t_in,
             self.config.translation_mode)
         self.pose = integrate_pose(self.pose, nu, omega, self.config.dt)
-
-
-@dataclass
-class DistributedResult:
-    estimates: list[Pose]
-    objective_history: list
-    iterations: int
-    converged: bool
-    trajectory: list[list[Pose]] | None = None
-    messages_per_round: int = 0
-
-
-def _local_measurement_views(g: PoseGraph, i: int):
-    r_out = {}
-    t_out = {}
-    t_in = {}
-    for j in g.neighbors(i):
-        m = g.measurement(i, j)
-        r_out[j] = m.r_rel
-        t_out[j] = m.t_rel
-        t_in[j] = g.measurement(j, i).t_rel
-    return r_out, t_out, t_in
+        return nu, omega
 
 
 def run_distributed(
@@ -156,39 +141,37 @@ def run_distributed(
     config: SolverConfig | None = None,
     deadlock_timeout: float = 30.0,
     message_log_path=None,
-) -> DistributedResult:
+) -> SolveResult:
     """Execute the flow with one thread per pose and a round barrier.
 
     The caller should have applied pairwise rotation enforcement first,
-    mirroring the reference pipeline. The monitor replays the reference
-    solver's stopping rule exactly: same initial fixed-point check, same
-    objective differences, same iteration cap.
+    mirroring the reference pipeline. The solver's
+    :class:`~geopgo.solver.Driver`, shared with ``solver.solve``, checks
+    the inputs and the step size, short-circuits a fixed point, applies
+    the stop rule and keeps the histories; this function runs the rounds.
 
     Raises:
-        DeadlockError: a worker starved past ``deadlock_timeout``.
+        StepSizeUnstableError: ``dt * max_degree >= 2``.
+        DeadlockError: a worker waited past ``deadlock_timeout`` for a
+            neighbor or at the barrier. The first error any worker hits
+            is raised as soon as it is recorded.
     """
     if config is None:
         config = SolverConfig()
-    if len(init) != g.n:
-        raise ValueError(f"expected {g.n} initial poses, got {len(init)}")
-
-    history = [evaluate_objective(init, g)]
-    nu0, omega0 = all_controls(init, g, config.translation_mode)
-    trajectory: list[list[Pose]] | None = None
-    if config.record_trajectory:
-        trajectory = [list(init)]
-    if not np.any(nu0) and not np.any(omega0):
-        return DistributedResult(list(init), history, 0, True,
-                                 trajectory, g.directed_count)
+    driver = Driver(g, config, objective=evaluate_objective)
+    if driver.start(init):
+        return driver.result(driver.initial_controls)
 
     log = _MessageLog() if message_log_path is not None else None
     channels: dict[tuple[int, int], queue.Queue] = {
         (m.src, m.dst): queue.Queue() for m in g.measurements
     }
     snapshots: list[Pose] = list(init)
+    nu_rows = np.zeros((g.n, 3))
+    omega_rows = np.zeros((g.n, 3))
     workers: list[NodeWorker] = []
     for i in range(g.n):
-        r_out, t_out, t_in = _local_measurement_views(g, i)
+        r_out, t_out, t_in = local_views(g, i)
         workers.append(NodeWorker(
             node_id=i,
             pose=init[i],
@@ -201,36 +184,30 @@ def run_distributed(
             log=log,
         ))
 
-    state = {
-        "round": 0,
-        "stop": False,
-        "converged": False,
-        "prev_geo": history[0].geodesic,
-    }
     errors: list[BaseException] = []
+    over = threading.Event()  # set on the last round or the first error
 
-    def monitor() -> None:
+    def fail(exc: BaseException) -> None:
+        errors.append(exc)
+        over.set()
+
+    def end_round() -> None:
         # Runs as the barrier action while every worker is parked.
-        round_no = state["round"] + 1
-        obj = evaluate_objective(snapshots, g)
-        history.append(obj)
-        if trajectory is not None:
-            trajectory.append(list(snapshots))
-        if abs(obj.geodesic - state["prev_geo"]) < config.stop_tol:
-            state["stop"] = True
-            state["converged"] = True
-        elif round_no >= config.max_iters:
-            state["stop"] = True
-        state["prev_geo"] = obj.geodesic
-        state["round"] = round_no
+        try:
+            if driver.record(snapshots, nu_rows, omega_rows):
+                over.set()
+        except BaseException as exc:
+            # Recorded before the barrier breaks, so the workers it
+            # releases see it and it is the error raised.
+            fail(exc)
+            raise
 
-    barrier = threading.Barrier(g.n, action=monitor)
+    barrier = threading.Barrier(g.n, action=end_round)
 
     def work(w: NodeWorker) -> None:
         try:
-            while True:
-                round_no = state["round"]
-                w.compute_round(round_no)
+            for round_no in itertools.count():
+                nu_rows[w.id], omega_rows[w.id] = w.compute_round(round_no)
                 snapshots[w.id] = w.pose
                 try:
                     barrier.wait(timeout=deadlock_timeout)
@@ -239,35 +216,27 @@ def run_distributed(
                         return  # another worker already failed
                     raise DeadlockError(
                         f"worker {w.id} broke the round barrier") from None
-                if state["stop"]:
+                if over.is_set():
                     return
         except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-            errors.append(exc)
+            fail(exc)
             barrier.abort()
 
     threads = [threading.Thread(target=work, args=(w,), daemon=True)
                for w in workers]
     for th in threads:
         th.start()
-    for th in threads:
-        th.join(timeout=max(deadlock_timeout * (config.max_iters + 2), 60.0))
-        if th.is_alive():
-            barrier.abort()
-            raise DeadlockError("worker thread failed to terminate")
+    over.wait()
     if errors:
+        barrier.abort()
         raise errors[0]
+    for th in threads:
+        th.join()  # each returns right after the last barrier
 
-    if message_log_path is not None and log is not None:
+    if log is not None:
         log.dump(message_log_path)
-
-    return DistributedResult(
-        estimates=[w.pose for w in workers],
-        objective_history=history,
-        iterations=state["round"],
-        converged=state["converged"],
-        trajectory=trajectory,
-        messages_per_round=g.directed_count,
-    )
+    return driver.result(
+        all_controls(driver.estimates, g, config.translation_mode))
 
 
 def one_shot_pairwise_round(

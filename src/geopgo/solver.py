@@ -16,7 +16,7 @@ a synchronization barrier reproduces this solver exactly, bit for bit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ class SolverConfig:
     stop_tol: float = 1e-2
     max_iters: int = 20000
     translation_mode: str = "per_step_averaged"
-    record_history: bool = True
     record_trajectory: bool = False
 
     def __post_init__(self) -> None:
@@ -79,27 +78,26 @@ class ObjectiveValue:
 class SolverState:
     """One iterate of the flow.
 
-    ``controls`` holds the most recently computed per-node velocity pair
-    (the one that produced this state's estimates), as ``(n, 3)`` arrays.
-    ``objective_history`` is shared along a solve and has one entry per
-    visited state when history recording is on.
+    ``controls`` is the per-node velocity pair at ``estimates``, as
+    ``(n, 3)`` arrays, once computed; :func:`step` computes it when it
+    is None.
     """
 
     estimates: list[Pose]
-    iter: int = 0
-    objective_history: list[ObjectiveValue] = field(default_factory=list)
     controls: tuple[np.ndarray, np.ndarray] | None = None
-    latest_objective: ObjectiveValue | None = None
-    last_control_norm: float = float("nan")
 
 
 @dataclass
 class SolveResult:
+    """Outcome of a solve. Entry ``k`` of each history belongs to state
+    ``k`` (0 is the initial state); ``trajectory`` holds every state when
+    the config records it."""
+
     estimates: list[Pose]
     objective_history: list[ObjectiveValue]
     iterations: int
     converged: bool
-    control_norm_history: list[float] = field(default_factory=list)
+    control_norm_history: list[float]
     trajectory: list[list[Pose]] | None = None
 
 
@@ -152,7 +150,7 @@ def node_controls(
     return nu, omega
 
 
-def _local_views(g: PoseGraph, i: int):
+def local_views(g: PoseGraph, i: int):
     """Measurement maps for node ``i``: outgoing rotations/translations
     and incoming translations."""
     r_out = {}
@@ -166,29 +164,6 @@ def _local_views(g: PoseGraph, i: int):
     return r_out, t_out, t_in
 
 
-def rotation_control(i: int, estimates: Sequence[Pose], g: PoseGraph) -> np.ndarray:
-    """Body-frame angular velocity for node ``i``."""
-    r_out, t_out, t_in = _local_views(g, i)
-    nbrs = g.neighbors(i)
-    _, omega = node_controls(estimates[i], nbrs,
-                             {j: estimates[j] for j in nbrs},
-                             r_out, t_out, t_in, "raw")
-    return omega
-
-
-def translation_control(
-    i: int, estimates: Sequence[Pose], g: PoseGraph,
-    translation_mode: str = "per_step_averaged",
-) -> np.ndarray:
-    """Translation velocity for node ``i`` under the given mode."""
-    r_out, t_out, t_in = _local_views(g, i)
-    nbrs = g.neighbors(i)
-    nu, _ = node_controls(estimates[i], nbrs,
-                          {j: estimates[j] for j in nbrs},
-                          r_out, t_out, t_in, translation_mode)
-    return nu
-
-
 def all_controls(
     estimates: Sequence[Pose], g: PoseGraph, translation_mode: str,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +171,7 @@ def all_controls(
     nu = np.zeros((g.n, 3))
     omega = np.zeros((g.n, 3))
     for i in range(g.n):
-        r_out, t_out, t_in = _local_views(g, i)
+        r_out, t_out, t_in = local_views(g, i)
         nbrs = g.neighbors(i)
         nu[i], omega[i] = node_controls(
             estimates[i], nbrs, {j: estimates[j] for j in nbrs},
@@ -219,7 +194,7 @@ def _check_step_size(g: PoseGraph, dt: float) -> None:
     if s >= 1.0:
         warnings.warn(
             f"dt * max_degree = {s:.3f} >= 1; within a factor of two of "
-            "the divergence threshold", StepSizeUnstableWarning, stacklevel=3)
+            "the divergence threshold", StepSizeUnstableWarning, stacklevel=4)
 
 
 def evaluate_objective(estimates: Sequence[Pose], g: PoseGraph) -> ObjectiveValue:
@@ -296,37 +271,95 @@ def max_control_norm(nu: np.ndarray, omega: np.ndarray) -> float:
 
 
 def step(state: SolverState, g: PoseGraph, config: SolverConfig) -> SolverState:
-    """One synchronous iteration: all controls from the previous state,
-    then all integrations.
+    """One synchronous iteration: integrate every pose with the controls
+    of the previous state, then compute the controls at the new state.
 
-    Returns a new state with ``iter + 1``. The new state's objective is
-    always evaluated (the stop rule needs it); it is appended to the
-    shared history list only when the config records history.
+    Returns the new state, carrying its own controls for the next step.
     """
-    _check_step_size(g, config.dt)
-    nu, omega = all_controls(state.estimates, g, config.translation_mode)
+    nu, omega = (state.controls if state.controls is not None else
+                 all_controls(state.estimates, g, config.translation_mode))
     new_estimates = [
         integrate_pose(state.estimates[i], nu[i], omega[i], config.dt)
         for i in range(g.n)
     ]
-    obj = evaluate_objective(new_estimates, g)
-    history = state.objective_history
-    if config.record_history:
-        history.append(obj)
-    return SolverState(
-        estimates=new_estimates,
-        iter=state.iter + 1,
-        objective_history=history,
-        controls=(nu, omega),
-        latest_objective=obj,
-        last_control_norm=max_control_norm(nu, omega),
-    )
+    return SolverState(new_estimates, all_controls(
+        new_estimates, g, config.translation_mode))
+
+
+class Driver:
+    """Stop rule, histories and result of one solve, for any executor.
+
+    An executor calls :meth:`start` with the initial estimates. Unless
+    that returns True (a fixed point: every initial control is exactly
+    zero), it advances one synchronous round at a time and hands each
+    round's new estimates and the ``(n, 3)`` velocity arrays it used to
+    :meth:`record`, until that returns True. :meth:`result` then builds
+    the :class:`SolveResult` from the velocity pair at the final state.
+
+    ``objective`` evaluates the objective of one state and defaults to
+    :func:`evaluate_objective`; an executor may pass its own binding of
+    it, so that per-layer timings attribute the evaluation to it.
+    """
+
+    def __init__(self, g: PoseGraph, config: SolverConfig,
+                 objective=None) -> None:
+        self.g = g
+        self.config = config
+        self.objective = (evaluate_objective if objective is None
+                          else objective)
+
+    def start(self, init: Sequence[Pose]) -> bool:
+        """Check the inputs, record state 0, and report a fixed point.
+
+        The velocity pair at ``init`` is kept in ``initial_controls``.
+        """
+        g, config = self.g, self.config
+        if len(init) != g.n:
+            raise ValueError(f"expected {g.n} initial poses, got {len(init)}")
+        _check_step_size(g, config.dt)
+        self.estimates = list(init)
+        self.history = [self.objective(self.estimates, g)]
+        self.norms: list[float] = []
+        self.trajectory = ([self.estimates] if config.record_trajectory
+                           else None)
+        self.iterations = 0
+        self.initial_controls = all_controls(self.estimates, g,
+                                             config.translation_mode)
+        nu, omega = self.initial_controls
+        self.converged = not np.any(nu) and not np.any(omega)
+        return self.converged
+
+    def record(self, estimates: Sequence[Pose], nu: np.ndarray,
+               omega: np.ndarray) -> bool:
+        """Record one round; True when the solve should stop.
+
+        Stops when the geodesic objective changed by less than
+        ``stop_tol`` in this round, or after ``max_iters`` rounds.
+        """
+        self.estimates = list(estimates)
+        self.norms.append(max_control_norm(nu, omega))
+        obj = self.objective(self.estimates, self.g)
+        if self.trajectory is not None:
+            self.trajectory.append(self.estimates)
+        self.iterations += 1
+        self.converged = (abs(obj.geodesic - self.history[-1].geodesic)
+                          < self.config.stop_tol)
+        self.history.append(obj)
+        return self.converged or self.iterations >= self.config.max_iters
+
+    def result(self, controls: tuple[np.ndarray, np.ndarray]) -> SolveResult:
+        """The solve's result; ``controls`` is the velocity pair at the
+        final estimates."""
+        return SolveResult(self.estimates, self.history, self.iterations,
+                           self.converged,
+                           self.norms + [max_control_norm(*controls)],
+                           self.trajectory)
 
 
 def solve(
     g: PoseGraph, init: Sequence[Pose], config: SolverConfig | None = None,
 ) -> SolveResult:
-    """Iterate the flow to convergence.
+    """Iterate the flow to convergence, one :func:`step` per round.
 
     Stops when the geodesic objective changes by less than
     ``config.stop_tol`` between consecutive iterations, or immediately
@@ -335,48 +368,14 @@ def solve(
     """
     if config is None:
         config = SolverConfig()
-    if len(init) != g.n:
-        raise ValueError(f"expected {g.n} initial poses, got {len(init)}")
-    _check_step_size(g, config.dt)
-
-    obj0 = evaluate_objective(init, g)
-    history = [obj0]
-    norms: list[float] = []
-    trajectory: list[list[Pose]] | None = None
-    if config.record_trajectory:
-        trajectory = [list(init)]
-
-    nu0, omega0 = all_controls(init, g, config.translation_mode)
-    if not np.any(nu0) and not np.any(omega0):
-        if config.record_history:
-            norms.append(max_control_norm(nu0, omega0))
-        return SolveResult(list(init), history, 0, True,
-                           norms, trajectory)
-
-    state = SolverState(estimates=list(init), iter=0,
-                        objective_history=history)
-    converged = False
-    prev_geo = obj0.geodesic
-    while state.iter < config.max_iters:
+    driver = Driver(g, config)
+    stop = driver.start(init)
+    state = SolverState(driver.estimates, driver.initial_controls)
+    while not stop:
+        nu, omega = state.controls
         state = step(state, g, config)
-        if config.record_history:
-            norms.append(state.last_control_norm)
-        if trajectory is not None:
-            trajectory.append(list(state.estimates))
-        geo = state.latest_objective.geodesic
-        if abs(geo - prev_geo) < config.stop_tol:
-            converged = True
-            break
-        prev_geo = geo
-
-    if not config.record_history and state.latest_objective is not None:
-        history.append(state.latest_objective)
-    if config.record_history:
-        nu_f, omega_f = all_controls(state.estimates, g,
-                                     config.translation_mode)
-        norms.append(max_control_norm(nu_f, omega_f))
-    return SolveResult(state.estimates, history, state.iter, converged,
-                       norms, trajectory)
+        stop = driver.record(state.estimates, nu, omega)
+    return driver.result(state.controls)
 
 
 def align_gauge(

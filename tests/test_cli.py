@@ -85,8 +85,8 @@ def test_distributed_mode_matches_reference(tmp_path):
     assert dist["iterations"] == ref["iterations"]
     assert dist["converged"] == ref["converged"]
     assert dist["final"] == ref["final"]
-    assert ((ref_dir / "trajectory.csv").read_bytes()
-            == (dist_dir / "trajectory.csv").read_bytes())
+    for name in ("trajectory.csv", "objective.csv"):
+        assert (ref_dir / name).read_bytes() == (dist_dir / name).read_bytes()
 
 
 def test_solve_json_flag_prints_summary(tmp_path, capsys):

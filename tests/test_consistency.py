@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from geopgo import consistency, so3, synth
+from geopgo import consistency, so3, solver, synth
 from geopgo.graph import (
     Pose,
     RelativeMeasurement,
@@ -193,11 +193,18 @@ def test_averaged_translation_pair_identity():
         assert np.linalg.norm(fwd + r @ rev) < 1e-12
 
 
+def _online_nu(own, nbrs, poses, t_out, t_in):
+    r_out = {j: np.eye(3) for j in nbrs}
+    nu, _ = solver.node_controls(own, nbrs, poses, r_out, t_out, t_in,
+                                 "online_averaged")
+    return nu
+
+
 def test_averaged_velocity_zero_cases():
     own = Pose(t=np.array([1.0, 1.0, 1.0]), r=np.eye(3))
     nbrs = {1: own, 2: own}
     zeros = {1: np.zeros(3), 2: np.zeros(3)}
-    out = consistency.averaged_velocity_control(own, [1, 2], nbrs, zeros, zeros)
+    out = _online_nu(own, [1, 2], nbrs, zeros, zeros)
     assert np.array_equal(out, np.zeros(3))
 
 
@@ -207,19 +214,16 @@ def test_averaged_velocity_zero_at_consistent_truth():
     p1 = Pose(t=rng.normal(size=3), r=so3.random_rotation(rng))
     t01 = p0.r.T @ (p1.t - p0.t)
     t10 = p1.r.T @ (p0.t - p1.t)
-    out = consistency.averaged_velocity_control(
-        p0, [1], {1: p1}, {1: t01}, {1: t10})
+    out = _online_nu(p0, [1], {1: p1}, {1: t01}, {1: t10})
     assert np.linalg.norm(out) < 1e-12
 
 
 def test_averaged_velocity_missing_data():
     own = Pose.identity()
     with pytest.raises(consistency.MissingNeighborDataError):
-        consistency.averaged_velocity_control(own, [1], {}, {1: np.zeros(3)},
-                                              {1: np.zeros(3)})
+        _online_nu(own, [1], {}, {1: np.zeros(3)}, {1: np.zeros(3)})
     with pytest.raises(consistency.MissingNeighborDataError):
-        consistency.averaged_velocity_control(own, [1], {1: own}, {},
-                                              {1: np.zeros(3)})
+        _online_nu(own, [1], {1: own}, {}, {1: np.zeros(3)})
 
 
 def test_report_serializes():

@@ -99,6 +99,26 @@ def test_parse_error_carries_line_and_token():
     assert "31 fields" in str(exc.value)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_parse_rejects_non_finite_numbers(token):
+    bad = TWO_VERTEX_ONE_EDGE.replace("EDGE_SE3:QUAT 10 20 1 ",
+                                      f"EDGE_SE3:QUAT 10 20 {token} ")
+    with pytest.raises(gio.ParseError) as exc:
+        gio.read_g2o_records(bad)
+    assert exc.value.line_no == 4
+    assert exc.value.token == token
+
+
+def test_json_rejects_non_finite_numbers():
+    ds = _dataset(seed=1)
+    for section, index, key, name in (("measurements", 3, "t", "measurement 3"),
+                                      ("vertices", 1, "q", "vertex 1")):
+        bad = gio.dataset_to_dict(ds)
+        bad[section][index][key][1] = float("nan")
+        with pytest.raises(ValueError, match=name):
+            gio.raw_from_dict(bad)
+
+
 def test_duplicate_vertex_rejected():
     text = GARAGE_LINE + "\n" + GARAGE_LINE
     with pytest.raises(gio.InconsistentVertexCountError):
@@ -122,7 +142,7 @@ def test_write_empty_and_single():
 
 def test_g2o_round_trip_exact_structure():
     ds = _dataset(seed=2)
-    text = gio.write_g2o(ds.vertices, ds.graph)
+    text = gio.g2o_text(ds.vertices, ds.graph.measurements)
     result = gio.parse_g2o(text)
     assert result.graph.n == ds.graph.n
     assert result.graph.directed_count == ds.graph.directed_count
@@ -210,7 +230,7 @@ def test_load_any_dispatches_by_suffix(tmp_path):
     jp = tmp_path / "a.json"
     gp = tmp_path / "b.g2o"
     gio.save_dataset(jp, ds)
-    gp.write_text(gio.write_g2o(ds.vertices, ds.graph))
+    gp.write_text(gio.g2o_text(ds.vertices, ds.graph.measurements))
     via_json = gio.load_any(jp)
     via_g2o = gio.load_any(gp)
     assert via_json.graph.directed_count == via_g2o.graph.directed_count

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geopgo import consistency, so3, solver, synth
+from geopgo import consistency, runtime, so3, solver, synth
 from geopgo.graph import (
     Pose,
     RelativeMeasurement,
@@ -46,10 +46,18 @@ def _perturbed(truth, seed, t_scale=0.2, r_scale=0.2):
             for p in truth]
 
 
+def _omega(i, est, g):
+    return solver.all_controls(est, g, "raw")[1][i]
+
+
+def _nu(i, est, g, mode):
+    return solver.all_controls(est, g, mode)[0][i]
+
+
 def test_rotation_control_zero_at_truth():
     truth, g = _consistent_instance()
     for i in range(g.n):
-        assert np.linalg.norm(solver.rotation_control(i, truth, g)) < 1e-12
+        assert np.linalg.norm(_omega(i, truth, g)) < 1e-12
 
 
 def test_rotation_control_single_neighbor():
@@ -57,7 +65,7 @@ def test_rotation_control_single_neighbor():
     g = build_graph(2, ms)
     est = [Pose.identity(), Pose.identity()]
     # residual log(I . I . Rz(-0.3)^T) = (0, 0, 0.3)
-    assert np.allclose(solver.rotation_control(0, est, g), [0.0, 0.0, 0.3],
+    assert np.allclose(_omega(0, est, g), [0.0, 0.0, 0.3],
                        atol=1e-12)
 
 
@@ -67,7 +75,7 @@ def test_rotation_control_opposing_neighbors_cancel():
          _pair(1, 2, [0.0, 0.0, 0.0], np.eye(3))
     g = build_graph(3, ms)
     est = [Pose.identity()] * 3
-    assert np.linalg.norm(solver.rotation_control(0, est, g)) < 1e-12
+    assert np.linalg.norm(_omega(0, est, g)) < 1e-12
 
 
 def test_translation_control_zero_at_truth():
@@ -75,7 +83,7 @@ def test_translation_control_zero_at_truth():
     for mode in solver.TRANSLATION_MODES:
         for i in range(g.n):
             assert np.linalg.norm(
-                solver.translation_control(i, truth, g, mode)) < 1e-10
+                _nu(i, truth, g, mode)) < 1e-10
 
 
 def test_translation_control_plain_consensus():
@@ -83,7 +91,7 @@ def test_translation_control_plain_consensus():
     g = build_graph(2, ms)
     est = [Pose(t=np.array([1.0, 0.0, 0.0]), r=np.eye(3)), Pose.identity()]
     for mode in solver.TRANSLATION_MODES:
-        assert np.allclose(solver.translation_control(0, est, g, mode),
+        assert np.allclose(_nu(0, est, g, mode),
                            [-1.0, 0.0, 0.0])
 
 
@@ -95,24 +103,27 @@ def test_translation_modes_agree_when_consistent_and_aligned():
     est = [Pose(t=p.t + 0.5 * np.sin(i * np.ones(3)), r=p.r)
            for i, p in enumerate(truth)]
     for i in range(g.n):
-        raw = solver.translation_control(i, est, g, "raw")
-        per_step = solver.translation_control(i, est, g, "per_step_averaged")
-        online = solver.translation_control(i, est, g, "online_averaged")
+        raw = _nu(i, est, g, "raw")
+        per_step = _nu(i, est, g, "per_step_averaged")
+        online = _nu(i, est, g, "online_averaged")
         assert np.linalg.norm(raw - per_step) < 1e-10
         assert np.linalg.norm(raw - online) < 1e-10
 
 
 def test_online_mode_matches_consistency_helper():
+    # folding the averaging into the sum equals averaging each edge with
+    # the current rotations first, then the plain consensus feedback
     truth, g = _enforced_noisy(seed=9)
     est = _perturbed(truth, 91)
+    online, _ = solver.all_controls(est, g, "online_averaged")
     for i in range(g.n):
-        nbrs = g.neighbors(i)
-        t_out = {j: g.measurement(i, j).t_rel for j in nbrs}
-        t_in = {j: g.measurement(j, i).t_rel for j in nbrs}
-        want = consistency.averaged_velocity_control(
-            est[i], nbrs, {j: est[j] for j in nbrs}, t_out, t_in)
-        got = solver.translation_control(i, est, g, "online_averaged")
-        assert np.array_equal(got, want)
+        want = np.zeros(3)
+        for j in g.neighbors(i):
+            t_avg = consistency.averaged_translation(
+                g.measurement(i, j).t_rel, g.measurement(j, i).t_rel,
+                est[i].r.T @ est[j].r)
+            want = want + (est[j].t - est[i].t) - est[i].r @ t_avg
+        assert np.linalg.norm(online[i] - want) < 1e-12
 
 
 def test_step_fixed_point():
@@ -333,16 +344,18 @@ def test_objective_gauge_invariance():
     assert abs(before.chordal - after.chordal) < 1e-9
 
 
-def test_step_size_guards():
+@pytest.mark.parametrize("run", [solver.solve, runtime.run_distributed],
+                         ids=["reference", "distributed"])
+def test_step_size_guards(run):
     # path graph, max degree 2
     ms = _pair(0, 1, [0.0, 0.0, 0.0], np.eye(3)) + \
          _pair(1, 2, [0.0, 0.0, 0.0], np.eye(3))
     g = build_graph(3, ms)
     est = [Pose.identity()] * 3
     with pytest.raises(solver.StepSizeUnstableError):
-        solver.solve(g, est, solver.SolverConfig(dt=1.0))
+        run(g, est, solver.SolverConfig(dt=1.0))
     with pytest.warns(solver.StepSizeUnstableWarning):
-        solver.solve(g, est, solver.SolverConfig(dt=0.5))
+        run(g, est, solver.SolverConfig(dt=0.5))
 
 
 def test_stacked_translation_oracle_small():
