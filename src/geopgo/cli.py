@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as gio
 from .consistency import enforce_pairwise_rotations, full_report
-from .graph import algebraic_connectivity, laplacian, max_degree
+from .graph import algebraic_connectivity, symmetrize
 from .runtime import run_distributed
 from .solver import SolverConfig, in_basin, solve
 from .synth import (NoiseModel, ScenarioSpec, generate_dataset, gps_init,
@@ -209,55 +209,14 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _infer_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    suffix = Path(path).suffix.lower()
-    if suffix == ".g2o":
-        return "g2o"
-    if suffix == ".json":
-        return "json"
-    raise CliError(
-        f"cannot infer format of {path!r}; pass --in-format/--out-format")
-
-
 def cmd_convert(args: argparse.Namespace) -> int:
-    in_fmt = _infer_format(args.infile, args.in_format)
-    out_fmt = _infer_format(args.outfile, args.out_format)
-    scenario = noise = None
-    vertex_kind = None
-    seed = None
-    if in_fmt == "g2o":
-        vertices, measurements, _, skipped = gio.g2o_to_raw(Path(args.infile))
-        if skipped:
-            log.warning("skipped %d unknown g2o records", skipped)
-        n = len(vertices)
-    elif in_fmt == "json":
-        try:
-            raw = json.loads(Path(args.infile).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read {args.infile}: {exc}") from exc
-        (n, vertices, measurements, scenario, noise, vertex_kind,
-         seed) = gio.raw_from_dict(raw)
-    else:
-        raise CliError(f"unknown input format {in_fmt!r}")
-
+    stored = gio.read_dataset(args.infile)
+    if stored.skipped_records:
+        log.warning("skipped %d unknown g2o records", stored.skipped_records)
     if args.symmetrize:
-        from .graph import symmetrize
-        measurements = symmetrize(measurements)
-
-    if out_fmt == "g2o":
-        if vertices is None:
-            raise CliError(
-                "g2o output needs vertex poses, which the input lacks")
-        Path(args.outfile).write_text(gio.g2o_text(vertices, measurements))
-    elif out_fmt == "json":
-        payload = gio.raw_payload(n, vertices, measurements,
-                                  scenario, noise, vertex_kind, seed)
-        Path(args.outfile).write_text(json.dumps(payload, indent=1) + "\n")
-    else:
-        raise CliError(f"unknown output format {out_fmt!r}")
-    print(f"wrote {args.outfile} ({len(measurements)} measurements)")
+        stored.measurements = symmetrize(stored.measurements)
+    gio.write_dataset(args.outfile, stored)
+    print(f"wrote {args.outfile} ({len(stored.measurements)} measurements)")
     return 0
 
 
@@ -315,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convert", help="convert between g2o and JSON")
     p_conv.add_argument("--in", dest="infile", required=True)
     p_conv.add_argument("--out", dest="outfile", required=True)
-    p_conv.add_argument("--in-format", choices=("g2o", "json"), default=None)
-    p_conv.add_argument("--out-format", choices=("g2o", "json"), default=None)
     p_conv.add_argument("--symmetrize", action="store_true",
                         help="add missing reverse directions")
     p_conv.set_defaults(func=cmd_convert)

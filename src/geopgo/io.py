@@ -1,14 +1,22 @@
 """File formats: g2o text graphs, JSON datasets, CSV exports.
 
+Both dataset formats are read through one path. Each format's decoder
+only turns its syntax into vertex rows ``(id, t, q)`` and edge rows
+``(src, dst, t, q)``; one assembly step checks those rows the same way
+for both (unique vertex ids, every edge between declared vertices,
+finite numbers, and a JSON ``n`` that matches its vertex list), remaps
+the ids to dense ``0..n-1`` in ascending order and returns a
+:class:`StoredDataset`: the file's contents as stored, directed and
+unpaired. The format is chosen by the suffix, ``.g2o`` or ``.json``.
+
 The g2o dialect handled here is the SE(3) quaternion one: lines of
 
     VERTEX_SE3:QUAT id x y z qx qy qz qw
     EDGE_SE3:QUAT i j x y z qx qy qz qw  <21 upper-triangular info values>
 
 Quaternions are scalar-last and are normalized on ingest. The information
-matrix is parsed and retained on records but carries no weight in the
-solver. Unknown record types are skipped and counted. External vertex ids
-are remapped to dense ``0..n-1`` in ascending order; the mapping is kept.
+values must be finite numbers but carry no weight in the solver. Unknown
+record types are skipped and counted.
 """
 
 from __future__ import annotations
@@ -30,6 +38,10 @@ _IDENTITY_INFO = tuple(
     for i in range(6) for j in range(i, 6)
 )
 
+# g2o tag -> (record kind, number of ids, number of fields with the tag)
+_G2O_RECORDS = {"VERTEX_SE3:QUAT": ("vertex", 1, 9),
+                "EDGE_SE3:QUAT": ("edge", 2, 31)}
+
 
 class ParseError(ValueError):
     """Malformed g2o content; carries the line number and offending token."""
@@ -41,20 +53,31 @@ class ParseError(ValueError):
 
 
 class InconsistentVertexCountError(ValueError):
-    """An edge references a vertex id that has no VERTEX record."""
+    """Vertices and edges disagree: a doubled vertex id, an edge to an
+    undeclared vertex, or a JSON ``n`` that differs from its vertex list."""
 
 
-@dataclass(frozen=True)
-class G2oRecord:
-    """One parsed g2o line. ``ids`` has one entry for vertices, two for
-    edges; ``info`` is the 21-value upper triangle for edges, None for
-    vertices."""
+@dataclass
+class StoredDataset:
+    """A dataset file's contents as stored, over dense ids ``0..n-1``.
 
-    kind: str
-    ids: tuple[int, ...]
-    t: np.ndarray
-    q: np.ndarray
-    info: tuple[float, ...] | None = None
+    ``measurements`` keep the file's directions and order, unpaired.
+    ``vertices`` are the file's poses in dense-id order, None for a JSON
+    dataset without vertices. ``id_map`` maps the file's vertex ids to
+    dense ids; ``skipped_records`` counts unknown g2o records. The
+    provenance fields are None for g2o.
+    """
+
+    format: str
+    n: int
+    vertices: list[Pose] | None
+    measurements: list[RelativeMeasurement]
+    id_map: dict[int, int]
+    skipped_records: int = 0
+    vertex_kind: str | None = None
+    scenario: ScenarioSpec | None = None
+    noise: NoiseModel | None = None
+    seed: int | None = None
 
 
 @dataclass
@@ -89,8 +112,144 @@ def _ints(tokens: Sequence[str], line_no: int) -> list[int]:
     return out
 
 
-def read_g2o_records(source: str | Path | IO[str]) -> tuple[list[G2oRecord], int]:
-    """Parse g2o text into records, returning (records, skipped_count)."""
+def _t_r(name: str, t, q) -> tuple[np.ndarray, np.ndarray]:
+    """Checked translation and rotation of one row, named in any error."""
+    try:
+        t = np.array(t, dtype=float)
+        q = np.array(q, dtype=float)
+        if (t.shape != (3,) or q.shape != (4,)
+                or not all(map(math.isfinite, t.tolist() + q.tolist()))):
+            raise ValueError("needs 3 finite numbers in t and 4 in q")
+        return t, so3.quat_to_matrix(q)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _assemble(fmt: str, vertex_rows: list | None, edge_rows: list,
+              n: int | None = None, **extra) -> StoredDataset:
+    """Check the decoded rows of either format and remap ids densely.
+
+    ``vertex_rows`` None (JSON without vertices) declares ids ``0..n-1``
+    without poses; otherwise a given ``n`` must equal the row count.
+    """
+    if n is not None and type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if vertex_rows is None:
+        ids, poses = range(n), None
+    else:
+        by_id: dict[int, Pose] = {}
+        for vid, t, q in vertex_rows:
+            if type(vid) is not int:
+                raise ValueError(f"vertex id {vid!r} is not an integer")
+            if vid in by_id:
+                raise InconsistentVertexCountError(
+                    f"vertex id {vid} declared twice")
+            by_id[vid] = Pose(*_t_r(f"vertex {vid}", t, q))
+        if n is not None and n != len(by_id):
+            raise InconsistentVertexCountError(
+                f"n is {n} but {len(by_id)} vertices are declared")
+        ids = sorted(by_id)
+        poses = [by_id[vid] for vid in ids]
+    id_map = {ext: i for i, ext in enumerate(ids)}
+
+    measurements = []
+    for k, (i, j, t, q) in enumerate(edge_rows):
+        try:
+            src, dst = id_map[i], id_map[j]
+        except (KeyError, TypeError):
+            raise InconsistentVertexCountError(
+                f"measurement {k} ({i}, {j}) references an undeclared "
+                "vertex") from None
+        measurements.append(RelativeMeasurement(
+            src, dst, *_t_r(f"measurement {k}", t, q)))
+    return StoredDataset(fmt, len(id_map), poses, measurements, id_map,
+                         **extra)
+
+
+def _g2o_contents(text: str) -> StoredDataset:
+    rows: dict[str, list] = {"vertex": [], "edge": []}
+    skipped = 0
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] not in _G2O_RECORDS:
+            skipped += 1
+            continue
+        kind, n_ids, width = _G2O_RECORDS[tokens[0]]
+        if len(tokens) != width:
+            raise ParseError(line_no, tokens[0],
+                             f"{kind} needs {width} fields, got {len(tokens)}")
+        ids = _ints(tokens[1:1 + n_ids], line_no)
+        # the 21 information values of an edge are checked, then dropped
+        vals = _floats(tokens[1 + n_ids:], line_no)
+        rows[kind].append((*ids, vals[0:3], vals[3:7]))
+    return _assemble("g2o", rows["vertex"], rows["edge"],
+                     skipped_records=skipped)
+
+
+def _fields(obj, name: str, *keys: str) -> list:
+    """The values of ``keys`` in one JSON object, or an error naming it."""
+    try:
+        return [obj[k] for k in keys]
+    except (KeyError, TypeError):
+        raise ValueError(f"{name} needs the fields {', '.join(keys)}") from None
+
+
+def _json_contents(text: str) -> StoredDataset:
+    d = json.loads(text)
+    n, entries = _fields(d, "the dataset", "n", "measurements")
+    try:
+        edges = [_fields(m, f"measurement {k}", "src", "dst", "t", "q")
+                 for k, m in enumerate(entries)]
+        vertices = None
+        if d.get("vertices") is not None:
+            vertices = [_fields(v, f"vertex entry {k}", "id", "t", "q")
+                        for k, v in enumerate(d["vertices"])]
+        return _assemble(
+            "json", vertices, edges, n,
+            vertex_kind=d.get("vertex_kind"), seed=d.get("seed"),
+            scenario=(ScenarioSpec.from_dict(d["scenario"])
+                      if d.get("scenario") else None),
+            noise=NoiseModel.from_dict(d["noise"]) if d.get("noise") else None)
+    except (KeyError, TypeError) as exc:  # a list or section of the wrong shape
+        raise ValueError(f"malformed JSON dataset: {exc!r}") from None
+
+
+def _format(path: str | Path) -> str:
+    """``"g2o"`` or ``"json"`` by the suffix of ``path``."""
+    suffix = Path(path).suffix.lower()
+    if suffix not in (".g2o", ".json"):
+        raise ValueError(f"{path}: unknown dataset format {suffix!r}; "
+                         "use a .g2o or .json file")
+    return suffix[1:]
+
+
+def read_dataset(path: str | Path) -> StoredDataset:
+    """Read a ``.g2o`` or ``.json`` dataset file as stored.
+
+    Raises:
+        ParseError: malformed g2o line, naming the line and token.
+        InconsistentVertexCountError: see the class.
+        ValueError: an unknown suffix, or an entry that lacks a field or
+            carries a malformed or non-finite number, named in the message.
+    """
+    decode = _g2o_contents if _format(path) == "g2o" else _json_contents
+    return decode(Path(path).read_text())
+
+
+def parse_g2o(source: str | Path | IO[str]) -> G2oParseResult:
+    """Parse g2o content into poses and a paired measurement graph.
+
+    ``source`` is a path, a ``.g2o`` path string, g2o text or a stream.
+    Files typically carry one direction per edge; the missing direction
+    is synthesized as the rigid inverse, so the result is pairwise
+    consistent by construction wherever only one direction existed.
+
+    Raises:
+        ParseError: malformed line.
+        InconsistentVertexCountError: see the class.
+    """
     if isinstance(source, Path):
         text = source.read_text()
     elif isinstance(source, str) and "\n" not in source and source.endswith(".g2o"):
@@ -99,88 +258,12 @@ def read_g2o_records(source: str | Path | IO[str]) -> tuple[list[G2oRecord], int
         text = source
     else:
         text = source.read()
-
-    records: list[G2oRecord] = []
-    skipped = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        tag = tokens[0]
-        if tag == "VERTEX_SE3:QUAT":
-            if len(tokens) != 9:
-                raise ParseError(line_no, tag,
-                                 f"vertex needs 9 fields, got {len(tokens)}")
-            (vid,) = _ints(tokens[1:2], line_no)
-            vals = _floats(tokens[2:9], line_no)
-            records.append(G2oRecord(
-                kind=tag, ids=(vid,),
-                t=np.array(vals[0:3]), q=np.array(vals[3:7])))
-        elif tag == "EDGE_SE3:QUAT":
-            if len(tokens) != 31:
-                raise ParseError(line_no, tag,
-                                 f"edge needs 31 fields, got {len(tokens)}")
-            i, j = _ints(tokens[1:3], line_no)
-            vals = _floats(tokens[3:31], line_no)
-            records.append(G2oRecord(
-                kind=tag, ids=(i, j),
-                t=np.array(vals[0:3]), q=np.array(vals[3:7]),
-                info=tuple(vals[7:28])))
-        else:
-            skipped += 1
-    return records, skipped
-
-
-def g2o_to_raw(
-    source: str | Path | IO[str],
-) -> tuple[list[Pose], list[RelativeMeasurement], dict[int, int], int]:
-    """Read g2o into poses and directed measurements, without pairing.
-
-    External vertex ids are remapped to dense ``0..n-1`` in ascending
-    order. Returns ``(poses, measurements, id_map, skipped_count)``.
-    """
-    records, skipped = read_g2o_records(source)
-    vertex_ids = [r.ids[0] for r in records if r.kind == "VERTEX_SE3:QUAT"]
-    seen = set()
-    for vid in vertex_ids:
-        if vid in seen:
-            raise InconsistentVertexCountError(
-                f"vertex id {vid} declared twice")
-        seen.add(vid)
-    id_map = {ext: i for i, ext in enumerate(sorted(seen))}
-
-    poses: list[Pose] = [Pose.identity()] * len(id_map)
-    measurements: list[RelativeMeasurement] = []
-    for r in records:
-        if r.kind == "VERTEX_SE3:QUAT":
-            poses[id_map[r.ids[0]]] = Pose(r.t, so3.quat_to_matrix(r.q))
-        else:
-            i, j = r.ids
-            if i not in id_map or j not in id_map:
-                raise InconsistentVertexCountError(
-                    f"edge ({i}, {j}) references an undeclared vertex")
-            measurements.append(RelativeMeasurement(
-                id_map[i], id_map[j], r.t, so3.quat_to_matrix(r.q)))
-    return poses, measurements, id_map, skipped
-
-
-def parse_g2o(source: str | Path | IO[str]) -> G2oParseResult:
-    """Parse a g2o file into poses and a paired measurement graph.
-
-    Files typically carry one direction per edge; the missing direction
-    is synthesized as the rigid inverse, so the result is pairwise
-    consistent by construction wherever only one direction existed.
-
-    Raises:
-        ParseError: malformed line.
-        InconsistentVertexCountError: an edge references an id with no
-            vertex record, or a doubled vertex record.
-    """
-    poses, measurements, id_map, skipped = g2o_to_raw(source)
-    graph = build_graph(len(id_map), measurements, symmetrize_missing=True)
+    stored = _g2o_contents(text)
+    graph = build_graph(stored.n, stored.measurements, symmetrize_missing=True)
     return G2oParseResult(
-        poses=poses, graph=graph, id_map=id_map,
-        raw_measurement_count=len(measurements), skipped_records=skipped)
+        poses=stored.vertices, graph=graph, id_map=stored.id_map,
+        raw_measurement_count=len(stored.measurements),
+        skipped_records=stored.skipped_records)
 
 
 def _fmt(x: float) -> str:
@@ -259,7 +342,8 @@ class Dataset:
     ``vertices`` are ground-truth poses when ``vertex_kind`` is
     ``"ground_truth"``, or a stored estimate; None for graphs whose truth
     is unknown (e.g. parsed benchmark files). ``seed`` is the scenario
-    placement seed; the noise model carries its own.
+    placement seed; the noise model carries its own. ``id_map`` maps a
+    g2o file's vertex ids to dense ids.
     """
 
     graph: PoseGraph
@@ -271,108 +355,58 @@ class Dataset:
     id_map: dict[int, int] = field(default_factory=dict)
 
 
-def raw_payload(
-    n: int,
-    vertices: Sequence[Pose] | None,
-    measurements: Iterable[RelativeMeasurement],
-    scenario: ScenarioSpec | None = None,
-    noise: NoiseModel | None = None,
-    vertex_kind: str | None = None,
-    seed: int | None = None,
-) -> dict:
-    """JSON-serializable dict for a measurement set, preserving direction."""
-    d: dict = {
-        "scenario": scenario.to_dict() if scenario else None,
-        "seed": seed,
-        "noise": noise.to_dict() if noise else None,
-        "vertex_kind": vertex_kind,
-        "vertices": None,
+def _json_pose(t: np.ndarray, r: np.ndarray) -> dict:
+    return {"t": [float(v) for v in t],
+            "q": [float(v) for v in so3.matrix_to_quat(r)]}
+
+
+def _json_text(stored: StoredDataset) -> str:
+    d = {
+        "scenario": stored.scenario.to_dict() if stored.scenario else None,
+        "seed": stored.seed,
+        "noise": stored.noise.to_dict() if stored.noise else None,
+        "vertex_kind": stored.vertex_kind,
+        "vertices": None if stored.vertices is None else [
+            {"id": i, **_json_pose(p.t, p.r)}
+            for i, p in enumerate(stored.vertices)],
         "measurements": [
-            {
-                "src": m.src,
-                "dst": m.dst,
-                "t": [float(v) for v in m.t_rel],
-                "q": [float(v) for v in so3.matrix_to_quat(m.r_rel)],
-            }
-            for m in measurements
-        ],
-        "n": n,
+            {"src": m.src, "dst": m.dst, **_json_pose(m.t_rel, m.r_rel)}
+            for m in stored.measurements],
+        "n": stored.n,
     }
-    if vertices is not None:
-        d["vertices"] = [
-            {
-                "id": i,
-                "t": [float(v) for v in p.t],
-                "q": [float(v) for v in so3.matrix_to_quat(p.r)],
-            }
-            for i, p in enumerate(vertices)
-        ]
-    return d
+    return json.dumps(d, indent=1) + "\n"
 
 
-def _finite_t_r(entry: dict, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Translation and rotation of one JSON entry with ``t`` and ``q``."""
-    t = np.array(entry["t"], dtype=float)
-    q = np.array(entry["q"], dtype=float)
-    if not all(map(math.isfinite, t.tolist() + q.tolist())):
-        raise ValueError(f"{name} has a non-finite t or q")
-    return t, so3.quat_to_matrix(q)
-
-
-def raw_from_dict(d: dict) -> tuple[
-    int, list[Pose] | None, list[RelativeMeasurement],
-    ScenarioSpec | None, NoiseModel | None, str | None, int | None,
-]:
-    """Inverse of :func:`raw_payload`; no graph pairing is applied.
-
-    Raises:
-        ValueError: a measurement or vertex carries a non-finite number;
-            the message names the measurement index or the vertex id.
-    """
-    measurements = [
-        RelativeMeasurement(
-            int(m["src"]), int(m["dst"]), *_finite_t_r(m, f"measurement {k}"))
-        for k, m in enumerate(d["measurements"])
-    ]
-    vertices = None
-    if d.get("vertices") is not None:
-        rows = sorted(d["vertices"], key=lambda v: int(v["id"]))
-        vertices = [Pose(*_finite_t_r(v, f"vertex {int(v['id'])}"))
-                    for v in rows]
-    scenario = (ScenarioSpec.from_dict(d["scenario"])
-                if d.get("scenario") else None)
-    noise = NoiseModel.from_dict(d["noise"]) if d.get("noise") else None
-    seed = d.get("seed")
-    return (int(d["n"]), vertices, measurements, scenario, noise,
-            d.get("vertex_kind"), seed)
-
-
-def dataset_to_dict(ds: Dataset) -> dict:
-    return raw_payload(ds.graph.n, ds.vertices, ds.graph.measurements,
-                       ds.scenario, ds.noise, ds.vertex_kind, ds.seed)
-
-
-def dataset_from_dict(d: dict) -> Dataset:
-    (n, vertices, measurements, scenario, noise, vertex_kind,
-     seed) = raw_from_dict(d)
-    graph = build_graph(n, measurements, symmetrize_missing=True)
-    return Dataset(graph=graph, vertices=vertices, vertex_kind=vertex_kind,
-                   scenario=scenario, noise=noise, seed=seed)
+def write_dataset(path: str | Path, stored: StoredDataset) -> None:
+    """Write ``stored`` in the format of ``path``'s suffix, edges as given."""
+    if _format(path) == "json":
+        text = _json_text(stored)
+    elif stored.vertices is None:
+        raise ValueError(
+            f"{path}: g2o output needs vertex poses, which the input lacks")
+    else:
+        text = g2o_text(stored.vertices, stored.measurements)
+    Path(path).write_text(text)
 
 
 def save_dataset(path: str | Path, ds: Dataset) -> None:
-    Path(path).write_text(json.dumps(dataset_to_dict(ds), indent=1) + "\n")
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    return dataset_from_dict(json.loads(Path(path).read_text()))
+    """Write ``ds`` as a JSON dataset, whatever the suffix of ``path``."""
+    Path(path).write_text(_json_text(StoredDataset(
+        "json", ds.graph.n, ds.vertices, list(ds.graph.measurements),
+        ds.id_map, vertex_kind=ds.vertex_kind, scenario=ds.scenario,
+        noise=ds.noise, seed=ds.seed)))
 
 
 def load_any(path: str | Path) -> Dataset:
-    """Load either a JSON dataset or a g2o file, by extension."""
-    p = Path(path)
-    if p.suffix == ".g2o":
-        parsed = parse_g2o(p)
-        return Dataset(graph=parsed.graph, vertices=None, vertex_kind=None,
-                       id_map=parsed.id_map)
-    return load_dataset(p)
+    """Load a ``.g2o`` or ``.json`` dataset, pairing one-way edges.
+
+    A g2o file's vertex poses are an estimate, not provenance, so its
+    ``Dataset`` carries no vertices; its ``id_map`` is kept.
+    """
+    stored = read_dataset(path)
+    graph = build_graph(stored.n, stored.measurements, symmetrize_missing=True)
+    if stored.format == "g2o":
+        return Dataset(graph=graph, id_map=stored.id_map)
+    return Dataset(graph=graph, vertices=stored.vertices,
+                   vertex_kind=stored.vertex_kind, scenario=stored.scenario,
+                   noise=stored.noise, seed=stored.seed)

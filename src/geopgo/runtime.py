@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consistency import paired_rotation_correction
-from .graph import Pose, PoseGraph, RelativeMeasurement, build_graph
+from .graph import Pose, PoseGraph
 from .solver import (Driver, SolveResult, SolverConfig, all_controls,
                      evaluate_objective, integrate_pose, local_views,
                      node_controls)
@@ -159,10 +158,12 @@ def run_distributed(
     if config is None:
         config = SolverConfig()
     driver = Driver(g, config, objective=evaluate_objective)
+    log = _MessageLog() if message_log_path is not None else None
     if driver.start(init):
+        if log is not None:
+            log.dump(message_log_path)  # no round ran: an empty log
         return driver.result(driver.initial_controls)
 
-    log = _MessageLog() if message_log_path is not None else None
     channels: dict[tuple[int, int], queue.Queue] = {
         (m.src, m.dst): queue.Queue() for m in g.measurements
     }
@@ -237,58 +238,3 @@ def run_distributed(
         log.dump(message_log_path)
     return driver.result(
         all_controls(driver.estimates, g, config.translation_mode))
-
-
-def one_shot_pairwise_round(
-    g: PoseGraph, message_log_path=None,
-) -> PoseGraph:
-    """Distributed pairwise rotation enforcement in a single round.
-
-    Every node sends each neighbor the raw rotation it measured toward
-    them (one message per directed edge) and locally replaces each of its
-    outgoing rotations by the evenly split correction. The assembled
-    graph equals the centralized enforcement bitwise.
-    """
-    log = _MessageLog() if message_log_path is not None else None
-    channels: dict[tuple[int, int], queue.Queue] = {
-        (m.src, m.dst): queue.Queue() for m in g.measurements
-    }
-    corrected: dict[tuple[int, int], np.ndarray] = {}
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work(i: int, r_out: dict[int, np.ndarray]) -> None:
-        try:
-            for j, r in r_out.items():
-                if log is not None:
-                    log.record(0, i, j)
-                channels[(i, j)].put(r)
-            local = {}
-            for j in r_out:
-                rev = channels[(j, i)].get(timeout=30.0)
-                local[(i, j)] = paired_rotation_correction(r_out[j], rev)
-            with lock:
-                corrected.update(local)
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    threads = []
-    for i in range(g.n):
-        r_out = {j: g.measurement(i, j).r_rel for j in g.neighbors(i)}
-        threads.append(threading.Thread(target=work, args=(i, r_out),
-                                        daemon=True))
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=60.0)
-    if errors:
-        raise errors[0]
-
-    if message_log_path is not None and log is not None:
-        log.dump(message_log_path)
-
-    new_measurements = [
-        RelativeMeasurement(m.src, m.dst, m.t_rel, corrected[(m.src, m.dst)])
-        for m in g.measurements
-    ]
-    return build_graph(g.n, new_measurements)

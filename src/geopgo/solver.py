@@ -259,9 +259,7 @@ def is_equilibrium(
     translation_mode: str = "per_step_averaged",
 ) -> bool:
     """True when every node's velocity pair is below ``tol`` in norm."""
-    nu, omega = all_controls(estimates, g, translation_mode)
-    return bool(max(np.linalg.norm(nu, axis=1).max(initial=0.0),
-                    np.linalg.norm(omega, axis=1).max(initial=0.0)) <= tol)
+    return max_control_norm(*all_controls(estimates, g, translation_mode)) <= tol
 
 
 def max_control_norm(nu: np.ndarray, omega: np.ndarray) -> float:

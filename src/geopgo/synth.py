@@ -11,7 +11,7 @@ backward translation, backward rotation, three standard normals each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np

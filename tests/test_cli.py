@@ -113,6 +113,45 @@ def test_info_json(tmp_path, capsys):
     assert set(info["in_basin_by_init"]) == {"identity", "tree", "gps"}
 
 
+def _doubled_vertex_id(d):
+    d["vertices"][5]["id"] = 2
+
+
+def _measurement_without_q(d):
+    del d["measurements"][4]["q"]
+
+
+def _fewer_vertices_than_n(d):
+    d["vertices"].pop()
+
+
+def _scenario_with_unknown_field(d):
+    d["scenario"]["bogus"] = 1
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_doubled_vertex_id, "vertex id 2 declared twice"),
+    (_measurement_without_q, "measurement 4"),
+    (_fewer_vertices_than_n, "n is 8 but 7 vertices"),
+    (_scenario_with_unknown_field, "malformed JSON dataset"),
+], ids=["doubled-vertex-id", "measurement-without-q", "fewer-vertices-than-n",
+        "scenario-with-unknown-field"])
+def test_bad_json_dataset_fails_at_the_loader(tmp_path, capsys, corrupt,
+                                              message):
+    ds = _generate(tmp_path)
+    d = json.loads(ds.read_text())
+    corrupt(d)
+    ds.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=message):
+        gio.load_any(ds)
+    capsys.readouterr()
+    rc = cli.main(["solve", "--dataset", str(ds), "--init", "gps",
+                   "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_convert_round_trip(tmp_path):
     ds = _generate(tmp_path)
     g2o = tmp_path / "ds.g2o"

@@ -1,6 +1,7 @@
 """File formats: g2o parsing and writing, CSV exports, JSON datasets."""
 
 import io as pyio
+import json
 import math
 
 import numpy as np
@@ -30,13 +31,13 @@ def _dataset(seed=0, noise=True):
 
 
 def test_parse_single_identity_vertex():
-    records, skipped = gio.read_g2o_records(GARAGE_LINE)
-    assert skipped == 0
-    assert len(records) == 1
-    rec = records[0]
-    assert rec.ids == (0,)
-    assert np.array_equal(rec.t, [-1.25, 3.5, 0.75])
-    assert np.allclose(so3.quat_to_matrix(rec.q), np.eye(3))
+    result = gio.parse_g2o(GARAGE_LINE)
+    assert result.skipped_records == 0
+    assert len(result.poses) == 1
+    assert result.raw_measurement_count == 0
+    assert result.id_map == {0: 0}
+    assert np.array_equal(result.poses[0].t, [-1.25, 3.5, 0.75])
+    assert np.allclose(result.poses[0].r, np.eye(3))
 
 
 def test_parse_two_vertex_file_and_remap():
@@ -78,24 +79,25 @@ def test_parse_normalizes_quaternions():
 
 def test_parse_skips_unknown_records():
     text = TWO_VERTEX_ONE_EDGE + "VERTEX_SE2 5 0 0 0\nFIX 10\n"
-    records, skipped = gio.read_g2o_records(text)
-    assert skipped == 2
-    assert len(records) == 3
+    result = gio.parse_g2o(text)
+    assert result.skipped_records == 2
+    assert len(result.poses) == 2
+    assert result.raw_measurement_count == 1
 
 
 def test_parse_error_carries_line_and_token():
     bad = GARAGE_LINE.replace("3.5", "3.5x")
     with pytest.raises(gio.ParseError) as exc:
-        gio.read_g2o_records(bad)
+        gio.parse_g2o(bad)
     assert exc.value.line_no == 1
     assert exc.value.token == "3.5x"
 
     with pytest.raises(gio.ParseError) as exc:
-        gio.read_g2o_records("VERTEX_SE3:QUAT 0 1 2 3\n")
+        gio.parse_g2o("VERTEX_SE3:QUAT 0 1 2 3\n")
     assert "9 fields" in str(exc.value)
 
     with pytest.raises(gio.ParseError) as exc:
-        gio.read_g2o_records("EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1\n")
+        gio.parse_g2o("EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1\n")
     assert "31 fields" in str(exc.value)
 
 
@@ -104,19 +106,21 @@ def test_parse_rejects_non_finite_numbers(token):
     bad = TWO_VERTEX_ONE_EDGE.replace("EDGE_SE3:QUAT 10 20 1 ",
                                       f"EDGE_SE3:QUAT 10 20 {token} ")
     with pytest.raises(gio.ParseError) as exc:
-        gio.read_g2o_records(bad)
+        gio.parse_g2o(bad)
     assert exc.value.line_no == 4
     assert exc.value.token == token
 
 
-def test_json_rejects_non_finite_numbers():
-    ds = _dataset(seed=1)
+def test_json_rejects_non_finite_numbers(tmp_path):
+    path = tmp_path / "ds.json"
+    gio.save_dataset(path, _dataset(seed=1))
     for section, index, key, name in (("measurements", 3, "t", "measurement 3"),
                                       ("vertices", 1, "q", "vertex 1")):
-        bad = gio.dataset_to_dict(ds)
+        bad = json.loads(path.read_text())
         bad[section][index][key][1] = float("nan")
+        path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=name):
-            gio.raw_from_dict(bad)
+            gio.read_dataset(path)
 
 
 def test_duplicate_vertex_rejected():
@@ -195,7 +199,7 @@ def test_json_dataset_round_trip(tmp_path):
     ds = _dataset(seed=3)
     path = tmp_path / "ds.json"
     gio.save_dataset(path, ds)
-    back = gio.load_dataset(path)
+    back = gio.load_any(path)
     assert back.graph.n == ds.graph.n
     assert back.scenario == ds.scenario
     assert back.noise == ds.noise
@@ -217,7 +221,7 @@ def test_json_dataset_without_provenance(tmp_path):
     bare = gio.Dataset(graph=ds.graph)
     path = tmp_path / "bare.json"
     gio.save_dataset(path, bare)
-    back = gio.load_dataset(path)
+    back = gio.load_any(path)
     assert back.vertices is None
     assert back.scenario is None
     assert back.noise is None
@@ -234,5 +238,14 @@ def test_load_any_dispatches_by_suffix(tmp_path):
     via_json = gio.load_any(jp)
     via_g2o = gio.load_any(gp)
     assert via_json.graph.directed_count == via_g2o.graph.directed_count
+    # both formats store t and q losslessly and decode them the same way
+    for a, b in zip(via_json.graph.measurements, via_g2o.graph.measurements):
+        assert (a.src, a.dst) == (b.src, b.dst)
+        assert a.t_rel.tobytes() == b.t_rel.tobytes()
+        assert a.r_rel.tobytes() == b.r_rel.tobytes()
     assert via_json.scenario is not None
     assert via_g2o.scenario is None  # g2o carries no provenance
+    other = tmp_path / "c.txt"
+    other.write_text(jp.read_text())
+    with pytest.raises(ValueError, match="c.txt"):
+        gio.load_any(other)

@@ -77,16 +77,19 @@ def test_message_counts_and_locality(tmp_path):
         assert sorted(sends) == sorted((m.src, m.dst) for m in g.measurements)
 
 
-def test_fixed_point_short_circuit():
+def test_fixed_point_short_circuit(tmp_path):
     # exactly-representable truth: no worker threads needed at all
     fwd = RelativeMeasurement(0, 1, np.array([1.0, 0.0, 0.0]), np.eye(3))
     g = build_graph(2, [fwd, reversed_measurement(fwd)])
     init = [Pose(t=np.zeros(3), r=np.eye(3)),
             Pose(t=np.array([1.0, 0.0, 0.0]), r=np.eye(3))]
-    dist = runtime.run_distributed(g, init)
+    log_path = tmp_path / "messages.jsonl"
+    dist = runtime.run_distributed(g, init, message_log_path=str(log_path))
     assert dist.iterations == 0
     assert dist.converged
     _assert_bitwise_equal_poses(dist.estimates, init)
+    # the log exists, so an audit reads zero messages
+    assert log_path.read_text().splitlines() == []
 
 
 def test_max_iters_stops_unconverged():
@@ -97,23 +100,6 @@ def test_max_iters_stops_unconverged():
     assert not dist.converged
     ref = solver.solve(g, init, cfg)
     _assert_bitwise_equal_poses(dist.estimates, ref.estimates)
-
-
-def test_one_shot_pairwise_round_matches_centralized(tmp_path):
-    spec = synth.ScenarioSpec(topology="sphere", n=12)
-    noise = synth.NoiseModel(tau=0.5, kappa=0.524, seed=6)
-    _, g = synth.generate_dataset(spec, noise, seed=6)
-    log_path = tmp_path / "enforce.jsonl"
-    dist_g = runtime.one_shot_pairwise_round(g, message_log_path=str(log_path))
-    ref_g = consistency.enforce_pairwise_rotations(g)
-    for a, b in zip(dist_g.measurements, ref_g.measurements):
-        assert (a.src, a.dst) == (b.src, b.dst)
-        assert np.array_equal(a.r_rel, b.r_rel)
-        assert np.array_equal(a.t_rel, b.t_rel)
-    rows = [json.loads(ln) for ln in log_path.read_text().splitlines()]
-    assert len(rows) == g.directed_count
-    for row in rows:
-        assert g.has_edge(row["sender"], row["receiver"])
 
 
 def test_stalled_worker_raises_deadlock_promptly(monkeypatch):
