@@ -18,12 +18,13 @@ with their current rotation estimates.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import so3
-from .graph import Pose, PoseGraph, RelativeMeasurement, build_graph, spanning_tree
+from .graph import (Pose, PoseGraph, RelativeMeasurement, build_graph,
+                    edge_blocks, sequential_sum, spanning_tree)
 
 
 class MissingNeighborDataError(KeyError):
@@ -66,15 +67,18 @@ def check_pairwise(
     defect is ``norm(t_ij + r_ij @ t_ji)``. Both vanish exactly when the
     reverse direction equals the rigid inverse of the forward one.
     """
+    e = g.edge_arrays
+    fwd = np.flatnonzero(e.src < e.dst)
     rot_defect = 0.0
     trans_defect = 0.0
-    for i, j in g.undirected_edges():
-        fwd = g.measurement(i, j)
-        rev = g.measurement(j, i)
-        rot_defect = max(rot_defect,
-                         so3.rotation_angle(fwd.r_rel @ rev.r_rel))
-        trans_defect = max(trans_defect, float(np.linalg.norm(
-            fwd.t_rel + fwd.r_rel @ rev.t_rel)))
+    for sl in edge_blocks(len(fwd)):
+        k = fwd[sl]
+        r, back = e.r_rel[k], e.rev[k]
+        angles = so3.rotation_angle(r @ e.r_rel[back])
+        gaps = e.t_rel[k] + (r @ e.t_rel[back][..., None])[..., 0]
+        rot_defect = max(rot_defect, float(angles.max()))
+        trans_defect = max(trans_defect,
+                           float(np.sqrt(so3.dot_rows(gaps, gaps)).max()))
     return ConsistencyReport(
         pairwise_rot_max_defect=rot_defect,
         pairwise_trans_max_defect=trans_defect,
@@ -84,14 +88,13 @@ def check_pairwise(
 
 def check_minimal(g: PoseGraph) -> ConsistencyReport:
     """Norms of the directed sums of log-rotations and translations."""
-    rot_sum = np.zeros(3)
-    trans_sum = np.zeros(3)
-    for m in g.measurements:
-        rot_sum += so3.log_map(m.r_rel)
-        trans_sum += m.t_rel
+    e = g.edge_arrays
+    logs = np.empty(e.t_rel.shape)
+    for sl in edge_blocks(len(logs)):
+        logs[sl] = so3.log_map(e.r_rel[sl])
     return ConsistencyReport(
-        minimal_rot_defect=float(np.linalg.norm(rot_sum)),
-        minimal_trans_defect=float(np.linalg.norm(trans_sum)),
+        minimal_rot_defect=float(np.linalg.norm(sequential_sum(logs))),
+        minimal_trans_defect=float(np.linalg.norm(sequential_sum(e.t_rel))),
     )
 
 
@@ -170,14 +173,17 @@ def full_report(
 def paired_rotation_correction(
     r_fwd: np.ndarray, r_rev: np.ndarray,
 ) -> np.ndarray:
-    """One direction's exact pairwise-rotation repair.
+    """One direction's exact pairwise-rotation repair, for one edge or a
+    stack of edges.
 
     Returns ``r_fwd @ exp(0.5 * log(r_fwd.T @ r_rev.T))``. Applying this
     to both directions (swapping the roles) yields rotations that are
     exact transposes of one another: the two corrections conjugate onto
     the same half-angle rotation.
     """
-    half = 0.5 * so3.log_map(r_fwd.T @ r_rev.T)
+    r_fwd = np.asarray(r_fwd, dtype=float)
+    half = 0.5 * so3.log_map(np.swapaxes(r_fwd, -1, -2)
+                             @ np.swapaxes(np.asarray(r_rev, dtype=float), -1, -2))
     return r_fwd @ so3.exp_map(half)
 
 
@@ -191,19 +197,25 @@ def enforce_pairwise_rotations(g: PoseGraph) -> PoseGraph:
     Raises:
         so3.AngleAtPiError: if an edge's two directions disagree by a
             rotation whose angle reaches pi, where the even split is
-            ambiguous.
+            ambiguous; the message names the edge.
     """
-    replaced: dict[tuple[int, int], np.ndarray] = {}
-    for i, j in g.undirected_edges():
-        fwd = g.measurement(i, j).r_rel
-        rev = g.measurement(j, i).r_rel
-        replaced[(i, j)] = paired_rotation_correction(fwd, rev)
-        replaced[(j, i)] = paired_rotation_correction(rev, fwd)
-    new_measurements = [
-        RelativeMeasurement(m.src, m.dst, m.t_rel, replaced[(m.src, m.dst)])
-        for m in g.measurements
-    ]
-    return build_graph(g.n, new_measurements)
+    e = g.edge_arrays
+    repaired = np.empty(e.r_rel.shape)
+    for sl in edge_blocks(len(repaired)):
+        try:
+            repaired[sl] = paired_rotation_correction(e.r_rel[sl],
+                                                      e.r_rel[e.rev[sl]])
+        except so3.AngleAtPiError as exc:
+            raise so3.AngleAtPiError(
+                f"directions of {e.name(sl.start + exc.index[0])} "
+                f"disagree at pi: {exc}", exc.index) from None
+    repaired.flags.writeable = False
+    out = build_graph(g.n, [RelativeMeasurement(m.src, m.dst, m.t_rel, r)
+                            for m, r in zip(g.measurements, repaired)])
+    # Same edges in the same order: the new graph shares g's frozen
+    # arrays, with the new rotations, instead of copying them again.
+    out.__dict__["edge_arrays"] = replace(e, r_rel=repaired)
+    return out
 
 
 def averaged_translation(
@@ -215,7 +227,9 @@ def averaged_translation(
     pass their current estimate ``R_i.T @ R_j``. The reverse measurement
     enters negated because the two directions point opposite ways. For
     any inputs, the pair of averages built this way satisfies
-    ``t'_ij + r_ij_est @ t'_ji == 0`` identically.
+    ``t'_ij + r_ij_est @ t'_ji == 0`` identically. Takes one edge, or a
+    stack of edges with ``(..., 3)`` vectors and ``(..., 3, 3)`` rotations.
     """
+    t_ji = np.asarray(t_ji, dtype=float)
     return 0.5 * (np.asarray(t_ij, dtype=float)
-                  - np.asarray(r_ij_est, dtype=float) @ np.asarray(t_ji, dtype=float))
+                  - (np.asarray(r_ij_est, dtype=float) @ t_ji[..., None])[..., 0])

@@ -3,13 +3,15 @@
 Vertex ids are dense integers ``0..n-1``. Measurements are directed; the
 graph stores both directions of every edge so each node can run on purely
 local data. A measurement ``(i, j)`` expresses the pose of ``j`` in the
-frame of ``i``.
+frame of ``i``. For stacked passes over the edge set, a graph freezes its
+measurements into arrays once (:attr:`PoseGraph.edge_arrays`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +92,50 @@ def symmetrize(
     return out
 
 
+# Edges per stacked pass: bounds the (block, 3, 3) temporaries, and so the
+# peak memory of a pass, whatever the size of the graph.
+EDGE_BLOCK = 1024
+
+
+def edge_blocks(count: int) -> list[slice]:
+    """Slices covering ``range(count)`` in runs of at most EDGE_BLOCK."""
+    return [slice(lo, min(lo + EDGE_BLOCK, count))
+            for lo in range(0, count, EDGE_BLOCK)]
+
+
+def sequential_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum along the first axis, left to right from zero.
+
+    This is the association of a scalar ``total += row`` loop; ``np.sum``
+    adds pairwise and may round differently.
+    """
+    rows = np.asarray(rows, dtype=float)
+    start = np.zeros((1,) + rows.shape[1:])
+    return np.add.accumulate(np.concatenate([start, rows]))[-1]
+
+
+@dataclass(frozen=True)
+class EdgeArrays:
+    """A graph's directed measurements as read-only stacked arrays.
+
+    Row ``k`` is the ``k``-th measurement in ``(src, dst)`` order:
+    endpoints ``src``/``dst`` ``(E,)``, ``r_rel`` ``(E, 3, 3)`` and
+    ``t_rel`` ``(E, 3)``. ``rev[k]`` is the row of the reverse direction.
+    Node ``i``'s outgoing edges are rows
+    ``offsets[i]:offsets[i + 1]``, by ascending ``dst``.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    r_rel: np.ndarray
+    t_rel: np.ndarray
+    rev: np.ndarray
+    offsets: np.ndarray
+
+    def name(self, k: int) -> str:
+        return f"edge ({self.src[k]}, {self.dst[k]})"
+
+
 @dataclass(frozen=True)
 class PoseGraph:
     """Validated, paired-directed measurement graph over ``n`` vertices.
@@ -120,6 +166,24 @@ class PoseGraph:
     def undirected_edges(self) -> list[tuple[int, int]]:
         """Edge list with ``src < dst``, each undirected edge once."""
         return [(m.src, m.dst) for m in self.measurements if m.src < m.dst]
+
+    @cached_property
+    def edge_arrays(self) -> EdgeArrays:
+        """The measurements as :class:`EdgeArrays`, built on first use."""
+        ms = self.measurements
+        src = np.array([m.src for m in ms], dtype=np.intp)
+        dst = np.array([m.dst for m in ms], dtype=np.intp)
+        arrays = EdgeArrays(
+            src=src, dst=dst,
+            r_rel=np.array([m.r_rel for m in ms], dtype=float).reshape(-1, 3, 3),
+            t_rel=np.array([m.t_rel for m in ms], dtype=float).reshape(-1, 3),
+            # sorting by (dst, src) lists the reverse of each (src, dst) row
+            rev=np.lexsort((src, dst)),
+            offsets=np.concatenate(
+                ([0], np.cumsum(np.bincount(src, minlength=self.n)))))
+        for a in vars(arrays).values():
+            a.flags.writeable = False
+        return arrays
 
 
 def build_graph(

@@ -7,7 +7,8 @@ for both (unique vertex ids, every edge between declared vertices,
 finite numbers, and a JSON ``n`` that matches its vertex list), remaps
 the ids to dense ``0..n-1`` in ascending order and returns a
 :class:`StoredDataset`: the file's contents as stored, directed and
-unpaired. The format is chosen by the suffix, ``.g2o`` or ``.json``.
+unpaired. The format is chosen by the suffix, ``.g2o`` or ``.json``, for
+reading and for writing alike.
 
 The g2o dialect handled here is the SE(3) quaternion one: lines of
 
@@ -390,11 +391,13 @@ def write_dataset(path: str | Path, stored: StoredDataset) -> None:
 
 
 def save_dataset(path: str | Path, ds: Dataset) -> None:
-    """Write ``ds`` as a JSON dataset, whatever the suffix of ``path``."""
-    Path(path).write_text(_json_text(StoredDataset(
-        "json", ds.graph.n, ds.vertices, list(ds.graph.measurements),
+    """Write ``ds`` through :func:`write_dataset`, in the format of
+    ``path``'s suffix; g2o keeps the poses and edges and drops the
+    provenance. An unknown suffix raises before anything is written."""
+    write_dataset(path, StoredDataset(
+        _format(path), ds.graph.n, ds.vertices, list(ds.graph.measurements),
         ds.id_map, vertex_kind=ds.vertex_kind, scenario=ds.scenario,
-        noise=ds.noise, seed=ds.seed)))
+        noise=ds.noise, seed=ds.seed))
 
 
 def load_any(path: str | Path) -> Dataset:

@@ -5,16 +5,17 @@ pose, the measurements on its incident edges, and one inbound queue per
 neighbor. A round is: broadcast the current pose to all neighbors,
 receive one message per neighbor for this round, compute the velocity
 pair from those values only, integrate. A barrier separates rounds; its
-action hands the round's snapshots and velocities to the solver's
-:class:`~geopgo.solver.Driver`, which owns the stop rule and the
-histories (it aggregates the objective across the snapshots, a privilege
-of simulation rather than something a deployed node could do). This
-module is thus only an executor plugged into that driver.
+action has one recorder thread hand the round's snapshots and
+velocities to the solver's :class:`~geopgo.solver.Driver`, which owns
+the stop rule and the histories (it aggregates the objective across the
+snapshots, a privilege of simulation rather than something a deployed
+node could do). This module is thus only an executor plugged into that
+driver.
 
 Because updates are simultaneous, neighbor sums run in ascending id
-order, and the per-node arithmetic is the same function the reference
-solver calls, the resulting trajectory is bitwise identical to
-``solver.solve`` on the same inputs.
+order, and the per-node arithmetic is the reference solver's stacked
+edge kernel run on each node's own edges, the resulting trajectory is
+bitwise identical to ``solver.solve`` on the same inputs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import so3
 from .graph import Pose, PoseGraph
 from .solver import (Driver, SolveResult, SolverConfig, all_controls,
                      evaluate_objective, integrate_pose, local_views,
@@ -69,8 +71,8 @@ class NodeWorker:
     ``outboxes``/``inboxes`` are the channels to and from each neighbor;
     the worker owns its pose exclusively. Once per round its pose and the
     velocity pair it used go into its slot of the shared snapshot list
-    and its row of the shared velocity arrays, which the barrier action
-    reads only while all workers sit at the barrier.
+    and its row of the shared velocity arrays, which the recorder reads
+    only while all workers sit at the barrier.
     """
 
     def __init__(
@@ -126,10 +128,14 @@ class NodeWorker:
         """Advance this pose one round; returns the velocity pair used."""
         self.broadcast(round_no)
         neighbor_poses = self.collect(round_no)
-        nu, omega = node_controls(
-            self.pose, self.neighbors, neighbor_poses,
-            self.r_out, self.t_out, self.t_in,
-            self.config.translation_mode)
+        try:
+            nu, omega = node_controls(
+                self.pose, self.neighbors, neighbor_poses,
+                self.r_out, self.t_out, self.t_in,
+                self.config.translation_mode)
+        except so3.AngleAtPiError as exc:
+            raise so3.AngleAtPiError(
+                f"node {self.id}, round {round_no}: {exc}", exc.index) from None
         self.pose = integrate_pose(self.pose, nu, omega, self.config.dt)
         return nu, omega
 
@@ -192,16 +198,29 @@ def run_distributed(
         errors.append(exc)
         over.set()
 
+    requests: queue.Queue = queue.Queue()  # a round to record, or None
+    recorded = threading.Semaphore(0)
+
+    def record_rounds() -> None:
+        # One thread records every round, so the driver's stacked
+        # temporaries stay in one malloc arena instead of growing the
+        # arena of each worker that happens to reach the barrier last.
+        while requests.get() is not None:
+            try:
+                if driver.record(snapshots, nu_rows, omega_rows):
+                    over.set()
+            except BaseException as exc:  # noqa: BLE001 - surfaced to caller
+                fail(exc)
+            recorded.release()
+
     def end_round() -> None:
-        # Runs as the barrier action while every worker is parked.
-        try:
-            if driver.record(snapshots, nu_rows, omega_rows):
-                over.set()
-        except BaseException as exc:
+        # The barrier action: every worker is parked until it returns.
+        requests.put(True)
+        recorded.acquire()
+        if errors:
             # Recorded before the barrier breaks, so the workers it
             # releases see it and it is the error raised.
-            fail(exc)
-            raise
+            raise errors[0]
 
     barrier = threading.Barrier(g.n, action=end_round)
 
@@ -223,15 +242,17 @@ def run_distributed(
             fail(exc)
             barrier.abort()
 
+    recorder = threading.Thread(target=record_rounds, daemon=True)
     threads = [threading.Thread(target=work, args=(w,), daemon=True)
                for w in workers]
-    for th in threads:
+    for th in [recorder] + threads:
         th.start()
     over.wait()
+    requests.put(None)  # after any round still to record
     if errors:
         barrier.abort()
         raise errors[0]
-    for th in threads:
+    for th in [recorder] + threads:
         th.join()  # each returns right after the last barrier
 
     if log is not None:

@@ -3,6 +3,13 @@
 All rotations are 3x3 numpy arrays acting on column vectors. Axis-angle
 tangent vectors live in R^3 and are mapped to skew-symmetric matrices by
 :func:`hat`. Quaternions are scalar-last ``(qx, qy, qz, qw)``.
+
+The maps (:func:`hat`, :func:`exp_map`, :func:`log_map`,
+:func:`rotation_angle`, :func:`renormalize`) also take stacks
+``(..., 3)`` or ``(..., 3, 3)``, so one call covers every edge of a
+graph. There is one implementation of each: a single matrix is a stack
+of one, and each row of a stacked result equals the single call bit for
+bit (see :func:`dot_rows` for the one reduction that needs care).
 """
 
 from __future__ import annotations
@@ -20,17 +27,44 @@ class NonSkewInputError(ValueError):
 
 
 class AngleAtPiError(ValueError):
-    """Rotation angle is at or beyond the edge of the logarithm chart."""
+    """Rotation angle is at or beyond the edge of the logarithm chart.
+
+    ``index`` locates the first such rotation in a stacked input; it is
+    ``()`` for a single matrix.
+    """
+
+    def __init__(self, message: str, index: tuple[int, ...] = ()) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes of ``a`` and ``b``.
+
+    Written as a stacked ``(1, k) @ (k, 1)`` product, which equals
+    ``np.dot`` of each row pair bit for bit; ``np.einsum`` and
+    ``np.sum(a * b, axis=-1)`` may round differently.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+# Entries (row, col) of a skew matrix that hold v[0..2], then -v[0..2].
+_HAT_ROWS = np.array([2, 0, 1, 1, 2, 0])
+_HAT_COLS = np.array([1, 2, 0, 2, 0, 1])
+
+
+def _skew_part(r: np.ndarray) -> np.ndarray:
+    """``vee(r - r.T)`` of each matrix, without the skew check."""
+    return (r[..., _HAT_ROWS[:3], _HAT_COLS[:3]]
+            - r[..., _HAT_ROWS[3:], _HAT_COLS[3:]])
 
 
 def hat(v: np.ndarray) -> np.ndarray:
-    """Map a 3-vector to its skew-symmetric cross-product matrix."""
+    """Map 3-vectors ``(..., 3)`` to skew cross-product matrices ``(..., 3, 3)``."""
     v = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    s = np.zeros(v.shape + (3,))
+    s[..., _HAT_ROWS, _HAT_COLS] = np.concatenate([v, -v], axis=-1)
+    return s
 
 
 def vee(s: np.ndarray) -> np.ndarray:
@@ -54,62 +88,77 @@ def vee(s: np.ndarray) -> np.ndarray:
 
 
 def exp_map(v: np.ndarray) -> np.ndarray:
-    """Rodrigues exponential: axis-angle vector to rotation matrix.
+    """Rodrigues exponential: axis-angle vectors to rotation matrices.
 
-    Uses second-order series coefficients below an angle of 1e-6 so the
-    map stays smooth and exact-to-double through zero.
+    Takes one vector ``(3,)`` or a stack ``(..., 3)`` and returns
+    ``(3, 3)`` or ``(..., 3, 3)``; each matrix equals the one-vector call
+    bit for bit. Uses second-order series coefficients below an angle of
+    1e-6 so the map stays smooth and exact-to-double through zero.
     """
     v = np.asarray(v, dtype=float)
-    theta = float(np.linalg.norm(v))
-    s = hat(v)
-    if theta < _SMALL_ANGLE:
-        a = 1.0 - theta * theta / 6.0
-        b = 0.5 - theta * theta / 24.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * s + b * (s @ s)
+    flat = v.reshape(-1, 3)
+    theta = np.sqrt(dot_rows(flat, flat))
+    a = 1.0 - theta * theta / 6.0
+    b = 0.5 - theta * theta / 24.0
+    big = theta >= _SMALL_ANGLE  # elsewhere the series; no 0/0 at zero
+    np.divide(np.sin(theta), theta, out=a, where=big)
+    np.divide(1.0 - np.cos(theta), theta * theta, out=b, where=big)
+    s = hat(flat)
+    r = np.eye(3) + a[:, None, None] * s + b[:, None, None] * (s @ s)
+    return r.reshape(v.shape + (3,))
 
 
-def rotation_angle(r: np.ndarray) -> float:
+def rotation_angle(r: np.ndarray) -> float | np.ndarray:
     """Geodesic angle of a rotation, in [0, pi].
 
     Computed as ``atan2(|skew part|, (trace - 1) / 2)``, which keeps full
     precision at tiny angles where an arccosine of the trace would bottom
-    out near sqrt(machine epsilon).
+    out near sqrt(machine epsilon). A single ``(3, 3)`` matrix gives a
+    float, a stack ``(..., 3, 3)`` an array of angles.
     """
     r = np.asarray(r, dtype=float)
-    s = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0],
-                        r[1, 0] - r[0, 1]])
-    c = (np.trace(r) - 1.0) / 2.0
-    return float(np.arctan2(np.linalg.norm(s), c))
+    theta, _ = _angle(r)
+    return float(theta) if r.ndim == 2 else theta
+
+
+def _angle(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rotation_angle` of each matrix, and its ``vee(r - r.T)``."""
+    skew = _skew_part(r)
+    s = 0.5 * skew
+    c = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
+    return np.arctan2(np.sqrt(dot_rows(s, s)), c), skew
 
 
 def log_map(r: np.ndarray) -> np.ndarray:
     """Inverse of :func:`exp_map` on the open ball of radius pi.
 
     Args:
-        r: rotation matrix with geodesic angle strictly below ``pi - 1e-9``.
+        r: rotation matrix ``(3, 3)``, or a stack ``(..., 3, 3)``, each
+            with geodesic angle strictly below ``pi - 1e-9``.
 
     Returns:
-        Axis-angle vector of length equal to the rotation angle.
+        Axis-angle vector ``(3,)`` (or ``(..., 3)``) of length equal to
+        the rotation angle.
 
     Raises:
-        AngleAtPiError: when the angle reaches the chart boundary, where
-            the axis is not recoverable from ``r - r.T``.
+        AngleAtPiError: when an angle reaches the chart boundary, where
+            the axis is not recoverable from ``r - r.T``; its ``index``
+            locates the first such matrix in a stack.
     """
     r = np.asarray(r, dtype=float)
-    theta = rotation_angle(r)
-    if theta >= np.pi - _PI_GUARD:
+    flat = r.reshape(-1, 3, 3)
+    theta, skew = _angle(flat)
+    at_pi = theta >= np.pi - _PI_GUARD
+    if at_pi.any():
+        k = int(np.argmax(at_pi))
+        index = tuple(int(i) for i in np.unravel_index(k, r.shape[:-2]))
         raise AngleAtPiError(
-            f"rotation angle {theta:.12f} is within 1e-9 of pi; "
-            "logarithm is outside its chart")
-    if theta < _SMALL_ANGLE:
-        coef = 0.5 * (1.0 + theta * theta / 6.0)
-    else:
-        coef = theta / (2.0 * np.sin(theta))
-    s = coef * (r - r.T)
-    return np.array([s[2, 1], s[0, 2], s[1, 0]])
+            f"rotation angle {theta[k]:.12f} is within 1e-9 of pi; "
+            "logarithm is outside its chart", index)
+    coef = 0.5 * (1.0 + theta * theta / 6.0)
+    np.divide(theta, 2.0 * np.sin(theta), out=coef,
+              where=theta >= _SMALL_ANGLE)
+    return (coef[:, None] * skew).reshape(r.shape[:-1])
 
 
 def geodesic_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -211,27 +260,36 @@ def random_rotation(rng: int | np.random.Generator | None = None) -> np.ndarray:
 
 
 def project_to_rotation(m: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix in the Frobenius sense (polar projection)."""
+    """Nearest rotation matrix in the Frobenius sense (polar projection),
+    of one matrix or of each in a stack."""
     u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    flip = np.zeros(u.shape)
+    flip[..., 0, 0] = flip[..., 1, 1] = 1.0
+    flip[..., 2, 2] = np.sign(np.linalg.det(u @ vt))
+    return u @ flip @ vt
 
 
-def orthonormality_drift(r: np.ndarray) -> float:
-    """Frobenius distance of ``r.T @ r`` from the identity."""
+def orthonormality_drift(r: np.ndarray) -> float | np.ndarray:
+    """Frobenius distance of ``r.T @ r`` from the identity, per matrix."""
     r = np.asarray(r, dtype=float)
-    return float(np.linalg.norm(r.T @ r - np.eye(3)))
+    e = (np.swapaxes(r, -1, -2) @ r - np.eye(3)).reshape(r.shape[:-2] + (9,))
+    drift = np.sqrt(dot_rows(e, e))
+    return float(drift) if r.ndim == 2 else drift
 
 
 def renormalize(r: np.ndarray) -> np.ndarray:
-    """Re-project onto SO(3) when accumulated drift exceeds 1e-12.
+    """Re-project onto SO(3) each matrix whose drift exceeds 1e-12.
 
-    Returns the input unchanged when it is already orthonormal to
-    tolerance, so repeated calls are cheap and bit-stable.
+    Returns the input itself when no matrix drifted, so repeated calls
+    are cheap and bit-stable; only drifted matrices pay for an SVD.
     """
-    if orthonormality_drift(r) > _ORTHO_DRIFT_TOL:
-        return project_to_rotation(r)
-    return r
+    r = np.asarray(r, dtype=float)
+    drifted = orthonormality_drift(r) > _ORTHO_DRIFT_TOL
+    if not np.any(drifted):
+        return r
+    out = r.copy()  # a single matrix is indexed by a 0-d mask here
+    out[drifted] = project_to_rotation(r[drifted])
+    return out
 
 
 def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:

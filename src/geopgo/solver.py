@@ -11,6 +11,14 @@ neighbors' estimates, and the measurements on its incident edges:
 Both are integrated with a shared explicit step ``dt``. All nodes update
 simultaneously from the previous iterate, so a distributed execution with
 a synchronization barrier reproduces this solver exactly, bit for bit.
+
+The per-edge terms are computed by one stacked kernel over any slice of
+the edge set (the whole graph in blocks of ``graph.EDGE_BLOCK`` edges, or
+one node's edges), and each node sums its edges in ascending order. Only
+operations that give the same bits per row whatever the stack size are
+used: stacked ``@``, elementwise ufuncs, :func:`so3.dot_rows` for dot
+products and :func:`graph.sequential_sum` for totals; no ``einsum`` or
+``reduceat``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ import numpy as np
 
 from . import so3
 from .consistency import MissingNeighborDataError, averaged_translation
-from .graph import Pose, PoseGraph, compose, inverse, max_degree
+from .graph import (Pose, PoseGraph, compose, edge_blocks, inverse, max_degree,
+                    sequential_sum)
 
 TRANSLATION_MODES = ("per_step_averaged", "online_averaged", "raw")
 
@@ -101,6 +110,96 @@ class SolveResult:
     trajectory: list[list[Pose]] | None = None
 
 
+def _stack(poses: Sequence[Pose]) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations ``(n, 3, 3)`` and translations ``(n, 3)`` of ``poses``."""
+    return (np.array([p.r for p in poses], dtype=float).reshape(-1, 3, 3),
+            np.array([p.t for p in poses], dtype=float).reshape(-1, 3))
+
+
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products ``a[k] @ v[k]``."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _edge_terms(r, t, src, dst, r_rel, t_rel, t_in=None, mode=None):
+    """Per-edge terms of a stack of directed edges ``(i, j)``.
+
+    ``r`` and ``t`` are stacked poses that ``src`` and ``dst`` index;
+    ``r_rel``/``t_rel`` are the edges' measurements and ``t_in`` the
+    reverse edges' translations ``t_ji``. Returns ``rrel = R_i.T @ R_j``,
+    the rotation residual ``rrel @ r_ij.T`` and, for a translation
+    ``mode``, the consensus difference ``d = t_j - t_i`` and the term
+    ``m`` that a node's velocity subtracts (mode ``"raw"`` gives the
+    objective's ``R_i @ t_ij``); both are None without a mode.
+
+    Every product is a stacked ``@``, which equals the per-edge product
+    bit for bit, so any slice of the edges gives the same rows.
+    """
+    ri, rj = r[src], r[dst]
+    rrel = np.swapaxes(ri, -1, -2) @ rj
+    resid = rrel @ np.swapaxes(r_rel, -1, -2)
+    if mode is None:
+        return rrel, resid, None, None
+    d = t[dst] - t[src]
+    if mode == "raw":
+        m = _mv(ri, t_rel)
+    elif mode == "per_step_averaged":
+        m = _mv(ri, averaged_translation(t_rel, t_in, rrel))
+    else:  # online_averaged: adding 0.5 (R_j t_ji - R_i t_ij) is
+        # subtracting its exact negation
+        m = 0.5 * (_mv(ri, t_rel) - _mv(rj, t_in))
+    return rrel, resid, d, m
+
+
+def _residual_logs(resid: np.ndarray, edge_name) -> np.ndarray:
+    """``so3.log_map`` of stacked residuals; ``edge_name(k)`` names the
+    edge of row ``k`` in the error when a residual leaves the chart."""
+    try:
+        return so3.log_map(resid)
+    except so3.AngleAtPiError as exc:
+        raise so3.AngleAtPiError(
+            f"rotation residual on {edge_name(exc.index[0])}: {exc}",
+            exc.index) from None
+
+
+def _node_sums(w, d, m, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity pairs of the nodes whose edges are CSR rows
+    ``offsets[i]:offsets[i + 1]``.
+
+    Each node adds its edges' terms in row order starting from zero, as
+    ``(nu + d) - m`` and ``omega + w``: the association of a per-edge
+    loop, so the result does not depend on how many nodes are summed at
+    once. Nodes of equal degree are summed together; their terms are
+    laid out along one axis, ``m`` negated (``x - m`` and ``x + (-m)``
+    are the same IEEE operation), and added up by ``np.add.accumulate``,
+    which is sequential.
+    """
+    deg = np.diff(offsets)
+    nu = np.zeros((len(deg), 3))
+    omega = np.zeros((len(deg), 3))
+    for k in np.flatnonzero(np.bincount(deg)[1:]) + 1:  # degrees in use
+        nodes = np.flatnonzero(deg == k)
+        rows = offsets[nodes, None] + np.arange(k)
+        steps = np.zeros((len(nodes), 2 * k + 1, 3))
+        steps[:, 1::2] = d[rows]
+        steps[:, 2::2] = -m[rows]
+        nu[nodes] = np.add.accumulate(steps, axis=1, out=steps)[:, -1]
+        turns = np.zeros((len(nodes), k + 1, 3))
+        turns[:, 1:] = w[rows]
+        omega[nodes] = np.add.accumulate(turns, axis=1, out=turns)[:, -1]
+    return nu, omega
+
+
+def _graph_terms(estimates: Sequence[Pose], g: PoseGraph, mode=None):
+    """:func:`_edge_terms` over all of ``g``'s edges, one block at a time;
+    yields each block's slice and terms."""
+    r, t = _stack(estimates)
+    e = g.edge_arrays
+    for sl in edge_blocks(len(e.src)):
+        yield sl, _edge_terms(r, t, e.src[sl], e.dst[sl], e.r_rel[sl],
+                              e.t_rel[sl], e.t_rel[e.rev[sl]], mode)
+
+
 def node_controls(
     own: Pose,
     neighbors: Sequence[int],
@@ -112,10 +211,12 @@ def node_controls(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Velocity pair ``(nu, omega)`` for one node from local data only.
 
-    This function is the single definition of the per-node update; the
-    reference solver and the message-passing workers both call it, which
-    is what makes their trajectories bitwise identical. Neighbors are
-    accumulated in the order given (ascending by convention).
+    This is the per-node update of :func:`all_controls` on one node's
+    edges: the same stacked kernel, fed from local data. The
+    message-passing workers call it, and its rows equal the reference
+    solver's bit for bit, which is what makes their trajectories
+    identical. Neighbors are accumulated in the order given (ascending
+    by convention).
 
     Args:
         own: this node's estimate.
@@ -127,27 +228,26 @@ def node_controls(
 
     Raises:
         MissingNeighborDataError: a neighbor id has no pose or measurement.
-        so3.AngleAtPiError: an edge's rotation residual left the log chart.
+        so3.AngleAtPiError: an edge's rotation residual left the log
+            chart; the message names the neighbor.
     """
-    nu = np.zeros(3)
-    omega = np.zeros(3)
     for j in neighbors:
         if j not in neighbor_poses:
             raise MissingNeighborDataError(f"no pose for neighbor {j}")
         if j not in r_out or j not in t_out or j not in t_in:
             raise MissingNeighborDataError(
                 f"missing measurement on edge with neighbor {j}")
-        pj = neighbor_poses[j]
-        rrel = own.r.T @ pj.r
-        omega = omega + so3.log_map(rrel @ r_out[j].T)
-        if translation_mode == "raw":
-            nu = nu + (pj.t - own.t) - own.r @ t_out[j]
-        elif translation_mode == "per_step_averaged":
-            t_avg = averaged_translation(t_out[j], t_in[j], rrel)
-            nu = nu + (pj.t - own.t) - own.r @ t_avg
-        else:  # online_averaged
-            nu = nu + (pj.t - own.t) + 0.5 * (pj.r @ t_in[j] - own.r @ t_out[j])
-    return nu, omega
+    deg = len(neighbors)
+    r, t = _stack([own] + [neighbor_poses[j] for j in neighbors])
+    _, resid, d, m = _edge_terms(
+        r, t, np.zeros(deg, dtype=np.intp), np.arange(1, deg + 1),
+        np.array([r_out[j] for j in neighbors], dtype=float).reshape(-1, 3, 3),
+        np.array([t_out[j] for j in neighbors], dtype=float).reshape(-1, 3),
+        np.array([t_in[j] for j in neighbors], dtype=float).reshape(-1, 3),
+        translation_mode)
+    w = _residual_logs(resid, lambda k: f"the edge to neighbor {neighbors[k]}")
+    nu, omega = _node_sums(w, d, m, np.array([0, deg]))
+    return nu[0], omega[0]
 
 
 def local_views(g: PoseGraph, i: int):
@@ -167,22 +267,32 @@ def local_views(g: PoseGraph, i: int):
 def all_controls(
     estimates: Sequence[Pose], g: PoseGraph, translation_mode: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked ``(n, 3)`` velocity arrays for every node, ascending id."""
-    nu = np.zeros((g.n, 3))
-    omega = np.zeros((g.n, 3))
-    for i in range(g.n):
-        r_out, t_out, t_in = local_views(g, i)
-        nbrs = g.neighbors(i)
-        nu[i], omega[i] = node_controls(
-            estimates[i], nbrs, {j: estimates[j] for j in nbrs},
-            r_out, t_out, t_in, translation_mode)
-    return nu, omega
+    """Stacked ``(n, 3)`` velocity arrays for every node, ascending id.
+
+    Raises:
+        so3.AngleAtPiError: an edge's rotation residual left the log
+            chart; the message names the edge ``(i, j)``.
+    """
+    e = g.edge_arrays
+    w, d, m = (np.empty((len(e.src), 3)) for _ in range(3))
+    for sl, (_, resid, d_sl, m_sl) in _graph_terms(
+            estimates, g, translation_mode):
+        w[sl] = _residual_logs(resid, lambda k: e.name(sl.start + k))
+        d[sl], m[sl] = d_sl, m_sl
+    return _node_sums(w, d, m, e.offsets)
+
+
+def _integrate(t, r, nu, omega, dt):
+    """Explicit update ``(t, r)`` of one pose or of stacked poses."""
+    return t + dt * nu, so3.renormalize(r @ so3.exp_map(dt * omega))
 
 
 def integrate_pose(p: Pose, nu: np.ndarray, omega: np.ndarray, dt: float) -> Pose:
-    """Explicit update of one pose; re-projects the rotation on drift."""
-    return Pose(p.t + dt * nu,
-                so3.renormalize(p.r @ so3.exp_map(dt * omega)))
+    """Explicit update of one pose; re-projects the rotation on drift.
+
+    The one-row case of the batched update in :func:`step`.
+    """
+    return Pose(*_integrate(p.t, p.r, nu, omega, dt))
 
 
 def _check_step_size(g: PoseGraph, dt: float) -> None:
@@ -200,27 +310,25 @@ def _check_step_size(g: PoseGraph, dt: float) -> None:
 def evaluate_objective(estimates: Sequence[Pose], g: PoseGraph) -> ObjectiveValue:
     """Objective over all directed measurements, in ``(src, dst)`` order.
 
-    The summation order is fixed so that two evaluations of the same
-    state are bitwise equal wherever they run.
+    The per-edge terms are summed left to right in that order, so two
+    evaluations of the same state are bitwise equal wherever they run.
     """
-    trans = 0.0
-    rot = 0.0
-    chord = 0.0
-    for m in g.measurements:
-        pi = estimates[m.src]
-        pj = estimates[m.dst]
-        rrel = pi.r.T @ pj.r
-        w = so3.log_map(rrel @ m.r_rel.T)
-        rot += float(w @ w)
-        d = rrel - m.r_rel
-        chord += float(np.sum(d * d))
-        e = pj.t - pi.t - pi.r @ m.t_rel
-        trans += float(e @ e)
+    e = g.edge_arrays
+    rot, chord, trans = (np.empty(len(e.src)) for _ in range(3))
+    for sl, (rrel, resid, d, m) in _graph_terms(estimates, g, "raw"):
+        w = _residual_logs(resid, lambda k: e.name(sl.start + k))
+        rot[sl] = so3.dot_rows(w, w)
+        c = (rrel - e.r_rel[sl]).reshape(-1, 9)
+        chord[sl] = np.sum(c * c, axis=-1)
+        err = d - m
+        trans[sl] = so3.dot_rows(err, err)
+    trans_total, rot_total, chord_total = (
+        float(sequential_sum(x)) for x in (trans, rot, chord))
     return ObjectiveValue(
-        geodesic=trans + rot,
-        chordal=trans + chord,
-        rotation_only=rot,
-        translation_only=trans,
+        geodesic=trans_total + rot_total,
+        chordal=trans_total + chord_total,
+        rotation_only=rot_total,
+        translation_only=trans_total,
     )
 
 
@@ -246,12 +354,8 @@ def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> 
     """True when every directed rotation residual angle is at most
     ``pi/2 - epsilon``."""
     bound = np.pi / 2.0 - epsilon
-    for m in g.measurements:
-        ang = so3.rotation_angle(
-            estimates[m.src].r.T @ estimates[m.dst].r @ m.r_rel.T)
-        if ang > bound:
-            return False
-    return True
+    return not any(np.any(so3.rotation_angle(resid) > bound)
+                   for _, (_, resid, _, _) in _graph_terms(estimates, g))
 
 
 def is_equilibrium(
@@ -276,10 +380,9 @@ def step(state: SolverState, g: PoseGraph, config: SolverConfig) -> SolverState:
     """
     nu, omega = (state.controls if state.controls is not None else
                  all_controls(state.estimates, g, config.translation_mode))
-    new_estimates = [
-        integrate_pose(state.estimates[i], nu[i], omega[i], config.dt)
-        for i in range(g.n)
-    ]
+    r, t = _stack(state.estimates)
+    t, r = _integrate(t, r, nu, omega, config.dt)
+    new_estimates = [Pose(ti, ri) for ti, ri in zip(t, r)]
     return SolverState(new_estimates, all_controls(
         new_estimates, g, config.translation_mode))
 

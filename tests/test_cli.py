@@ -44,6 +44,26 @@ def test_generate_noise_free(tmp_path):
     assert ds.vertex_kind == "ground_truth"
 
 
+def test_generate_g2o_writes_g2o_that_solves(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "ds.g2o"
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().startswith("VERTEX_SE3:QUAT 0 ")
+    # g2o drops the provenance, so the spanning-tree init is the one to use
+    rc = cli.main(["solve", "--dataset", str(out), "--init", "tree",
+                   "--out-dir", str(tmp_path / "run")])
+    assert rc == 0
+
+
+def test_generate_unknown_suffix_exits_one_and_writes_nothing(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "ds.txt"
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(out) in err and "format" in err
+
+
 def _generate(tmp_path, **kw):
     cfg = _write_config(tmp_path / "cfg.json", **kw)
     ds = tmp_path / "ds.json"

@@ -160,6 +160,28 @@ def test_enforce_pairwise_rotations():
         assert np.linalg.norm(m0.r_rel - m1.r_rel) < 1e-9
 
 
+def test_enforced_graph_arrays_equal_a_fresh_freeze():
+    # the repaired graph reuses the input's frozen arrays with its new
+    # rotations; they must be what freezing its measurements would give
+    g = _noisy_sphere(seed=6)
+    fixed = consistency.enforce_pairwise_rotations(g)
+    fresh = build_graph(fixed.n, list(fixed.measurements)).edge_arrays
+    for name, value in vars(fixed.edge_arrays).items():
+        assert np.array_equal(value, getattr(fresh, name)), name
+    # per-edge and stacked repair agree bit for bit
+    for m in fixed.measurements[:20]:
+        fwd, rev = g.measurement(m.src, m.dst), g.measurement(m.dst, m.src)
+        assert np.array_equal(m.r_rel, consistency.paired_rotation_correction(
+            fwd.r_rel, rev.r_rel))
+
+
+def test_enforce_names_the_edge_at_pi():
+    fwd = RelativeMeasurement(0, 1, np.zeros(3), np.eye(3))
+    rev = RelativeMeasurement(1, 0, np.zeros(3), np.diag([1.0, -1.0, -1.0]))
+    with pytest.raises(so3.AngleAtPiError, match=r"edge \(0, 1\)"):
+        consistency.enforce_pairwise_rotations(build_graph(2, [fwd, rev]))
+
+
 def test_enforced_implies_minimal_rotation():
     for seed in range(3):
         fixed = consistency.enforce_pairwise_rotations(_noisy_sphere(seed))

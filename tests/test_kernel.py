@@ -1,0 +1,174 @@
+"""The stacked edge kernel against the per-edge loops it replaced.
+
+``_loop_node_controls`` and ``_loop_objective`` are the scalar loops the
+solver used before its per-edge terms were stacked: one so3 call per
+edge, summed in ascending neighbor order. The kernel keeps their
+arithmetic, so every comparison here is bitwise (``==``), not a
+tolerance.
+"""
+
+import queue
+
+import numpy as np
+import pytest
+
+from geopgo import consistency, graph, runtime, so3, solver, synth
+from geopgo.graph import Pose, RelativeMeasurement, build_graph, reversed_measurement
+
+
+def _loop_node_controls(own, neighbors, neighbor_poses, r_out, t_out, t_in,
+                        translation_mode):
+    nu = np.zeros(3)
+    omega = np.zeros(3)
+    for j in neighbors:
+        pj = neighbor_poses[j]
+        rrel = own.r.T @ pj.r
+        omega = omega + so3.log_map(rrel @ r_out[j].T)
+        if translation_mode == "raw":
+            nu = nu + (pj.t - own.t) - own.r @ t_out[j]
+        elif translation_mode == "per_step_averaged":
+            t_avg = consistency.averaged_translation(t_out[j], t_in[j], rrel)
+            nu = nu + (pj.t - own.t) - own.r @ t_avg
+        else:  # online_averaged
+            nu = nu + (pj.t - own.t) + 0.5 * (pj.r @ t_in[j] - own.r @ t_out[j])
+    return nu, omega
+
+
+def _loop_objective(estimates, g):
+    trans = rot = chord = 0.0
+    for m in g.measurements:
+        pi, pj = estimates[m.src], estimates[m.dst]
+        rrel = pi.r.T @ pj.r
+        w = so3.log_map(rrel @ m.r_rel.T)
+        rot += float(w @ w)
+        d = rrel - m.r_rel
+        chord += float(np.sum(d * d))
+        e = pj.t - pi.t - pi.r @ m.t_rel
+        trans += float(e @ e)
+    return solver.ObjectiveValue(geodesic=trans + rot, chordal=trans + chord,
+                                 rotation_only=rot, translation_only=trans)
+
+
+def _local(estimates, g, i):
+    nbrs = g.neighbors(i)
+    return (estimates[i], nbrs, {j: estimates[j] for j in nbrs},
+            *solver.local_views(g, i))
+
+
+# sphere: irregular degrees; circle: all degree 2; grid: degrees 3 to 6
+INSTANCES = [("sphere", 40, 1), ("sphere", 90, 2), ("circle", 12, 3),
+             ("grid", None, 4)]
+
+
+def _instance(topology, n, seed):
+    if topology == "grid":
+        spec = synth.ScenarioSpec(topology="grid", grid_dims=(3, 2, 2))
+    else:
+        spec = synth.ScenarioSpec(topology=topology, n=n)
+    noise = synth.NoiseModel(tau=0.5, kappa=0.524, seed=seed)
+    truth, g = synth.generate_dataset(spec, noise, seed=seed)
+    g = consistency.enforce_pairwise_rotations(g)
+    return g, synth.gps_init(truth, 0.5, 0.524, seed=seed)
+
+
+@pytest.fixture(params=[7, graph.EDGE_BLOCK], ids=["block7", "block1024"])
+def block(request, monkeypatch):
+    # a small block makes every graph here span several blocks
+    monkeypatch.setattr(graph, "EDGE_BLOCK", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("mode", solver.TRANSLATION_MODES)
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda x: f"{x[0]}{x[1] or ''}")
+def test_controls_equal_the_loop_bitwise(inst, mode, block):
+    g, est = _instance(*inst)
+    nu, omega = solver.all_controls(est, g, mode)
+    for i in range(g.n):
+        want_nu, want_omega = _loop_node_controls(*_local(est, g, i), mode)
+        got_nu, got_omega = solver.node_controls(*_local(est, g, i), mode)
+        assert np.array_equal(got_nu, want_nu)
+        assert np.array_equal(got_omega, want_omega)
+        assert np.array_equal(nu[i], want_nu)
+        assert np.array_equal(omega[i], want_omega)
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda x: f"{x[0]}{x[1] or ''}")
+def test_objective_equals_the_loop_bitwise(inst, block):
+    g, est = _instance(*inst)
+    got = solver.evaluate_objective(est, g)
+    assert got == _loop_objective(est, g)
+    for value in vars(got).values():
+        assert type(value) is float  # summary.json serializes these
+
+
+@pytest.mark.parametrize("mode", solver.TRANSLATION_MODES)
+def test_batched_step_equals_integrate_pose(mode):
+    g, est = _instance("sphere", 40, 5)
+    cfg = solver.SolverConfig(translation_mode=mode)
+    nu, omega = solver.all_controls(est, g, mode)
+    stepped = solver.step(solver.SolverState(est, (nu, omega)), g, cfg)
+    for i, p in enumerate(stepped.estimates):
+        want = solver.integrate_pose(est[i], nu[i], omega[i], cfg.dt)
+        assert np.array_equal(p.t, want.t)
+        assert np.array_equal(p.r, want.r)
+
+
+def _graph_with_residual_at_pi():
+    # path 0 - 1 - 2; edge (1, 2) measures a half turn the estimates lack
+    half_turn = np.diag([1.0, -1.0, -1.0])
+    ms = [RelativeMeasurement(0, 1, np.zeros(3), np.eye(3)),
+          RelativeMeasurement(1, 2, np.zeros(3), half_turn)]
+    g = build_graph(3, ms + [reversed_measurement(m) for m in ms])
+    return g, [Pose.identity()] * 3
+
+
+def test_all_controls_names_the_edge_at_pi():
+    g, est = _graph_with_residual_at_pi()
+    with pytest.raises(so3.AngleAtPiError, match=r"edge \(1, 2\)"):
+        solver.all_controls(est, g, "per_step_averaged")
+
+
+def test_node_controls_names_the_edge_at_pi():
+    g, est = _graph_with_residual_at_pi()
+    with pytest.raises(so3.AngleAtPiError, match="neighbor 1"):
+        solver.node_controls(*_local(est, g, 2), "per_step_averaged")
+    # node 0's only edge is fine
+    solver.node_controls(*_local(est, g, 0), "per_step_averaged")
+
+
+def test_worker_names_its_node_and_round_at_pi():
+    g, est = _graph_with_residual_at_pi()
+    inbox = queue.Queue()
+    inbox.put(runtime.RoundMessage(sender=1, round=0, t=est[1].t, r=est[1].r))
+    w = runtime.NodeWorker(
+        node_id=2, pose=est[2], neighbors=(1,), r_out=solver.local_views(g, 2)[0],
+        t_out={1: np.zeros(3)}, t_in={1: np.zeros(3)},
+        inboxes={1: inbox}, outboxes={1: queue.Queue()},
+        config=solver.SolverConfig(), timeout=1.0, log=None)
+    with pytest.raises(so3.AngleAtPiError, match="node 2, round 0: .*neighbor 1"):
+        w.compute_round(0)
+
+
+def test_log_map_calls_do_not_grow_with_the_edge_count(monkeypatch):
+    # The kernel calls log_map once per block of edges, not once per
+    # edge: two graphs below one block make the same number of calls.
+    real = so3.log_map
+    calls = []
+
+    def counted(r):
+        calls.append(np.shape(r))
+        return real(r)
+
+    monkeypatch.setattr(so3, "log_map", counted)
+    iters = 6
+    counts = {}
+    for n in (12, 60):
+        g, est = _instance("sphere", n, 7)
+        assert g.directed_count <= graph.EDGE_BLOCK
+        calls.clear()
+        res = solver.solve(g, est, solver.SolverConfig(max_iters=iters,
+                                                       stop_tol=1e-12))
+        assert res.iterations == iters
+        counts[n] = len(calls)
+    # one objective and one controls pass per iteration, plus start-up
+    assert counts[12] == counts[60] <= 2 * iters + 2

@@ -26,3 +26,30 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+# Both reorder floating-point sums, so the stacked kernel would stop
+# matching the per-node executor bit for bit.
+BITWISE_BANNED = {"einsum", "reduceat"}
+
+
+def _banned_calls(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            if name in BITWISE_BANNED:
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_banned_call_check_sees_both_forms():
+    tree = ast.parse("np.add.reduceat(x, i)\neinsum('ij->i', a)\n")
+    assert _banned_calls(tree) == ["line 1: reduceat", "line 2: einsum"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_order_changing_reductions(path):
+    assert _banned_calls(ast.parse(path.read_text())) == []

@@ -2,6 +2,7 @@
 
 import json
 import queue
+import sys
 import threading
 import time
 
@@ -57,6 +58,31 @@ def test_distributed_matches_reference_all_modes(mode):
     for oa, ob in zip(ref.objective_history, dist.objective_history):
         assert oa.geodesic == ob.geodesic
         assert oa.chordal == ob.chordal
+
+
+def test_bitwise_under_frequent_thread_switches():
+    # 30 workers plus the recorder on fewer cores, switching threads
+    # every 10 us: a round recorded before every worker wrote its slot,
+    # or a worker running ahead of the record, breaks the equality
+    truth, g, init = _instance(n=30, seed=6)
+    cfg = solver.SolverConfig(max_iters=8, stop_tol=1e-12,
+                              record_trajectory=True)
+    ref = solver.solve(g, init, cfg)
+    old = sys.getswitchinterval()
+    threads_before = threading.active_count()
+    sys.setswitchinterval(1e-5)
+    try:
+        start = time.monotonic()
+        dist = runtime.run_distributed(g, init, cfg, deadlock_timeout=10.0)
+        assert time.monotonic() - start < 60.0
+    finally:
+        sys.setswitchinterval(old)
+    assert dist.iterations == ref.iterations == 8
+    for ra, rb in zip(ref.trajectory, dist.trajectory):
+        _assert_bitwise_equal_poses(ra, rb)
+    assert dist.objective_history == ref.objective_history
+    # the workers and the recorder have all returned
+    assert threading.active_count() == threads_before
 
 
 def test_message_counts_and_locality(tmp_path):

@@ -1,7 +1,11 @@
 """Rotation-group primitives: round trips, identities, sampling law."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geopgo import so3
 
@@ -315,3 +319,91 @@ def test_renormalize_is_noop_below_drift_tolerance():
     dirty = r + 1e-8
     out = so3.renormalize(dirty)
     assert so3.is_rotation(out, tol=1e-12)
+
+
+# -- stacked input ---------------------------------------------------------
+#
+# Every map takes a stack and must give, row by row, the bits of the
+# single-matrix call, including at the angles where its branches switch:
+# exactly zero (a residual at the ground truth), the series branch below
+# 1e-6, and the last angles before the chart edge at pi - 1e-9.
+
+_NEAR_PI = (np.pi - 1e-6, np.pi - 2e-9)
+ANGLES = {
+    "zero": st.just(0.0),
+    "series": st.floats(0.0, 1e-6, exclude_max=True, allow_subnormal=False),
+    "near_pi": st.floats(*_NEAR_PI),
+    "generic": st.floats(1e-6, _NEAR_PI[0]),
+}
+_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda a: np.linalg.norm(a) > 1e-3)
+
+
+def _tangents(angle):
+    return st.lists(st.tuples(angle, _axes), min_size=1, max_size=12).map(
+        lambda rows: np.array([th * np.array(ax) / np.linalg.norm(ax)
+                               for th, ax in rows]))
+
+
+def _assert_stacked_equals_single(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rs = so3.exp_map(v)
+        assert rs.shape == v.shape + (3,)
+        for k in range(len(v)):
+            assert np.array_equal(rs[k], so3.exp_map(v[k]))
+        angles = so3.rotation_angle(rs)
+        logs = so3.log_map(rs)
+        for k in range(len(v)):
+            assert angles[k] == so3.rotation_angle(rs[k])
+            assert np.array_equal(logs[k], so3.log_map(rs[k]))
+        # a stack of stacks is the same rows again
+        assert np.array_equal(so3.log_map(rs[None]), logs[None])
+    return rs, logs
+
+
+@pytest.mark.parametrize("kind", sorted(ANGLES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_maps_equal_single_calls(kind, data):
+    v = data.draw(_tangents(ANGLES[kind]))
+    rs, logs = _assert_stacked_equals_single(v)
+    theta = np.sqrt(so3.dot_rows(v, v))
+    # round trip: log(exp(v)) recovers v; near pi the axis of r - r.T is
+    # only known to about eps / sin(angle)
+    err = np.sqrt(so3.dot_rows(logs - v, logs - v))
+    tol = 1e-9 * theta
+    near_pi = theta > np.pi / 2
+    tol[near_pi] += 1e-15 / np.sin(theta[near_pi])
+    assert np.all(err <= tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mixed_stack_equals_single_calls(data):
+    parts = [data.draw(_tangents(a)) for a in ANGLES.values()]
+    v = np.concatenate(parts)
+    order = data.draw(st.permutations(range(len(v))))
+    _assert_stacked_equals_single(v[list(order)])
+
+
+def test_stacked_log_map_locates_the_angle_at_pi():
+    rs = np.stack([np.eye(3), so3.exp_map([0.3, 0.0, 0.0]),
+                   np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0])])
+    with pytest.raises(so3.AngleAtPiError) as info:
+        so3.log_map(rs.reshape(2, 2, 3, 3))
+    assert info.value.index == (1, 0)
+    with pytest.raises(so3.AngleAtPiError) as info:
+        so3.log_map(rs[2])
+    assert info.value.index == ()
+
+
+def test_stacked_renormalize_projects_only_drifted_rows():
+    rs = np.stack([so3.random_rotation(s) for s in range(4)])
+    assert so3.renormalize(rs) is rs
+    dirty = rs.copy()
+    dirty[2] += 1e-8
+    out = so3.renormalize(dirty)
+    assert np.array_equal(out[[0, 1, 3]], rs[[0, 1, 3]])
+    assert np.array_equal(out[2], so3.renormalize(dirty[2]))
+    assert so3.is_rotation(out[2], tol=1e-12)
