@@ -27,10 +27,6 @@ from .graph import (Pose, PoseGraph, RelativeMeasurement, build_graph,
                     edge_blocks, sequential_sum, spanning_tree)
 
 
-class MissingNeighborDataError(KeyError):
-    """A control computation lacks a pose or measurement for a neighbor."""
-
-
 @dataclass
 class ConsistencyReport:
     """Defect magnitudes per consistency notion; None where not evaluated.
@@ -87,11 +83,18 @@ def check_pairwise(
 
 
 def check_minimal(g: PoseGraph) -> ConsistencyReport:
-    """Norms of the directed sums of log-rotations and translations."""
+    """Norms of the directed sums of log-rotations and translations.
+
+    Raises:
+        so3.AngleAtPiError: a measured rotation is a half turn, whose log
+            is ambiguous; the message names the edge.
+    """
     e = g.edge_arrays
     logs = np.empty(e.t_rel.shape)
     for sl in edge_blocks(len(logs)):
-        logs[sl] = so3.log_map(e.r_rel[sl])
+        logs[sl] = so3.named_log_map(
+            e.r_rel[sl], lambda k: f"measured rotation on {e.name(k)}",
+            sl.start)
     return ConsistencyReport(
         minimal_rot_defect=float(np.linalg.norm(sequential_sum(logs))),
         minimal_trans_defect=float(np.linalg.norm(sequential_sum(e.t_rel))),

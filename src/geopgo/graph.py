@@ -4,7 +4,9 @@ Vertex ids are dense integers ``0..n-1``. Measurements are directed; the
 graph stores both directions of every edge so each node can run on purely
 local data. A measurement ``(i, j)`` expresses the pose of ``j`` in the
 frame of ``i``. For stacked passes over the edge set, a graph freezes its
-measurements into arrays once (:attr:`PoseGraph.edge_arrays`).
+measurements into arrays once (:attr:`PoseGraph.edge_arrays`), which
+cut into the local arrays of a block of contiguous poses
+(:meth:`EdgeArrays.block`).
 """
 
 from __future__ import annotations
@@ -116,24 +118,63 @@ def sequential_sum(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EdgeArrays:
-    """A graph's directed measurements as read-only stacked arrays.
+    """The outgoing edges of a contiguous run of poses, as read-only
+    stacked arrays; :attr:`PoseGraph.edge_arrays` is the run of all poses.
 
-    Row ``k`` is the ``k``-th measurement in ``(src, dst)`` order:
-    endpoints ``src``/``dst`` ``(E,)``, ``r_rel`` ``(E, 3, 3)`` and
-    ``t_rel`` ``(E, 3)``. ``rev[k]`` is the row of the reverse direction.
-    Node ``i``'s outgoing edges are rows
-    ``offsets[i]:offsets[i + 1]``, by ascending ``dst``.
+    ``ids`` maps each pose row the edges read to its global id: the own
+    poses first, ascending, then the halo (the other poses the edges
+    point to), ascending. Row ``k`` is the ``k``-th edge in ``(src,
+    dst)`` order: ``src``/``dst`` ``(E,)`` index the pose rows,
+    ``r_rel`` ``(E, 3, 3)`` and ``t_rel`` ``(E, 3)`` are its measurement
+    and ``t_in`` ``(E, 3)`` the reverse edge's translation ``t_ji``. Own
+    pose ``b``'s edges are rows ``offsets[b]:offsets[b + 1]``, by
+    ascending ``dst`` id. Over the whole graph the pose rows are the ids
+    and ``rev[k]`` is the row of edge ``k``'s reverse direction; a
+    block has no ``rev``.
     """
 
+    ids: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     r_rel: np.ndarray
     t_rel: np.ndarray
-    rev: np.ndarray
+    t_in: np.ndarray
     offsets: np.ndarray
+    rev: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        """The number of own poses."""
+        return len(self.offsets) - 1
 
     def name(self, k: int) -> str:
-        return f"edge ({self.src[k]}, {self.dst[k]})"
+        return f"edge ({self.ids[self.src[k]]}, {self.ids[self.dst[k]]})"
+
+    def block(self, lo: int, hi: int) -> "EdgeArrays":
+        """The outgoing edges of poses ``lo..hi-1`` of the whole graph,
+        indexed locally."""
+        rows = slice(self.offsets[lo], self.offsets[hi])
+        dst = self.dst[rows]
+        read = np.zeros(self.size, dtype=bool)
+        read[dst] = True
+        read[lo:hi] = False
+        halo = np.flatnonzero(read)
+        local = np.empty(self.size, dtype=np.intp)
+        local[lo:hi] = np.arange(hi - lo)
+        local[halo] = np.arange(hi - lo, hi - lo + len(halo))
+        return _frozen(EdgeArrays(
+            ids=np.concatenate((np.arange(lo, hi), halo)),
+            src=self.src[rows] - lo, dst=local[dst],
+            r_rel=self.r_rel[rows], t_rel=self.t_rel[rows],
+            t_in=self.t_in[rows],
+            offsets=self.offsets[lo:hi + 1] - self.offsets[lo]))
+
+
+def _frozen(arrays: EdgeArrays) -> EdgeArrays:
+    for a in vars(arrays).values():
+        if a is not None:
+            a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -173,17 +214,16 @@ class PoseGraph:
         ms = self.measurements
         src = np.array([m.src for m in ms], dtype=np.intp)
         dst = np.array([m.dst for m in ms], dtype=np.intp)
-        arrays = EdgeArrays(
-            src=src, dst=dst,
+        t_rel = np.array([m.t_rel for m in ms], dtype=float).reshape(-1, 3)
+        # sorting by (dst, src) lists the reverse of each (src, dst) row
+        rev = np.lexsort((src, dst))
+        return _frozen(EdgeArrays(
+            ids=np.arange(self.n), src=src, dst=dst,
             r_rel=np.array([m.r_rel for m in ms], dtype=float).reshape(-1, 3, 3),
-            t_rel=np.array([m.t_rel for m in ms], dtype=float).reshape(-1, 3),
-            # sorting by (dst, src) lists the reverse of each (src, dst) row
-            rev=np.lexsort((src, dst)),
+            t_rel=t_rel, t_in=t_rel[rev],
             offsets=np.concatenate(
-                ([0], np.cumsum(np.bincount(src, minlength=self.n)))))
-        for a in vars(arrays).values():
-            a.flags.writeable = False
-        return arrays
+                ([0], np.cumsum(np.bincount(src, minlength=self.n)))),
+            rev=rev))
 
 
 def build_graph(

@@ -113,17 +113,28 @@ def _ints(tokens: Sequence[str], line_no: int) -> list[int]:
     return out
 
 
-def _t_r(name: str, t, q) -> tuple[np.ndarray, np.ndarray]:
-    """Checked translation and rotation of one row, named in any error."""
+def _checked(name: str, t, q) -> tuple[np.ndarray, np.ndarray]:
+    """Checked translation and quaternion of one row, named in any error."""
     try:
         t = np.array(t, dtype=float)
         q = np.array(q, dtype=float)
         if (t.shape != (3,) or q.shape != (4,)
                 or not all(map(math.isfinite, t.tolist() + q.tolist()))):
             raise ValueError("needs 3 finite numbers in t and 4 in q")
-        return t, so3.quat_to_matrix(q)
+        return t, q
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name}: {exc}") from None
+
+
+def _rotations(quats: list, name) -> np.ndarray:
+    """The rotations of checked quaternions in one stacked conversion;
+    ``name(k)`` names row ``k`` when it is a zero quaternion."""
+    q = np.array(quats, dtype=float).reshape(-1, 4)
+    try:
+        return so3.quat_to_matrix(q)
+    except ValueError as exc:
+        k = int(np.argmin(so3.dot_rows(q, q)))  # the first zero row
+        raise ValueError(f"{name(k)}: {exc}") from None
 
 
 def _assemble(fmt: str, vertex_rows: list | None, edge_rows: list,
@@ -138,14 +149,19 @@ def _assemble(fmt: str, vertex_rows: list | None, edge_rows: list,
     if vertex_rows is None:
         ids, poses = range(n), None
     else:
-        by_id: dict[int, Pose] = {}
+        by_id: dict[int, tuple] = {}
         for vid, t, q in vertex_rows:
             if type(vid) is not int:
                 raise ValueError(f"vertex id {vid!r} is not an integer")
             if vid in by_id:
                 raise InconsistentVertexCountError(
                     f"vertex id {vid} declared twice")
-            by_id[vid] = Pose(*_t_r(f"vertex {vid}", t, q))
+            by_id[vid] = _checked(f"vertex {vid}", t, q)
+        declared = list(by_id)
+        rotations = _rotations([q for _, q in by_id.values()],
+                               lambda k: f"vertex {declared[k]}")
+        by_id = {vid: Pose(t, r)
+                 for (vid, (t, _)), r in zip(by_id.items(), rotations)}
         if n is not None and n != len(by_id):
             raise InconsistentVertexCountError(
                 f"n is {n} but {len(by_id)} vertices are declared")
@@ -153,7 +169,7 @@ def _assemble(fmt: str, vertex_rows: list | None, edge_rows: list,
         poses = [by_id[vid] for vid in ids]
     id_map = {ext: i for i, ext in enumerate(ids)}
 
-    measurements = []
+    edges = []
     for k, (i, j, t, q) in enumerate(edge_rows):
         try:
             src, dst = id_map[i], id_map[j]
@@ -161,8 +177,11 @@ def _assemble(fmt: str, vertex_rows: list | None, edge_rows: list,
             raise InconsistentVertexCountError(
                 f"measurement {k} ({i}, {j}) references an undeclared "
                 "vertex") from None
-        measurements.append(RelativeMeasurement(
-            src, dst, *_t_r(f"measurement {k}", t, q)))
+        edges.append((src, dst, *_checked(f"measurement {k}", t, q)))
+    rotations = _rotations([q for *_, q in edges],
+                           lambda k: f"measurement {k}")
+    measurements = [RelativeMeasurement(src, dst, t, r)
+                    for (src, dst, t, _), r in zip(edges, rotations)]
     return StoredDataset(fmt, len(id_map), poses, measurements, id_map,
                          **extra)
 

@@ -1,100 +1,131 @@
-"""Distributed execution: one worker thread per pose, neighbor-only messages.
+"""Distributed execution: a few block workers, cut-edge messages only.
 
-Workers never see the graph object. Each holds its own id, its current
-pose, the measurements on its incident edges, and one inbound queue per
-neighbor. A round is: broadcast the current pose to all neighbors,
-receive one message per neighbor for this round, compute the velocity
-pair from those values only, integrate. A barrier separates rounds; its
-action has one recorder thread hand the round's snapshots and
-velocities to the solver's :class:`~geopgo.solver.Driver`, which owns
-the stop rule and the histories (it aggregates the objective across the
-snapshots, a privilege of simulation rather than something a deployed
-node could do). This module is thus only an executor plugged into that
-driver.
+The poses are split into ``k = min(n, AGENTS)`` contiguous blocks, one
+worker thread each. A worker never sees the graph object. It holds its own poses and its halo as stacked arrays (the halo
+is the neighbor poses its edges read across cut edges, the edges whose
+two poses belong to different workers), the measurements on its own
+poses' outgoing edges (a :class:`~geopgo.graph.EdgeArrays`), and one
+inbound queue per neighboring worker. A round is: send each neighboring
+worker one message with the rows of its own poses that worker reads,
+receive one message from each neighboring worker for this round into the
+halo, compute the velocity pairs of the block from those arrays only,
+integrate. A barrier separates rounds; its action has one recorder
+thread hand the round's poses and velocities to the solver's
+:class:`~geopgo.solver.Driver`, which owns the stop rule and the
+histories (it aggregates the objective across all poses, a privilege of
+simulation rather than something a deployed robot could do). This module
+is thus only an executor plugged into that driver.
 
-Because updates are simultaneous, neighbor sums run in ascending id
-order, and the per-node arithmetic is the reference solver's stacked
-edge kernel run on each node's own edges, the resulting trajectory is
-bitwise identical to ``solver.solve`` on the same inputs.
+Because updates are simultaneous and every row of the solver's stacked
+edge kernel and every node's sum is independent of the block it runs in,
+the resulting trajectory is bitwise identical to ``solver.solve`` on the
+same inputs, whatever ``k``.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import so3
-from .graph import Pose, PoseGraph
+from .graph import EdgeArrays, Pose, PoseGraph
 from .solver import (Driver, SolveResult, SolverConfig, all_controls,
-                     evaluate_objective, integrate_pose, local_views,
-                     node_controls)
+                     evaluate_objective, integrate_pose, node_controls)
+
+# Worker threads per run; with the recorder and the caller's thread a run
+# has at most AGENTS + 2 live threads, whatever the graph size. Under the
+# GIL more workers do not compute in parallel, they only hand the
+# interpreter to each other; 2 is the count the benchmark measured.
+AGENTS = 2
 
 
 class DeadlockError(RuntimeError):
     """A worker waited past the wall-clock bound; indicates a harness bug."""
 
 
+def worker_count(n: int) -> int:
+    """Workers for ``n`` poses: :data:`AGENTS`, never more than the poses."""
+    return min(n, AGENTS)
+
+
 @dataclass(frozen=True)
 class RoundMessage:
+    """One round's poses from worker ``sender``: the stacked rows that
+    the receiving worker reads, in the order of its halo."""
+
     sender: int
     round: int
     t: np.ndarray
     r: np.ndarray
 
 
-@dataclass
 class _MessageLog:
-    """Thread-safe send log; one JSONL row per message."""
+    """Every read of a neighbor's pose: one row per directed edge per round.
 
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    rows: list[dict] = field(default_factory=list)
+    A row is derived from the worker's edge list, which is exactly what
+    its kernel reads each round, not observed on the queues: a cut-edge
+    read and a read of a pose the worker holds itself log alike, and one
+    :class:`RoundMessage` carries the rows of many. The rows of one
+    worker's round are a fixed block, its edges in
+    ``(receiver, sender)`` order, kept as one text template; each worker
+    records only the rounds it ran, in its own list. :meth:`dump` writes
+    the blocks in ``(round, worker)`` order, which is ``(round, receiver,
+    sender)`` order because the blocks are contiguous and ascending; each
+    line is ``json.dumps`` of its row.
+    """
 
-    def record(self, round_no: int, sender: int, receiver: int) -> None:
-        with self.lock:
-            self.rows.append(
-                {"round": round_no, "sender": sender, "receiver": receiver})
+    def __init__(self, blocks: list[EdgeArrays]) -> None:
+        self.templates = ["".join(
+            f'{{"round": %(round)d, "sender": {b.ids[j]}, '
+            f'"receiver": {b.ids[i]}}}\n' for i, j in zip(b.src, b.dst))
+            for b in blocks]
+        self.rounds: list[list[int]] = [[] for _ in blocks]
+
+    def record(self, worker: int, round_no: int) -> None:
+        self.rounds[worker].append(round_no)
 
     def dump(self, path) -> None:
         with open(path, "w") as fh:
-            for row in self.rows:
-                fh.write(json.dumps(row) + "\n")
+            for round_no, b in sorted((r, b) for b, rounds
+                                      in enumerate(self.rounds)
+                                      for r in rounds):
+                fh.write(self.templates[b] % {"round": round_no})
 
 
 class NodeWorker:
-    """Per-pose worker holding only local state.
+    """Block worker: owns the poses ``own`` and holds only local state.
 
-    ``outboxes``/``inboxes`` are the channels to and from each neighbor;
-    the worker owns its pose exclusively. Once per round its pose and the
-    velocity pair it used go into its slot of the shared snapshot list
-    and its row of the shared velocity arrays, which the recorder reads
-    only while all workers sit at the barrier.
+    ``r``/``t`` are the stacked poses the worker reads, in the order of
+    ``block.ids``: its own rows first, then its halo. ``outboxes[c]`` is
+    the queue to worker ``c`` and the rows of its own poses that ``c``
+    reads; ``inboxes[c]`` is the queue from worker ``c`` and the slice
+    of the halo that ``c``'s rows fill. Once per round the recorder reads
+    the worker's own rows and velocity pairs from shared arrays, only
+    while all workers sit at the barrier.
     """
 
     def __init__(
         self,
-        node_id: int,
-        pose: Pose,
-        neighbors: tuple[int, ...],
-        r_out: dict[int, np.ndarray],
-        t_out: dict[int, np.ndarray],
-        t_in: dict[int, np.ndarray],
-        inboxes: dict[int, "queue.Queue[RoundMessage]"],
-        outboxes: dict[int, "queue.Queue[RoundMessage]"],
+        index: int,
+        own: slice,
+        block: EdgeArrays,
+        r: np.ndarray,
+        t: np.ndarray,
+        inboxes: dict[int, tuple[queue.Queue, slice]],
+        outboxes: dict[int, tuple[queue.Queue, np.ndarray]],
         config: SolverConfig,
         timeout: float,
-        log: _MessageLog | None,
+        log: _MessageLog | None = None,
     ) -> None:
-        self.id = node_id
-        self.pose = pose
-        self.neighbors = neighbors
-        self.r_out = r_out
-        self.t_out = t_out
-        self.t_in = t_in
+        self.index = index
+        self.own = own
+        self.block = block
+        self.r = r
+        self.t = t
         self.inboxes = inboxes
         self.outboxes = outboxes
         self.config = config
@@ -102,42 +133,76 @@ class NodeWorker:
         self.log = log
 
     def broadcast(self, round_no: int) -> None:
-        for j in self.neighbors:
-            if self.log is not None:
-                self.log.record(round_no, self.id, j)
-            self.outboxes[j].put(RoundMessage(
-                sender=self.id, round=round_no, t=self.pose.t, r=self.pose.r))
+        for box, rows in self.outboxes.values():
+            box.put(RoundMessage(sender=self.index, round=round_no,
+                                 t=self.t[rows], r=self.r[rows]))
 
-    def collect(self, round_no: int) -> dict[int, Pose]:
-        received: dict[int, Pose] = {}
-        for j in self.neighbors:
+    def collect(self, round_no: int) -> None:
+        """Read one message from each neighboring worker into the halo."""
+        for c, (box, rows) in self.inboxes.items():
             try:
-                msg = self.inboxes[j].get(timeout=self.timeout)
+                msg = box.get(timeout=self.timeout)
             except queue.Empty:
                 raise DeadlockError(
-                    f"worker {self.id} timed out waiting for neighbor {j} "
+                    f"worker {self.index} timed out waiting for worker {c} "
                     f"in round {round_no}") from None
-            if msg.sender != j or msg.round != round_no:
+            if msg.sender != c or msg.round != round_no:
                 raise DeadlockError(
-                    f"worker {self.id} got message from {msg.sender} for "
-                    f"round {msg.round}, expected {j} round {round_no}")
-            received[j] = Pose(msg.t, msg.r)
-        return received
+                    f"worker {self.index} got a message from worker "
+                    f"{msg.sender} for round {msg.round}, expected worker "
+                    f"{c} round {round_no}")
+            self.t[rows], self.r[rows] = msg.t, msg.r
 
     def compute_round(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
-        """Advance this pose one round; returns the velocity pair used."""
+        """Advance this block one round; returns the velocity pairs used."""
         self.broadcast(round_no)
-        neighbor_poses = self.collect(round_no)
+        self.collect(round_no)
+        if self.log is not None:
+            self.log.record(self.index, round_no)
+        b = self.block
         try:
-            nu, omega = node_controls(
-                self.pose, self.neighbors, neighbor_poses,
-                self.r_out, self.t_out, self.t_in,
-                self.config.translation_mode)
+            nu, omega = node_controls(self.r, self.t, b,
+                                      self.config.translation_mode)
         except so3.AngleAtPiError as exc:
+            k = exc.index[0]
             raise so3.AngleAtPiError(
-                f"node {self.id}, round {round_no}: {exc}", exc.index) from None
-        self.pose = integrate_pose(self.pose, nu, omega, self.config.dt)
+                f"node {b.ids[b.src[k]]}, round {round_no}: neighbor "
+                f"{b.ids[b.dst[k]]}: {exc}", exc.index) from None
+        m = b.size
+        self.t[:m], self.r[:m] = integrate_pose(
+            self.t[:m], self.r[:m], nu, omega, self.config.dt)
         return nu, omega
+
+
+def block_workers(
+    g: PoseGraph, init: list[Pose], k: int, config: SolverConfig,
+    timeout: float,
+) -> list[NodeWorker]:
+    """``k`` workers, worker ``b`` owning poses ``b*n//k`` to
+    ``(b+1)*n//k - 1``, with one queue for each ordered pair of workers
+    that share a cut edge."""
+    e = g.edge_arrays
+    bounds = [b * g.n // k for b in range(k + 1)]
+    owner = np.repeat(np.arange(k), np.diff(bounds))
+    blocks = [e.block(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    inboxes: list[dict] = [{} for _ in blocks]
+    outboxes: list[dict] = [{} for _ in blocks]
+    for b, blk in enumerate(blocks):
+        halo = blk.ids[blk.size:]
+        for c in np.flatnonzero(np.bincount(owner[halo], minlength=k)):
+            c = int(c)
+            # a block is a contiguous id range, so its rows in the
+            # ascending halo are contiguous too
+            rows = np.flatnonzero(owner[halo] == c)
+            box: queue.Queue = queue.Queue()
+            inboxes[b][c] = (box, slice(blk.size + rows[0],
+                                        blk.size + rows[-1] + 1))
+            outboxes[c][b] = (box, halo[rows] - bounds[c])
+    r = np.array([p.r for p in init], dtype=float).reshape(-1, 3, 3)
+    t = np.array([p.t for p in init], dtype=float).reshape(-1, 3)
+    return [NodeWorker(b, slice(lo, hi), blk, r[blk.ids], t[blk.ids],
+                       inboxes[b], outboxes[b], config, timeout)
+            for b, (lo, hi, blk) in enumerate(zip(bounds, bounds[1:], blocks))]
 
 
 def run_distributed(
@@ -147,7 +212,8 @@ def run_distributed(
     deadlock_timeout: float = 30.0,
     message_log_path=None,
 ) -> SolveResult:
-    """Execute the flow with one thread per pose and a round barrier.
+    """Execute the flow with :func:`worker_count` block workers and a
+    round barrier.
 
     The caller should have applied pairwise rotation enforcement first,
     mirroring the reference pipeline. The solver's
@@ -158,38 +224,28 @@ def run_distributed(
     Raises:
         StepSizeUnstableError: ``dt * max_degree >= 2``.
         DeadlockError: a worker waited past ``deadlock_timeout`` for a
-            neighbor or at the barrier. The first error any worker hits
-            is raised as soon as it is recorded.
+            neighboring worker or at the barrier. The first error any
+            worker hits is raised as soon as it is recorded.
     """
     if config is None:
         config = SolverConfig()
     driver = Driver(g, config, objective=evaluate_objective)
-    log = _MessageLog() if message_log_path is not None else None
     if driver.start(init):
-        if log is not None:
-            log.dump(message_log_path)  # no round ran: an empty log
+        if message_log_path is not None:
+            _MessageLog([]).dump(message_log_path)  # no round ran
         return driver.result(driver.initial_controls)
 
-    channels: dict[tuple[int, int], queue.Queue] = {
-        (m.src, m.dst): queue.Queue() for m in g.measurements
-    }
-    snapshots: list[Pose] = list(init)
-    nu_rows = np.zeros((g.n, 3))
-    omega_rows = np.zeros((g.n, 3))
-    workers: list[NodeWorker] = []
-    for i in range(g.n):
-        r_out, t_out, t_in = local_views(g, i)
-        workers.append(NodeWorker(
-            node_id=i,
-            pose=init[i],
-            neighbors=g.neighbors(i),
-            r_out=r_out, t_out=t_out, t_in=t_in,
-            inboxes={j: channels[(j, i)] for j in g.neighbors(i)},
-            outboxes={j: channels[(i, j)] for j in g.neighbors(i)},
-            config=config,
-            timeout=deadlock_timeout,
-            log=log,
-        ))
+    workers = block_workers(g, init, worker_count(g.n), config,
+                            deadlock_timeout)
+    log = None
+    if message_log_path is not None:
+        log = _MessageLog([w.block for w in workers])
+        for w in workers:
+            w.log = log
+    t_rows = np.empty((g.n, 3))
+    r_rows = np.empty((g.n, 3, 3))
+    nu_rows = np.empty((g.n, 3))
+    omega_rows = np.empty((g.n, 3))
 
     errors: list[BaseException] = []
     over = threading.Event()  # set on the last round or the first error
@@ -207,7 +263,9 @@ def run_distributed(
         # arena of each worker that happens to reach the barrier last.
         while requests.get() is not None:
             try:
-                if driver.record(snapshots, nu_rows, omega_rows):
+                estimates = [Pose(t, r) for t, r
+                             in zip(t_rows.copy(), r_rows.copy())]
+                if driver.record(estimates, nu_rows, omega_rows):
                     over.set()
             except BaseException as exc:  # noqa: BLE001 - surfaced to caller
                 fail(exc)
@@ -222,20 +280,21 @@ def run_distributed(
             # releases see it and it is the error raised.
             raise errors[0]
 
-    barrier = threading.Barrier(g.n, action=end_round)
+    barrier = threading.Barrier(len(workers), action=end_round)
 
     def work(w: NodeWorker) -> None:
+        m = w.block.size
         try:
             for round_no in itertools.count():
-                nu_rows[w.id], omega_rows[w.id] = w.compute_round(round_no)
-                snapshots[w.id] = w.pose
+                nu_rows[w.own], omega_rows[w.own] = w.compute_round(round_no)
+                t_rows[w.own], r_rows[w.own] = w.t[:m], w.r[:m]
                 try:
                     barrier.wait(timeout=deadlock_timeout)
                 except threading.BrokenBarrierError:
                     if errors:
                         return  # another worker already failed
                     raise DeadlockError(
-                        f"worker {w.id} broke the round barrier") from None
+                        f"worker {w.index} broke the round barrier") from None
                 if over.is_set():
                     return
         except BaseException as exc:  # noqa: BLE001 - surfaced to caller

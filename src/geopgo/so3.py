@@ -5,9 +5,9 @@ tangent vectors live in R^3 and are mapped to skew-symmetric matrices by
 :func:`hat`. Quaternions are scalar-last ``(qx, qy, qz, qw)``.
 
 The maps (:func:`hat`, :func:`exp_map`, :func:`log_map`,
-:func:`rotation_angle`, :func:`renormalize`) also take stacks
-``(..., 3)`` or ``(..., 3, 3)``, so one call covers every edge of a
-graph. There is one implementation of each: a single matrix is a stack
+:func:`rotation_angle`, :func:`renormalize`, :func:`quat_to_matrix`)
+also take stacks ``(..., 3)``, ``(..., 4)`` or ``(..., 3, 3)``, so one
+call covers every edge of a graph. There is one implementation of each: a single matrix is a stack
 of one, and each row of a stacked result equals the single call bit for
 bit (see :func:`dot_rows` for the one reduction that needs care).
 """
@@ -161,6 +161,20 @@ def log_map(r: np.ndarray) -> np.ndarray:
     return (coef[:, None] * skew).reshape(r.shape[:-1])
 
 
+def named_log_map(r: np.ndarray, name, start: int = 0) -> np.ndarray:
+    """:func:`log_map` of a stack whose row ``k`` is called ``name(start + k)``.
+
+    Raises:
+        AngleAtPiError: as :func:`log_map`, with the row's name in the
+            message and ``(start + k,)`` as the index.
+    """
+    try:
+        return log_map(r)
+    except AngleAtPiError as exc:
+        k = start + exc.index[0]
+        raise AngleAtPiError(f"{name(k)}: {exc}", (k,)) from None
+
+
 def geodesic_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Angle of the relative rotation between two rotation matrices."""
     return float(np.linalg.norm(log_map(np.asarray(a).T @ np.asarray(b))))
@@ -185,21 +199,27 @@ def geodesic_sq_derivative(r: np.ndarray, r_dot_body: np.ndarray) -> float:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Convert a scalar-last quaternion to a rotation matrix.
+    """Convert a scalar-last quaternion, or a stack ``(..., 4)`` of them,
+    to a rotation matrix ``(3, 3)`` (or ``(..., 3, 3)``).
 
-    The quaternion is normalized first, so mildly denormalized inputs
-    (e.g. file round-off) are accepted.
+    Each quaternion is normalized first, so mildly denormalized inputs
+    (e.g. file round-off) are accepted. The norm is ``sqrt`` of
+    :func:`dot_rows`, which equals ``np.linalg.norm`` of one quaternion
+    bit for bit, so each row of a stack equals the single call.
+
+    Raises:
+        ValueError: a quaternion is zero and has no direction.
     """
     q = np.asarray(q, dtype=float)
-    n = float(np.linalg.norm(q))
-    if n == 0.0:
+    n = np.sqrt(dot_rows(q, q))
+    if not np.all(n):
         raise ValueError("zero quaternion has no direction")
-    x, y, z, w = q / n
-    return np.array([
-        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
-        [2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)],
-        [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)],
-    ])
+    x, y, z, w = np.moveaxis(q / n[..., None], -1, 0)
+    return np.stack([
+        1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w),
+        2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w),
+        2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y),
+    ], axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def matrix_to_quat(r: np.ndarray) -> np.ndarray:

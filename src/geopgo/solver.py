@@ -12,9 +12,10 @@ Both are integrated with a shared explicit step ``dt``. All nodes update
 simultaneously from the previous iterate, so a distributed execution with
 a synchronization barrier reproduces this solver exactly, bit for bit.
 
-The per-edge terms are computed by one stacked kernel over any slice of
-the edge set (the whole graph in blocks of ``graph.EDGE_BLOCK`` edges, or
-one node's edges), and each node sums its edges in ascending order. Only
+The per-edge terms are computed by one stacked kernel over the outgoing
+edges of any contiguous block of poses (the whole graph, or one
+distributed worker's block), in slices of ``graph.EDGE_BLOCK`` edges,
+and each node sums its edges in ascending order. Only
 operations that give the same bits per row whatever the stack size are
 used: stacked ``@``, elementwise ufuncs, :func:`so3.dot_rows` for dot
 products and :func:`graph.sequential_sum` for totals; no ``einsum`` or
@@ -25,14 +26,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import so3
-from .consistency import MissingNeighborDataError, averaged_translation
-from .graph import (Pose, PoseGraph, compose, edge_blocks, inverse, max_degree,
-                    sequential_sum)
+from .consistency import averaged_translation
+from .graph import (EdgeArrays, Pose, PoseGraph, compose, edge_blocks, inverse,
+                    max_degree, sequential_sum)
 
 TRANSLATION_MODES = ("per_step_averaged", "online_averaged", "raw")
 
@@ -121,45 +122,11 @@ def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-def _edge_terms(r, t, src, dst, r_rel, t_rel, t_in=None, mode=None):
-    """Per-edge terms of a stack of directed edges ``(i, j)``.
-
-    ``r`` and ``t`` are stacked poses that ``src`` and ``dst`` index;
-    ``r_rel``/``t_rel`` are the edges' measurements and ``t_in`` the
-    reverse edges' translations ``t_ji``. Returns ``rrel = R_i.T @ R_j``,
-    the rotation residual ``rrel @ r_ij.T`` and, for a translation
-    ``mode``, the consensus difference ``d = t_j - t_i`` and the term
-    ``m`` that a node's velocity subtracts (mode ``"raw"`` gives the
-    objective's ``R_i @ t_ij``); both are None without a mode.
-
-    Every product is a stacked ``@``, which equals the per-edge product
-    bit for bit, so any slice of the edges gives the same rows.
-    """
-    ri, rj = r[src], r[dst]
-    rrel = np.swapaxes(ri, -1, -2) @ rj
-    resid = rrel @ np.swapaxes(r_rel, -1, -2)
-    if mode is None:
-        return rrel, resid, None, None
-    d = t[dst] - t[src]
-    if mode == "raw":
-        m = _mv(ri, t_rel)
-    elif mode == "per_step_averaged":
-        m = _mv(ri, averaged_translation(t_rel, t_in, rrel))
-    else:  # online_averaged: adding 0.5 (R_j t_ji - R_i t_ij) is
-        # subtracting its exact negation
-        m = 0.5 * (_mv(ri, t_rel) - _mv(rj, t_in))
-    return rrel, resid, d, m
-
-
-def _residual_logs(resid: np.ndarray, edge_name) -> np.ndarray:
-    """``so3.log_map`` of stacked residuals; ``edge_name(k)`` names the
-    edge of row ``k`` in the error when a residual leaves the chart."""
-    try:
-        return so3.log_map(resid)
-    except so3.AngleAtPiError as exc:
-        raise so3.AngleAtPiError(
-            f"rotation residual on {edge_name(exc.index[0])}: {exc}",
-            exc.index) from None
+def _residual_logs(resid: np.ndarray, block: EdgeArrays, start: int) -> np.ndarray:
+    """``so3.log_map`` of the stacked residuals of ``block``'s edge rows
+    from ``start``; an error names the edge that left the chart."""
+    return so3.named_log_map(
+        resid, lambda k: f"rotation residual on {block.name(k)}", start)
 
 
 def _node_sums(w, d, m, offsets) -> tuple[np.ndarray, np.ndarray]:
@@ -190,109 +157,87 @@ def _node_sums(w, d, m, offsets) -> tuple[np.ndarray, np.ndarray]:
     return nu, omega
 
 
-def _graph_terms(estimates: Sequence[Pose], g: PoseGraph, mode=None):
-    """:func:`_edge_terms` over all of ``g``'s edges, one block at a time;
-    yields each block's slice and terms."""
-    r, t = _stack(estimates)
-    e = g.edge_arrays
-    for sl in edge_blocks(len(e.src)):
-        yield sl, _edge_terms(r, t, e.src[sl], e.dst[sl], e.r_rel[sl],
-                              e.t_rel[sl], e.t_rel[e.rev[sl]], mode)
+def _block_terms(r, t, block: EdgeArrays, mode=None):
+    """Per-edge terms of ``block``'s directed edges ``(i, j)``, one slice
+    of at most ``graph.EDGE_BLOCK`` edges at a time.
+
+    ``r`` and ``t`` are the stacked poses that ``block.src`` and
+    ``block.dst`` index. Yields each slice and its terms: ``rrel = R_i.T
+    @ R_j``, the rotation residual ``rrel @ r_ij.T`` and, for a
+    translation ``mode``, the consensus difference ``d = t_j - t_i`` and
+    the term ``m`` that a node's velocity subtracts (mode ``"raw"`` gives
+    the objective's ``R_i @ t_ij``); both are None without a mode.
+
+    Every product is a stacked ``@``, which equals the per-edge product
+    bit for bit, so any slice of the edges gives the same rows.
+    """
+    for sl in edge_blocks(len(block.src)):
+        ri, rj = r[block.src[sl]], r[block.dst[sl]]
+        rrel = np.swapaxes(ri, -1, -2) @ rj
+        resid = rrel @ np.swapaxes(block.r_rel[sl], -1, -2)
+        if mode is None:
+            yield sl, (rrel, resid, None, None)
+            continue
+        d = t[block.dst[sl]] - t[block.src[sl]]
+        t_rel, t_in = block.t_rel[sl], block.t_in[sl]
+        if mode == "raw":
+            m = _mv(ri, t_rel)
+        elif mode == "per_step_averaged":
+            m = _mv(ri, averaged_translation(t_rel, t_in, rrel))
+        else:  # online_averaged: adding 0.5 (R_j t_ji - R_i t_ij) is
+            # subtracting its exact negation
+            m = 0.5 * (_mv(ri, t_rel) - _mv(rj, t_in))
+        yield sl, (rrel, resid, d, m)
 
 
 def node_controls(
-    own: Pose,
-    neighbors: Sequence[int],
-    neighbor_poses: Mapping[int, Pose],
-    r_out: Mapping[int, np.ndarray],
-    t_out: Mapping[int, np.ndarray],
-    t_in: Mapping[int, np.ndarray],
-    translation_mode: str,
+    r: np.ndarray, t: np.ndarray, block: EdgeArrays, translation_mode: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity pair ``(nu, omega)`` for one node from local data only.
+    """Velocity pairs ``(nu, omega)`` of a block's own poses, ``(m, 3)``.
 
-    This is the per-node update of :func:`all_controls` on one node's
-    edges: the same stacked kernel, fed from local data. The
-    message-passing workers call it, and its rows equal the reference
-    solver's bit for bit, which is what makes their trajectories
-    identical. Neighbors are accumulated in the order given (ascending
-    by convention).
-
-    Args:
-        own: this node's estimate.
-        neighbors: incident neighbor ids, ascending.
-        neighbor_poses: neighbor estimates by id.
-        r_out, t_out: measurements from this node toward each neighbor.
-        t_in: translation measurements from each neighbor toward this node.
-        translation_mode: one of ``TRANSLATION_MODES``.
+    ``r`` ``(p, 3, 3)`` and ``t`` ``(p, 3)`` are the poses the block
+    reads, in the order of ``block.ids``. This is the per-node update
+    from local data only: the reference solver runs it over the whole
+    graph (:func:`all_controls`) and each distributed worker over its own
+    block. Every kernel row and every node's sum is independent of the
+    block it runs in, so the rows equal the reference solver's bit for
+    bit, which is what makes the trajectories identical.
 
     Raises:
-        MissingNeighborDataError: a neighbor id has no pose or measurement.
         so3.AngleAtPiError: an edge's rotation residual left the log
-            chart; the message names the neighbor.
+            chart; the message names the edge ``(i, j)`` by global ids
+            and the index is the edge's row in the block.
     """
-    for j in neighbors:
-        if j not in neighbor_poses:
-            raise MissingNeighborDataError(f"no pose for neighbor {j}")
-        if j not in r_out or j not in t_out or j not in t_in:
-            raise MissingNeighborDataError(
-                f"missing measurement on edge with neighbor {j}")
-    deg = len(neighbors)
-    r, t = _stack([own] + [neighbor_poses[j] for j in neighbors])
-    _, resid, d, m = _edge_terms(
-        r, t, np.zeros(deg, dtype=np.intp), np.arange(1, deg + 1),
-        np.array([r_out[j] for j in neighbors], dtype=float).reshape(-1, 3, 3),
-        np.array([t_out[j] for j in neighbors], dtype=float).reshape(-1, 3),
-        np.array([t_in[j] for j in neighbors], dtype=float).reshape(-1, 3),
-        translation_mode)
-    w = _residual_logs(resid, lambda k: f"the edge to neighbor {neighbors[k]}")
-    nu, omega = _node_sums(w, d, m, np.array([0, deg]))
-    return nu[0], omega[0]
-
-
-def local_views(g: PoseGraph, i: int):
-    """Measurement maps for node ``i``: outgoing rotations/translations
-    and incoming translations."""
-    r_out = {}
-    t_out = {}
-    t_in = {}
-    for j in g.neighbors(i):
-        m_out = g.measurement(i, j)
-        r_out[j] = m_out.r_rel
-        t_out[j] = m_out.t_rel
-        t_in[j] = g.measurement(j, i).t_rel
-    return r_out, t_out, t_in
+    w, d, m = (np.empty((len(block.src), 3)) for _ in range(3))
+    for sl, (_, resid, d[sl], m[sl]) in _block_terms(r, t, block,
+                                                     translation_mode):
+        w[sl] = _residual_logs(resid, block, sl.start)
+    return _node_sums(w, d, m, block.offsets)
 
 
 def all_controls(
     estimates: Sequence[Pose], g: PoseGraph, translation_mode: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked ``(n, 3)`` velocity arrays for every node, ascending id.
+    """Stacked ``(n, 3)`` velocity arrays for every node, ascending id:
+    :func:`node_controls` over the whole graph.
 
     Raises:
         so3.AngleAtPiError: an edge's rotation residual left the log
             chart; the message names the edge ``(i, j)``.
     """
-    e = g.edge_arrays
-    w, d, m = (np.empty((len(e.src), 3)) for _ in range(3))
-    for sl, (_, resid, d_sl, m_sl) in _graph_terms(
-            estimates, g, translation_mode):
-        w[sl] = _residual_logs(resid, lambda k: e.name(sl.start + k))
-        d[sl], m[sl] = d_sl, m_sl
-    return _node_sums(w, d, m, e.offsets)
+    return node_controls(*_stack(estimates), g.edge_arrays,
+                         translation_mode)
 
 
-def _integrate(t, r, nu, omega, dt):
-    """Explicit update ``(t, r)`` of one pose or of stacked poses."""
-    return t + dt * nu, so3.renormalize(r @ so3.exp_map(dt * omega))
+def integrate_pose(t: np.ndarray, r: np.ndarray, nu: np.ndarray,
+                   omega: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit update ``(t, r)`` of stacked poses ``(m, 3)``/``(m, 3, 3)``
+    (or of one pose); re-projects each rotation that drifted.
 
-
-def integrate_pose(p: Pose, nu: np.ndarray, omega: np.ndarray, dt: float) -> Pose:
-    """Explicit update of one pose; re-projects the rotation on drift.
-
-    The one-row case of the batched update in :func:`step`.
+    The reference :func:`step` and each distributed worker call it; each
+    row equals the update of that pose alone bit for bit.
     """
-    return Pose(*_integrate(p.t, p.r, nu, omega, dt))
+    return t + dt * nu, so3.renormalize(r @ so3.exp_map(dt * omega))
 
 
 def _check_step_size(g: PoseGraph, dt: float) -> None:
@@ -313,12 +258,12 @@ def evaluate_objective(estimates: Sequence[Pose], g: PoseGraph) -> ObjectiveValu
     The per-edge terms are summed left to right in that order, so two
     evaluations of the same state are bitwise equal wherever they run.
     """
-    e = g.edge_arrays
-    rot, chord, trans = (np.empty(len(e.src)) for _ in range(3))
-    for sl, (rrel, resid, d, m) in _graph_terms(estimates, g, "raw"):
-        w = _residual_logs(resid, lambda k: e.name(sl.start + k))
+    b = g.edge_arrays
+    rot, chord, trans = (np.empty(len(b.src)) for _ in range(3))
+    for sl, (rrel, resid, d, m) in _block_terms(*_stack(estimates), b, "raw"):
+        w = _residual_logs(resid, b, sl.start)
         rot[sl] = so3.dot_rows(w, w)
-        c = (rrel - e.r_rel[sl]).reshape(-1, 9)
+        c = (rrel - b.r_rel[sl]).reshape(-1, 9)
         chord[sl] = np.sum(c * c, axis=-1)
         err = d - m
         trans[sl] = so3.dot_rows(err, err)
@@ -355,7 +300,8 @@ def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> 
     ``pi/2 - epsilon``."""
     bound = np.pi / 2.0 - epsilon
     return not any(np.any(so3.rotation_angle(resid) > bound)
-                   for _, (_, resid, _, _) in _graph_terms(estimates, g))
+                   for _, (_, resid, _, _) in _block_terms(
+                       *_stack(estimates), g.edge_arrays))
 
 
 def is_equilibrium(
@@ -381,7 +327,7 @@ def step(state: SolverState, g: PoseGraph, config: SolverConfig) -> SolverState:
     nu, omega = (state.controls if state.controls is not None else
                  all_controls(state.estimates, g, config.translation_mode))
     r, t = _stack(state.estimates)
-    t, r = _integrate(t, r, nu, omega, config.dt)
+    t, r = integrate_pose(t, r, nu, omega, config.dt)
     new_estimates = [Pose(ti, ri) for ti, ri in zip(t, r)]
     return SolverState(new_estimates, all_controls(
         new_estimates, g, config.translation_mode))

@@ -228,3 +228,26 @@ def test_convert_unknown_suffix_exits_one(tmp_path, capsys):
                    "--out", str(tmp_path / "x.json")])
     assert rc == 1
     assert "format" in capsys.readouterr().err
+
+
+G2O_HALF_TURN = """\
+VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1
+VERTEX_SE3:QUAT 1 1 0 0 0 0 0 1
+VERTEX_SE3:QUAT 2 2 0 0 0 0 0 1
+EDGE_SE3:QUAT 0 1 1 0 0 0 0 1 0 1 0 0 0 0 0 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1
+EDGE_SE3:QUAT 1 2 1 0 0 0 0 0 1 1 0 0 0 0 0 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1
+"""
+
+
+@pytest.mark.parametrize("command", ["info", "solve"])
+def test_measured_half_turn_names_its_edge(tmp_path, capsys, command):
+    # edge (0, 1) measures a turn of exactly pi, whose log is ambiguous
+    path = tmp_path / "half_turn.g2o"
+    path.write_text(G2O_HALF_TURN)
+    argv = [command, "--dataset", str(path)]
+    if command == "solve":
+        argv += ["--init", "tree", "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "edge (0, 1)" in err

@@ -7,6 +7,7 @@ import pytest
 
 from geopgo import consistency, so3, solver, synth
 from geopgo.graph import (
+    EdgeArrays,
     Pose,
     RelativeMeasurement,
     build_graph,
@@ -216,10 +217,19 @@ def test_averaged_translation_pair_identity():
 
 
 def _online_nu(own, nbrs, poses, t_out, t_in):
-    r_out = {j: np.eye(3) for j in nbrs}
-    nu, _ = solver.node_controls(own, nbrs, poses, r_out, t_out, t_in,
+    # node 0's online-mode velocity: node_controls on a block of one
+    # node with identity rotation measurements
+    k = len(nbrs)
+    block = EdgeArrays(
+        ids=np.array([0] + list(nbrs)), src=np.zeros(k, dtype=np.intp),
+        dst=np.arange(1, k + 1), r_rel=np.tile(np.eye(3), (k, 1, 1)),
+        t_rel=np.array([t_out[j] for j in nbrs]),
+        t_in=np.array([t_in[j] for j in nbrs]), offsets=np.array([0, k]))
+    read = [own] + [poses[j] for j in nbrs]
+    nu, _ = solver.node_controls(np.array([p.r for p in read]),
+                                 np.array([p.t for p in read]), block,
                                  "online_averaged")
-    return nu
+    return nu[0]
 
 
 def test_averaged_velocity_zero_cases():
@@ -238,14 +248,6 @@ def test_averaged_velocity_zero_at_consistent_truth():
     t10 = p1.r.T @ (p0.t - p1.t)
     out = _online_nu(p0, [1], {1: p1}, {1: t01}, {1: t10})
     assert np.linalg.norm(out) < 1e-12
-
-
-def test_averaged_velocity_missing_data():
-    own = Pose.identity()
-    with pytest.raises(consistency.MissingNeighborDataError):
-        _online_nu(own, [1], {}, {1: np.zeros(3)}, {1: np.zeros(3)})
-    with pytest.raises(consistency.MissingNeighborDataError):
-        _online_nu(own, [1], {1: own}, {}, {1: np.zeros(3)})
 
 
 def test_report_serializes():

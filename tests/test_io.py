@@ -123,6 +123,22 @@ def test_json_rejects_non_finite_numbers(tmp_path):
             gio.read_dataset(path)
 
 
+def test_zero_quaternion_names_its_vertex_or_measurement():
+    # the rotations are converted in one stacked call per kind of row;
+    # the error still names the row, by g2o vertex id or edge index
+    vertex = TWO_VERTEX_ONE_EDGE.replace(
+        "VERTEX_SE3:QUAT 20 1 0 0 0 0 0.3826834323650898 0.9238795325112867",
+        "VERTEX_SE3:QUAT 20 1 0 0 0 0 0 0")
+    edge = TWO_VERTEX_ONE_EDGE.replace(
+        "EDGE_SE3:QUAT 10 20 1 0 0 0 0 0.3826834323650898 0.9238795325112867",
+        "EDGE_SE3:QUAT 10 20 1 0 0 0 0 0 0")
+    assert vertex != TWO_VERTEX_ONE_EDGE and edge != TWO_VERTEX_ONE_EDGE
+    with pytest.raises(ValueError, match="vertex 20: zero quaternion"):
+        gio.parse_g2o(vertex)
+    with pytest.raises(ValueError, match="measurement 0: zero quaternion"):
+        gio.parse_g2o(edge)
+
+
 def test_duplicate_vertex_rejected():
     text = GARAGE_LINE + "\n" + GARAGE_LINE
     with pytest.raises(gio.InconsistentVertexCountError):

@@ -7,8 +7,6 @@ arithmetic, so every comparison here is bitwise (``==``), not a
 tolerance.
 """
 
-import queue
-
 import numpy as np
 import pytest
 
@@ -50,9 +48,23 @@ def _loop_objective(estimates, g):
 
 
 def _local(estimates, g, i):
+    # one node's dicts, the form the scalar loop takes
     nbrs = g.neighbors(i)
+    ms = [g.measurement(i, j) for j in nbrs]
     return (estimates[i], nbrs, {j: estimates[j] for j in nbrs},
-            *solver.local_views(g, i))
+            {j: m.r_rel for j, m in zip(nbrs, ms)},
+            {j: m.t_rel for j, m in zip(nbrs, ms)},
+            {j: g.measurement(j, i).t_rel for j in nbrs})
+
+
+def _block_controls(estimates, g, lo, hi, mode):
+    # node_controls on the block of poses lo..hi-1, fed only the poses
+    # that block reads
+    block = g.edge_arrays.block(lo, hi)
+    read = [estimates[i] for i in block.ids]
+    r = np.array([p.r for p in read])
+    t = np.array([p.t for p in read])
+    return solver.node_controls(r, t, block, mode)
 
 
 # sphere: irregular degrees; circle: all degree 2; grid: degrees 3 to 6
@@ -82,14 +94,20 @@ def block(request, monkeypatch):
 @pytest.mark.parametrize("inst", INSTANCES, ids=lambda x: f"{x[0]}{x[1] or ''}")
 def test_controls_equal_the_loop_bitwise(inst, mode, block):
     g, est = _instance(*inst)
+    want = [_loop_node_controls(*_local(est, g, i), mode) for i in range(g.n)]
+    want_nu = np.array([w[0] for w in want])
+    want_omega = np.array([w[1] for w in want])
     nu, omega = solver.all_controls(est, g, mode)
-    for i in range(g.n):
-        want_nu, want_omega = _loop_node_controls(*_local(est, g, i), mode)
-        got_nu, got_omega = solver.node_controls(*_local(est, g, i), mode)
-        assert np.array_equal(got_nu, want_nu)
-        assert np.array_equal(got_omega, want_omega)
-        assert np.array_equal(nu[i], want_nu)
-        assert np.array_equal(omega[i], want_omega)
+    assert np.array_equal(nu, want_nu)
+    assert np.array_equal(omega, want_omega)
+    # every node as a block of one, then contiguous blocks of 3 and of
+    # about a third of the graph
+    for size in (1, 3, -(-g.n // 3)):
+        for lo in range(0, g.n, size):
+            hi = min(lo + size, g.n)
+            got_nu, got_omega = _block_controls(est, g, lo, hi, mode)
+            assert np.array_equal(got_nu, want_nu[lo:hi])
+            assert np.array_equal(got_omega, want_omega[lo:hi])
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=lambda x: f"{x[0]}{x[1] or ''}")
@@ -108,9 +126,11 @@ def test_batched_step_equals_integrate_pose(mode):
     nu, omega = solver.all_controls(est, g, mode)
     stepped = solver.step(solver.SolverState(est, (nu, omega)), g, cfg)
     for i, p in enumerate(stepped.estimates):
-        want = solver.integrate_pose(est[i], nu[i], omega[i], cfg.dt)
-        assert np.array_equal(p.t, want.t)
-        assert np.array_equal(p.r, want.r)
+        # one pose alone, unstacked
+        want_t, want_r = solver.integrate_pose(est[i].t, est[i].r, nu[i],
+                                               omega[i], cfg.dt)
+        assert np.array_equal(p.t, want_t)
+        assert np.array_equal(p.r, want_r)
 
 
 def _graph_with_residual_at_pi():
@@ -130,23 +150,21 @@ def test_all_controls_names_the_edge_at_pi():
 
 def test_node_controls_names_the_edge_at_pi():
     g, est = _graph_with_residual_at_pi()
-    with pytest.raises(so3.AngleAtPiError, match="neighbor 1"):
-        solver.node_controls(*_local(est, g, 2), "per_step_averaged")
+    with pytest.raises(so3.AngleAtPiError, match=r"edge \(2, 1\)") as info:
+        _block_controls(est, g, 2, 3, "per_step_averaged")
+    assert info.value.index == (0,)  # the row in the block
     # node 0's only edge is fine
-    solver.node_controls(*_local(est, g, 0), "per_step_averaged")
+    _block_controls(est, g, 0, 1, "per_step_averaged")
 
 
 def test_worker_names_its_node_and_round_at_pi():
     g, est = _graph_with_residual_at_pi()
-    inbox = queue.Queue()
-    inbox.put(runtime.RoundMessage(sender=1, round=0, t=est[1].t, r=est[1].r))
-    w = runtime.NodeWorker(
-        node_id=2, pose=est[2], neighbors=(1,), r_out=solver.local_views(g, 2)[0],
-        t_out={1: np.zeros(3)}, t_in={1: np.zeros(3)},
-        inboxes={1: inbox}, outboxes={1: queue.Queue()},
-        config=solver.SolverConfig(), timeout=1.0, log=None)
+    # one worker per node; worker 1 sends its round-0 rows first
+    workers = runtime.block_workers(g, est, 3, solver.SolverConfig(),
+                                    timeout=1.0)
+    workers[1].broadcast(0)
     with pytest.raises(so3.AngleAtPiError, match="node 2, round 0: .*neighbor 1"):
-        w.compute_round(0)
+        workers[2].compute_round(0)
 
 
 def test_log_map_calls_do_not_grow_with_the_edge_count(monkeypatch):

@@ -1,7 +1,6 @@
-"""Threaded per-node execution must reproduce the reference solver exactly."""
+"""Threaded block execution must reproduce the reference solver exactly."""
 
 import json
-import queue
 import sys
 import threading
 import time
@@ -60,10 +59,11 @@ def test_distributed_matches_reference_all_modes(mode):
         assert oa.chordal == ob.chordal
 
 
-def test_bitwise_under_frequent_thread_switches():
-    # 30 workers plus the recorder on fewer cores, switching threads
-    # every 10 us: a round recorded before every worker wrote its slot,
-    # or a worker running ahead of the record, breaks the equality
+def test_bitwise_under_frequent_thread_switches(monkeypatch):
+    # 8 workers plus the recorder, switching threads every 10 us: a
+    # round recorded before every worker wrote its rows, or a worker
+    # running ahead of the record, breaks the equality
+    monkeypatch.setattr(runtime, "AGENTS", 8)
     truth, g, init = _instance(n=30, seed=6)
     cfg = solver.SolverConfig(max_iters=8, stop_tol=1e-12,
                               record_trajectory=True)
@@ -91,10 +91,10 @@ def test_message_counts_and_locality(tmp_path):
     dist = runtime.run_distributed(g, init, message_log_path=str(log_path))
     rows = [json.loads(ln) for ln in log_path.read_text().splitlines()]
     assert len(rows) == dist.iterations * g.directed_count
-    # locality: every message travels along a directed measurement edge
+    # locality: every logged read follows a directed measurement edge
     for row in rows:
         assert g.has_edge(row["sender"], row["receiver"])
-    # every round sends exactly one message per directed edge
+    # every round logs exactly one read per directed edge
     per_round = {}
     for row in rows:
         per_round.setdefault(row["round"], []).append(
@@ -129,19 +129,20 @@ def test_max_iters_stops_unconverged():
 
 
 def test_stalled_worker_raises_deadlock_promptly(monkeypatch):
-    # node 0 stalls in round 1; its neighbors time out at the barrier and
-    # the first error surfaces without waiting for the stalled thread
+    # the worker owning node 0 stalls in round 1; the other workers time
+    # out at the barrier and the first error surfaces without waiting
+    # for the stalled thread
     truth, g, init = _instance(n=8, seed=4)
     release = threading.Event()
-    node0 = []
+    rounds = []
     real = runtime.node_controls
 
-    def stalling(own, *args):
-        if own is init[0]:
-            node0.append(threading.get_ident())
-        elif node0 and threading.get_ident() == node0[0]:
-            release.wait(10.0)
-        return real(own, *args)
+    def stalling(r, t, block, *args):
+        if block.ids[0] == 0:
+            if rounds:
+                release.wait(10.0)
+            rounds.append(None)
+        return real(r, t, block, *args)
 
     monkeypatch.setattr(runtime, "node_controls", stalling)
     start = time.monotonic()
@@ -153,29 +154,89 @@ def test_stalled_worker_raises_deadlock_promptly(monkeypatch):
         release.set()
 
 
+def _two_workers(timeout):
+    fwd = RelativeMeasurement(0, 1, np.zeros(3), np.eye(3))
+    g = build_graph(2, [fwd, reversed_measurement(fwd)])
+    return runtime.block_workers(g, [Pose.identity()] * 2, 2,
+                                 solver.SolverConfig(), timeout)
+
+
 def test_collect_times_out_as_deadlock():
-    cfg = solver.SolverConfig()
-    w = runtime.NodeWorker(
-        node_id=0, pose=Pose.identity(), neighbors=(1,),
-        r_out={1: np.eye(3)}, t_out={1: np.zeros(3)}, t_in={1: np.zeros(3)},
-        inboxes={1: queue.Queue()}, outboxes={1: queue.Queue()},
-        config=cfg, timeout=0.05, log=None)
+    w, _ = _two_workers(timeout=0.05)
     with pytest.raises(runtime.DeadlockError, match="timed out"):
         w.collect(round_no=0)
 
 
 def test_collect_rejects_wrong_round():
-    cfg = solver.SolverConfig()
-    inbox = queue.Queue()
-    inbox.put(runtime.RoundMessage(sender=1, round=7, t=np.zeros(3),
-                                   r=np.eye(3)))
-    w = runtime.NodeWorker(
-        node_id=0, pose=Pose.identity(), neighbors=(1,),
-        r_out={1: np.eye(3)}, t_out={1: np.zeros(3)}, t_in={1: np.zeros(3)},
-        inboxes={1: inbox}, outboxes={1: queue.Queue()},
-        config=cfg, timeout=0.05, log=None)
+    w, _ = _two_workers(timeout=0.05)
+    inbox, _ = w.inboxes[1]
+    inbox.put(runtime.RoundMessage(sender=1, round=7, t=np.zeros((1, 3)),
+                                   r=np.eye(3)[None]))
     with pytest.raises(runtime.DeadlockError, match="round"):
         w.collect(round_no=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8])
+def test_any_worker_count_matches_reference(monkeypatch, k):
+    truth, g, init = _instance(n=50, seed=8)
+    cfg = solver.SolverConfig(max_iters=6, stop_tol=1e-12,
+                              record_trajectory=True)
+    ref = solver.solve(g, init, cfg)
+    monkeypatch.setattr(runtime, "AGENTS", k)
+    assert runtime.worker_count(g.n) == k
+    dist = runtime.run_distributed(g, init, cfg)
+    assert dist.iterations == ref.iterations == 6
+    for ra, rb in zip(ref.trajectory, dist.trajectory):
+        _assert_bitwise_equal_poses(ra, rb)
+    assert dist.objective_history == ref.objective_history
+    assert dist.control_norm_history == ref.control_norm_history
+
+
+def test_worker_count_rule():
+    assert runtime.worker_count(50) == runtime.AGENTS == 2
+    assert runtime.worker_count(1) == 1  # never more than the poses
+
+
+def test_live_threads_stay_bounded_on_a_large_ring(monkeypatch):
+    # 200 poses: one thread per pose would be 200 threads; the block
+    # runtime has at most AGENTS workers, the recorder and the caller
+    spec = synth.ScenarioSpec(topology="circle", n=200)
+    noise = synth.NoiseModel(tau=0.5, kappa=0.524, seed=9)
+    truth, g = synth.generate_dataset(spec, noise, seed=9)
+    g = consistency.enforce_pairwise_rotations(g)
+    init = synth.gps_init(truth, 0.5, 0.524, seed=9)
+    live = []
+    real = runtime.evaluate_objective
+
+    def sampled(*args):
+        # the driver evaluates the objective in the recorder thread,
+        # while every worker is alive at the barrier
+        live.append(threading.active_count())
+        return real(*args)
+
+    monkeypatch.setattr(runtime, "evaluate_objective", sampled)
+    cfg = solver.SolverConfig(max_iters=4, stop_tol=1e-12)
+    dist = runtime.run_distributed(g, init, cfg)
+    assert dist.iterations == 4
+    assert len(live) == 5  # the initial state and four rounds
+    assert max(live) <= runtime.AGENTS + 2
+
+
+def test_message_log_is_deterministic(tmp_path, monkeypatch):
+    truth, g, init = _instance(n=30, seed=10)
+    monkeypatch.setattr(runtime, "AGENTS", 3)
+    cfg = solver.SolverConfig(max_iters=5, stop_tol=1e-12)
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for path in paths:
+        runtime.run_distributed(g, init, cfg, message_log_path=str(path))
+    text = paths[0].read_bytes()
+    assert text == paths[1].read_bytes()
+    lines = text.decode().splitlines()
+    rows = [json.loads(ln) for ln in lines]
+    assert [json.dumps(row) for row in rows] == lines
+    keys = [(row["round"], row["receiver"], row["sender"]) for row in rows]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys) == 5 * g.directed_count
 
 
 def test_wrong_init_length():

@@ -407,3 +407,40 @@ def test_stacked_renormalize_projects_only_drifted_rows():
     assert np.array_equal(out[[0, 1, 3]], rs[[0, 1, 3]])
     assert np.array_equal(out[2], so3.renormalize(dirty[2]))
     assert so3.is_rotation(out[2], tol=1e-12)
+
+
+def _quat_by_norm(q):
+    # the single-quaternion form normalized by the 1-D np.linalg.norm
+    x, y, z, w = q / float(np.linalg.norm(q))
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+_quats = st.lists(
+    st.tuples(st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+              st.sampled_from([1.0, 1.0 + 1e-9, 1e-3, 1e3, 1e-150, 1e150])),
+    min_size=1, max_size=12).map(
+    lambda rows: np.array([np.array(q) * s for q, s in rows])).filter(
+    lambda q: np.all(so3.dot_rows(q, q) > 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=_quats)
+def test_stacked_quat_to_matrix_equals_single_calls(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rs = so3.quat_to_matrix(q)
+        assert rs.shape == (len(q), 3, 3)
+        for k in range(len(q)):
+            assert np.array_equal(rs[k], so3.quat_to_matrix(q[k]))
+            assert np.array_equal(rs[k], _quat_by_norm(q[k]))
+        assert np.array_equal(so3.quat_to_matrix(q[None]), rs[None])
+
+
+def test_stacked_quat_to_matrix_rejects_a_zero_row():
+    q = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="zero quaternion"):
+        so3.quat_to_matrix(q)
