@@ -7,7 +7,7 @@ Modules:
     solver       reference consensus solver and evaluation
     synth        synthetic scenarios, noise, initial guesses
     io           g2o / JSON / CSV formats
-    runtime      one-thread-per-pose distributed execution
+    runtime      block-worker distributed execution
     cli          command-line driver
 """
 

@@ -101,6 +101,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     init = _build_init(ds, args)
     config = _solver_config(args)
     solved_graph = enforce_pairwise_rotations(g)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # --message-log may be in it
 
     start = time.perf_counter()
     if args.mode == "reference":
@@ -110,8 +112,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                  message_log_path=args.message_log)
     wall = time.perf_counter() - start
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trajectory.csv").write_text(
         gio.export_trajectory_csv(result.estimates))
     (out_dir / "objective.csv").write_text(

@@ -1,20 +1,22 @@
 """Distributed execution: a few block workers, cut-edge messages only.
 
 The poses are split into ``k = min(n, AGENTS)`` contiguous blocks, one
-worker thread each. A worker never sees the graph object. It holds its own poses and its halo as stacked arrays (the halo
-is the neighbor poses its edges read across cut edges, the edges whose
-two poses belong to different workers), the measurements on its own
-poses' outgoing edges (a :class:`~geopgo.graph.EdgeArrays`), and one
-inbound queue per neighboring worker. A round is: send each neighboring
-worker one message with the rows of its own poses that worker reads,
-receive one message from each neighboring worker for this round into the
-halo, compute the velocity pairs of the block from those arrays only,
-integrate. A barrier separates rounds; its action has one recorder
-thread hand the round's poses and velocities to the solver's
-:class:`~geopgo.solver.Driver`, which owns the stop rule and the
-histories (it aggregates the objective across all poses, a privilege of
-simulation rather than something a deployed robot could do). This module
-is thus only an executor plugged into that driver.
+worker thread each. A worker never sees the graph object. It holds its
+own poses and its halo as stacked arrays (the halo is the neighbor poses
+its edges read across cut edges, the edges whose two poses belong to
+different workers), the measurements on its own poses' outgoing edges
+(a :class:`~geopgo.graph.EdgeArrays`), and one inbound queue per
+neighboring worker. A round is: send each neighboring worker one message
+with the rows of its own poses that worker reads, receive one message
+from each neighboring worker for this round into the halo, compute the
+velocity pairs of the block from those arrays only, integrate. A barrier
+separates rounds. Its action runs in the last worker to arrive while the
+others are parked: it joins every worker's own rows and velocity pairs
+and hands the round to the solver's :class:`~geopgo.solver.Driver`,
+which owns the stop rule and the histories (it aggregates the objective
+across all poses, a privilege of simulation rather than something a
+deployed robot could do). This module is thus only an executor plugged
+into that driver.
 
 Because updates are simultaneous and every row of the solver's stacked
 edge kernel and every node's sum is independent of the block it runs in,
@@ -33,13 +35,13 @@ import numpy as np
 
 from . import so3
 from .graph import EdgeArrays, Pose, PoseGraph
-from .solver import (Driver, SolveResult, SolverConfig, all_controls,
+from .solver import (Driver, SolveResult, SolverConfig, _stack, all_controls,
                      evaluate_objective, integrate_pose, node_controls)
 
-# Worker threads per run; with the recorder and the caller's thread a run
-# has at most AGENTS + 2 live threads, whatever the graph size. Under the
-# GIL more workers do not compute in parallel, they only hand the
-# interpreter to each other; 2 is the count the benchmark measured.
+# Worker threads per run; with the caller's thread a run has at most
+# AGENTS + 1 live threads, whatever the graph size. Under the GIL more
+# workers do not compute in parallel, they only hand the interpreter to
+# each other; 2 is the count the benchmark measured.
 AGENTS = 2
 
 
@@ -97,21 +99,21 @@ class _MessageLog:
 
 
 class NodeWorker:
-    """Block worker: owns the poses ``own`` and holds only local state.
+    """Block worker: owns the poses ``block.ids[:block.size]`` and holds
+    only local state.
 
     ``r``/``t`` are the stacked poses the worker reads, in the order of
     ``block.ids``: its own rows first, then its halo. ``outboxes[c]`` is
     the queue to worker ``c`` and the rows of its own poses that ``c``
     reads; ``inboxes[c]`` is the queue from worker ``c`` and the slice
-    of the halo that ``c``'s rows fill. Once per round the recorder reads
-    the worker's own rows and velocity pairs from shared arrays, only
-    while all workers sit at the barrier.
+    of the halo that ``c``'s rows fill. The barrier action reads the
+    worker's own rows once per round, only while every worker is parked
+    at the barrier.
     """
 
     def __init__(
         self,
         index: int,
-        own: slice,
         block: EdgeArrays,
         r: np.ndarray,
         t: np.ndarray,
@@ -122,7 +124,6 @@ class NodeWorker:
         log: _MessageLog | None = None,
     ) -> None:
         self.index = index
-        self.own = own
         self.block = block
         self.r = r
         self.t = t
@@ -198,11 +199,10 @@ def block_workers(
             inboxes[b][c] = (box, slice(blk.size + rows[0],
                                         blk.size + rows[-1] + 1))
             outboxes[c][b] = (box, halo[rows] - bounds[c])
-    r = np.array([p.r for p in init], dtype=float).reshape(-1, 3, 3)
-    t = np.array([p.t for p in init], dtype=float).reshape(-1, 3)
-    return [NodeWorker(b, slice(lo, hi), blk, r[blk.ids], t[blk.ids],
-                       inboxes[b], outboxes[b], config, timeout)
-            for b, (lo, hi, blk) in enumerate(zip(bounds, bounds[1:], blocks))]
+    r, t = _stack(init)
+    return [NodeWorker(b, blk, r[blk.ids], t[blk.ids], inboxes[b],
+                       outboxes[b], config, timeout)
+            for b, blk in enumerate(blocks)]
 
 
 def run_distributed(
@@ -242,10 +242,7 @@ def run_distributed(
         log = _MessageLog([w.block for w in workers])
         for w in workers:
             w.log = log
-    t_rows = np.empty((g.n, 3))
-    r_rows = np.empty((g.n, 3, 3))
-    nu_rows = np.empty((g.n, 3))
-    omega_rows = np.empty((g.n, 3))
+    controls: list = [None] * len(workers)  # each worker's (nu, omega)
 
     errors: list[BaseException] = []
     over = threading.Event()  # set on the last round or the first error
@@ -254,40 +251,28 @@ def run_distributed(
         errors.append(exc)
         over.set()
 
-    requests: queue.Queue = queue.Queue()  # a round to record, or None
-    recorded = threading.Semaphore(0)
-
-    def record_rounds() -> None:
-        # One thread records every round, so the driver's stacked
-        # temporaries stay in one malloc arena instead of growing the
-        # arena of each worker that happens to reach the barrier last.
-        while requests.get() is not None:
-            try:
-                estimates = [Pose(t, r) for t, r
-                             in zip(t_rows.copy(), r_rows.copy())]
-                if driver.record(estimates, nu_rows, omega_rows):
-                    over.set()
-            except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-                fail(exc)
-            recorded.release()
-
     def end_round() -> None:
-        # The barrier action: every worker is parked until it returns.
-        requests.put(True)
-        recorded.acquire()
-        if errors:
+        # The barrier action runs in the last worker to arrive while the
+        # others are parked, so every worker's rows are this round's.
+        try:
+            t = np.concatenate([w.t[:w.block.size] for w in workers])
+            r = np.concatenate([w.r[:w.block.size] for w in workers])
+            nu, omega = (np.concatenate(c) for c in zip(*controls))
+            if driver.record([Pose(ti, ri) for ti, ri in zip(t, r)],
+                             nu, omega):
+                over.set()
+        except BaseException as exc:
             # Recorded before the barrier breaks, so the workers it
             # releases see it and it is the error raised.
-            raise errors[0]
+            fail(exc)
+            raise
 
     barrier = threading.Barrier(len(workers), action=end_round)
 
     def work(w: NodeWorker) -> None:
-        m = w.block.size
         try:
             for round_no in itertools.count():
-                nu_rows[w.own], omega_rows[w.own] = w.compute_round(round_no)
-                t_rows[w.own], r_rows[w.own] = w.t[:m], w.r[:m]
+                controls[w.index] = w.compute_round(round_no)
                 try:
                     barrier.wait(timeout=deadlock_timeout)
                 except threading.BrokenBarrierError:
@@ -301,17 +286,15 @@ def run_distributed(
             fail(exc)
             barrier.abort()
 
-    recorder = threading.Thread(target=record_rounds, daemon=True)
     threads = [threading.Thread(target=work, args=(w,), daemon=True)
                for w in workers]
-    for th in [recorder] + threads:
+    for th in threads:
         th.start()
     over.wait()
-    requests.put(None)  # after any round still to record
     if errors:
         barrier.abort()
         raise errors[0]
-    for th in [recorder] + threads:
+    for th in threads:
         th.join()  # each returns right after the last barrier
 
     if log is not None:

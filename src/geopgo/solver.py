@@ -304,14 +304,6 @@ def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> 
                        *_stack(estimates), g.edge_arrays))
 
 
-def is_equilibrium(
-    estimates: Sequence[Pose], g: PoseGraph, tol: float = 1e-9,
-    translation_mode: str = "per_step_averaged",
-) -> bool:
-    """True when every node's velocity pair is below ``tol`` in norm."""
-    return max_control_norm(*all_controls(estimates, g, translation_mode)) <= tol
-
-
 def max_control_norm(nu: np.ndarray, omega: np.ndarray) -> float:
     """Largest per-node velocity norm across both control families."""
     return float(max(np.linalg.norm(nu, axis=1).max(initial=0.0),

@@ -319,13 +319,11 @@ def gps_init(
     Draws per vertex ascending: three normals for translation, three for
     rotation.
     """
-    rng = np.random.default_rng(seed)
-    out = []
-    for p in poses:
-        t = p.t + tau * rng.standard_normal(3)
-        r = p.r @ so3.exp_map(kappa * rng.standard_normal(3))
-        out.append(Pose(t, r))
-    return out
+    z = np.random.default_rng(seed).standard_normal((len(poses), 2, 3))
+    t = np.array([p.t for p in poses]).reshape(-1, 3) + tau * z[:, 0]
+    r = (np.array([p.r for p in poses]).reshape(-1, 3, 3)
+         @ so3.exp_map(kappa * z[:, 1]))
+    return [Pose(ti, ri) for ti, ri in zip(t, r)]
 
 
 def spanning_tree_init(g: PoseGraph, root: int = 0) -> list[Pose]:

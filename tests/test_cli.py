@@ -109,6 +109,23 @@ def test_distributed_mode_matches_reference(tmp_path):
         assert (ref_dir / name).read_bytes() == (dist_dir / name).read_bytes()
 
 
+def test_message_log_inside_a_fresh_out_dir(tmp_path):
+    ds = _generate(tmp_path)
+    out = tmp_path / "fresh"
+    log = out / "messages.jsonl"
+    rc = cli.main(["solve", "--dataset", str(ds), "--init", "gps",
+                   "--seed", "3", "--mode", "distributed",
+                   "--out-dir", str(out), "--message-log", str(log)])
+    assert rc == 0
+    for name in ("trajectory.csv", "objective.csv", "summary.json"):
+        assert (out / name).is_file()
+    summary = json.loads((out / "summary.json").read_text())
+    rows = log.read_text().splitlines()
+    assert summary["iterations"] > 0
+    assert len(rows) == (summary["iterations"]
+                         * summary["directed_measurements"])
+
+
 def test_solve_json_flag_prints_summary(tmp_path, capsys):
     ds = _generate(tmp_path)
     capsys.readouterr()

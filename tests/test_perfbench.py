@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from geopgo import cli
+from geopgo import cli, runtime
 
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -59,3 +59,6 @@ def test_traced_solve_calls_every_wrapped_layer(bench, monkeypatch, tmp_path,
             "--stop-tol", "1e-9"]
     assert cli.main(argv) == 0
     assert spans <= {s[1] for s in tracer.spans}
+    if mode == "distributed":
+        # the workers and the caller; the barrier action runs in a worker
+        assert tracer.peak_threads <= runtime.AGENTS + 1

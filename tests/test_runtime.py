@@ -60,9 +60,9 @@ def test_distributed_matches_reference_all_modes(mode):
 
 
 def test_bitwise_under_frequent_thread_switches(monkeypatch):
-    # 8 workers plus the recorder, switching threads every 10 us: a
-    # round recorded before every worker wrote its rows, or a worker
-    # running ahead of the record, breaks the equality
+    # 8 workers switching threads every 10 us: a round recorded before
+    # every worker integrated its rows, or a worker running ahead of the
+    # record, breaks the equality
     monkeypatch.setattr(runtime, "AGENTS", 8)
     truth, g, init = _instance(n=30, seed=6)
     cfg = solver.SolverConfig(max_iters=8, stop_tol=1e-12,
@@ -81,7 +81,7 @@ def test_bitwise_under_frequent_thread_switches(monkeypatch):
     for ra, rb in zip(ref.trajectory, dist.trajectory):
         _assert_bitwise_equal_poses(ra, rb)
     assert dist.objective_history == ref.objective_history
-    # the workers and the recorder have all returned
+    # the workers have all returned
     assert threading.active_count() == threads_before
 
 
@@ -154,6 +154,35 @@ def test_stalled_worker_raises_deadlock_promptly(monkeypatch):
         release.set()
 
 
+def test_error_in_the_barrier_action_is_the_error_raised(monkeypatch):
+    # the driver evaluates the objective in the barrier action; an error
+    # there is recorded before the barrier breaks, so the workers that
+    # the break releases return quietly and it is the error raised
+    truth, g, init = _instance(n=8, seed=4)
+    calls = []
+    real = runtime.evaluate_objective
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:  # the initial state, round 0, round 1
+            raise ValueError("objective failed")
+        return real(*args)
+
+    monkeypatch.setattr(runtime, "evaluate_objective", failing)
+    threads_before = threading.active_count()
+    cfg = solver.SolverConfig(max_iters=10, stop_tol=1e-12)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="objective failed"):
+        runtime.run_distributed(g, init, cfg, deadlock_timeout=10.0)
+    assert time.monotonic() - start < 5.0
+    # the caller does not join the workers on an error; they return
+    # right after the barrier breaks
+    while (threading.active_count() > threads_before
+           and time.monotonic() - start < 5.0):
+        time.sleep(0.01)
+    assert threading.active_count() == threads_before
+
+
 def _two_workers(timeout):
     fwd = RelativeMeasurement(0, 1, np.zeros(3), np.eye(3))
     g = build_graph(2, [fwd, reversed_measurement(fwd)])
@@ -199,7 +228,7 @@ def test_worker_count_rule():
 
 def test_live_threads_stay_bounded_on_a_large_ring(monkeypatch):
     # 200 poses: one thread per pose would be 200 threads; the block
-    # runtime has at most AGENTS workers, the recorder and the caller
+    # runtime has at most AGENTS workers and the caller
     spec = synth.ScenarioSpec(topology="circle", n=200)
     noise = synth.NoiseModel(tau=0.5, kappa=0.524, seed=9)
     truth, g = synth.generate_dataset(spec, noise, seed=9)
@@ -209,7 +238,7 @@ def test_live_threads_stay_bounded_on_a_large_ring(monkeypatch):
     real = runtime.evaluate_objective
 
     def sampled(*args):
-        # the driver evaluates the objective in the recorder thread,
+        # the driver evaluates the objective in the barrier action,
         # while every worker is alive at the barrier
         live.append(threading.active_count())
         return real(*args)
@@ -219,7 +248,7 @@ def test_live_threads_stay_bounded_on_a_large_ring(monkeypatch):
     dist = runtime.run_distributed(g, init, cfg)
     assert dist.iterations == 4
     assert len(live) == 5  # the initial state and four rounds
-    assert max(live) <= runtime.AGENTS + 2
+    assert max(live) <= runtime.AGENTS + 1
 
 
 def test_message_log_is_deterministic(tmp_path, monkeypatch):

@@ -183,6 +183,29 @@ def test_gps_init_zero_noise_exact():
         assert np.array_equal(a.r, b.r)
 
 
+def _loop_gps_init(poses, tau, kappa, seed):
+    # the per-pose form: per vertex, translation normals, then rotation
+    rng = np.random.default_rng(seed)
+    out = []
+    for p in poses:
+        t = p.t + tau * rng.standard_normal(3)
+        r = p.r @ so3.exp_map(kappa * rng.standard_normal(3))
+        out.append(Pose(t, r))
+    return out
+
+
+@pytest.mark.parametrize("n", [50, 800])
+def test_gps_init_equals_the_per_pose_loop_bitwise(n):
+    spec = synth.ScenarioSpec(topology="sphere", n=n)
+    truth, _ = synth.generate_ground_truth(spec, seed=7000)
+    init = synth.gps_init(truth, 0.5, 0.524, seed=7000)
+    oracle = _loop_gps_init(truth, 0.5, 0.524, seed=7000)
+    assert len(init) == len(oracle) == n
+    for a, b in zip(init, oracle):
+        assert np.array_equal(a.t, b.t)
+        assert np.array_equal(a.r, b.r)
+
+
 def test_gps_init_experiment_scale_noise():
     # per-pose rotation error at kappa = 0.175 averages 0.2793 rad
     # (same chi-3 mean law; Monte-Carlo oracle frozen alongside 0.8362)
