@@ -300,17 +300,15 @@ def build_graph(
 
 def laplacian(g: PoseGraph) -> np.ndarray:
     """Graph Laplacian: degree on the diagonal, -1 per undirected edge."""
+    e = g.edge_arrays
     lap = np.zeros((g.n, g.n))
-    for i in range(g.n):
-        nbrs = g.neighbors(i)
-        lap[i, i] = len(nbrs)
-        for j in nbrs:
-            lap[i, j] = -1.0
+    lap[e.src, e.dst] = -1.0
+    lap[np.diag_indices(g.n)] = np.diff(e.offsets)
     return lap
 
 
 def max_degree(g: PoseGraph) -> int:
-    return max(len(g.neighbors(i)) for i in range(g.n))
+    return int(np.diff(g.edge_arrays.offsets).max())
 
 
 def algebraic_connectivity(g: PoseGraph) -> float:

@@ -5,18 +5,30 @@ worker thread each. A worker never sees the graph object. It holds its
 own poses and its halo as stacked arrays (the halo is the neighbor poses
 its edges read across cut edges, the edges whose two poses belong to
 different workers), the measurements on its own poses' outgoing edges
-(a :class:`~geopgo.graph.EdgeArrays`), and one inbound queue per
-neighboring worker. A round is: send each neighboring worker one message
-with the rows of its own poses that worker reads, receive one message
-from each neighboring worker for this round into the halo, compute the
-velocity pairs of the block from those arrays only, integrate. A barrier
-separates rounds. Its action runs in the last worker to arrive while the
-others are parked: it joins every worker's own rows and velocity pairs
-and hands the round to the solver's :class:`~geopgo.solver.Driver`,
-which owns the stop rule and the histories (it aggregates the objective
-across all poses, a privilege of simulation rather than something a
-deployed robot could do). This module is thus only an executor plugged
-into that driver.
+(a :class:`~geopgo.graph.EdgeArrays`), the velocity pairs of its own
+poses at their current state (seeded from the driver's initial
+controls), and one inbound queue per neighboring worker. A round
+mirrors ``solver.step``:
+
+1. integrate the worker's own poses with the velocity pairs it carries;
+2. send each neighboring worker one message with the rows of its own
+   poses that worker reads, and receive one message from each
+   neighboring worker for this round into the halo;
+3. make one kernel pass over those arrays only, which gives the velocity
+   pairs at the new state (carried to the next round) and the objective
+   rows of the block's edges;
+4. wait at the round barrier.
+
+The barrier's action runs in the last worker to arrive while the others
+are parked. It runs no kernel pass: it joins every worker's own rows,
+the velocity pairs the round used and the objective rows, and hands the
+round to the solver's :class:`~geopgo.solver.Driver`, which owns the
+stop rule and the histories (it sums the objective across all edges, a
+privilege of simulation rather than something a deployed robot could
+do). The blocks are contiguous runs of the ``(src, dst)`` edge order,
+so the joined rows are the reference pass's rows in its order and sum
+to the same bits. This module is thus only an executor plugged into
+that driver.
 
 Because updates are simultaneous and every row of the solver's stacked
 edge kernel and every node's sum is independent of the block it runs in,
@@ -35,8 +47,9 @@ import numpy as np
 
 from . import so3
 from .graph import EdgeArrays, Pose, PoseGraph
-from .solver import (Driver, SolveResult, SolverConfig, _stack, all_controls,
-                     evaluate_objective, integrate_pose, node_controls)
+from .solver import (Driver, PoseStack, SolveResult, SolverConfig, all_controls,
+                     as_stack, evaluate_objective, integrate_pose,
+                     node_controls)
 
 # Worker threads per run; with the caller's thread a run has at most
 # AGENTS + 1 live threads, whatever the graph size. Under the GIL more
@@ -103,12 +116,15 @@ class NodeWorker:
     only local state.
 
     ``r``/``t`` are the stacked poses the worker reads, in the order of
-    ``block.ids``: its own rows first, then its halo. ``outboxes[c]`` is
-    the queue to worker ``c`` and the rows of its own poses that ``c``
+    ``block.ids``: its own rows first, then its halo. ``nu``/``omega``
+    ``(m, 3)`` are the velocity pairs of its own poses at their current
+    state, and ``rows`` ``(3, E)`` the objective rows of its edges at
+    that state, once a round has made them. ``outboxes[c]`` is the
+    queue to worker ``c`` and the rows of its own poses that ``c``
     reads; ``inboxes[c]`` is the queue from worker ``c`` and the slice
     of the halo that ``c``'s rows fill. The barrier action reads the
-    worker's own rows once per round, only while every worker is parked
-    at the barrier.
+    worker's own rows and objective rows once per round, only while
+    every worker is parked at the barrier.
     """
 
     def __init__(
@@ -117,6 +133,7 @@ class NodeWorker:
         block: EdgeArrays,
         r: np.ndarray,
         t: np.ndarray,
+        controls: tuple[np.ndarray, np.ndarray],
         inboxes: dict[int, tuple[queue.Queue, slice]],
         outboxes: dict[int, tuple[queue.Queue, np.ndarray]],
         config: SolverConfig,
@@ -127,6 +144,8 @@ class NodeWorker:
         self.block = block
         self.r = r
         self.t = t
+        self.nu, self.omega = controls
+        self.rows = np.empty((3, len(block.src)))
         self.inboxes = inboxes
         self.outboxes = outboxes
         self.config = config
@@ -155,33 +174,37 @@ class NodeWorker:
             self.t[rows], self.r[rows] = msg.t, msg.r
 
     def compute_round(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
-        """Advance this block one round; returns the velocity pairs used."""
+        """Advance this block one round: integrate, trade halo rows, then
+        one kernel pass at the new state. Returns the velocity pairs the
+        round integrated with."""
+        b, m = self.block, self.block.size
+        nu, omega = self.nu, self.omega
+        self.t[:m], self.r[:m] = integrate_pose(
+            self.t[:m], self.r[:m], nu, omega, self.config.dt)
         self.broadcast(round_no)
         self.collect(round_no)
         if self.log is not None:
             self.log.record(self.index, round_no)
-        b = self.block
         try:
-            nu, omega = node_controls(self.r, self.t, b,
-                                      self.config.translation_mode)
+            self.nu, self.omega = node_controls(
+                self.r, self.t, b, self.config.translation_mode, self.rows)
         except so3.AngleAtPiError as exc:
             k = exc.index[0]
             raise so3.AngleAtPiError(
                 f"node {b.ids[b.src[k]]}, round {round_no}: neighbor "
                 f"{b.ids[b.dst[k]]}: {exc}", exc.index) from None
-        m = b.size
-        self.t[:m], self.r[:m] = integrate_pose(
-            self.t[:m], self.r[:m], nu, omega, self.config.dt)
         return nu, omega
 
 
 def block_workers(
-    g: PoseGraph, init: list[Pose], k: int, config: SolverConfig,
+    g: PoseGraph, init: list[Pose] | PoseStack,
+    controls: tuple[np.ndarray, np.ndarray], k: int, config: SolverConfig,
     timeout: float,
 ) -> list[NodeWorker]:
     """``k`` workers, worker ``b`` owning poses ``b*n//k`` to
     ``(b+1)*n//k - 1``, with one queue for each ordered pair of workers
-    that share a cut edge."""
+    that share a cut edge. ``controls`` is the ``(n, 3)`` velocity pair
+    at ``init``; each worker carries its own rows of it into round 0."""
     e = g.edge_arrays
     bounds = [b * g.n // k for b in range(k + 1)]
     owner = np.repeat(np.arange(k), np.diff(bounds))
@@ -199,10 +222,13 @@ def block_workers(
             inboxes[b][c] = (box, slice(blk.size + rows[0],
                                         blk.size + rows[-1] + 1))
             outboxes[c][b] = (box, halo[rows] - bounds[c])
-    r, t = _stack(init)
-    return [NodeWorker(b, blk, r[blk.ids], t[blk.ids], inboxes[b],
-                       outboxes[b], config, timeout)
-            for b, blk in enumerate(blocks)]
+    r, t = as_stack(init)
+    nu, omega = controls
+    return [NodeWorker(b, blk, r[blk.ids], t[blk.ids],
+                       (nu[lo:hi], omega[lo:hi]), inboxes[b], outboxes[b],
+                       config, timeout)
+            for b, (blk, lo, hi) in enumerate(zip(blocks, bounds,
+                                                  bounds[1:]))]
 
 
 def run_distributed(
@@ -235,8 +261,8 @@ def run_distributed(
             _MessageLog([]).dump(message_log_path)  # no round ran
         return driver.result(driver.initial_controls)
 
-    workers = block_workers(g, init, worker_count(g.n), config,
-                            deadlock_timeout)
+    workers = block_workers(g, driver.state, driver.initial_controls,
+                            worker_count(g.n), config, deadlock_timeout)
     log = None
     if message_log_path is not None:
         log = _MessageLog([w.block for w in workers])
@@ -258,8 +284,8 @@ def run_distributed(
             t = np.concatenate([w.t[:w.block.size] for w in workers])
             r = np.concatenate([w.r[:w.block.size] for w in workers])
             nu, omega = (np.concatenate(c) for c in zip(*controls))
-            if driver.record([Pose(ti, ri) for ti, ri in zip(t, r)],
-                             nu, omega):
+            rows = np.concatenate([w.rows for w in workers], axis=1)
+            if driver.record(PoseStack(r, t), nu, omega, rows):
                 over.set()
         except BaseException as exc:
             # Recorded before the barrier breaks, so the workers it
@@ -300,4 +326,4 @@ def run_distributed(
     if log is not None:
         log.dump(message_log_path)
     return driver.result(
-        all_controls(driver.estimates, g, config.translation_mode))
+        all_controls(driver.state, g, config.translation_mode))

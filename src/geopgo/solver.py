@@ -20,13 +20,19 @@ operations that give the same bits per row whatever the stack size are
 used: stacked ``@``, elementwise ufuncs, :func:`so3.dot_rows` for dot
 products and :func:`graph.sequential_sum` for totals; no ``einsum`` or
 ``reduceat``.
+
+One kernel pass per state gives both the velocity pairs and the
+per-edge objective rows (:func:`node_controls` with ``rows``), so a
+solve makes one pass per iteration. The solve state is carried as a
+:class:`PoseStack` of stacked arrays; :class:`~geopgo.graph.Pose` lists
+are built only for the result.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,17 +90,49 @@ class ObjectiveValue:
     translation_only: float
 
 
-@dataclass
-class SolverState:
-    """One iterate of the flow.
+class PoseStack(NamedTuple):
+    """Poses as stacked arrays: rotations ``r`` ``(n, 3, 3)`` and
+    translations ``t`` ``(n, 3)``, row ``i`` belonging to pose ``i``."""
 
-    ``controls`` is the per-node velocity pair at ``estimates``, as
-    ``(n, 3)`` arrays, once computed; :func:`step` computes it when it
-    is None.
+    r: np.ndarray
+    t: np.ndarray
+
+
+def as_stack(estimates: Sequence[Pose] | PoseStack) -> PoseStack:
+    """``estimates`` as a :class:`PoseStack`; a stack is returned as is."""
+    if isinstance(estimates, PoseStack):
+        return estimates
+    return PoseStack(
+        np.array([p.r for p in estimates], dtype=float).reshape(-1, 3, 3),
+        np.array([p.t for p in estimates], dtype=float).reshape(-1, 3))
+
+
+def as_poses(stack: PoseStack) -> list[Pose]:
+    """One :class:`~geopgo.graph.Pose` per row of ``stack``."""
+    return [Pose(t, r) for t, r in zip(stack.t, stack.r)]
+
+
+class SolverState:
+    """One iterate of the flow, held as a :class:`PoseStack`.
+
+    ``estimates`` is a Pose list or a stack; reading :attr:`estimates`
+    builds a Pose list. ``controls`` is the per-node velocity pair at
+    this state, as ``(n, 3)`` arrays, once computed; :func:`step`
+    computes it when it is None. ``rows`` is the state's ``(3, E)``
+    objective rows (see :func:`node_controls`) from the same kernel
+    pass, or None.
     """
 
-    estimates: list[Pose]
-    controls: tuple[np.ndarray, np.ndarray] | None = None
+    def __init__(self, estimates: Sequence[Pose] | PoseStack,
+                 controls: tuple[np.ndarray, np.ndarray] | None = None,
+                 rows: np.ndarray | None = None) -> None:
+        self.stack = as_stack(estimates)
+        self.controls = controls
+        self.rows = rows
+
+    @property
+    def estimates(self) -> list[Pose]:
+        return as_poses(self.stack)
 
 
 @dataclass
@@ -109,12 +147,6 @@ class SolveResult:
     converged: bool
     control_norm_history: list[float]
     trajectory: list[list[Pose]] | None = None
-
-
-def _stack(poses: Sequence[Pose]) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations ``(n, 3, 3)`` and translations ``(n, 3)`` of ``poses``."""
-    return (np.array([p.r for p in poses], dtype=float).reshape(-1, 3, 3),
-            np.array([p.t for p in poses], dtype=float).reshape(-1, 3))
 
 
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -164,9 +196,10 @@ def _block_terms(r, t, block: EdgeArrays, mode=None):
     ``r`` and ``t`` are the stacked poses that ``block.src`` and
     ``block.dst`` index. Yields each slice and its terms: ``rrel = R_i.T
     @ R_j``, the rotation residual ``rrel @ r_ij.T`` and, for a
-    translation ``mode``, the consensus difference ``d = t_j - t_i`` and
-    the term ``m`` that a node's velocity subtracts (mode ``"raw"`` gives
-    the objective's ``R_i @ t_ij``); both are None without a mode.
+    translation ``mode``, the consensus difference ``d = t_j - t_i``,
+    the term ``m`` that a node's velocity subtracts and the objective's
+    ``R_i @ t_ij`` (mode ``"raw"``'s ``m``); these three are None
+    without a mode.
 
     Every product is a stacked ``@``, which equals the per-edge product
     bit for bit, so any slice of the edges gives the same rows.
@@ -176,22 +209,24 @@ def _block_terms(r, t, block: EdgeArrays, mode=None):
         rrel = np.swapaxes(ri, -1, -2) @ rj
         resid = rrel @ np.swapaxes(block.r_rel[sl], -1, -2)
         if mode is None:
-            yield sl, (rrel, resid, None, None)
+            yield sl, (rrel, resid, None, None, None)
             continue
         d = t[block.dst[sl]] - t[block.src[sl]]
         t_rel, t_in = block.t_rel[sl], block.t_in[sl]
+        raw = _mv(ri, t_rel)
         if mode == "raw":
-            m = _mv(ri, t_rel)
+            m = raw
         elif mode == "per_step_averaged":
             m = _mv(ri, averaged_translation(t_rel, t_in, rrel))
         else:  # online_averaged: adding 0.5 (R_j t_ji - R_i t_ij) is
             # subtracting its exact negation
-            m = 0.5 * (_mv(ri, t_rel) - _mv(rj, t_in))
-        yield sl, (rrel, resid, d, m)
+            m = 0.5 * (raw - _mv(rj, t_in))
+        yield sl, (rrel, resid, d, m, raw)
 
 
 def node_controls(
     r: np.ndarray, t: np.ndarray, block: EdgeArrays, translation_mode: str,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Velocity pairs ``(nu, omega)`` of a block's own poses, ``(m, 3)``.
 
@@ -203,30 +238,45 @@ def node_controls(
     block it runs in, so the rows equal the reference solver's bit for
     bit, which is what makes the trajectories identical.
 
+    ``rows``, when given, is a ``(3, E)`` array over the block's edges
+    that the same pass fills with each edge's objective terms: the
+    squared translation residual ``|t_j - t_i - R_i t_ij|^2``, the
+    squared residual log (geodesic) and the squared Frobenius residual
+    ``|R_i.T R_j - r_ij|^2`` (chordal). They do not depend on the
+    translation mode, and :func:`evaluate_objective` sums them.
+
     Raises:
         so3.AngleAtPiError: an edge's rotation residual left the log
             chart; the message names the edge ``(i, j)`` by global ids
             and the index is the edge's row in the block.
     """
     w, d, m = (np.empty((len(block.src), 3)) for _ in range(3))
-    for sl, (_, resid, d[sl], m[sl]) in _block_terms(r, t, block,
-                                                     translation_mode):
+    for sl, (rrel, resid, d[sl], m[sl], raw) in _block_terms(
+            r, t, block, translation_mode):
         w[sl] = _residual_logs(resid, block, sl.start)
+        if rows is not None:
+            err = d[sl] - raw
+            rows[0, sl] = so3.dot_rows(err, err)
+            rows[1, sl] = so3.dot_rows(w[sl], w[sl])
+            c = (rrel - block.r_rel[sl]).reshape(-1, 9)
+            rows[2, sl] = np.sum(c * c, axis=-1)
     return _node_sums(w, d, m, block.offsets)
 
 
 def all_controls(
-    estimates: Sequence[Pose], g: PoseGraph, translation_mode: str,
+    estimates: Sequence[Pose] | PoseStack, g: PoseGraph,
+    translation_mode: str, rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked ``(n, 3)`` velocity arrays for every node, ascending id:
-    :func:`node_controls` over the whole graph.
+    :func:`node_controls` over the whole graph, which also fills the
+    objective ``rows`` ``(3, E)`` when they are given.
 
     Raises:
         so3.AngleAtPiError: an edge's rotation residual left the log
             chart; the message names the edge ``(i, j)``.
     """
-    return node_controls(*_stack(estimates), g.edge_arrays,
-                         translation_mode)
+    return node_controls(*as_stack(estimates), g.edge_arrays,
+                         translation_mode, rows)
 
 
 def integrate_pose(t: np.ndarray, r: np.ndarray, nu: np.ndarray,
@@ -252,23 +302,21 @@ def _check_step_size(g: PoseGraph, dt: float) -> None:
             "the divergence threshold", StepSizeUnstableWarning, stacklevel=4)
 
 
-def evaluate_objective(estimates: Sequence[Pose], g: PoseGraph) -> ObjectiveValue:
+def evaluate_objective(estimates: Sequence[Pose] | PoseStack, g: PoseGraph,
+                       rows: np.ndarray | None = None) -> ObjectiveValue:
     """Objective over all directed measurements, in ``(src, dst)`` order.
 
+    ``rows`` are the state's ``(3, E)`` objective rows when a kernel
+    pass has already made them (:func:`node_controls`); ``estimates``
+    is then not read. Otherwise one pass over ``estimates`` makes them.
     The per-edge terms are summed left to right in that order, so two
     evaluations of the same state are bitwise equal wherever they run.
     """
-    b = g.edge_arrays
-    rot, chord, trans = (np.empty(len(b.src)) for _ in range(3))
-    for sl, (rrel, resid, d, m) in _block_terms(*_stack(estimates), b, "raw"):
-        w = _residual_logs(resid, b, sl.start)
-        rot[sl] = so3.dot_rows(w, w)
-        c = (rrel - b.r_rel[sl]).reshape(-1, 9)
-        chord[sl] = np.sum(c * c, axis=-1)
-        err = d - m
-        trans[sl] = so3.dot_rows(err, err)
+    if rows is None:
+        rows = np.empty((3, g.directed_count))
+        node_controls(*as_stack(estimates), g.edge_arrays, "raw", rows)
     trans_total, rot_total, chord_total = (
-        float(sequential_sum(x)) for x in (trans, rot, chord))
+        float(sequential_sum(x)) for x in rows)
     return ObjectiveValue(
         geodesic=trans_total + rot_total,
         chordal=trans_total + chord_total,
@@ -283,16 +331,20 @@ def evaluate_lyapunov(estimates: Sequence[Pose], g: PoseGraph) -> float:
 
 
 def desired_offsets(estimates: Sequence[Pose], g: PoseGraph) -> np.ndarray:
-    """Per-node measurement offset: row ``i`` is ``sum_j R_i @ t_ij``.
+    """Per-node measurement offset: row ``i`` is ``sum_j R_i @ t_ij``,
+    summed in ascending neighbor order.
 
     Subtracting these from the plain consensus term gives the raw-mode
     translation velocity in stacked form.
     """
-    delta = np.zeros((g.n, 3))
-    for i in range(g.n):
-        for j in g.neighbors(i):
-            delta[i] += estimates[i].r @ g.measurement(i, j).t_rel
-    return delta
+    b = g.edge_arrays
+    raw = np.empty((len(b.src), 3))
+    for sl, (*_, rt) in _block_terms(*as_stack(estimates), b, "raw"):
+        raw[sl] = rt
+    # the rotation sum of _node_sums adds each node's rows from zero in
+    # ascending neighbor order, as the per-node loop ``delta[i] += ...``
+    zero = np.zeros_like(raw)
+    return _node_sums(raw, zero, zero, b.offsets)[1]
 
 
 def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> bool:
@@ -300,8 +352,8 @@ def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> 
     ``pi/2 - epsilon``."""
     bound = np.pi / 2.0 - epsilon
     return not any(np.any(so3.rotation_angle(resid) > bound)
-                   for _, (_, resid, _, _) in _block_terms(
-                       *_stack(estimates), g.edge_arrays))
+                   for _, (_, resid, *_) in _block_terms(
+                       *as_stack(estimates), g.edge_arrays))
 
 
 def max_control_norm(nu: np.ndarray, omega: np.ndarray) -> float:
@@ -312,17 +364,18 @@ def max_control_norm(nu: np.ndarray, omega: np.ndarray) -> float:
 
 def step(state: SolverState, g: PoseGraph, config: SolverConfig) -> SolverState:
     """One synchronous iteration: integrate every pose with the controls
-    of the previous state, then compute the controls at the new state.
+    of the previous state, then make one kernel pass at the new state.
 
-    Returns the new state, carrying its own controls for the next step.
+    Returns the new state, carrying its own controls for the next step
+    and its objective rows.
     """
     nu, omega = (state.controls if state.controls is not None else
-                 all_controls(state.estimates, g, config.translation_mode))
-    r, t = _stack(state.estimates)
-    t, r = integrate_pose(t, r, nu, omega, config.dt)
-    new_estimates = [Pose(ti, ri) for ti, ri in zip(t, r)]
-    return SolverState(new_estimates, all_controls(
-        new_estimates, g, config.translation_mode))
+                 all_controls(state.stack, g, config.translation_mode))
+    t, r = integrate_pose(state.stack.t, state.stack.r, nu, omega, config.dt)
+    new = PoseStack(r, t)
+    rows = np.empty((3, g.directed_count))
+    return SolverState(new, all_controls(new, g, config.translation_mode,
+                                         rows), rows)
 
 
 class Driver:
@@ -330,14 +383,17 @@ class Driver:
 
     An executor calls :meth:`start` with the initial estimates. Unless
     that returns True (a fixed point: every initial control is exactly
-    zero), it advances one synchronous round at a time and hands each
-    round's new estimates and the ``(n, 3)`` velocity arrays it used to
-    :meth:`record`, until that returns True. :meth:`result` then builds
-    the :class:`SolveResult` from the velocity pair at the final state.
+    zero), it advances one synchronous round at a time and hands
+    :meth:`record` each round's new state as a :class:`PoseStack`, the
+    ``(n, 3)`` velocity arrays the round used and the ``(3, E)``
+    objective rows of the new state (see :func:`node_controls`), until
+    that returns True. :meth:`result` then builds the
+    :class:`SolveResult` from the velocity pair at the final state; it
+    is where the states become Pose lists.
 
-    ``objective`` evaluates the objective of one state and defaults to
+    ``objective`` sums the objective rows of one state and defaults to
     :func:`evaluate_objective`; an executor may pass its own binding of
-    it, so that per-layer timings attribute the evaluation to it.
+    it, so that per-layer timings attribute the summation to it.
     """
 
     def __init__(self, g: PoseGraph, config: SolverConfig,
@@ -347,39 +403,42 @@ class Driver:
         self.objective = (evaluate_objective if objective is None
                           else objective)
 
-    def start(self, init: Sequence[Pose]) -> bool:
+    def start(self, init: Sequence[Pose] | PoseStack) -> bool:
         """Check the inputs, record state 0, and report a fixed point.
 
-        The velocity pair at ``init`` is kept in ``initial_controls``.
+        One kernel pass at ``init`` gives its objective and its velocity
+        pair, which is kept in ``initial_controls``; the state is kept
+        as a :class:`PoseStack` in ``state``.
         """
         g, config = self.g, self.config
-        if len(init) != g.n:
-            raise ValueError(f"expected {g.n} initial poses, got {len(init)}")
+        self.state = as_stack(init)
+        if len(self.state.t) != g.n:
+            raise ValueError(
+                f"expected {g.n} initial poses, got {len(self.state.t)}")
         _check_step_size(g, config.dt)
-        self.estimates = list(init)
-        self.history = [self.objective(self.estimates, g)]
+        rows = np.empty((3, g.directed_count))
+        self.initial_controls = all_controls(self.state, g,
+                                             config.translation_mode, rows)
+        self.history = [self.objective(self.state, g, rows)]
         self.norms: list[float] = []
-        self.trajectory = ([self.estimates] if config.record_trajectory
-                           else None)
+        self.trajectory = [self.state] if config.record_trajectory else None
         self.iterations = 0
-        self.initial_controls = all_controls(self.estimates, g,
-                                             config.translation_mode)
         nu, omega = self.initial_controls
         self.converged = not np.any(nu) and not np.any(omega)
         return self.converged
 
-    def record(self, estimates: Sequence[Pose], nu: np.ndarray,
-               omega: np.ndarray) -> bool:
+    def record(self, state: PoseStack, nu: np.ndarray, omega: np.ndarray,
+               rows: np.ndarray) -> bool:
         """Record one round; True when the solve should stop.
 
         Stops when the geodesic objective changed by less than
         ``stop_tol`` in this round, or after ``max_iters`` rounds.
         """
-        self.estimates = list(estimates)
+        self.state = state
         self.norms.append(max_control_norm(nu, omega))
-        obj = self.objective(self.estimates, self.g)
+        obj = self.objective(state, self.g, rows)
         if self.trajectory is not None:
-            self.trajectory.append(self.estimates)
+            self.trajectory.append(state)
         self.iterations += 1
         self.converged = (abs(obj.geodesic - self.history[-1].geodesic)
                           < self.config.stop_tol)
@@ -388,11 +447,13 @@ class Driver:
 
     def result(self, controls: tuple[np.ndarray, np.ndarray]) -> SolveResult:
         """The solve's result; ``controls`` is the velocity pair at the
-        final estimates."""
-        return SolveResult(self.estimates, self.history, self.iterations,
-                           self.converged,
+        final state."""
+        trajectory = (None if self.trajectory is None
+                      else [as_poses(s) for s in self.trajectory])
+        return SolveResult(as_poses(self.state), self.history,
+                           self.iterations, self.converged,
                            self.norms + [max_control_norm(*controls)],
-                           self.trajectory)
+                           trajectory)
 
 
 def solve(
@@ -409,11 +470,11 @@ def solve(
         config = SolverConfig()
     driver = Driver(g, config)
     stop = driver.start(init)
-    state = SolverState(driver.estimates, driver.initial_controls)
+    state = SolverState(driver.state, driver.initial_controls)
     while not stop:
         nu, omega = state.controls
         state = step(state, g, config)
-        stop = driver.record(state.estimates, nu, omega)
+        stop = driver.record(state.stack, nu, omega, state.rows)
     return driver.result(state.controls)
 
 

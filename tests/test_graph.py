@@ -189,6 +189,39 @@ def test_spanning_tree_lowest_id_tiebreak():
     assert parents[3] == 1
 
 
+def _random_graph(rng, n, chords):
+    # a random spanning tree plus up to ``chords`` extra edges
+    ms = []
+    seen = set()
+    for i in range(1, n):
+        j = int(rng.integers(0, i))
+        ms += _pair(j, i)
+        seen.add((j, i))
+    for _ in range(chords):
+        a, b = rng.integers(0, n, size=2)
+        a, b = int(min(a, b)), int(max(a, b))
+        if a != b and (a, b) not in seen:
+            ms += _pair(a, b)
+            seen.add((a, b))
+    return build_graph(n, ms)
+
+
+def test_laplacian_and_max_degree_equal_a_per_node_loop():
+    rng = np.random.default_rng(25)
+    for _ in range(100):
+        n = int(rng.integers(1, 16))
+        g = _random_graph(rng, n, int(rng.integers(0, 2 * n)))
+        want = np.zeros((n, n))
+        for i in range(n):
+            want[i, i] = len(g.neighbors(i))
+            for j in g.neighbors(i):
+                want[i, j] = -1.0
+        assert np.array_equal(laplacian(g), want)
+        degree = max(len(g.neighbors(i)) for i in range(n))
+        assert max_degree(g) == degree
+        assert type(max_degree(g)) is int
+
+
 def test_spanning_tree_covers_random_graphs():
     rng = np.random.default_rng(24)
     for _ in range(100):

@@ -186,7 +186,8 @@ def test_error_in_the_barrier_action_is_the_error_raised(monkeypatch):
 def _two_workers(timeout):
     fwd = RelativeMeasurement(0, 1, np.zeros(3), np.eye(3))
     g = build_graph(2, [fwd, reversed_measurement(fwd)])
-    return runtime.block_workers(g, [Pose.identity()] * 2, 2,
+    zero = np.zeros((2, 3))
+    return runtime.block_workers(g, [Pose.identity()] * 2, (zero, zero), 2,
                                  solver.SolverConfig(), timeout)
 
 

@@ -378,6 +378,41 @@ def test_stacked_translation_oracle_small():
     assert np.max(np.abs(stepped.reshape(-1) - want)) < 1e-12
 
 
+def test_desired_offsets_equal_the_per_node_loop():
+    # the per-node dict-lookup loop the stacked form replaced
+    for topology, n, seed in (("sphere", 40, 16), ("circle", 9, 17),
+                              ("grid", None, 18)):
+        truth, g = _consistent_instance(topology, n, seed)
+        est = _perturbed(truth, seed, r_scale=1.0)
+        want = np.zeros((g.n, 3))
+        for i in range(g.n):
+            for j in g.neighbors(i):
+                want[i] += est[i].r @ g.measurement(i, j).t_rel
+        got = solver.desired_offsets(est, g)
+        assert got.shape == (g.n, 3)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("run", [solver.solve, runtime.run_distributed],
+                         ids=["reference", "distributed"])
+def test_hot_loop_builds_no_poses(monkeypatch, run):
+    # Pose objects are built only for the result: n of them, not n per
+    # iteration
+    truth, g = _enforced_noisy(n=30, seed=19)
+    init = _perturbed(truth, 190)
+    built = []
+    real = Pose.__post_init__
+
+    def counted(self):
+        built.append(None)
+        real(self)
+
+    monkeypatch.setattr(Pose, "__post_init__", counted)
+    res = run(g, init, solver.SolverConfig(max_iters=8, stop_tol=1e-12))
+    assert res.iterations == 8
+    assert len(built) <= g.n
+
+
 def test_zero_measurement_consensus_two_nodes():
     ms = _pair(0, 1, [0.0, 0.0, 0.0], np.eye(3))
     g = build_graph(2, ms)
