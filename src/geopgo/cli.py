@@ -159,7 +159,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_info(args: argparse.Namespace) -> int:
     ds = gio.load_any(args.dataset)
     g = ds.graph
-    degrees = [len(g.neighbors(i)) for i in range(g.n)]
+    degrees = np.diff(g.edge_arrays.offsets)
     report = full_report(g, cycle_basis_limit=args.cycles)
     lam2 = algebraic_connectivity(g)
 

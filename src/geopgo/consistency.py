@@ -18,13 +18,13 @@ with their current rotation estimates.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import so3
-from .graph import (Pose, PoseGraph, RelativeMeasurement, build_graph,
-                    edge_blocks, sequential_sum, spanning_tree)
+from .graph import (MeasurementColumns, PoseGraph, build_graph, edge_blocks,
+                    sequential_sum, spanning_tree)
 
 
 @dataclass
@@ -122,31 +122,50 @@ def check_global(
             path.append(parent[path[-1]])
         return path
 
-    rot_defect = 0.0
-    trans_defect = 0.0
-    checked = 0
+    walks = []
     for u, v in g.undirected_edges():
         if (u, v) in tree_edges:
             continue
-        if cycle_basis_limit is not None and checked >= cycle_basis_limit:
+        if cycle_basis_limit is not None and len(walks) >= cycle_basis_limit:
             break
         up, vp = path_to_root(u), path_to_root(v)
         shared = set(up) & set(vp)
         anc = next(x for x in up if x in shared)
         walk = up[: up.index(anc) + 1] + list(reversed(vp[: vp.index(anc)]))
         walk.append(u)  # close through the non-tree edge (v, u)
-        acc = Pose.identity()
-        for a, b in zip(walk[:-1], walk[1:]):
-            m = g.measurement(a, b)
-            acc = Pose(acc.t + acc.r @ m.t_rel, acc.r @ m.r_rel)
-        rot_defect = max(rot_defect, so3.rotation_angle(acc.r))
-        trans_defect = max(trans_defect, float(np.linalg.norm(acc.t)))
-        checked += 1
+        walks.append(walk)
+
+    # The cycles are composed in lockstep, a block of them per stacked
+    # step. Each walk is right-aligned behind identity steps (row E of
+    # the padded arrays), so each cycle's arithmetic is its own walk's.
+    e = g.edge_arrays
+    pair_keys = e.src * g.n + e.dst  # ascending, as the rows are sorted
+    t_rel = np.concatenate((e.t_rel, np.zeros((1, 3))))[..., None]
+    r_rel = np.concatenate((e.r_rel, np.eye(3)[None]))
+    rot_defect = 0.0
+    trans_defect = 0.0
+    for block in edge_blocks(len(walks)):
+        part = walks[block]
+        length = max(len(w) for w in part) - 1
+        keys = np.full((len(part), length), -1, dtype=np.intp)
+        for c, walk in enumerate(part):
+            keys[c, length - len(walk) + 1:] = [
+                a * g.n + b for a, b in zip(walk[:-1], walk[1:])]
+        rows = np.where(keys < 0, len(e.src), np.searchsorted(pair_keys, keys))
+        acc_t = np.zeros((len(part), 3, 1))
+        acc_r = np.broadcast_to(np.eye(3), (len(part), 3, 3))
+        for step in rows.T:
+            acc_t = acc_t + acc_r @ t_rel[step]
+            acc_r = acc_r @ r_rel[step]
+        acc_t = acc_t[..., 0]
+        rot_defect = max(rot_defect, float(so3.rotation_angle(acc_r).max()))
+        trans_defect = max(trans_defect, float(
+            np.sqrt(so3.dot_rows(acc_t, acc_t)).max()))
     return ConsistencyReport(
         global_checked=True,
         global_max_cycle_rot_defect=rot_defect,
         global_max_cycle_trans_defect=trans_defect,
-        cycles_checked=checked,
+        cycles_checked=len(walks),
     )
 
 
@@ -212,13 +231,7 @@ def enforce_pairwise_rotations(g: PoseGraph) -> PoseGraph:
             raise so3.AngleAtPiError(
                 f"directions of {e.name(sl.start + exc.index[0])} "
                 f"disagree at pi: {exc}", exc.index) from None
-    repaired.flags.writeable = False
-    out = build_graph(g.n, [RelativeMeasurement(m.src, m.dst, m.t_rel, r)
-                            for m, r in zip(g.measurements, repaired)])
-    # Same edges in the same order: the new graph shares g's frozen
-    # arrays, with the new rotations, instead of copying them again.
-    out.__dict__["edge_arrays"] = replace(e, r_rel=repaired)
-    return out
+    return build_graph(g.n, MeasurementColumns(e.src, e.dst, e.t_rel, repaired))
 
 
 def averaged_translation(

@@ -3,17 +3,21 @@
 Vertex ids are dense integers ``0..n-1``. Measurements are directed; the
 graph stores both directions of every edge so each node can run on purely
 local data. A measurement ``(i, j)`` expresses the pose of ``j`` in the
-frame of ``i``. For stacked passes over the edge set, a graph freezes its
-measurements into arrays once (:attr:`PoseGraph.edge_arrays`), which
-cut into the local arrays of a block of contiguous poses
-(:meth:`EdgeArrays.block`).
+frame of ``i``.
+
+Measurements travel as stacked columns (:class:`MeasurementColumns`),
+and :func:`build_graph` validates, pairs, sorts and connectivity-checks
+them as arrays, with no per-edge objects. A graph is its arrays
+(:attr:`PoseGraph.edge_arrays`), which cut into the local arrays of a
+block of contiguous poses (:meth:`EdgeArrays.block`); measurement
+objects, neighbor tuples and edge lists are derived from them on demand.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -77,21 +81,109 @@ def reversed_measurement(m: RelativeMeasurement) -> RelativeMeasurement:
     return RelativeMeasurement(m.dst, m.src, -(m.r_rel.T @ m.t_rel), m.r_rel.T)
 
 
+@dataclass(frozen=True, eq=False)
+class MeasurementColumns(Sequence):
+    """Directed measurements in a given order, as stacked columns.
+
+    ``src``/``dst`` are ``(E,)`` ids, ``t_rel`` ``(E, 3)`` and ``r_rel``
+    ``(E, 3, 3)``. It reads as a sequence of :class:`RelativeMeasurement`,
+    each built on demand from its row; a slice is columns again.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    t_rel: np.ndarray
+    r_rel: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return MeasurementColumns(self.src[k], self.dst[k],
+                                      self.t_rel[k], self.r_rel[k])
+        return RelativeMeasurement(int(self.src[k]), int(self.dst[k]),
+                                   self.t_rel[k].copy(), self.r_rel[k].copy())
+
+    def take(self, rows: np.ndarray) -> "MeasurementColumns":
+        """The rows ``rows``, in that order."""
+        return MeasurementColumns(self.src[rows], self.dst[rows],
+                                  self.t_rel[rows], self.r_rel[rows])
+
+    def inverted(self) -> "MeasurementColumns":
+        """The exact rigid inverse of every row, labeling the opposite
+        direction; row ``k`` equals :func:`reversed_measurement` of row
+        ``k`` bit for bit."""
+        # a view, as m.r_rel.T is: a contiguous copy rounds r.T @ t otherwise
+        r_t = np.swapaxes(self.r_rel, -1, -2)
+        return MeasurementColumns(self.dst, self.src,
+                                  -(r_t @ self.t_rel[..., None])[..., 0],
+                                  r_t.copy())
+
+
+def as_columns(
+    measurements: Sequence[RelativeMeasurement],
+) -> MeasurementColumns:
+    """``measurements`` as :class:`MeasurementColumns`, stacked once
+    unless they already are."""
+    if isinstance(measurements, MeasurementColumns):
+        return measurements
+    ms = list(measurements)
+    return MeasurementColumns(
+        np.array([m.src for m in ms], dtype=np.intp),
+        np.array([m.dst for m in ms], dtype=np.intp),
+        np.array([m.t_rel for m in ms], dtype=float).reshape(-1, 3),
+        np.array([m.r_rel for m in ms], dtype=float).reshape(-1, 3, 3))
+
+
+def _concat(a: MeasurementColumns, b: MeasurementColumns) -> MeasurementColumns:
+    return MeasurementColumns(
+        np.concatenate((a.src, b.src)), np.concatenate((a.dst, b.dst)),
+        np.concatenate((a.t_rel, b.t_rel)), np.concatenate((a.r_rel, b.r_rel)))
+
+
+def _pair_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """One integer per directed pair, ascending in ``(src, dst)`` order;
+    symmetric in its arguments' range, so ``_pair_keys(dst, src)`` keys
+    the reverse directions on the same scale."""
+    if not len(src):
+        return np.zeros(0, dtype=np.intp)
+    lo = min(src.min(), dst.min())
+    span = max(src.max(), dst.max()) - lo + 1
+    return (src - lo) * span + (dst - lo)
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose key appeared in an earlier row."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    out = np.zeros(len(keys), dtype=bool)
+    out[order[1:]] = ordered[1:] == ordered[:-1]
+    return out
+
+
+def _absent(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the ``keys`` that ``sorted_keys`` does not hold."""
+    if not len(sorted_keys):
+        return np.ones(len(keys), dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] != keys
+
+
 def symmetrize(
-    measurements: list[RelativeMeasurement],
-) -> list[RelativeMeasurement]:
+    measurements: Sequence[RelativeMeasurement],
+) -> MeasurementColumns:
     """Add the rigid inverse for every direction that is missing.
 
-    Existing measurements are kept bit-for-bit, so applying this twice
-    gives the same set as applying it once.
+    Existing measurements are kept bit-for-bit and in order; the inverses
+    follow in the order of the rows they invert, one per missing
+    direction. Applying this twice gives the same set as applying it once.
     """
-    present = {(m.src, m.dst) for m in measurements}
-    out = list(measurements)
-    for m in measurements:
-        if (m.dst, m.src) not in present:
-            out.append(reversed_measurement(m))
-            present.add((m.dst, m.src))
-    return out
+    cols = as_columns(measurements)
+    keys = _pair_keys(cols.src, cols.dst)
+    missing = (_absent(_pair_keys(cols.dst, cols.src), np.sort(keys))
+               & ~_repeats(keys))
+    return _concat(cols, cols.take(np.flatnonzero(missing)).inverted())
 
 
 # Edges per stacked pass: bounds the (block, 3, 3) temporaries, and so the
@@ -181,57 +273,73 @@ def _frozen(arrays: EdgeArrays) -> EdgeArrays:
 class PoseGraph:
     """Validated, paired-directed measurement graph over ``n`` vertices.
 
-    ``measurements`` is sorted by ``(src, dst)`` and contains both
-    directions of every edge. ``neighbor_index`` maps each vertex to its
-    ascending neighbor ids. Construct through :func:`build_graph`.
+    The graph is its :class:`EdgeArrays`: both directions of every edge,
+    sorted by ``(src, dst)``. Per-edge objects are derived from them on
+    demand: :attr:`measurements` reads as a sequence of
+    :class:`RelativeMeasurement`, and :meth:`neighbors` (ascending ids),
+    :meth:`measurement`, :meth:`has_edge` and :meth:`undirected_edges`
+    look rows up in the arrays. Construct through :func:`build_graph`.
     """
 
     n: int
-    measurements: tuple[RelativeMeasurement, ...]
-    neighbor_index: dict[int, tuple[int, ...]] = field(repr=False)
-    _by_edge: dict[tuple[int, int], RelativeMeasurement] = field(repr=False)
+    edge_arrays: EdgeArrays = field(repr=False)
+
+    @property
+    def measurements(self) -> MeasurementColumns:
+        """The edges in ``(src, dst)`` order, as read-only columns."""
+        e = self.edge_arrays
+        return MeasurementColumns(e.src, e.dst, e.t_rel, e.r_rel)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.neighbor_index[i]
+        if not 0 <= i < self.n:
+            raise KeyError(i)
+        e = self.edge_arrays
+        return tuple(e.dst[e.offsets[i]:e.offsets[i + 1]].tolist())
+
+    def edge_index(self, src: int, dst: int) -> int:
+        """The row of edge ``(src, dst)`` in :attr:`edge_arrays`.
+
+        Raises:
+            KeyError: the graph has no such edge.
+        """
+        if 0 <= src < self.n:
+            e = self.edge_arrays
+            lo, hi = e.offsets[src], e.offsets[src + 1]
+            k = lo + int(np.searchsorted(e.dst[lo:hi], dst))
+            if k < hi and e.dst[k] == dst:
+                return int(k)
+        raise KeyError((src, dst))
 
     def measurement(self, src: int, dst: int) -> RelativeMeasurement:
-        return self._by_edge[(src, dst)]
+        return self.measurements[self.edge_index(src, dst)]
 
     def has_edge(self, src: int, dst: int) -> bool:
-        return (src, dst) in self._by_edge
+        try:
+            self.edge_index(src, dst)
+        except KeyError:
+            return False
+        return True
 
     @property
     def directed_count(self) -> int:
-        return len(self.measurements)
+        return len(self.edge_arrays.src)
 
     def undirected_edges(self) -> list[tuple[int, int]]:
         """Edge list with ``src < dst``, each undirected edge once."""
-        return [(m.src, m.dst) for m in self.measurements if m.src < m.dst]
-
-    @cached_property
-    def edge_arrays(self) -> EdgeArrays:
-        """The measurements as :class:`EdgeArrays`, built on first use."""
-        ms = self.measurements
-        src = np.array([m.src for m in ms], dtype=np.intp)
-        dst = np.array([m.dst for m in ms], dtype=np.intp)
-        t_rel = np.array([m.t_rel for m in ms], dtype=float).reshape(-1, 3)
-        # sorting by (dst, src) lists the reverse of each (src, dst) row
-        rev = np.lexsort((src, dst))
-        return _frozen(EdgeArrays(
-            ids=np.arange(self.n), src=src, dst=dst,
-            r_rel=np.array([m.r_rel for m in ms], dtype=float).reshape(-1, 3, 3),
-            t_rel=t_rel, t_in=t_rel[rev],
-            offsets=np.concatenate(
-                ([0], np.cumsum(np.bincount(src, minlength=self.n)))),
-            rev=rev))
+        e = self.edge_arrays
+        fwd = e.src < e.dst
+        return list(zip(e.src[fwd].tolist(), e.dst[fwd].tolist()))
 
 
 def build_graph(
     n: int,
-    measurements: list[RelativeMeasurement],
+    measurements: Sequence[RelativeMeasurement],
     symmetrize_missing: bool = False,
 ) -> PoseGraph:
     """Validate measurements and assemble a :class:`PoseGraph`.
+
+    Works on stacked columns: a list of measurements is stacked once, and
+    :class:`MeasurementColumns` are used as given.
 
     Args:
         n: vertex count; ids must lie in ``0..n-1``.
@@ -246,56 +354,74 @@ def build_graph(
         DisconnectedGraphError: vertices unreachable from vertex 0, or a
             graph with no measurements and more than one vertex.
         ValueError: an unpaired direction when synthesis was not requested.
+    Each error names the first offending measurement in input order.
     """
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
-    for m in measurements:
-        if not (0 <= m.src < n) or not (0 <= m.dst < n):
-            raise DanglingVertexError(
-                f"measurement ({m.src}, {m.dst}) references a vertex "
-                f"outside 0..{n - 1}")
-        if m.src == m.dst:
-            raise DanglingVertexError(f"self loop at vertex {m.src}")
-    seen: set[tuple[int, int]] = set()
-    for m in measurements:
-        key = (m.src, m.dst)
-        if key in seen:
-            raise DuplicateEdgeError(f"directed pair {key} appears twice")
-        seen.add(key)
+    cols = as_columns(measurements)
+    src, dst = cols.src, cols.dst
+    bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j = int(src[k]), int(dst[k])
+        if i == j and 0 <= i < n:
+            raise DanglingVertexError(f"self loop at vertex {i}")
+        raise DanglingVertexError(
+            f"measurement ({i}, {j}) references a vertex outside 0..{n - 1}")
+    keys = _pair_keys(src, dst)
+    repeated = _repeats(keys)
+    if repeated.any():
+        k = int(np.argmax(repeated))
+        raise DuplicateEdgeError(
+            f"directed pair {(int(src[k]), int(dst[k]))} appears twice")
     if symmetrize_missing:
-        measurements = symmetrize(measurements)
-        seen = {(m.src, m.dst) for m in measurements}
+        cols = symmetrize(cols)
     else:
-        for src, dst in seen:
-            if (dst, src) not in seen:
-                raise ValueError(
-                    f"measurement ({src}, {dst}) has no reverse companion; "
-                    "pass symmetrize_missing=True to synthesize it")
+        unpaired = _absent(_pair_keys(dst, src), np.sort(keys))
+        if unpaired.any():
+            k = int(np.argmax(unpaired))
+            raise ValueError(
+                f"measurement ({int(src[k])}, {int(dst[k])}) has no reverse "
+                "companion; pass symmetrize_missing=True to synthesize it")
 
-    ordered = tuple(sorted(measurements, key=lambda m: (m.src, m.dst)))
-    nbrs: dict[int, list[int]] = {i: [] for i in range(n)}
-    for m in ordered:
-        nbrs[m.src].append(m.dst)
-    neighbor_index = {i: tuple(sorted(set(v))) for i, v in nbrs.items()}
+    order = np.argsort(_pair_keys(cols.src, cols.dst), kind="stable")
+    src, dst = cols.src[order], cols.dst[order]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    _check_connected(n, src, dst)
+    t_rel = cols.t_rel[order]
+    # listing the edges by (dst, src) lists the reverse of each (src, dst) row
+    rev = np.argsort(_pair_keys(dst, src), kind="stable")
+    return PoseGraph(n=n, edge_arrays=_frozen(EdgeArrays(
+        ids=np.arange(n), src=src, dst=dst, r_rel=cols.r_rel[order],
+        t_rel=t_rel, t_in=t_rel[rev], offsets=offsets, rev=rev)))
 
-    # Connectivity over the undirected support.
-    reached = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in neighbor_index[i]:
-            if j not in reached:
-                reached.add(j)
-                queue.append(j)
-    if len(reached) != n:
-        missing = sorted(set(range(n)) - reached)
+
+def _check_connected(n: int, src: np.ndarray, dst: np.ndarray) -> None:
+    """Check that every vertex reaches vertex 0 over the (paired) edges.
+
+    Each vertex carries the lowest id it is known to reach, as stacked
+    passes over the edge arrays: every round takes the lowest label
+    across each edge, then jumps each label to its own label's label.
+    The labels settle on each component's lowest id within a logarithmic
+    number of rounds on paths and rings, where a breadth-first frontier
+    needs one round per level.
+
+    Raises:
+        DisconnectedGraphError: naming the first few vertices not reached.
+    """
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, src, label[dst])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    if label.any():
+        missing = np.flatnonzero(label)
         raise DisconnectedGraphError(
             f"{len(missing)} vertices unreachable from vertex 0 "
-            f"(first few: {missing[:5]})")
-
-    by_edge = {(m.src, m.dst): m for m in ordered}
-    return PoseGraph(n=n, measurements=ordered,
-                     neighbor_index=neighbor_index, _by_edge=by_edge)
+            f"(first few: {missing[:5].tolist()})")
 
 
 def laplacian(g: PoseGraph) -> np.ndarray:
@@ -325,12 +451,14 @@ def spanning_tree(g: PoseGraph, root: int = 0) -> dict[int, int]:
     """
     if not (0 <= root < g.n):
         raise DanglingVertexError(f"root {root} outside 0..{g.n - 1}")
+    e = g.edge_arrays
+    dst, offsets = e.dst.tolist(), e.offsets.tolist()
     parent: dict[int, int] = {}
     queue = deque([root])
     reached = {root}
     while queue:
         i = queue.popleft()
-        for j in g.neighbors(i):
+        for j in dst[offsets[i]:offsets[i + 1]]:
             if j not in reached:
                 reached.add(j)
                 parent[j] = i

@@ -1,14 +1,18 @@
 """File formats: g2o text graphs, JSON datasets, CSV exports.
 
 Both dataset formats are read through one path. Each format's decoder
-only turns its syntax into vertex rows ``(id, t, q)`` and edge rows
-``(src, dst, t, q)``; one assembly step checks those rows the same way
-for both (unique vertex ids, every edge between declared vertices,
+only turns its syntax into columns: vertex ids, translations and
+quaternions, and edge endpoints, translations and quaternions, one entry
+per row in file order. One assembly step checks those columns the same
+way for both (unique vertex ids, every edge between declared vertices,
 finite numbers, and a JSON ``n`` that matches its vertex list), remaps
 the ids to dense ``0..n-1`` in ascending order and returns a
 :class:`StoredDataset`: the file's contents as stored, directed and
-unpaired. The format is chosen by the suffix, ``.g2o`` or ``.json``, for
-reading and for writing alike.
+unpaired, its measurements as stacked :class:`MeasurementColumns`. The
+checks run on stacked arrays; only when one fails are the rows looked
+at one by one, to name the first bad row (in file order) in the error.
+No per-edge object is built. The format is chosen by the suffix,
+``.g2o`` or ``.json``, for reading and for writing alike.
 
 The g2o dialect handled here is the SE(3) quaternion one: lines of
 
@@ -25,13 +29,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from . import so3
-from .graph import Pose, PoseGraph, RelativeMeasurement, build_graph
+from .graph import (MeasurementColumns, Pose, PoseGraph, RelativeMeasurement,
+                    as_columns, build_graph)
 from .synth import NoiseModel, ScenarioSpec
 
 _IDENTITY_INFO = tuple(
@@ -62,17 +68,17 @@ class InconsistentVertexCountError(ValueError):
 class StoredDataset:
     """A dataset file's contents as stored, over dense ids ``0..n-1``.
 
-    ``measurements`` keep the file's directions and order, unpaired.
-    ``vertices`` are the file's poses in dense-id order, None for a JSON
-    dataset without vertices. ``id_map`` maps the file's vertex ids to
-    dense ids; ``skipped_records`` counts unknown g2o records. The
-    provenance fields are None for g2o.
+    ``measurements`` are stacked columns that keep the file's directions
+    and order, unpaired. ``vertices`` are the file's poses in dense-id
+    order, None for a JSON dataset without vertices. ``id_map`` maps the
+    file's vertex ids to dense ids; ``skipped_records`` counts unknown
+    g2o records. The provenance fields are None for g2o.
     """
 
     format: str
     n: int
     vertices: list[Pose] | None
-    measurements: list[RelativeMeasurement]
+    measurements: MeasurementColumns
     id_map: dict[int, int]
     skipped_records: int = 0
     vertex_kind: str | None = None
@@ -126,10 +132,30 @@ def _checked(name: str, t, q) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _rotations(quats: list, name) -> np.ndarray:
+def _stacked(rows: Sequence, width: int) -> np.ndarray | None:
+    """``rows`` as one ``(len, width)`` array of finite numbers, or None
+    when any row is not ``width`` finite numbers."""
+    if not len(rows):
+        return np.empty((0, width))
+    try:
+        out = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if out.shape != (len(rows), width) or not np.isfinite(out).all():
+        return None
+    return out
+
+
+def _unzip_checked(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_checked` results stacked into ``(len, 3)`` translations
+    and ``(len, 4)`` quaternions."""
+    return (np.array([t for t, _ in rows]).reshape(-1, 3),
+            np.array([q for _, q in rows]).reshape(-1, 4))
+
+
+def _rotations(q: np.ndarray, name) -> np.ndarray:
     """The rotations of checked quaternions in one stacked conversion;
     ``name(k)`` names row ``k`` when it is a zero quaternion."""
-    q = np.array(quats, dtype=float).reshape(-1, 4)
     try:
         return so3.quat_to_matrix(q)
     except ValueError as exc:
@@ -137,57 +163,125 @@ def _rotations(quats: list, name) -> np.ndarray:
         raise ValueError(f"{name(k)}: {exc}") from None
 
 
-def _assemble(fmt: str, vertex_rows: list | None, edge_rows: list,
-              n: int | None = None, **extra) -> StoredDataset:
-    """Check the decoded rows of either format and remap ids densely.
+def _vertex_columns(ids: list, ts: Sequence, qs: Sequence,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Checked translations and quaternions of the vertex rows, in file
+    order. A bad row fails as the first one in file order that has a
+    non-integer id, a doubled id or a malformed ``t``/``q``."""
+    if all(type(vid) is int for vid in ids) and len(set(ids)) == len(ids):
+        t, q = _stacked(ts, 3), _stacked(qs, 4)
+        if t is not None and q is not None:
+            return t, q
+    seen: set[int] = set()
+    rows = []
+    for vid, t, q in zip(ids, ts, qs):
+        if type(vid) is not int:
+            raise ValueError(f"vertex id {vid!r} is not an integer")
+        if vid in seen:
+            raise InconsistentVertexCountError(
+                f"vertex id {vid} declared twice")
+        seen.add(vid)
+        rows.append(_checked(f"vertex {vid}", t, q))
+    return _unzip_checked(rows)
 
-    ``vertex_rows`` None (JSON without vertices) declares ids ``0..n-1``
-    without poses; otherwise a given ``n`` must equal the row count.
+
+def _dense_ids(ext: Sequence, declared: np.ndarray) -> np.ndarray | None:
+    """The dense ids of the file ids ``ext``, given the ascending
+    ``declared`` ids; None unless every one is a declared integer."""
+    try:
+        ids = np.asarray(ext) if len(ext) else np.zeros(0, dtype=np.intp)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if ids.dtype.kind != "i" or ids.ndim != 1 or declared.dtype.kind != "i":
+        return None
+    at = np.searchsorted(declared, ids)
+    if (at == len(declared)).any() or (declared[at] != ids).any():
+        return None
+    return at.astype(np.intp)
+
+
+def _edge_columns(srcs: Sequence, dsts: Sequence, ts: Sequence,
+                  qs: Sequence, id_map: dict) -> MeasurementColumns:
+    """The edge rows as columns over dense ids. A bad row fails as the
+    first one in file order with an undeclared endpoint or a malformed
+    ``t``/``q``; an endpoint is checked first."""
+    declared = np.array(list(id_map))
+    src, dst = _dense_ids(srcs, declared), _dense_ids(dsts, declared)
+    t, q = _stacked(ts, 3), _stacked(qs, 4)
+    if src is None or dst is None or t is None or q is None:
+        ends, rows = [], []
+        for k, (i, j, tk, qk) in enumerate(zip(srcs, dsts, ts, qs)):
+            try:
+                ends.append((id_map[i], id_map[j]))
+            except (KeyError, TypeError):
+                raise InconsistentVertexCountError(
+                    f"measurement {k} ({i}, {j}) references an undeclared "
+                    "vertex") from None
+            rows.append(_checked(f"measurement {k}", tk, qk))
+        src, dst = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+        t, q = _unzip_checked(rows)
+    return MeasurementColumns(src, dst, t,
+                              _rotations(q, lambda k: f"measurement {k}"))
+
+
+def _assemble(fmt: str, vertex_rows: tuple | None, edge_rows: tuple,
+              n: int | None = None, **extra) -> StoredDataset:
+    """Check the decoded columns of either format and remap ids densely.
+
+    ``vertex_rows`` is ``(ids, ts, qs)`` and ``edge_rows`` ``(srcs,
+    dsts, ts, qs)``: one entry per row, in file order. ``vertex_rows``
+    None (JSON without vertices) declares ids ``0..n-1`` without poses;
+    otherwise a given ``n`` must equal the row count. The checks run on
+    the stacked columns; only a failing one looks at single rows, to name
+    the first bad row.
     """
     if n is not None and type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
     if vertex_rows is None:
         ids, poses = range(n), None
     else:
-        by_id: dict[int, tuple] = {}
-        for vid, t, q in vertex_rows:
-            if type(vid) is not int:
-                raise ValueError(f"vertex id {vid!r} is not an integer")
-            if vid in by_id:
-                raise InconsistentVertexCountError(
-                    f"vertex id {vid} declared twice")
-            by_id[vid] = _checked(f"vertex {vid}", t, q)
-        declared = list(by_id)
-        rotations = _rotations([q for _, q in by_id.values()],
-                               lambda k: f"vertex {declared[k]}")
-        by_id = {vid: Pose(t, r)
-                 for (vid, (t, _)), r in zip(by_id.items(), rotations)}
-        if n is not None and n != len(by_id):
+        declared = list(vertex_rows[0])
+        t, q = _vertex_columns(declared, *vertex_rows[1:])
+        r = _rotations(q, lambda k: f"vertex {declared[k]}")
+        if n is not None and n != len(declared):
             raise InconsistentVertexCountError(
-                f"n is {n} but {len(by_id)} vertices are declared")
-        ids = sorted(by_id)
-        poses = [by_id[vid] for vid in ids]
+                f"n is {n} but {len(declared)} vertices are declared")
+        order = sorted(range(len(declared)), key=declared.__getitem__)
+        ids = [declared[k] for k in order]
+        poses = [Pose(t[k], r[k]) for k in order]
     id_map = {ext: i for i, ext in enumerate(ids)}
+    return StoredDataset(fmt, len(id_map), poses,
+                         _edge_columns(*edge_rows, id_map), id_map, **extra)
 
-    edges = []
-    for k, (i, j, t, q) in enumerate(edge_rows):
-        try:
-            src, dst = id_map[i], id_map[j]
-        except (KeyError, TypeError):
-            raise InconsistentVertexCountError(
-                f"measurement {k} ({i}, {j}) references an undeclared "
-                "vertex") from None
-        edges.append((src, dst, *_checked(f"measurement {k}", t, q)))
-    rotations = _rotations([q for *_, q in edges],
-                           lambda k: f"measurement {k}")
-    measurements = [RelativeMeasurement(src, dst, t, r)
-                    for (src, dst, t, _), r in zip(edges, rotations)]
-    return StoredDataset(fmt, len(id_map), poses, measurements, id_map,
-                         **extra)
+
+def _g2o_line_numbers(line_no: int, tokens: list[str]) -> None:
+    """Check one record's ids and numbers, naming the line and token."""
+    n_ids = _G2O_RECORDS[tokens[0]][1]
+    _ints(tokens[1:1 + n_ids], line_no)
+    _floats(tokens[1 + n_ids:], line_no)
+
+
+def _g2o_columns(records: list[list[str]], tag: str,
+                 ) -> tuple[list[list[int]], np.ndarray]:
+    """The ids (one list per id field) and the numbers ``(len, fields)``
+    of the ``tag`` records, converted in bulk.
+
+    Raises:
+        ValueError: a malformed or non-finite number.
+    """
+    _, n_ids, width = _G2O_RECORDS[tag]
+    mine = [tokens for tokens in records if tokens[0] == tag]
+    ids = list(map(int, chain.from_iterable(t[1:1 + n_ids] for t in mine)))
+    vals = np.array(list(map(float, chain.from_iterable(
+        t[1 + n_ids:] for t in mine))), dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError("a non-finite number")
+    return ([ids[c::n_ids] for c in range(n_ids)],
+            vals.reshape(len(mine), width - 1 - n_ids))
 
 
 def _g2o_contents(text: str) -> StoredDataset:
-    rows: dict[str, list] = {"vertex": [], "edge": []}
+    lines = []  # (line number, tokens) of each known record
     skipped = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -196,15 +290,24 @@ def _g2o_contents(text: str) -> StoredDataset:
         if tokens[0] not in _G2O_RECORDS:
             skipped += 1
             continue
-        kind, n_ids, width = _G2O_RECORDS[tokens[0]]
+        kind, _, width = _G2O_RECORDS[tokens[0]]
         if len(tokens) != width:
+            for earlier in lines:  # a bad number above fails first
+                _g2o_line_numbers(*earlier)
             raise ParseError(line_no, tokens[0],
                              f"{kind} needs {width} fields, got {len(tokens)}")
-        ids = _ints(tokens[1:1 + n_ids], line_no)
-        # the 21 information values of an edge are checked, then dropped
-        vals = _floats(tokens[1 + n_ids:], line_no)
-        rows[kind].append((*ids, vals[0:3], vals[3:7]))
-    return _assemble("g2o", rows["vertex"], rows["edge"],
+        lines.append((line_no, tokens))
+    records = [tokens for _, tokens in lines]
+    try:
+        (vids,), v = _g2o_columns(records, "VERTEX_SE3:QUAT")
+        (src, dst), e = _g2o_columns(records, "EDGE_SE3:QUAT")
+    except ValueError:
+        for line in lines:  # name the first bad line and token
+            _g2o_line_numbers(*line)
+        raise
+    # the 21 information values of an edge are checked, then dropped
+    return _assemble("g2o", (vids, v[:, 0:3], v[:, 3:7]),
+                     (src, dst, e[:, 0:3], e[:, 3:7]),
                      skipped_records=skipped)
 
 
@@ -216,16 +319,26 @@ def _fields(obj, name: str, *keys: str) -> list:
         raise ValueError(f"{name} needs the fields {', '.join(keys)}") from None
 
 
+def _json_columns(entries, kind: str, *keys: str) -> tuple[list, ...]:
+    """One list per key of the JSON objects ``entries``; an object that
+    lacks a key is named, as ``f"{kind} {k}"``, by :func:`_fields`."""
+    try:
+        return tuple([e[key] for e in entries] for key in keys)
+    except (KeyError, TypeError):
+        for k, e in enumerate(entries):
+            _fields(e, f"{kind} {k}", *keys)
+        raise
+
+
 def _json_contents(text: str) -> StoredDataset:
     d = json.loads(text)
     n, entries = _fields(d, "the dataset", "n", "measurements")
     try:
-        edges = [_fields(m, f"measurement {k}", "src", "dst", "t", "q")
-                 for k, m in enumerate(entries)]
+        edges = _json_columns(entries, "measurement", "src", "dst", "t", "q")
         vertices = None
         if d.get("vertices") is not None:
-            vertices = [_fields(v, f"vertex entry {k}", "id", "t", "q")
-                        for k, v in enumerate(d["vertices"])]
+            vertices = _json_columns(d["vertices"], "vertex entry",
+                                     "id", "t", "q")
         return _assemble(
             "json", vertices, edges, n,
             vertex_kind=d.get("vertex_kind"), seed=d.get("seed"),
@@ -294,26 +407,35 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
+def _pose_columns(poses: Sequence[Pose]) -> tuple[np.ndarray, np.ndarray]:
+    """The translations ``(n, 3)`` and scalar-last quaternions ``(n, 4)``
+    of ``poses``, converted in one call."""
+    t = np.array([p.t for p in poses], dtype=float).reshape(-1, 3)
+    r = np.array([p.r for p in poses], dtype=float).reshape(-1, 3, 3)
+    return t, so3.matrix_to_quat(r)
+
+
+def _fmt_rows(*columns: np.ndarray) -> list[list[str]]:
+    """Each row of the side-by-side ``columns`` as :func:`_fmt` strings."""
+    return [[_fmt(v) for v in row]
+            for row in np.concatenate(columns, axis=1).tolist()]
+
+
 def g2o_text(
-    poses: Sequence[Pose], measurements: Iterable[RelativeMeasurement],
+    poses: Sequence[Pose], measurements: Sequence[RelativeMeasurement],
 ) -> str:
     """Render poses and a raw measurement list as g2o text.
 
     Measurements are written exactly as given, preserving directedness.
     Information matrices are written as identity.
     """
-    lines = []
-    for i, p in enumerate(poses):
-        q = so3.matrix_to_quat(p.r)
-        lines.append(" ".join(
-            ["VERTEX_SE3:QUAT", str(i)]
-            + [_fmt(v) for v in p.t] + [_fmt(v) for v in q]))
+    lines = [" ".join(["VERTEX_SE3:QUAT", str(i)] + row)
+             for i, row in enumerate(_fmt_rows(*_pose_columns(poses)))]
+    cols = as_columns(measurements)
     info = [_fmt(v) for v in _IDENTITY_INFO]
-    for m in measurements:
-        q = so3.matrix_to_quat(m.r_rel)
-        lines.append(" ".join(
-            ["EDGE_SE3:QUAT", str(m.src), str(m.dst)]
-            + [_fmt(v) for v in m.t_rel] + [_fmt(v) for v in q] + info))
+    for i, j, row in zip(cols.src.tolist(), cols.dst.tolist(), _fmt_rows(
+            cols.t_rel, so3.matrix_to_quat(cols.r_rel))):
+        lines.append(" ".join(["EDGE_SE3:QUAT", str(i), str(j)] + row + info))
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
@@ -322,10 +444,8 @@ def g2o_text(
 def export_trajectory_csv(poses: Sequence[Pose]) -> str:
     """CSV of poses: ``id,tx,ty,tz,qx,qy,qz,qw`` at full double precision."""
     lines = ["id,tx,ty,tz,qx,qy,qz,qw"]
-    for i, p in enumerate(poses):
-        q = so3.matrix_to_quat(p.r)
-        lines.append(",".join(
-            [str(i)] + [_fmt(v) for v in p.t] + [_fmt(v) for v in q]))
+    lines += [",".join([str(i)] + row)
+              for i, row in enumerate(_fmt_rows(*_pose_columns(poses)))]
     return "\n".join(lines) + "\n"
 
 
@@ -334,13 +454,10 @@ def parse_trajectory_csv(text: str) -> list[Pose]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "id,tx,ty,tz,qx,qy,qz,qw":
         raise ValueError("not a trajectory CSV (bad header)")
-    poses = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        vals = [float(x) for x in parts[1:]]
-        poses.append(Pose(np.array(vals[0:3]),
-                          so3.quat_to_matrix(np.array(vals[3:7]))))
-    return poses
+    vals = np.array([[float(x) for x in ln.split(",")[1:8]]
+                     for ln in lines[1:]], dtype=float).reshape(-1, 7)
+    r = so3.quat_to_matrix(vals[:, 3:7])
+    return [Pose(t, rk) for t, rk in zip(vals[:, 0:3], r)]
 
 
 def export_objective_csv(
@@ -375,23 +492,27 @@ class Dataset:
     id_map: dict[int, int] = field(default_factory=dict)
 
 
-def _json_pose(t: np.ndarray, r: np.ndarray) -> dict:
-    return {"t": [float(v) for v in t],
-            "q": [float(v) for v in so3.matrix_to_quat(r)]}
+def _json_poses(t: np.ndarray, q: np.ndarray) -> list[dict]:
+    """The ``{"t": ..., "q": ...}`` entries of stacked poses."""
+    return [{"t": tk, "q": qk} for tk, qk in zip(t.tolist(), q.tolist())]
 
 
 def _json_text(stored: StoredDataset) -> str:
+    cols = stored.measurements
+    vertices = None
+    if stored.vertices is not None:
+        vertices = [{"id": i, **pose} for i, pose in enumerate(
+            _json_poses(*_pose_columns(stored.vertices)))]
     d = {
         "scenario": stored.scenario.to_dict() if stored.scenario else None,
         "seed": stored.seed,
         "noise": stored.noise.to_dict() if stored.noise else None,
         "vertex_kind": stored.vertex_kind,
-        "vertices": None if stored.vertices is None else [
-            {"id": i, **_json_pose(p.t, p.r)}
-            for i, p in enumerate(stored.vertices)],
+        "vertices": vertices,
         "measurements": [
-            {"src": m.src, "dst": m.dst, **_json_pose(m.t_rel, m.r_rel)}
-            for m in stored.measurements],
+            {"src": i, "dst": j, **pose} for i, j, pose in zip(
+                cols.src.tolist(), cols.dst.tolist(),
+                _json_poses(cols.t_rel, so3.matrix_to_quat(cols.r_rel)))],
         "n": stored.n,
     }
     return json.dumps(d, indent=1) + "\n"
@@ -414,7 +535,7 @@ def save_dataset(path: str | Path, ds: Dataset) -> None:
     ``path``'s suffix; g2o keeps the poses and edges and drops the
     provenance. An unknown suffix raises before anything is written."""
     write_dataset(path, StoredDataset(
-        _format(path), ds.graph.n, ds.vertices, list(ds.graph.measurements),
+        _format(path), ds.graph.n, ds.vertices, ds.graph.measurements,
         ds.id_map, vertex_kind=ds.vertex_kind, scenario=ds.scenario,
         noise=ds.noise, seed=ds.seed))
 

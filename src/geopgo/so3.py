@@ -5,11 +5,12 @@ tangent vectors live in R^3 and are mapped to skew-symmetric matrices by
 :func:`hat`. Quaternions are scalar-last ``(qx, qy, qz, qw)``.
 
 The maps (:func:`hat`, :func:`exp_map`, :func:`log_map`,
-:func:`rotation_angle`, :func:`renormalize`, :func:`quat_to_matrix`)
-also take stacks ``(..., 3)``, ``(..., 4)`` or ``(..., 3, 3)``, so one
-call covers every edge of a graph. There is one implementation of each: a single matrix is a stack
-of one, and each row of a stacked result equals the single call bit for
-bit (see :func:`dot_rows` for the one reduction that needs care).
+:func:`rotation_angle`, :func:`renormalize`, :func:`quat_to_matrix`,
+:func:`matrix_to_quat`) also take stacks ``(..., 3)``, ``(..., 4)`` or
+``(..., 3, 3)``, so one call covers every edge of a graph. There is one
+implementation of each: a single matrix is a stack of one, and each row
+of a stacked result equals the single call bit for bit (see
+:func:`dot_rows` for the one reduction that needs care).
 """
 
 from __future__ import annotations
@@ -223,43 +224,51 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_quat(r: np.ndarray) -> np.ndarray:
-    """Convert a rotation matrix to a scalar-last quaternion with qw >= 0.
+    """Convert a rotation matrix ``(3, 3)``, or a stack ``(..., 3, 3)``,
+    to a scalar-last quaternion ``(4,)`` (or ``(..., 4)``) with qw >= 0.
 
     Shepperd's method: branch on the largest of the four squared
-    components so the division is always well conditioned.
+    components so the division is always well conditioned. Each row picks
+    its branch by a mask and keeps that branch's exact arithmetic, and the
+    norm is ``sqrt`` of :func:`dot_rows`, so each row of a stack equals
+    the single call bit for bit.
     """
     r = np.asarray(r, dtype=float)
-    t = np.trace(r)
-    candidates = [t, r[0, 0], r[1, 1], r[2, 2]]
-    case = int(np.argmax(candidates))
-    if case == 0:
-        w = 0.5 * np.sqrt(1.0 + t)
-        f = 0.25 / w
-        x = f * (r[2, 1] - r[1, 2])
-        y = f * (r[0, 2] - r[2, 0])
-        z = f * (r[1, 0] - r[0, 1])
-    elif case == 1:
-        x = 0.5 * np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2])
-        f = 0.25 / x
-        w = f * (r[2, 1] - r[1, 2])
-        y = f * (r[0, 1] + r[1, 0])
-        z = f * (r[0, 2] + r[2, 0])
-    elif case == 2:
-        y = 0.5 * np.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2])
-        f = 0.25 / y
-        w = f * (r[0, 2] - r[2, 0])
-        x = f * (r[0, 1] + r[1, 0])
-        z = f * (r[1, 2] + r[2, 1])
-    else:
-        z = 0.5 * np.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2])
-        f = 0.25 / z
-        w = f * (r[1, 0] - r[0, 1])
-        x = f * (r[0, 2] + r[2, 0])
-        y = f * (r[1, 2] + r[2, 1])
-    q = np.array([x, y, z, w])
-    if q[3] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
+    m = r.reshape(-1, 3, 3)
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    case = np.argmax(np.stack(
+        [trace, m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]], axis=-1), axis=-1)
+    q = np.empty((len(m), 4))
+    # columns x, y, z, w; each branch is its scalar form's arithmetic
+    k = case == 0
+    a, w = m[k], 0.5 * np.sqrt(1.0 + trace[k])
+    f = 0.25 / w
+    q[k] = np.stack([f * (a[:, 2, 1] - a[:, 1, 2]), f * (a[:, 0, 2] - a[:, 2, 0]),
+                     f * (a[:, 1, 0] - a[:, 0, 1]), w], axis=-1)
+    k = case == 1
+    a = m[k]
+    x = 0.5 * np.sqrt(1.0 + a[:, 0, 0] - a[:, 1, 1] - a[:, 2, 2])
+    f = 0.25 / x
+    q[k] = np.stack([x, f * (a[:, 0, 1] + a[:, 1, 0]),
+                     f * (a[:, 0, 2] + a[:, 2, 0]),
+                     f * (a[:, 2, 1] - a[:, 1, 2])], axis=-1)
+    k = case == 2
+    a = m[k]
+    y = 0.5 * np.sqrt(1.0 - a[:, 0, 0] + a[:, 1, 1] - a[:, 2, 2])
+    f = 0.25 / y
+    q[k] = np.stack([f * (a[:, 0, 1] + a[:, 1, 0]), y,
+                     f * (a[:, 1, 2] + a[:, 2, 1]),
+                     f * (a[:, 0, 2] - a[:, 2, 0])], axis=-1)
+    k = case == 3
+    a = m[k]
+    z = 0.5 * np.sqrt(1.0 - a[:, 0, 0] - a[:, 1, 1] + a[:, 2, 2])
+    f = 0.25 / z
+    q[k] = np.stack([f * (a[:, 0, 2] + a[:, 2, 0]),
+                     f * (a[:, 1, 2] + a[:, 2, 1]), z,
+                     f * (a[:, 1, 0] - a[:, 0, 1])], axis=-1)
+    q = np.where(q[:, 3:] < 0.0, -q, q)
+    q /= np.sqrt(dot_rows(q, q))[:, None]
+    return q.reshape(r.shape[:-2] + (4,))
 
 
 def random_rotation(rng: int | np.random.Generator | None = None) -> np.ndarray:

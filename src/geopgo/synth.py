@@ -336,14 +336,15 @@ def spanning_tree_init(g: PoseGraph, root: int = 0) -> list[Pose]:
     children: dict[int, list[int]] = {i: [] for i in range(g.n)}
     for child, par in parent.items():
         children[par].append(child)
+    e = g.edge_arrays
     poses: list[Pose | None] = [None] * g.n
     poses[root] = Pose.identity()
     queue = [root]
     while queue:
         i = queue.pop(0)
         for j in sorted(children[i]):
-            m = g.measurement(i, j)
-            poses[j] = compose(poses[i], Pose(m.t_rel, m.r_rel))
+            k = g.edge_index(i, j)
+            poses[j] = compose(poses[i], Pose(e.t_rel[k], e.r_rel[k]))
             queue.append(j)
     return poses  # type: ignore[return-value]
 

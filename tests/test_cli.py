@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from geopgo import cli
+from geopgo import cli, consistency
 from geopgo import io as gio
+from geopgo.graph import RelativeMeasurement
 
 G2O_ONE_WAY = """\
 VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1
@@ -268,3 +270,46 @@ def test_measured_half_turn_names_its_edge(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "edge (0, 1)" in err
+
+
+def _solve_argv(ds, tmp_path, mode):
+    argv = ["solve", "--dataset", str(ds), "--init", "gps", "--seed", "3",
+            "--mode", mode, "--out-dir", str(tmp_path / "run"),
+            "--max-iters", "4", "--stop-tol", "1e-9"]
+    if mode == "distributed":
+        argv += ["--message-log", str(tmp_path / "run" / "messages.jsonl")]
+    return argv
+
+
+@pytest.mark.parametrize("mode", ["reference", "distributed"])
+def test_solve_builds_no_measurement_objects(tmp_path, monkeypatch, mode):
+    # load, check, reconcile and solve all run on stacked edge arrays
+    ds = _generate(tmp_path)
+    built = []
+    post_init = RelativeMeasurement.__post_init__
+
+    def counted(self):
+        built.append((self.src, self.dst))
+        post_init(self)
+
+    monkeypatch.setattr(RelativeMeasurement, "__post_init__", counted)
+    assert cli.main(_solve_argv(ds, tmp_path, mode)) == 0
+    assert built == []
+    RelativeMeasurement(0, 1, np.zeros(3), np.eye(3))  # the counter counts
+    assert built == [(0, 1)]
+
+
+@pytest.mark.parametrize("mode", ["reference", "distributed"])
+def test_solve_builds_one_graph_per_module(tmp_path, monkeypatch, mode):
+    # the loader builds the graph and the reconciliation rebuilds it from
+    # the same columns with the repaired rotations; nothing else does
+    ds = _generate(tmp_path)
+    calls = []
+    for module in (gio, consistency):
+        def counted(*args, _build=module.build_graph, _name=module.__name__,
+                    **kwargs):
+            calls.append(_name)
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(module, "build_graph", counted)
+    assert cli.main(_solve_argv(ds, tmp_path, mode)) == 0
+    assert sorted(calls) == ["geopgo.consistency", "geopgo.io"]

@@ -62,3 +62,20 @@ def test_traced_solve_calls_every_wrapped_layer(bench, monkeypatch, tmp_path,
     if mode == "distributed":
         # the workers and the caller; the barrier action runs in a worker
         assert tracer.peak_threads <= runtime.AGENTS + 1
+
+
+@pytest.mark.parametrize("workload", ["sphere50-ref", "sphere50-dist"])
+def test_bench_output_checks_pass_on_a_small_graph(bench, tmp_path, workload):
+    # Every benchmark solve is checked through the program's own loader,
+    # reconciliation, CSV parser, objective, gauge alignment and pose
+    # errors (Bench._check); a change to any of them that breaks a check
+    # fails every solve of the benchmark.
+    wl = bench.smoke_workload(bench.WORKLOADS[workload])
+    manifest = bench.make_inputs(wl, 5, tmp_path / "inputs")
+    b = bench.Bench(bench.Program(), wl, manifest, tmp_path)
+    b.warm_up()
+    b.solve(0)
+    b.solve(0, traced=True)
+    assert [r.traced for r in b.records] == [False, True]
+    assert [(r.ok, r.reason) for r in b.records] == [(True, "")] * 2
+    assert all(r.iterations == wl.iters for r in b.records)

@@ -444,3 +444,73 @@ def test_stacked_quat_to_matrix_rejects_a_zero_row():
     q = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="zero quaternion"):
         so3.quat_to_matrix(q)
+
+
+def _shepperd(r):
+    # the single-matrix form: one scalar branch per call
+    t = np.trace(r)
+    case = int(np.argmax([t, r[0, 0], r[1, 1], r[2, 2]]))
+    if case == 0:
+        w = 0.5 * np.sqrt(1.0 + t)
+        f = 0.25 / w
+        x, y, z = (f * (r[2, 1] - r[1, 2]), f * (r[0, 2] - r[2, 0]),
+                   f * (r[1, 0] - r[0, 1]))
+    elif case == 1:
+        x = 0.5 * np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2])
+        f = 0.25 / x
+        w, y, z = (f * (r[2, 1] - r[1, 2]), f * (r[0, 1] + r[1, 0]),
+                   f * (r[0, 2] + r[2, 0]))
+    elif case == 2:
+        y = 0.5 * np.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2])
+        f = 0.25 / y
+        w, x, z = (f * (r[0, 2] - r[2, 0]), f * (r[0, 1] + r[1, 0]),
+                   f * (r[1, 2] + r[2, 1]))
+    else:
+        z = 0.5 * np.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2])
+        f = 0.25 / z
+        w, x, y = (f * (r[1, 0] - r[0, 1]), f * (r[0, 2] + r[2, 0]),
+                   f * (r[1, 2] + r[2, 1]))
+    q = np.array([x, y, z, w])
+    if q[3] < 0.0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
+def _branch(r):
+    return int(np.argmax([np.trace(r), r[0, 0], r[1, 1], r[2, 2]]))
+
+
+_HALF_TURN = st.floats(np.pi - 1e-6, np.pi)
+
+
+def _assert_quats_equal_single_calls(rs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        qs = so3.matrix_to_quat(rs)
+        assert qs.shape == (len(rs), 4)
+        for k in range(len(rs)):
+            assert np.array_equal(qs[k], so3.matrix_to_quat(rs[k]))
+            assert np.array_equal(qs[k], _shepperd(rs[k]))
+        assert np.array_equal(so3.matrix_to_quat(rs[None]), qs[None])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stacked_matrix_to_quat_equals_single_calls(data):
+    # every angle kind, plus half turns about random axes, whose rows
+    # take the x, y or z branch by their largest axis component
+    v = np.concatenate([data.draw(_tangents(a))
+                        for a in (*ANGLES.values(), _HALF_TURN)])
+    order = data.draw(st.permutations(range(len(v))))
+    _assert_quats_equal_single_calls(so3.exp_map(v[list(order)]))
+
+
+def test_matrix_to_quat_covers_every_branch():
+    half_turns = [np.diag(d) for d in ([1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
+                                       [-1.0, -1.0, 1.0])]
+    near = [so3.exp_map((np.pi - 1e-9) * np.eye(3)[k]) for k in range(3)]
+    tied = so3.exp_map(np.array([1.0, 1.0, 0.0]) * (np.pi - 1e-3) / np.sqrt(2.0))
+    rs = np.stack([np.eye(3), so3.exp_map([0.3, -0.2, 0.1])]
+                  + half_turns + near + [tied])
+    assert {_branch(r) for r in rs} == {0, 1, 2, 3}
+    _assert_quats_equal_single_calls(rs)
