@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,6 +209,37 @@ def sequential_sum(rows: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate([start, rows]))[-1]
 
 
+class NodeSumPlan(NamedTuple):
+    """How the per-node sums walk a CSR edge layout (see
+    ``solver._node_sums``).
+
+    ``order`` lists the nodes by descending degree, ties by ascending
+    index. ``rows[p]`` holds, for each edge position ``p``, the CSR rows
+    ``offsets[i] + p`` of the nodes ``i`` whose degree is greater than
+    ``p``, in that order; those nodes are a prefix of ``order``.
+    """
+
+    order: np.ndarray
+    rows: tuple[np.ndarray, ...]
+
+
+def _node_sum_plan(offsets: np.ndarray) -> NodeSumPlan:
+    """The :class:`NodeSumPlan` of the CSR layout ``offsets``."""
+    deg = np.diff(offsets)
+    order = np.argsort(-deg, kind="stable")
+    first, ranked = offsets[order], deg[order]
+    # ranked descends, so the nodes of degree > p are its first
+    # count_nonzero(ranked > p)
+    return NodeSumPlan(order, tuple(
+        first[:np.count_nonzero(ranked > p)] + p
+        for p in range(ranked[0] if len(ranked) else 0)))
+
+
+def _transposed_stack(r: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of the transpose of each matrix of ``r``."""
+    return np.ascontiguousarray(np.swapaxes(r, -1, -2))
+
+
 @dataclass(frozen=True)
 class EdgeArrays:
     """The outgoing edges of a contiguous run of poses, as read-only
@@ -223,6 +255,13 @@ class EdgeArrays:
     ascending ``dst`` id. Over the whole graph the pose rows are the ids
     and ``rev[k]`` is the row of edge ``k``'s reverse direction; a
     block has no ``rev``.
+
+    Two derived fields serve the solver's kernel pass, and both are made
+    once, when the arrays are frozen: ``r_rel_t`` is ``r_rel`` with each
+    matrix transposed, C-contiguous, because a stacked ``@`` with a
+    transposed right operand takes a slow BLAS path; a block's is a view
+    of the whole graph's (built when it is not given). ``plan`` is the
+    :class:`NodeSumPlan` of ``offsets``.
     """
 
     ids: np.ndarray
@@ -233,6 +272,16 @@ class EdgeArrays:
     t_in: np.ndarray
     offsets: np.ndarray
     rev: np.ndarray | None = None
+    r_rel_t: np.ndarray | None = None
+    plan: NodeSumPlan = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.r_rel_t is None:
+            object.__setattr__(self, "r_rel_t", _transposed_stack(self.r_rel))
+        object.__setattr__(self, "plan", _node_sum_plan(self.offsets))
+        for a in (*vars(self).values(), self.plan.order, *self.plan.rows):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -244,7 +293,7 @@ class EdgeArrays:
 
     def block(self, lo: int, hi: int) -> "EdgeArrays":
         """The outgoing edges of poses ``lo..hi-1`` of the whole graph,
-        indexed locally."""
+        indexed locally; the measurement stacks are views of this one's."""
         rows = slice(self.offsets[lo], self.offsets[hi])
         dst = self.dst[rows]
         read = np.zeros(self.size, dtype=bool)
@@ -254,19 +303,13 @@ class EdgeArrays:
         local = np.empty(self.size, dtype=np.intp)
         local[lo:hi] = np.arange(hi - lo)
         local[halo] = np.arange(hi - lo, hi - lo + len(halo))
-        return _frozen(EdgeArrays(
+        return EdgeArrays(
             ids=np.concatenate((np.arange(lo, hi), halo)),
             src=self.src[rows] - lo, dst=local[dst],
             r_rel=self.r_rel[rows], t_rel=self.t_rel[rows],
             t_in=self.t_in[rows],
-            offsets=self.offsets[lo:hi + 1] - self.offsets[lo]))
-
-
-def _frozen(arrays: EdgeArrays) -> EdgeArrays:
-    for a in vars(arrays).values():
-        if a is not None:
-            a.flags.writeable = False
-    return arrays
+            offsets=self.offsets[lo:hi + 1] - self.offsets[lo],
+            r_rel_t=self.r_rel_t[rows])
 
 
 @dataclass(frozen=True)
@@ -391,9 +434,9 @@ def build_graph(
     t_rel = cols.t_rel[order]
     # listing the edges by (dst, src) lists the reverse of each (src, dst) row
     rev = np.argsort(_pair_keys(dst, src), kind="stable")
-    return PoseGraph(n=n, edge_arrays=_frozen(EdgeArrays(
+    return PoseGraph(n=n, edge_arrays=EdgeArrays(
         ids=np.arange(n), src=src, dst=dst, r_rel=cols.r_rel[order],
-        t_rel=t_rel, t_in=t_rel[rev], offsets=offsets, rev=rev)))
+        t_rel=t_rel, t_in=t_rel[rev], offsets=offsets, rev=rev))
 
 
 def _check_connected(n: int, src: np.ndarray, dst: np.ndarray) -> None:

@@ -128,7 +128,7 @@ def _checked(name: str, t, q) -> tuple[np.ndarray, np.ndarray]:
                 or not all(map(math.isfinite, t.tolist() + q.tolist()))):
             raise ValueError("needs 3 finite numbers in t and 4 in q")
         return t, q
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 

@@ -52,12 +52,13 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Entries (row, col) of a skew matrix that hold v[0..2], then -v[0..2].
 _HAT_ROWS = np.array([2, 0, 1, 1, 2, 0])
 _HAT_COLS = np.array([1, 2, 0, 2, 0, 1])
+_HAT_FLAT = 3 * _HAT_ROWS + _HAT_COLS  # the same entries of a flat (9,) row
 
 
 def _skew_part(r: np.ndarray) -> np.ndarray:
     """``vee(r - r.T)`` of each matrix, without the skew check."""
-    return (r[..., _HAT_ROWS[:3], _HAT_COLS[:3]]
-            - r[..., _HAT_ROWS[3:], _HAT_COLS[3:]])
+    e = r.reshape(r.shape[:-2] + (9,)).take(_HAT_FLAT, -1)
+    return e[..., :3] - e[..., 3:]
 
 
 def hat(v: np.ndarray) -> np.ndarray:

@@ -19,7 +19,12 @@ and each node sums its edges in ascending order. Only
 operations that give the same bits per row whatever the stack size are
 used: stacked ``@``, elementwise ufuncs, :func:`so3.dot_rows` for dot
 products and :func:`graph.sequential_sum` for totals; no ``einsum`` or
-``reduceat``.
+``reduceat``. The pass keeps its memory traffic low without changing
+that arithmetic: both operands of every stacked ``@`` are C-contiguous
+(the poses are transposed once per pass, the measurements once per
+graph), pose rows are gathered with ``take``, and the node sums walk
+the graph's :class:`~geopgo.graph.NodeSumPlan`, one edge position of
+every node at a time.
 
 One kernel pass per state gives both the velocity pairs and the
 per-edge objective rows (:func:`node_controls` with ``rows``), so a
@@ -38,8 +43,8 @@ import numpy as np
 
 from . import so3
 from .consistency import averaged_translation
-from .graph import (EdgeArrays, Pose, PoseGraph, compose, edge_blocks, inverse,
-                    max_degree, sequential_sum)
+from .graph import (EdgeArrays, NodeSumPlan, Pose, PoseGraph, compose,
+                    edge_blocks, inverse, max_degree, sequential_sum)
 
 TRANSLATION_MODES = ("per_step_averaged", "online_averaged", "raw")
 
@@ -161,32 +166,30 @@ def _residual_logs(resid: np.ndarray, block: EdgeArrays, start: int) -> np.ndarr
         resid, lambda k: f"rotation residual on {block.name(k)}", start)
 
 
-def _node_sums(w, d, m, offsets) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity pairs of the nodes whose edges are CSR rows
-    ``offsets[i]:offsets[i + 1]``.
+def _node_sums(w, d, m, plan: NodeSumPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity pairs of the nodes whose edges are the CSR rows that
+    ``plan`` walks (see :class:`~geopgo.graph.NodeSumPlan`).
 
     Each node adds its edges' terms in row order starting from zero, as
     ``(nu + d) - m`` and ``omega + w``: the association of a per-edge
     loop, so the result does not depend on how many nodes are summed at
-    once. Nodes of equal degree are summed together; their terms are
-    laid out along one axis, ``m`` negated (``x - m`` and ``x + (-m)``
-    are the same IEEE operation), and added up by ``np.add.accumulate``,
-    which is sequential.
+    once. The sums run position by position: step ``p`` adds the
+    ``p``-th edge term of every node that has one, and those nodes are
+    the first ones of the plan's descending-degree order, so each step
+    updates a prefix of the accumulators in place. The sums are then
+    put back in node order.
     """
-    deg = np.diff(offsets)
-    nu = np.zeros((len(deg), 3))
-    omega = np.zeros((len(deg), 3))
-    for k in np.flatnonzero(np.bincount(deg)[1:]) + 1:  # degrees in use
-        nodes = np.flatnonzero(deg == k)
-        rows = offsets[nodes, None] + np.arange(k)
-        steps = np.zeros((len(nodes), 2 * k + 1, 3))
-        steps[:, 1::2] = d[rows]
-        steps[:, 2::2] = -m[rows]
-        nu[nodes] = np.add.accumulate(steps, axis=1, out=steps)[:, -1]
-        turns = np.zeros((len(nodes), k + 1, 3))
-        turns[:, 1:] = w[rows]
-        omega[nodes] = np.add.accumulate(turns, axis=1, out=turns)[:, -1]
-    return nu, omega
+    order, steps = plan
+    nu = np.zeros((len(order), 3))
+    omega = np.zeros((len(order), 3))
+    for rows in steps:
+        k = len(rows)
+        nu[:k] += d.take(rows, 0)
+        nu[:k] -= m.take(rows, 0)
+        omega[:k] += w.take(rows, 0)
+    out_nu, out_omega = np.empty_like(nu), np.empty_like(omega)
+    out_nu[order], out_omega[order] = nu, omega
+    return out_nu, out_omega
 
 
 def _block_terms(r, t, block: EdgeArrays, mode=None):
@@ -202,16 +205,22 @@ def _block_terms(r, t, block: EdgeArrays, mode=None):
     without a mode.
 
     Every product is a stacked ``@``, which equals the per-edge product
-    bit for bit, so any slice of the edges gives the same rows.
+    bit for bit, so any slice of the edges gives the same rows. Both
+    operands of each product are C-contiguous: the pass transposes the
+    poses once into one stack and reads the transposed measurements of
+    ``block.r_rel_t``, and every pose row is gathered with ``take``.
     """
+    rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
     for sl in edge_blocks(len(block.src)):
-        ri, rj = r[block.src[sl]], r[block.dst[sl]]
-        rrel = np.swapaxes(ri, -1, -2) @ rj
-        resid = rrel @ np.swapaxes(block.r_rel[sl], -1, -2)
+        src, dst = block.src[sl], block.dst[sl]
+        rj = r.take(dst, 0)
+        rrel = rt.take(src, 0) @ rj
+        resid = rrel @ block.r_rel_t[sl]
         if mode is None:
             yield sl, (rrel, resid, None, None, None)
             continue
-        d = t[block.dst[sl]] - t[block.src[sl]]
+        ri = r.take(src, 0)
+        d = t.take(dst, 0) - t.take(src, 0)
         t_rel, t_in = block.t_rel[sl], block.t_in[sl]
         raw = _mv(ri, t_rel)
         if mode == "raw":
@@ -260,7 +269,7 @@ def node_controls(
             rows[1, sl] = so3.dot_rows(w[sl], w[sl])
             c = (rrel - block.r_rel[sl]).reshape(-1, 9)
             rows[2, sl] = np.sum(c * c, axis=-1)
-    return _node_sums(w, d, m, block.offsets)
+    return _node_sums(w, d, m, block.plan)
 
 
 def all_controls(
@@ -315,8 +324,7 @@ def evaluate_objective(estimates: Sequence[Pose] | PoseStack, g: PoseGraph,
     if rows is None:
         rows = np.empty((3, g.directed_count))
         node_controls(*as_stack(estimates), g.edge_arrays, "raw", rows)
-    trans_total, rot_total, chord_total = (
-        float(sequential_sum(x)) for x in rows)
+    trans_total, rot_total, chord_total = sequential_sum(rows.T).tolist()
     return ObjectiveValue(
         geodesic=trans_total + rot_total,
         chordal=trans_total + chord_total,
@@ -344,7 +352,7 @@ def desired_offsets(estimates: Sequence[Pose], g: PoseGraph) -> np.ndarray:
     # the rotation sum of _node_sums adds each node's rows from zero in
     # ascending neighbor order, as the per-node loop ``delta[i] += ...``
     zero = np.zeros_like(raw)
-    return _node_sums(raw, zero, zero, b.offsets)[1]
+    return _node_sums(raw, zero, zero, b.plan)[1]
 
 
 def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> bool:
@@ -465,16 +473,27 @@ def solve(
     ``config.stop_tol`` between consecutive iterations, or immediately
     when the initial controls are exactly zero (a fixed point). Hitting
     ``max_iters`` is reported through ``converged=False``, not an error.
+
+    Raises:
+        so3.AngleAtPiError: an edge's rotation residual left the log
+            chart; the message starts with ``iteration k:``, ``k`` being
+            the state whose pass failed (0 is the initial state), and
+            names the edge.
     """
     if config is None:
         config = SolverConfig()
     driver = Driver(g, config)
-    stop = driver.start(init)
-    state = SolverState(driver.state, driver.initial_controls)
-    while not stop:
-        nu, omega = state.controls
-        state = step(state, g, config)
-        stop = driver.record(state.stack, nu, omega, state.rows)
+    k = 0  # the state of the latest kernel pass
+    try:
+        stop = driver.start(init)
+        state = SolverState(driver.state, driver.initial_controls)
+        while not stop:
+            k += 1
+            nu, omega = state.controls
+            state = step(state, g, config)
+            stop = driver.record(state.stack, nu, omega, state.rows)
+    except so3.AngleAtPiError as exc:
+        raise so3.AngleAtPiError(f"iteration {k}: {exc}", exc.index) from None
     return driver.result(state.controls)
 
 

@@ -191,6 +191,26 @@ def test_bad_json_dataset_fails_at_the_loader(tmp_path, capsys, corrupt,
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("command", ["solve", "info", "convert"])
+def test_number_too_large_for_a_float_names_its_row(tmp_path, capsys,
+                                                    command):
+    ds = _generate(tmp_path)
+    d = json.loads(ds.read_text())
+    d["measurements"][4]["t"] = [2 ** 1100, 0, 0]
+    ds.write_text(json.dumps(d))
+    argv = {"solve": ["solve", "--dataset", str(ds), "--init", "gps",
+                      "--out-dir", str(tmp_path / "run")],
+            "info": ["info", "--dataset", str(ds)],
+            "convert": ["convert", "--in", str(ds),
+                        "--out", str(tmp_path / "x.g2o")]}[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: measurement 4: ")
+
+
 def test_convert_round_trip(tmp_path):
     ds = _generate(tmp_path)
     g2o = tmp_path / "ds.g2o"

@@ -157,6 +157,35 @@ def test_node_controls_names_the_edge_at_pi():
     _block_controls(est, g, 0, 1, "per_step_averaged")
 
 
+def test_solve_names_the_iteration_at_pi():
+    g, est = _graph_with_residual_at_pi()
+    with pytest.raises(so3.AngleAtPiError,
+                       match=r"^iteration 0: .*edge \(1, 2\)") as info:
+        solver.solve(g, est)
+    assert info.value.index == (g.edge_index(1, 2),)
+
+
+def test_solve_names_a_later_iteration(monkeypatch):
+    # the pass of state 3 fails: below one edge block a pass makes one
+    # _residual_logs call, and state k's pass is the (k + 1)-th
+    g, est = _instance("sphere", 12, 7)
+    real = solver._residual_logs
+    calls = []
+
+    def failing(resid, block, start):
+        calls.append(None)
+        if len(calls) == 4:
+            raise so3.AngleAtPiError("edge (0, 1): at pi", (5,))
+        return real(resid, block, start)
+
+    monkeypatch.setattr(solver, "_residual_logs", failing)
+    with pytest.raises(so3.AngleAtPiError,
+                       match=r"^iteration 3: edge \(0, 1\)") as info:
+        solver.solve(g, est, solver.SolverConfig(max_iters=10,
+                                                 stop_tol=1e-12))
+    assert info.value.index == (5,)
+
+
 def test_worker_names_its_node_and_round_at_pi():
     g, est = _graph_with_residual_at_pi()
     # one worker per node, seeded with zero controls so that round 0
@@ -237,3 +266,114 @@ def test_fused_objective_rows_equal_evaluate_objective(mode):
     for state, obj in zip(res.trajectory, res.objective_history):
         assert obj == solver.evaluate_objective(state, g)
         assert obj == _loop_objective(state, g)
+
+
+def _accumulated_node_sums(w, d, m, offsets):
+    # the per-degree np.add.accumulate form of solver._node_sums that the
+    # node-sum plan replaced: each degree's nodes as padded (nodes, 2k+1, 3)
+    # term arrays, m negated, summed from zero along the terms
+    deg = np.diff(offsets)
+    nu = np.zeros((len(deg), 3))
+    omega = np.zeros((len(deg), 3))
+    for k in np.flatnonzero(np.bincount(deg)[1:]) + 1:  # degrees in use
+        nodes = np.flatnonzero(deg == k)
+        rows = offsets[nodes, None] + np.arange(k)
+        steps = np.zeros((len(nodes), 2 * k + 1, 3))
+        steps[:, 1::2] = d[rows]
+        steps[:, 2::2] = -m[rows]
+        nu[nodes] = np.add.accumulate(steps, axis=1, out=steps)[:, -1]
+        turns = np.zeros((len(nodes), k + 1, 3))
+        turns[:, 1:] = w[rows]
+        omega[nodes] = np.add.accumulate(turns, axis=1, out=turns)[:, -1]
+    return nu, omega
+
+
+def _edge_terms(rng, count):
+    # w, d, m over `count` edges: normal values, +0.0 and -0.0 entries,
+    # and rows where m repeats d or w's next row negates it, so that
+    # sums cancel to a zero
+    w, d, m = rng.normal(size=(3, count, 3))
+    for x in (w, d, m):
+        pick = rng.random(x.shape)
+        x[pick < 0.15] = 0.0
+        x[(pick >= 0.15) & (pick < 0.3)] = -0.0
+    same = rng.random(count) < 0.2
+    m[same] = d[same]
+    flip = np.flatnonzero(rng.random(max(count - 1, 0)) < 0.2)
+    w[flip + 1] = -w[flip]
+    return w, d, m
+
+
+def _assert_node_sums_equal_the_accumulate_form(rng, offsets, plan):
+    w, d, m = _edge_terms(rng, int(offsets[-1]))
+    got = solver._node_sums(w, d, m, plan)
+    want = _accumulated_node_sums(w, d, m, offsets)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_node_sum_plan_equals_the_accumulate_form():
+    rng = np.random.default_rng(41)
+    ring, _ = _instance("circle", 12, 3)
+    assert set(np.diff(ring.edge_arrays.offsets)) == {2}
+    # every block of a graph with irregular degrees
+    g, _ = _instance("sphere", 40, 3)
+    assert len(set(np.diff(g.edge_arrays.offsets))) > 2
+    arrays = [build_graph(1, []).edge_arrays, ring.edge_arrays] + [
+        g.edge_arrays.block(lo, min(lo + size, g.n))
+        for size in range(1, g.n + 1) for lo in range(0, g.n, size)]
+    layouts = [(e.offsets, e.plan) for e in arrays]
+    for _ in range(100):
+        deg = rng.integers(0, 16, size=int(rng.integers(1, 40)))
+        offsets = np.concatenate(([0], np.cumsum(deg)))
+        layouts.append((offsets, graph._node_sum_plan(offsets)))
+    for offsets, plan in layouts:
+        _assert_node_sums_equal_the_accumulate_form(rng, offsets, plan)
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3],
+                         ids=["reference", "k1", "k2", "k3"])
+def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
+    # over building the graph and a 10-iteration solve: one plan per
+    # EdgeArrays (the graph's, then each worker's block), and one
+    # transposed stack, the graph's, of which each block holds a view
+    g0, est = _instance("sphere", 50, 11)
+    built = {"plan": 0, "transposed": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            built[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(graph, "_node_sum_plan",
+                        counted("plan", graph._node_sum_plan))
+    monkeypatch.setattr(graph, "_transposed_stack",
+                        counted("transposed", graph._transposed_stack))
+    blocks = []
+    real_workers = runtime.block_workers
+
+    def recorded(*args, **kw):
+        out = real_workers(*args, **kw)
+        blocks.extend(w.block for w in out)
+        return out
+
+    monkeypatch.setattr(runtime, "block_workers", recorded)
+    g = build_graph(g0.n, g0.measurements)
+    cfg = solver.SolverConfig(max_iters=10, stop_tol=1e-12)
+    if workers is None:
+        res = solver.solve(g, est, cfg)
+    else:
+        monkeypatch.setattr(runtime, "AGENTS", workers)
+        res = runtime.run_distributed(g, est, cfg)
+    assert res.iterations == 10
+    assert len(blocks) == (workers or 0)
+    assert built == {"plan": 1 + len(blocks), "transposed": 1}
+    whole = g.edge_arrays.r_rel_t
+    assert whole.flags.c_contiguous and not whole.flags.writeable
+    assert np.array_equal(whole, np.swapaxes(g.edge_arrays.r_rel, -1, -2))
+    for b in blocks:
+        assert np.shares_memory(b.r_rel_t, whole)
+        assert not b.r_rel_t.flags.writeable
+        assert np.array_equal(b.r_rel_t, np.swapaxes(b.r_rel, -1, -2))

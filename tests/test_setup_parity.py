@@ -39,6 +39,18 @@ def _oracle_rotations(quats, name):
         raise ValueError(f"{name(k)}: {exc}") from None
 
 
+def _oracle_checked(name, t, q):
+    try:
+        t = np.array(t, dtype=float)
+        q = np.array(q, dtype=float)
+        if (t.shape != (3,) or q.shape != (4,)
+                or not all(map(math.isfinite, t.tolist() + q.tolist()))):
+            raise ValueError("needs 3 finite numbers in t and 4 in q")
+        return t, q
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _oracle_assemble(vertex_rows, edge_rows, n=None):
     """Per-row assembly: (n, poses, measurements, id_map)."""
     if n is not None and type(n) is not int:
@@ -53,7 +65,7 @@ def _oracle_assemble(vertex_rows, edge_rows, n=None):
             if vid in by_id:
                 raise gio.InconsistentVertexCountError(
                     f"vertex id {vid} declared twice")
-            by_id[vid] = gio._checked(f"vertex {vid}", t, q)
+            by_id[vid] = _oracle_checked(f"vertex {vid}", t, q)
         declared = list(by_id)
         rotations = _oracle_rotations([q for _, q in by_id.values()],
                                       lambda k: f"vertex {declared[k]}")
@@ -73,7 +85,7 @@ def _oracle_assemble(vertex_rows, edge_rows, n=None):
             raise gio.InconsistentVertexCountError(
                 f"measurement {k} ({i}, {j}) references an undeclared "
                 "vertex") from None
-        edges.append((src, dst, *gio._checked(f"measurement {k}", t, q)))
+        edges.append((src, dst, *_oracle_checked(f"measurement {k}", t, q)))
     rotations = _oracle_rotations([q for *_, q in edges],
                                   lambda k: f"measurement {k}")
     measurements = [RelativeMeasurement(src, dst, t, r)
@@ -160,14 +172,19 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
     dst = np.array([m.dst for m in ordered], dtype=np.intp)
     t_rel = np.array([m.t_rel for m in ordered], dtype=float).reshape(-1, 3)
     rev = np.lexsort((src, dst))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    deg = [len(nbrs[i]) for i in range(n)]
+    order = sorted(range(n), key=lambda i: -deg[i])
     return {
         "ids": np.arange(n), "src": src, "dst": dst,
         "r_rel": np.array([m.r_rel for m in ordered],
                           dtype=float).reshape(-1, 3, 3),
-        "t_rel": t_rel, "t_in": t_rel[rev],
-        "offsets": np.concatenate(
-            ([0], np.cumsum(np.bincount(src, minlength=n)))),
-        "rev": rev,
+        "t_rel": t_rel, "t_in": t_rel[rev], "offsets": offsets, "rev": rev,
+        "r_rel_t": np.array([m.r_rel.T for m in ordered],
+                            dtype=float).reshape(-1, 3, 3),
+        "plan": (np.array(order, dtype=np.intp),
+                 [np.array([offsets[i] + p for i in order if deg[i] > p],
+                           dtype=np.intp) for p in range(max(deg))]),
     }
 
 
@@ -219,6 +236,11 @@ def _assert_decoded_equal(stored, oracle):
 def _assert_graph_equal(g, oracle):
     arrays = vars(g.edge_arrays)
     assert set(arrays) == set(oracle)
+    order, rows = oracle.pop("plan")
+    _assert_bitwise(arrays["plan"].order, order)
+    assert len(arrays["plan"].rows) == len(rows)
+    for got, want in zip(arrays["plan"].rows, rows):
+        _assert_bitwise(got, want)
     for name, value in oracle.items():
         _assert_bitwise(arrays[name], value)
 
