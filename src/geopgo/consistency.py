@@ -18,13 +18,16 @@ with their current rotation estimates.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import so3
-from .graph import (MeasurementColumns, PoseGraph, build_graph, edge_blocks,
-                    sequential_sum, spanning_tree)
+from . import graph, so3
+from .graph import PoseGraph, edge_blocks, sequential_sum, spanning_tree
+
+# No longer called here, since enforce_pairwise_rotations derives its
+# arrays; the name stays because perfbench/run.py's tracer wraps it.
+build_graph = graph.build_graph
 
 
 @dataclass
@@ -231,7 +234,9 @@ def enforce_pairwise_rotations(g: PoseGraph) -> PoseGraph:
             raise so3.AngleAtPiError(
                 f"directions of {e.name(sl.start + exc.index[0])} "
                 f"disagree at pi: {exc}", exc.index) from None
-    return build_graph(g.n, MeasurementColumns(e.src, e.dst, e.t_rel, repaired))
+    # only r_rel changes: the rows stay valid, sorted and paired, so the
+    # arrays are derived, not rebuilt (r_rel_t and the plan are made anew)
+    return replace(g, edge_arrays=replace(e, r_rel=repaired, r_rel_t=None))
 
 
 def averaged_translation(

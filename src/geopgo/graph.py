@@ -210,29 +210,45 @@ def sequential_sum(rows: np.ndarray) -> np.ndarray:
 
 
 class NodeSumPlan(NamedTuple):
-    """How the per-node sums walk a CSR edge layout (see
-    ``solver._node_sums``).
+    """Where the per-node sums read their terms, for one CSR edge layout
+    (see ``solver._node_sums``).
 
-    ``order`` lists the nodes by descending degree, ties by ascending
-    index. ``rows[p]`` holds, for each edge position ``p``, the CSR rows
-    ``offsets[i] + p`` of the nodes ``i`` whose degree is greater than
-    ``p``, in that order; those nodes are a prefix of ``order``.
+    The terms are a flat ``(3E + 3, 3)`` stack: rows ``3k``, ``3k + 1``
+    and ``3k + 2`` hold edge row ``k``'s translation terms ``d`` and
+    ``-m`` and its rotation term ``w``, and the last three rows are
+    zero. ``order`` lists the nodes by descending degree, ties by
+    ascending index. It is cut into consecutive chunks of at most
+    ``EDGE_BLOCK`` padded slots each (one node at least), a chunk's
+    width ``W`` being the degree of its first node. For each chunk,
+    ``nu`` holds a ``(2W, nodes)`` index whose column for node ``i``
+    lists the rows of ``d`` and ``-m`` of its edges ``offsets[i] + p``,
+    ``p`` ascending, and ``omega`` a ``(W, nodes)`` index of the rows
+    of ``w``; past the node's degree both point to a zero row.
     """
 
     order: np.ndarray
-    rows: tuple[np.ndarray, ...]
+    nu: tuple[np.ndarray, ...]
+    omega: tuple[np.ndarray, ...]
 
 
 def _node_sum_plan(offsets: np.ndarray) -> NodeSumPlan:
     """The :class:`NodeSumPlan` of the CSR layout ``offsets``."""
     deg = np.diff(offsets)
     order = np.argsort(-deg, kind="stable")
-    first, ranked = offsets[order], deg[order]
-    # ranked descends, so the nodes of degree > p are its first
-    # count_nonzero(ranked > p)
-    return NodeSumPlan(order, tuple(
-        first[:np.count_nonzero(ranked > p)] + p
-        for p in range(ranked[0] if len(ranked) else 0)))
+    pad = 3 * int(offsets[-1])  # the first of the three zero rows
+    nu, omega = [], []
+    lo = 0
+    while lo < len(order):
+        width = int(deg[order[lo]])  # the chunk's largest degree
+        hi = min(len(order), lo + max(1, EDGE_BLOCK // max(width, 1)))
+        nodes = order[lo:hi]
+        p = np.arange(width)[:, None]
+        d_rows = np.where(p < deg[nodes], 3 * (offsets[nodes] + p), pad)
+        pairs = np.stack((d_rows, d_rows + 1), axis=1)  # d, then -m
+        nu.append(pairs.reshape(2 * width, len(nodes)))
+        omega.append(d_rows + 2)
+        lo = hi
+    return NodeSumPlan(order, tuple(nu), tuple(omega))
 
 
 def _transposed_stack(r: np.ndarray) -> np.ndarray:
@@ -261,7 +277,9 @@ class EdgeArrays:
     matrix transposed, C-contiguous, because a stacked ``@`` with a
     transposed right operand takes a slow BLAS path; a block's is a view
     of the whole graph's (built when it is not given). ``plan`` is the
-    :class:`NodeSumPlan` of ``offsets``.
+    :class:`NodeSumPlan` of ``offsets``, whose padded chunks each read at
+    most ``EDGE_BLOCK`` term slots, so the node sums' temporaries are
+    bounded as the kernel's are.
     """
 
     ids: np.ndarray
@@ -279,7 +297,8 @@ class EdgeArrays:
         if self.r_rel_t is None:
             object.__setattr__(self, "r_rel_t", _transposed_stack(self.r_rel))
         object.__setattr__(self, "plan", _node_sum_plan(self.offsets))
-        for a in (*vars(self).values(), self.plan.order, *self.plan.rows):
+        plan = self.plan
+        for a in (*vars(self).values(), plan.order, *plan.nu, *plan.omega):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 

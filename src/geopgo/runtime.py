@@ -189,11 +189,18 @@ class NodeWorker:
             self.nu, self.omega = node_controls(
                 self.r, self.t, b, self.config.translation_mode, self.rows)
         except so3.AngleAtPiError as exc:
-            k = exc.index[0]
-            raise so3.AngleAtPiError(
-                f"node {b.ids[b.src[k]]}, round {round_no}: neighbor "
-                f"{b.ids[b.dst[k]]}: {exc}", exc.index) from None
+            raise _at_node(exc, b, f"round {round_no}") from None
         return nu, omega
+
+
+def _at_node(exc: so3.AngleAtPiError, block: EdgeArrays,
+             when: str) -> so3.AngleAtPiError:
+    """``exc``, raised on ``block``'s edge row ``exc.index[0]``, renamed
+    from the node that owns the edge: ``node i, <when>: neighbor j:``."""
+    k = exc.index[0]
+    return so3.AngleAtPiError(
+        f"node {block.ids[block.src[k]]}, {when}: neighbor "
+        f"{block.ids[block.dst[k]]}: {exc}", exc.index)
 
 
 def block_workers(
@@ -249,6 +256,9 @@ def run_distributed(
 
     Raises:
         StepSizeUnstableError: ``dt * max_degree >= 2``.
+        so3.AngleAtPiError: an edge's rotation residual left the log
+            chart; the message names the node, the round (or the
+            initial state) and the neighbor, then the edge.
         DeadlockError: a worker waited past ``deadlock_timeout`` for a
             neighboring worker or at the barrier. The first error any
             worker hits is raised as soon as it is recorded.
@@ -256,7 +266,11 @@ def run_distributed(
     if config is None:
         config = SolverConfig()
     driver = Driver(g, config, objective=evaluate_objective)
-    if driver.start(init):
+    try:
+        fixed_point = driver.start(init)
+    except so3.AngleAtPiError as exc:
+        raise _at_node(exc, g.edge_arrays, "initial state") from None
+    if fixed_point:
         if message_log_path is not None:
             _MessageLog([]).dump(message_log_path)  # no round ran
         return driver.result(driver.initial_controls)

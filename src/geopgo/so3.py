@@ -52,13 +52,24 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Entries (row, col) of a skew matrix that hold v[0..2], then -v[0..2].
 _HAT_ROWS = np.array([2, 0, 1, 1, 2, 0])
 _HAT_COLS = np.array([1, 2, 0, 2, 0, 1])
-_HAT_FLAT = 3 * _HAT_ROWS + _HAT_COLS  # the same entries of a flat (9,) row
+# The same entries of a flat (9,) row: vee(r - r.T) is r[_VEE_PLUS] -
+# r[_VEE_MINUS].
+_VEE_PLUS = 3 * _HAT_ROWS[:3] + _HAT_COLS[:3]
+_VEE_MINUS = 3 * _HAT_ROWS[3:] + _HAT_COLS[3:]
 
 
-def _skew_part(r: np.ndarray) -> np.ndarray:
-    """``vee(r - r.T)`` of each matrix, without the skew check."""
-    e = r.reshape(r.shape[:-2] + (9,)).take(_HAT_FLAT, -1)
-    return e[..., :3] - e[..., 3:]
+def _skew_part(f: np.ndarray) -> np.ndarray:
+    """``vee(r - r.T)`` of each row of a flat ``(N, 9)`` stack of
+    matrices, without the skew check: two column gathers and one
+    subtract."""
+    return f[:, _VEE_PLUS] - f[:, _VEE_MINUS]
+
+
+def _trace(f: np.ndarray) -> np.ndarray:
+    """Trace of each row of a flat ``(N, 9)`` stack of matrices, added as
+    ``((0 + r00) + r11) + r22``: the order of ``np.trace``, so its bits,
+    signed zeros included."""
+    return ((0.0 + f[:, 0]) + f[:, 4]) + f[:, 8]
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -120,14 +131,17 @@ def rotation_angle(r: np.ndarray) -> float | np.ndarray:
     """
     r = np.asarray(r, dtype=float)
     theta, _ = _angle(r)
-    return float(theta) if r.ndim == 2 else theta
+    return float(theta[0]) if r.ndim == 2 else theta.reshape(r.shape[:-2])
 
 
 def _angle(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rotation_angle` of each matrix, and its ``vee(r - r.T)``."""
-    skew = _skew_part(r)
+    """:func:`rotation_angle` of each matrix of ``r`` ``(..., 3, 3)``, and
+    its ``vee(r - r.T)``, as ``(N,)`` and ``(N, 3)`` over the flattened
+    stack; both read columns of its flat ``(N, 9)`` view."""
+    f = r.reshape(-1, 9)
+    skew = _skew_part(f)
     s = 0.5 * skew
-    c = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
+    c = (_trace(f) - 1.0) / 2.0
     return np.arctan2(np.sqrt(dot_rows(s, s)), c), skew
 
 
@@ -148,8 +162,7 @@ def log_map(r: np.ndarray) -> np.ndarray:
             locates the first such matrix in a stack.
     """
     r = np.asarray(r, dtype=float)
-    flat = r.reshape(-1, 3, 3)
-    theta, skew = _angle(flat)
+    theta, skew = _angle(r)
     at_pi = theta >= np.pi - _PI_GUARD
     if at_pi.any():
         k = int(np.argmax(at_pi))
@@ -300,9 +313,15 @@ def project_to_rotation(m: np.ndarray) -> np.ndarray:
 
 
 def orthonormality_drift(r: np.ndarray) -> float | np.ndarray:
-    """Frobenius distance of ``r.T @ r`` from the identity, per matrix."""
+    """Frobenius distance of ``r.T @ r`` from the identity, per matrix.
+
+    The left operand is a contiguous copy of the transposes: numpy
+    multiplies a transposed view by its own buffer on a slower BLAS path
+    (a symmetric rank-k update) that gives the same bits.
+    """
     r = np.asarray(r, dtype=float)
-    e = (np.swapaxes(r, -1, -2) @ r - np.eye(3)).reshape(r.shape[:-2] + (9,))
+    rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
+    e = (rt @ r - np.eye(3)).reshape(r.shape[:-2] + (9,))
     drift = np.sqrt(dot_rows(e, e))
     return float(drift) if r.ndim == 2 else drift
 

@@ -19,12 +19,18 @@ and each node sums its edges in ascending order. Only
 operations that give the same bits per row whatever the stack size are
 used: stacked ``@``, elementwise ufuncs, :func:`so3.dot_rows` for dot
 products and :func:`graph.sequential_sum` for totals; no ``einsum`` or
-``reduceat``. The pass keeps its memory traffic low without changing
-that arithmetic: both operands of every stacked ``@`` are C-contiguous
-(the poses are transposed once per pass, the measurements once per
-graph), pose rows are gathered with ``take``, and the node sums walk
-the graph's :class:`~geopgo.graph.NodeSumPlan`, one edge position of
-every node at a time.
+``reduceat``. Where numpy's own reduction is cheaper to spell out, the
+pass spells out numpy's order: a chordal row of 9 squares is added as
+``((q0+q1)+(q2+q3))+((q4+q5)+(q6+q7))+q8`` (:func:`_sum_squares9`), as
+``np.sum`` adds it, and ``so3`` adds a trace as ``((0 + r00) + r11) +
+r22``, as ``np.trace`` does. The pass keeps its memory traffic low
+without changing that arithmetic: both operands of every stacked ``@``
+are C-contiguous (the poses are transposed once per pass, the
+measurements once per graph), pose rows are gathered with ``take``, and
+the node sums read the graph's :class:`~geopgo.graph.NodeSumPlan`: one
+padded, position-major gather per family and chunk of nodes, summed
+left to right from ``+0.0`` by one ``np.add.reduce`` along the position
+axis (:func:`_node_sums`).
 
 One kernel pass per state gives both the velocity pairs and the
 per-edge objective rows (:func:`node_controls` with ``rows``), so a
@@ -166,30 +172,46 @@ def _residual_logs(resid: np.ndarray, block: EdgeArrays, start: int) -> np.ndarr
         resid, lambda k: f"rotation residual on {block.name(k)}", start)
 
 
-def _node_sums(w, d, m, plan: NodeSumPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity pairs of the nodes whose edges are the CSR rows that
-    ``plan`` walks (see :class:`~geopgo.graph.NodeSumPlan`).
+def _node_sums(terms: np.ndarray, plan: NodeSumPlan
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity pairs of the nodes whose edges are the CSR rows of
+    ``plan``'s layout, from their per-edge ``terms``, a ``(E + 1, 3,
+    3)`` stack whose row ``k`` is ``(d, -m, w)`` of edge row ``k`` and
+    whose last row is zero (see :class:`~geopgo.graph.NodeSumPlan`).
 
     Each node adds its edges' terms in row order starting from zero, as
-    ``(nu + d) - m`` and ``omega + w``: the association of a per-edge
-    loop, so the result does not depend on how many nodes are summed at
-    once. The sums run position by position: step ``p`` adds the
-    ``p``-th edge term of every node that has one, and those nodes are
-    the first ones of the plan's descending-degree order, so each step
-    updates a prefix of the accumulators in place. The sums are then
-    put back in node order.
+    ``(nu + d) + (-m)`` and ``omega + w``: the association of a per-edge
+    loop (``x - m`` is the same IEEE operation as ``x + (-m)``), so the
+    result does not depend on how many nodes are summed at once. For
+    each chunk of the plan, one ``take`` per family gathers the terms
+    position-major, padded with zero rows, and one ``np.add.reduce``
+    from ``+0.0`` along the position axis adds them left to right. An
+    accumulator that starts at ``+0.0`` never becomes ``-0.0``, so the
+    padding adds nothing. The sums are then put back in node order.
     """
-    order, steps = plan
-    nu = np.zeros((len(order), 3))
-    omega = np.zeros((len(order), 3))
-    for rows in steps:
-        k = len(rows)
-        nu[:k] += d.take(rows, 0)
-        nu[:k] -= m.take(rows, 0)
-        omega[:k] += w.take(rows, 0)
+    flat = terms.reshape(-1, 3)
+    nu = np.empty((len(plan.order), 3))
+    omega = np.empty((len(plan.order), 3))
+    lo = 0
+    for nu_rows, omega_rows in zip(plan.nu, plan.omega):
+        hi = lo + nu_rows.shape[1]
+        np.add.reduce(flat.take(nu_rows, 0), 0, initial=0.0, out=nu[lo:hi])
+        np.add.reduce(flat.take(omega_rows, 0), 0, initial=0.0,
+                      out=omega[lo:hi])
+        lo = hi
     out_nu, out_omega = np.empty_like(nu), np.empty_like(omega)
-    out_nu[order], out_omega[order] = nu, omega
+    out_nu[plan.order], out_omega[plan.order] = nu, omega
     return out_nu, out_omega
+
+
+def _sum_squares9(c: np.ndarray) -> np.ndarray:
+    """``np.sum(c * c, axis=-1)`` of ``c`` ``(N, 9)``, bit for bit, from
+    elementwise adds in numpy's pairwise order for 9 values,
+    ``((q0+q1)+(q2+q3))+((q4+q5)+(q6+q7))+q8``. (numpy adds that to
+    +0.0, which changes no sum of squares: none is -0.0.)"""
+    q = c * c
+    return (((q[:, 0] + q[:, 1]) + (q[:, 2] + q[:, 3]))
+            + ((q[:, 4] + q[:, 5]) + (q[:, 6] + q[:, 7]))) + q[:, 8]
 
 
 def _block_terms(r, t, block: EdgeArrays, mode=None):
@@ -259,17 +281,21 @@ def node_controls(
             chart; the message names the edge ``(i, j)`` by global ids
             and the index is the edge's row in the block.
     """
-    w, d, m = (np.empty((len(block.src), 3)) for _ in range(3))
-    for sl, (rrel, resid, d[sl], m[sl], raw) in _block_terms(
+    terms = np.empty((len(block.src) + 1, 3, 3))  # see _node_sums
+    terms[-1] = 0.0
+    for sl, (rrel, resid, d, m, raw) in _block_terms(
             r, t, block, translation_mode):
-        w[sl] = _residual_logs(resid, block, sl.start)
+        w = _residual_logs(resid, block, sl.start)
+        terms[sl, 0] = d
+        np.negative(m, out=terms[sl, 1])
+        terms[sl, 2] = w
         if rows is not None:
-            err = d[sl] - raw
+            err = d - raw
             rows[0, sl] = so3.dot_rows(err, err)
-            rows[1, sl] = so3.dot_rows(w[sl], w[sl])
-            c = (rrel - block.r_rel[sl]).reshape(-1, 9)
-            rows[2, sl] = np.sum(c * c, axis=-1)
-    return _node_sums(w, d, m, block.plan)
+            rows[1, sl] = so3.dot_rows(w, w)
+            rows[2, sl] = _sum_squares9(
+                (rrel - block.r_rel[sl]).reshape(-1, 9))
+    return _node_sums(terms, block.plan)
 
 
 def all_controls(
@@ -346,13 +372,12 @@ def desired_offsets(estimates: Sequence[Pose], g: PoseGraph) -> np.ndarray:
     translation velocity in stacked form.
     """
     b = g.edge_arrays
-    raw = np.empty((len(b.src), 3))
-    for sl, (*_, rt) in _block_terms(*as_stack(estimates), b, "raw"):
-        raw[sl] = rt
+    terms = np.zeros((len(b.src) + 1, 3, 3))
+    for sl, (*_, raw) in _block_terms(*as_stack(estimates), b, "raw"):
+        terms[sl, 2] = raw
     # the rotation sum of _node_sums adds each node's rows from zero in
     # ascending neighbor order, as the per-node loop ``delta[i] += ...``
-    zero = np.zeros_like(raw)
-    return _node_sums(raw, zero, zero, b.plan)[1]
+    return _node_sums(terms, b.plan)[1]
 
 
 def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> bool:
@@ -365,9 +390,14 @@ def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> 
 
 
 def max_control_norm(nu: np.ndarray, omega: np.ndarray) -> float:
-    """Largest per-node velocity norm across both control families."""
-    return float(max(np.linalg.norm(nu, axis=1).max(initial=0.0),
-                     np.linalg.norm(omega, axis=1).max(initial=0.0)))
+    """Largest per-node velocity norm across both control families.
+
+    Each norm is ``sqrt(add.reduce(x * x, axis=1))``, what
+    ``np.linalg.norm(x, axis=1)`` computes, without its Python wrapper.
+    """
+    nu_norms = np.sqrt(np.add.reduce(nu * nu, 1))
+    omega_norms = np.sqrt(np.add.reduce(omega * omega, 1))
+    return float(max(nu_norms.max(initial=0.0), omega_norms.max(initial=0.0)))
 
 
 def step(state: SolverState, g: PoseGraph, config: SolverConfig) -> SolverState:

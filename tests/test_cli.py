@@ -320,9 +320,9 @@ def test_solve_builds_no_measurement_objects(tmp_path, monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["reference", "distributed"])
-def test_solve_builds_one_graph_per_module(tmp_path, monkeypatch, mode):
-    # the loader builds the graph and the reconciliation rebuilds it from
-    # the same columns with the repaired rotations; nothing else does
+def test_solve_builds_the_graph_once(tmp_path, monkeypatch, mode):
+    # the loader builds the graph; the reconciliation derives its arrays
+    # with the repaired rotations and builds none, and nothing else does
     ds = _generate(tmp_path)
     calls = []
     for module in (gio, consistency):
@@ -332,4 +332,4 @@ def test_solve_builds_one_graph_per_module(tmp_path, monkeypatch, mode):
             return _build(*args, **kwargs)
         monkeypatch.setattr(module, "build_graph", counted)
     assert cli.main(_solve_argv(ds, tmp_path, mode)) == 0
-    assert sorted(calls) == ["geopgo.consistency", "geopgo.io"]
+    assert calls == ["geopgo.io"]

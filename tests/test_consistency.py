@@ -162,10 +162,13 @@ def test_enforce_pairwise_rotations():
 
 
 def _same(a, b):
-    # arrays, or tuples of them (EdgeArrays.plan)
+    # arrays, or tuples of arrays and tuples (EdgeArrays.plan: the order,
+    # then a tuple of indices per family)
     if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(_same, a, b))
-    return np.array_equal(a, b)
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(map(_same, a, b)))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_enforced_graph_arrays_equal_a_fresh_freeze():

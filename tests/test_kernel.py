@@ -199,6 +199,17 @@ def test_worker_names_its_node_and_round_at_pi():
         workers[2].compute_round(0)
 
 
+def test_distributed_names_the_node_at_pi_in_the_initial_state():
+    # the initial pass runs before any worker; its error still names the
+    # node and the neighbor, as a worker's round does
+    g, est = _graph_with_residual_at_pi()
+    with pytest.raises(so3.AngleAtPiError,
+                       match=r"^node 1, initial state: neighbor 2: "
+                             r"rotation residual on edge \(1, 2\): ") as info:
+        runtime.run_distributed(g, est)
+    assert info.value.index == (g.edge_index(1, 2),)
+
+
 def test_log_map_calls_do_not_grow_with_the_edge_count(monkeypatch):
     # The kernel calls log_map once per block of edges, not once per
     # edge: two graphs below one block make the same number of calls.
@@ -306,14 +317,16 @@ def _edge_terms(rng, count):
 
 def _assert_node_sums_equal_the_accumulate_form(rng, offsets, plan):
     w, d, m = _edge_terms(rng, int(offsets[-1]))
-    got = solver._node_sums(w, d, m, plan)
+    terms = np.zeros((len(w) + 1, 3, 3))
+    terms[:-1, 0], terms[:-1, 1], terms[:-1, 2] = d, -m, w
+    got = solver._node_sums(terms, plan)
     want = _accumulated_node_sums(w, d, m, offsets)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def test_node_sum_plan_equals_the_accumulate_form():
+def test_node_sum_plan_equals_the_accumulate_form(monkeypatch):
     rng = np.random.default_rng(41)
     ring, _ = _instance("circle", 12, 3)
     assert set(np.diff(ring.edge_arrays.offsets)) == {2}
@@ -328,6 +341,19 @@ def test_node_sum_plan_equals_the_accumulate_form():
         deg = rng.integers(0, 16, size=int(rng.integers(1, 40)))
         offsets = np.concatenate(([0], np.cumsum(deg)))
         layouts.append((offsets, graph._node_sum_plan(offsets)))
+    # plans cut into chunks of one node each, or of a few nodes; a chunk
+    # of more than one node pads to at most EDGE_BLOCK slots
+    for bound in (1, 7, 30):
+        monkeypatch.setattr(graph, "EDGE_BLOCK", bound)
+        for offsets, _ in layouts[:40]:
+            plan = graph._node_sum_plan(offsets)
+            nodes = [rows.shape[1] for rows in plan.omega]
+            assert sum(nodes) == len(offsets) - 1
+            for nu_rows, omega_rows in zip(plan.nu, plan.omega):
+                width, count = omega_rows.shape
+                assert nu_rows.shape == (2 * width, count)
+                assert omega_rows.shape[1] == 1 or omega_rows.size <= bound
+            layouts.append((offsets, plan))
     for offsets, plan in layouts:
         _assert_node_sums_equal_the_accumulate_form(rng, offsets, plan)
 

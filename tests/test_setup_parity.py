@@ -15,6 +15,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from geopgo import graph
 from geopgo import io as gio
 from geopgo import so3
 from geopgo.graph import (
@@ -175,6 +176,21 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
     offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
     deg = [len(nbrs[i]) for i in range(n)]
     order = sorted(range(n), key=lambda i: -deg[i])
+    # the node-sum plan: chunks of the order, each padded to its first
+    # node's degree, every term row past a node's degree the zero row
+    pad = 3 * len(ordered)
+    nu, omega, lo = [], [], 0
+    while lo < n:
+        width = deg[order[lo]]
+        nodes = order[lo:lo + max(1, graph.EDGE_BLOCK // max(width, 1))]
+        rows = [[3 * (offsets[i] + p) if p < deg[i] else pad for i in nodes]
+                for p in range(width)]
+        nu.append(np.array([[r + f for r in row] for row in rows
+                            for f in (0, 1)],
+                           dtype=np.intp).reshape(2 * width, len(nodes)))
+        omega.append(np.array([[r + 2 for r in row] for row in rows],
+                              dtype=np.intp).reshape(width, len(nodes)))
+        lo += len(nodes)
     return {
         "ids": np.arange(n), "src": src, "dst": dst,
         "r_rel": np.array([m.r_rel for m in ordered],
@@ -182,9 +198,7 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
         "t_rel": t_rel, "t_in": t_rel[rev], "offsets": offsets, "rev": rev,
         "r_rel_t": np.array([m.r_rel.T for m in ordered],
                             dtype=float).reshape(-1, 3, 3),
-        "plan": (np.array(order, dtype=np.intp),
-                 [np.array([offsets[i] + p for i in order if deg[i] > p],
-                           dtype=np.intp) for p in range(max(deg))]),
+        "plan": (np.array(order, dtype=np.intp), nu, omega),
     }
 
 
@@ -236,11 +250,12 @@ def _assert_decoded_equal(stored, oracle):
 def _assert_graph_equal(g, oracle):
     arrays = vars(g.edge_arrays)
     assert set(arrays) == set(oracle)
-    order, rows = oracle.pop("plan")
+    order, nu, omega = oracle.pop("plan")
     _assert_bitwise(arrays["plan"].order, order)
-    assert len(arrays["plan"].rows) == len(rows)
-    for got, want in zip(arrays["plan"].rows, rows):
-        _assert_bitwise(got, want)
+    for got, want in ((arrays["plan"].nu, nu), (arrays["plan"].omega, omega)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_bitwise(a, b)
     for name, value in oracle.items():
         _assert_bitwise(arrays[name], value)
 
