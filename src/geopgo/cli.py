@@ -95,6 +95,9 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.message_log is not None and args.mode != "distributed":
+        raise CliError("--message-log is written only in distributed mode "
+                       "(--mode distributed)")
     ds = gio.load_any(args.dataset)
     g = ds.graph
     report = full_report(g, cycle_basis_limit=args.cycles)
@@ -256,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--cycles", type=int, default=200,
                          help="cycle budget for the consistency report")
     p_solve.add_argument("--message-log", default=None,
-                         help="JSONL message log path (distributed mode)")
+                         help="JSONL message log path (distributed mode "
+                         "only; created before the first round)")
     p_solve.add_argument("--json", action="store_true",
                          help="print the summary JSON to stdout")
     _add_solver_flags(p_solve)

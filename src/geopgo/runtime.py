@@ -85,19 +85,27 @@ class _MessageLog:
     its kernel reads each round, not observed on the queues: a cut-edge
     read and a read of a pose the worker holds itself log alike, and one
     :class:`RoundMessage` carries the rows of many. The rows of one
-    worker's round are a fixed block, its edges in
-    ``(receiver, sender)`` order, kept as one text template; each worker
-    records only the rounds it ran, in its own list. :meth:`dump` writes
-    the blocks in ``(round, worker)`` order, which is ``(round, receiver,
-    sender)`` order because the blocks are contiguous and ascending; each
-    line is ``json.dumps`` of its row.
+    worker's round are a fixed block, its edges in ``(receiver,
+    sender)`` order, each line ``json.dumps`` of its row. The block's
+    text is built once, from ids read with one ``tolist``, as a list of
+    pieces split where the round number goes, so a worker-round is one
+    ``str(round).join(pieces)``. Each worker records only the rounds it
+    ran, in its own list. :meth:`dump` writes the blocks in ``(round,
+    worker)`` order, which is ``(round, receiver, sender)`` order
+    because the blocks are contiguous and ascending, one worker-round
+    at a time, so the file is never held in memory whole.
     """
 
     def __init__(self, blocks: list[EdgeArrays]) -> None:
-        self.templates = ["".join(
-            f'{{"round": %(round)d, "sender": {b.ids[j]}, '
-            f'"receiver": {b.ids[i]}}}\n' for i, j in zip(b.src, b.dst))
-            for b in blocks]
+        lead = '{"round": '
+        self.pieces: list[list[str]] = []
+        for b in blocks:
+            ids = b.ids.tolist()
+            pieces = [lead] + [
+                f', "sender": {ids[j]}, "receiver": {ids[i]}}}\n{lead}'
+                for i, j in zip(b.src.tolist(), b.dst.tolist())]
+            pieces[-1] = pieces[-1][:-len(lead)]  # no row follows the last
+            self.pieces.append(pieces)
         self.rounds: list[list[int]] = [[] for _ in blocks]
 
     def record(self, worker: int, round_no: int) -> None:
@@ -108,7 +116,7 @@ class _MessageLog:
             for round_no, b in sorted((r, b) for b, rounds
                                       in enumerate(self.rounds)
                                       for r in rounds):
-                fh.write(self.templates[b] % {"round": round_no})
+                fh.write(str(round_no).join(self.pieces[b]))
 
 
 class NodeWorker:
@@ -262,17 +270,19 @@ def run_distributed(
         DeadlockError: a worker waited past ``deadlock_timeout`` for a
             neighboring worker or at the barrier. The first error any
             worker hits is raised as soon as it is recorded.
+        OSError: ``message_log_path`` cannot be written; it is created
+            (or truncated) before any other work, so this comes first.
     """
     if config is None:
         config = SolverConfig()
+    if message_log_path is not None:
+        open(message_log_path, "w").close()  # fail before any round
     driver = Driver(g, config, objective=evaluate_objective)
     try:
         fixed_point = driver.start(init)
     except so3.AngleAtPiError as exc:
         raise _at_node(exc, g.edge_arrays, "initial state") from None
-    if fixed_point:
-        if message_log_path is not None:
-            _MessageLog([]).dump(message_log_path)  # no round ran
+    if fixed_point:  # no round ran: the log stays empty
         return driver.result(driver.initial_controls)
 
     workers = block_workers(g, driver.state, driver.initial_controls,

@@ -290,12 +290,36 @@ def node_controls(
         np.negative(m, out=terms[sl, 1])
         terms[sl, 2] = w
         if rows is not None:
-            err = d - raw
-            rows[0, sl] = so3.dot_rows(err, err)
-            rows[1, sl] = so3.dot_rows(w, w)
-            rows[2, sl] = _sum_squares9(
-                (rrel - block.r_rel[sl]).reshape(-1, 9))
+            _fill_rows(rows, sl, block, rrel, w, d, raw)
     return _node_sums(terms, block.plan)
+
+
+def _fill_rows(rows: np.ndarray, sl: slice, block: EdgeArrays,
+               rrel: np.ndarray, w: np.ndarray, d: np.ndarray,
+               raw: np.ndarray) -> None:
+    """The objective rows ``rows[:, sl]`` of ``block``'s edge slice
+    ``sl`` from its :func:`_block_terms` and residual logs ``w``:
+    ``|d - R_i t_ij|^2``, ``|w|^2`` and ``|rrel - r_ij|_F^2``."""
+    err = d - raw
+    rows[0, sl] = so3.dot_rows(err, err)
+    rows[1, sl] = so3.dot_rows(w, w)
+    rows[2, sl] = _sum_squares9((rrel - block.r_rel[sl]).reshape(-1, 9))
+
+
+def objective_rows(r: np.ndarray, t: np.ndarray,
+                   block: EdgeArrays) -> np.ndarray:
+    """The ``(3, E)`` objective rows of a block's edges, as
+    :func:`node_controls` fills them, from a pass that makes no
+    controls: no terms stack and no node sums.
+
+    Raises:
+        so3.AngleAtPiError: as :func:`node_controls`.
+    """
+    rows = np.empty((3, len(block.src)))
+    for sl, (rrel, resid, d, _, raw) in _block_terms(r, t, block, "raw"):
+        _fill_rows(rows, sl, block, rrel,
+                   _residual_logs(resid, block, sl.start), d, raw)
+    return rows
 
 
 def all_controls(
@@ -343,13 +367,12 @@ def evaluate_objective(estimates: Sequence[Pose] | PoseStack, g: PoseGraph,
 
     ``rows`` are the state's ``(3, E)`` objective rows when a kernel
     pass has already made them (:func:`node_controls`); ``estimates``
-    is then not read. Otherwise one pass over ``estimates`` makes them.
+    is then not read. Otherwise :func:`objective_rows` makes them.
     The per-edge terms are summed left to right in that order, so two
     evaluations of the same state are bitwise equal wherever they run.
     """
     if rows is None:
-        rows = np.empty((3, g.directed_count))
-        node_controls(*as_stack(estimates), g.edge_arrays, "raw", rows)
+        rows = objective_rows(*as_stack(estimates), g.edge_arrays)
     trans_total, rot_total, chord_total = sequential_sum(rows.T).tolist()
     return ObjectiveValue(
         geodesic=trans_total + rot_total,

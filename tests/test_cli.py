@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from geopgo import cli, consistency
+from geopgo import cli, consistency, runtime
 from geopgo import io as gio
 from geopgo.graph import RelativeMeasurement
 
@@ -126,6 +126,44 @@ def test_message_log_inside_a_fresh_out_dir(tmp_path):
     assert summary["iterations"] > 0
     assert len(rows) == (summary["iterations"]
                          * summary["directed_measurements"])
+
+
+def test_unwritable_message_log_fails_before_the_first_round(
+        tmp_path, monkeypatch, capsys):
+    ds = _generate(tmp_path, n=50)
+    rounds = []
+    compute_round = runtime.NodeWorker.compute_round
+
+    def counted(self, round_no):
+        rounds.append(round_no)
+        return compute_round(self, round_no)
+
+    monkeypatch.setattr(runtime.NodeWorker, "compute_round", counted)
+    capsys.readouterr()
+    log = tmp_path / "missing" / "messages.jsonl"
+    rc = cli.main(["solve", "--dataset", str(ds), "--init", "gps",
+                   "--seed", "3", "--mode", "distributed",
+                   "--out-dir", str(tmp_path / "run"),
+                   "--message-log", str(log), "--max-iters", "30",
+                   "--stop-tol", "1e-12"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and str(log) in err[0]
+    assert rounds == []
+
+
+def test_message_log_in_reference_mode_exits_one(tmp_path, capsys):
+    ds = _generate(tmp_path)
+    capsys.readouterr()
+    out, log = tmp_path / "run", tmp_path / "messages.jsonl"
+    rc = cli.main(["solve", "--dataset", str(ds), "--out-dir", str(out),
+                   "--message-log", str(log)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "--message-log" in err[0]
+    assert not log.exists() and not out.exists()
 
 
 def test_solve_json_flag_prints_summary(tmp_path, capsys):

@@ -279,6 +279,48 @@ def test_fused_objective_rows_equal_evaluate_objective(mode):
         assert obj == _loop_objective(state, g)
 
 
+def _control_pass_rows(r, t, block):
+    # the objective-only path before objective_rows: a full "raw"
+    # control pass that fills the rows and discards the controls
+    rows = np.empty((3, len(block.src)))
+    solver.node_controls(r, t, block, "raw", rows)
+    return rows
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda x: f"{x[0]}{x[1] or ''}")
+def test_objective_rows_equal_the_control_pass_rows(inst, block, monkeypatch):
+    g, est = _instance(*inst)
+    rng = np.random.default_rng(len(inst[0]) + (inst[1] or 0))
+    r, t = solver.as_stack(est)
+    states = [(r, t)]
+    for _ in range(3):  # random states around the initial guess
+        turn = so3.exp_map(rng.normal(scale=0.3, size=(g.n, 3)))
+        states.append((so3.renormalize(r @ turn),
+                       t + rng.normal(scale=2.0, size=t.shape)))
+    e = g.edge_arrays
+    blocks = [e] + [e.block(lo, min(lo + 5, g.n)) for lo in range(0, g.n, 5)]
+    want = [[_control_pass_rows(r[b.ids], t[b.ids], b) for b in blocks]
+            for r, t in states]
+
+    def no_node_sums(*args):
+        raise AssertionError("objective_rows made the node sums")
+
+    monkeypatch.setattr(solver, "_node_sums", no_node_sums)
+    for (r, t), rows in zip(states, want):
+        for b, w in zip(blocks, rows):
+            got = solver.objective_rows(r[b.ids], t[b.ids], b)
+            assert np.array_equal(got, w)
+            assert np.array_equal(np.signbit(got), np.signbit(w))
+        assert (solver.evaluate_objective(solver.PoseStack(r, t), g)
+                == solver.evaluate_objective(None, g, rows[0]))
+
+
+def test_objective_names_the_edge_at_pi():
+    g, est = _graph_with_residual_at_pi()
+    with pytest.raises(so3.AngleAtPiError, match=r"edge \(1, 2\)"):
+        solver.evaluate_objective(est, g)
+
+
 def _accumulated_node_sums(w, d, m, offsets):
     # the per-degree np.add.accumulate form of solver._node_sums that the
     # node-sum plan replaced: each degree's nodes as padded (nodes, 2k+1, 3)

@@ -1,6 +1,7 @@
 """Static checks on the package sources that need only the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,38 @@ def test_banned_call_check_sees_both_forms():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_order_changing_reductions(path):
     assert _banned_calls(ast.parse(path.read_text())) == []
+
+
+# pyproject.toml declares numpy as the only runtime dependency; the
+# package may also import itself by name
+ALLOWED_THIRD_PARTY = {"numpy", SRC.name}
+
+
+def _foreign_imports(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue  # a relative import is one of the package's own
+        for name in names:
+            top = name.split(".")[0]
+            if (top not in sys.stdlib_module_names
+                    and top not in ALLOWED_THIRD_PARTY):
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_foreign_import_check_sees_both_forms():
+    tree = ast.parse("import scipy.linalg\nfrom networkx import Graph\n"
+                     "import numpy as np\nfrom . import so3\nimport json\n"
+                     "from geopgo.graph import Pose\n")
+    assert _foreign_imports(tree) == ["line 1: scipy.linalg",
+                                      "line 2: networkx"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library_and_numpy(path):
+    assert _foreign_imports(ast.parse(path.read_text())) == []

@@ -110,12 +110,13 @@ def test_fixed_point_short_circuit(tmp_path):
     init = [Pose(t=np.zeros(3), r=np.eye(3)),
             Pose(t=np.array([1.0, 0.0, 0.0]), r=np.eye(3))]
     log_path = tmp_path / "messages.jsonl"
+    log_path.write_text("a previous run's rows\n")
     dist = runtime.run_distributed(g, init, message_log_path=str(log_path))
     assert dist.iterations == 0
     assert dist.converged
     _assert_bitwise_equal_poses(dist.estimates, init)
-    # the log exists, so an audit reads zero messages
-    assert log_path.read_text().splitlines() == []
+    # the log exists and is empty, so an audit reads zero messages
+    assert log_path.read_bytes() == b""
 
 
 def test_max_iters_stops_unconverged():
@@ -267,6 +268,45 @@ def test_message_log_is_deterministic(tmp_path, monkeypatch):
     keys = [(row["round"], row["receiver"], row["sender"]) for row in rows]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys) == 5 * g.directed_count
+
+
+class _TemplateLog(runtime._MessageLog):
+    """The log's former dump, kept as an oracle of its bytes: one
+    ``%(round)d`` template per worker, filled once per worker-round."""
+
+    def __init__(self, blocks):
+        self.templates = ["".join(
+            f'{{"round": %(round)d, "sender": {b.ids[j]}, '
+            f'"receiver": {b.ids[i]}}}\n' for i, j in zip(b.src, b.dst))
+            for b in blocks]
+        self.rounds = [[] for _ in blocks]
+
+    def dump(self, path):
+        with open(path, "w") as fh:
+            for round_no, b in sorted((r, b) for b, rounds
+                                      in enumerate(self.rounds)
+                                      for r in rounds):
+                fh.write(self.templates[b] % {"round": round_no})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_message_log_bytes_equal_both_oracles(tmp_path, monkeypatch, k):
+    truth, g, init = _instance(n=20, seed=11)
+    monkeypatch.setattr(runtime, "AGENTS", k)
+    cfg = solver.SolverConfig(max_iters=12, stop_tol=1e-12)
+    got = tmp_path / "join.jsonl"
+    res = runtime.run_distributed(g, init, cfg, message_log_path=str(got))
+    assert res.iterations == 12  # so round numbers reach two digits
+    # per row json.dumps in (round, receiver, sender) order
+    e = g.edge_arrays
+    want = "".join(
+        json.dumps({"round": r, "sender": int(j), "receiver": int(i)}) + "\n"
+        for r in range(12) for i, j in zip(e.src, e.dst))
+    assert got.read_bytes() == want.encode()
+    monkeypatch.setattr(runtime, "_MessageLog", _TemplateLog)
+    old = tmp_path / "template.jsonl"
+    runtime.run_distributed(g, init, cfg, message_log_path=str(old))
+    assert got.read_bytes() == old.read_bytes()
 
 
 def test_wrong_init_length():
