@@ -8,6 +8,7 @@ logging level names).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -94,10 +95,35 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
         raise CliError(str(exc)) from exc
 
 
+def _check_cycles(args: argparse.Namespace) -> None:
+    if args.cycles < 0:
+        raise CliError(f"--cycles must be nonnegative, got {args.cycles}")
+
+
+def _make_out_dir(out_dir: Path, message_log: str | None) -> None:
+    """Create ``out_dir`` and then the message log, which may lie in it.
+
+    When the log cannot be created, the directories this call made are
+    removed again and the error names ``--message-log``.
+    """
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if message_log is None:
+        return
+    try:
+        open(message_log, "w").close()
+    except OSError as exc:
+        for d in made:  # deepest first, and each still empty
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise CliError(f"--message-log: {exc}") from None
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.message_log is not None and args.mode != "distributed":
         raise CliError("--message-log is written only in distributed mode "
                        "(--mode distributed)")
+    _check_cycles(args)
     ds = gio.load_any(args.dataset)
     g = ds.graph
     report = full_report(g, cycle_basis_limit=args.cycles)
@@ -105,7 +131,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     config = _solver_config(args)
     solved_graph = enforce_pairwise_rotations(g)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)  # --message-log may be in it
+    _make_out_dir(out_dir, args.message_log)
 
     start = time.perf_counter()
     if args.mode == "reference":
@@ -160,6 +186,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    _check_cycles(args)
     ds = gio.load_any(args.dataset)
     g = ds.graph
     degrees = np.diff(g.edge_arrays.offsets)

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from . import graph, so3
-from .graph import PoseGraph, edge_blocks, sequential_sum, spanning_tree
+from .graph import PoseGraph, bfs_tree, edge_blocks, sequential_sum
 
 # No longer called here, since enforce_pairwise_rotations derives its
 # arrays; the name stays because perfbench/run.py's tracer wraps it.
@@ -115,51 +116,41 @@ def check_global(
     A consistent graph composes to the identity on each. ``cycle_basis_limit``
     caps how many cycles are evaluated (ascending edge order); the report
     records how many actually were.
+
+    Raises:
+        ValueError: a negative ``cycle_basis_limit``.
     """
-    parent = spanning_tree(g, root=0)
-    tree_edges = {(min(c, p), max(c, p)) for c, p in parent.items()}
-
-    def path_to_root(v: int) -> list[int]:
-        path = [v]
-        while path[-1] in parent:
-            path.append(parent[path[-1]])
-        return path
-
-    walks = []
-    for u, v in g.undirected_edges():
-        if (u, v) in tree_edges:
-            continue
-        if cycle_basis_limit is not None and len(walks) >= cycle_basis_limit:
-            break
-        up, vp = path_to_root(u), path_to_root(v)
-        shared = set(up) & set(vp)
-        anc = next(x for x in up if x in shared)
-        walk = up[: up.index(anc) + 1] + list(reversed(vp[: vp.index(anc)]))
-        walk.append(u)  # close through the non-tree edge (v, u)
-        walks.append(walk)
+    if cycle_basis_limit is not None and cycle_basis_limit < 0:
+        raise ValueError("cycle_basis_limit must be nonnegative, got "
+                         f"{cycle_basis_limit}")
+    e = g.edge_arrays
+    order, parent, depth = bfs_tree(g, root=0)
+    # a tree edge joins a vertex to its parent
+    par = np.array(parent)
+    loose = np.flatnonzero((e.src < e.dst) & (par[e.dst] != e.src)
+                           & (par[e.src] != e.dst))[:cycle_basis_limit]
+    walks = _cycle_walks(g, order, parent, depth, loose)
 
     # The cycles are composed in lockstep, a block of them per stacked
     # step. Each walk is right-aligned behind identity steps (row E of
     # the padded arrays), so each cycle's arithmetic is its own walk's.
-    e = g.edge_arrays
-    pair_keys = e.src * g.n + e.dst  # ascending, as the rows are sorted
     t_rel = np.concatenate((e.t_rel, np.zeros((1, 3))))[..., None]
     r_rel = np.concatenate((e.r_rel, np.eye(3)[None]))
     rot_defect = 0.0
     trans_defect = 0.0
     for block in edge_blocks(len(walks)):
         part = walks[block]
-        length = max(len(w) for w in part) - 1
-        keys = np.full((len(part), length), -1, dtype=np.intp)
-        for c, walk in enumerate(part):
-            keys[c, length - len(walk) + 1:] = [
-                a * g.n + b for a, b in zip(walk[:-1], walk[1:])]
-        rows = np.where(keys < 0, len(e.src), np.searchsorted(pair_keys, keys))
+        rows = _aligned_rows(part, len(e.src))
+        # the operands of a run of steps are gathered at once, at most
+        # 16 * EDGE_BLOCK of them
+        span = max(1, 16 * graph.EDGE_BLOCK // len(part))
         acc_t = np.zeros((len(part), 3, 1))
         acc_r = np.broadcast_to(np.eye(3), (len(part), 3, 3))
-        for step in rows.T:
-            acc_t = acc_t + acc_r @ t_rel[step]
-            acc_r = acc_r @ r_rel[step]
+        for lo in range(0, len(rows), span):
+            steps = rows[lo:lo + span]
+            for t, r in zip(t_rel[steps], r_rel[steps]):
+                acc_t = acc_t + acc_r @ t
+                acc_r = acc_r @ r
         acc_t = acc_t[..., 0]
         rot_defect = max(rot_defect, float(so3.rotation_angle(acc_r).max()))
         trans_defect = max(trans_defect, float(
@@ -170,6 +161,64 @@ def check_global(
         global_max_cycle_trans_defect=trans_defect,
         cycles_checked=len(walks),
     )
+
+
+def _cycle_walks(g: PoseGraph, order: list[int], parent: list[int],
+                 depth: list[int], loose: np.ndarray) -> list[list[int]]:
+    """The edge rows of each fundamental cycle, one per non-tree edge
+    row ``(u, v)`` of ``loose``: the tree path from ``u`` up to the
+    lowest common ancestor and down to ``v``, then the edge ``(v, u)``.
+
+    The two ends climb their parent pointers, the deeper one first, then
+    both together until they meet. ``order``, ``parent`` and ``depth``
+    are the :func:`~geopgo.graph.bfs_tree`.
+    """
+    if not len(loose):
+        return []
+    e = g.edge_arrays
+    kids = np.array(order[1:])
+    down_rows = g.edge_rows(np.array(parent)[kids], kids)  # (parent, kid)
+    down = [0] * g.n
+    up = [0] * g.n
+    for v, k, back in zip(order[1:], down_rows.tolist(),
+                          e.rev[down_rows].tolist()):
+        down[v], up[v] = k, back
+    walks = []
+    for u, v, back in zip(e.src[loose].tolist(), e.dst[loose].tolist(),
+                          e.rev[loose].tolist()):
+        climb, descent = [], []  # u's side, and v's from v upward
+        while depth[u] > depth[v]:
+            climb.append(up[u])
+            u = parent[u]
+        while depth[v] > depth[u]:
+            descent.append(down[v])
+            v = parent[v]
+        while u != v:
+            climb.append(up[u])
+            u = parent[u]
+            descent.append(down[v])
+            v = parent[v]
+        descent.reverse()
+        climb += descent
+        climb.append(back)
+        walks.append(climb)
+    return walks
+
+
+def _aligned_rows(walks: list[list[int]], pad: int) -> np.ndarray:
+    """The ``(L, C)`` step matrix of ``C`` walks of edge rows: column
+    ``c`` ends with walk ``c``, ``L`` being the longest walk, and the
+    rows above it are ``pad``. Built from one flat concatenation of the
+    walks; one ``searchsorted`` finds each entry's walk."""
+    lengths = np.fromiter(map(len, walks), dtype=np.intp, count=len(walks))
+    ends = np.cumsum(lengths)
+    flat = np.fromiter(chain.from_iterable(walks), dtype=np.intp,
+                       count=int(ends[-1]))
+    at = np.arange(len(flat))
+    col = np.searchsorted(ends, at, side="right")
+    rows = np.full((int(lengths.max()), len(walks)), pad, dtype=np.intp)
+    rows[at - ends[col] + len(rows), col] = flat
+    return rows
 
 
 def full_report(

@@ -11,11 +11,12 @@ them as arrays, with no per-edge objects. A graph is its arrays
 (:attr:`PoseGraph.edge_arrays`), which cut into the local arrays of a
 block of contiguous poses (:meth:`EdgeArrays.block`); measurement
 objects, neighbor tuples and edge lists are derived from them on demand.
+Poses travel the same way, as a :class:`PoseStack` of stacked
+translations and rotations, from the loader to the writer.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -49,6 +50,37 @@ class Pose:
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.zeros(3), np.eye(3))
+
+
+@dataclass(frozen=True, eq=False)
+class PoseStack(Sequence):
+    """Poses as stacked arrays: translations ``t`` ``(n, 3)`` and
+    rotations ``r`` ``(n, 3, 3)``, row ``i`` belonging to pose ``i``.
+
+    It reads as a sequence of :class:`Pose`, each built on demand from
+    copies of its rows; a slice is a stack again.
+    """
+
+    t: np.ndarray
+    r: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return PoseStack(self.t[k], self.r[k])
+        return Pose(self.t[k].copy(), self.r[k].copy())
+
+
+def as_stack(poses: Sequence[Pose]) -> PoseStack:
+    """``poses`` as a :class:`PoseStack`, stacked once unless they
+    already are."""
+    if isinstance(poses, PoseStack):
+        return poses
+    return PoseStack(
+        np.array([p.t for p in poses], dtype=float).reshape(-1, 3),
+        np.array([p.r for p in poses], dtype=float).reshape(-1, 3, 3))
 
 
 def compose(a: Pose, b: Pose) -> Pose:
@@ -372,6 +404,12 @@ class PoseGraph:
                 return int(k)
         raise KeyError((src, dst))
 
+    def edge_rows(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """The rows of the edges ``(src[k], dst[k])``, all of which the
+        graph must have, by one ``searchsorted`` over the sorted rows."""
+        e = self.edge_arrays
+        return np.searchsorted(e.src * self.n + e.dst, src * self.n + dst)
+
     def measurement(self, src: int, dst: int) -> RelativeMeasurement:
         return self.measurements[self.edge_index(src, dst)]
 
@@ -504,25 +542,36 @@ def algebraic_connectivity(g: PoseGraph) -> float:
     return float(np.linalg.eigvalsh(laplacian(g))[1])
 
 
-def spanning_tree(g: PoseGraph, root: int = 0) -> dict[int, int]:
-    """Breadth-first spanning tree from ``root``.
+def bfs_tree(g: PoseGraph, root: int = 0,
+             ) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first spanning tree from ``root``, as per-vertex lists.
 
     Neighbors are explored in ascending id order, so ties always resolve
-    to the lowest-id parent. Returns a parent map covering every vertex
-    except the root.
+    to the lowest-id parent. Returns the vertices in the order the
+    search reaches them (the root first, then one level after another),
+    each vertex's parent (-1 at the root) and its depth.
     """
     if not (0 <= root < g.n):
         raise DanglingVertexError(f"root {root} outside 0..{g.n - 1}")
     e = g.edge_arrays
     dst, offsets = e.dst.tolist(), e.offsets.tolist()
-    parent: dict[int, int] = {}
-    queue = deque([root])
-    reached = {root}
-    while queue:
-        i = queue.popleft()
+    parent = [-1] * g.n
+    depth = [0] * g.n
+    reached = [False] * g.n
+    reached[root] = True
+    order = [root]
+    for i in order:  # the list is the queue: appended vertices come later
         for j in dst[offsets[i]:offsets[i + 1]]:
-            if j not in reached:
-                reached.add(j)
+            if not reached[j]:
+                reached[j] = True
                 parent[j] = i
-                queue.append(j)
-    return parent
+                depth[j] = depth[i] + 1
+                order.append(j)
+    return order, parent, depth
+
+
+def spanning_tree(g: PoseGraph, root: int = 0) -> dict[int, int]:
+    """The :func:`bfs_tree` from ``root`` as a parent map covering every
+    vertex except the root, in the order the search reached them."""
+    order, parent, _ = bfs_tree(g, root)
+    return {j: parent[j] for j in order[1:]}

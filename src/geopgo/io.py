@@ -36,8 +36,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import so3
-from .graph import (MeasurementColumns, Pose, PoseGraph, RelativeMeasurement,
-                    as_columns, build_graph)
+from .graph import (MeasurementColumns, Pose, PoseGraph, PoseStack,
+                    RelativeMeasurement, as_columns, as_stack, build_graph)
 from .synth import NoiseModel, ScenarioSpec
 
 _IDENTITY_INFO = tuple(
@@ -70,14 +70,14 @@ class StoredDataset:
 
     ``measurements`` are stacked columns that keep the file's directions
     and order, unpaired. ``vertices`` are the file's poses in dense-id
-    order, None for a JSON dataset without vertices. ``id_map`` maps the
+    order, as a stack, None for a JSON dataset without vertices. ``id_map`` maps the
     file's vertex ids to dense ids; ``skipped_records`` counts unknown
     g2o records. The provenance fields are None for g2o.
     """
 
     format: str
     n: int
-    vertices: list[Pose] | None
+    vertices: PoseStack | None
     measurements: MeasurementColumns
     id_map: dict[int, int]
     skipped_records: int = 0
@@ -89,7 +89,7 @@ class StoredDataset:
 
 @dataclass
 class G2oParseResult:
-    poses: list[Pose]
+    poses: PoseStack
     graph: PoseGraph
     id_map: dict[int, int]
     raw_measurement_count: int
@@ -248,7 +248,7 @@ def _assemble(fmt: str, vertex_rows: tuple | None, edge_rows: tuple,
                 f"n is {n} but {len(declared)} vertices are declared")
         order = sorted(range(len(declared)), key=declared.__getitem__)
         ids = [declared[k] for k in order]
-        poses = [Pose(t[k], r[k]) for k in order]
+        poses = PoseStack(t[order], r[order])
     id_map = {ext: i for i, ext in enumerate(ids)}
     return StoredDataset(fmt, len(id_map), poses,
                          _edge_columns(*edge_rows, id_map), id_map, **extra)
@@ -409,10 +409,9 @@ def _fmt(x: float) -> str:
 
 def _pose_columns(poses: Sequence[Pose]) -> tuple[np.ndarray, np.ndarray]:
     """The translations ``(n, 3)`` and scalar-last quaternions ``(n, 4)``
-    of ``poses``, converted in one call."""
-    t = np.array([p.t for p in poses], dtype=float).reshape(-1, 3)
-    r = np.array([p.r for p in poses], dtype=float).reshape(-1, 3, 3)
-    return t, so3.matrix_to_quat(r)
+    of ``poses``, read from their stack and converted in one call."""
+    s = as_stack(poses)
+    return s.t, so3.matrix_to_quat(s.r)
 
 
 def _fmt_rows(*columns: np.ndarray) -> list[list[str]]:
@@ -449,15 +448,14 @@ def export_trajectory_csv(poses: Sequence[Pose]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trajectory_csv(text: str) -> list[Pose]:
-    """Inverse of :func:`export_trajectory_csv`."""
+def parse_trajectory_csv(text: str) -> PoseStack:
+    """Inverse of :func:`export_trajectory_csv`, as a stack."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "id,tx,ty,tz,qx,qy,qz,qw":
         raise ValueError("not a trajectory CSV (bad header)")
     vals = np.array([[float(x) for x in ln.split(",")[1:8]]
                      for ln in lines[1:]], dtype=float).reshape(-1, 7)
-    r = so3.quat_to_matrix(vals[:, 3:7])
-    return [Pose(t, rk) for t, rk in zip(vals[:, 0:3], r)]
+    return PoseStack(vals[:, 0:3].copy(), so3.quat_to_matrix(vals[:, 3:7]))
 
 
 def export_objective_csv(
@@ -484,7 +482,7 @@ class Dataset:
     """
 
     graph: PoseGraph
-    vertices: list[Pose] | None = None
+    vertices: PoseStack | None = None
     vertex_kind: str | None = None
     scenario: ScenarioSpec | None = None
     noise: NoiseModel | None = None

@@ -41,15 +41,15 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import so3
-from .graph import EdgeArrays, Pose, PoseGraph
-from .solver import (Driver, PoseStack, SolveResult, SolverConfig, all_controls,
-                     as_stack, evaluate_objective, integrate_pose,
-                     node_controls)
+from .graph import EdgeArrays, Pose, PoseGraph, PoseStack, as_stack
+from .solver import (Driver, SolveResult, SolverConfig, all_controls,
+                     evaluate_objective, integrate_pose, node_controls)
 
 # Worker threads per run; with the caller's thread a run has at most
 # AGENTS + 1 live threads, whatever the graph size. Under the GIL more
@@ -212,7 +212,7 @@ def _at_node(exc: so3.AngleAtPiError, block: EdgeArrays,
 
 
 def block_workers(
-    g: PoseGraph, init: list[Pose] | PoseStack,
+    g: PoseGraph, init: Sequence[Pose],
     controls: tuple[np.ndarray, np.ndarray], k: int, config: SolverConfig,
     timeout: float,
 ) -> list[NodeWorker]:
@@ -237,9 +237,9 @@ def block_workers(
             inboxes[b][c] = (box, slice(blk.size + rows[0],
                                         blk.size + rows[-1] + 1))
             outboxes[c][b] = (box, halo[rows] - bounds[c])
-    r, t = as_stack(init)
+    s = as_stack(init)
     nu, omega = controls
-    return [NodeWorker(b, blk, r[blk.ids], t[blk.ids],
+    return [NodeWorker(b, blk, s.r[blk.ids], s.t[blk.ids],
                        (nu[lo:hi], omega[lo:hi]), inboxes[b], outboxes[b],
                        config, timeout)
             for b, (blk, lo, hi) in enumerate(zip(blocks, bounds,
@@ -248,7 +248,7 @@ def block_workers(
 
 def run_distributed(
     g: PoseGraph,
-    init: list[Pose],
+    init: Sequence[Pose],
     config: SolverConfig | None = None,
     deadlock_timeout: float = 30.0,
     message_log_path=None,
@@ -309,7 +309,7 @@ def run_distributed(
             r = np.concatenate([w.r[:w.block.size] for w in workers])
             nu, omega = (np.concatenate(c) for c in zip(*controls))
             rows = np.concatenate([w.rows for w in workers], axis=1)
-            if driver.record(PoseStack(r, t), nu, omega, rows):
+            if driver.record(PoseStack(t, r), nu, omega, rows):
                 over.set()
         except BaseException as exc:
             # Recorded before the barrier breaks, so the workers it

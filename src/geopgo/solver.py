@@ -34,23 +34,24 @@ axis (:func:`_node_sums`).
 
 One kernel pass per state gives both the velocity pairs and the
 per-edge objective rows (:func:`node_controls` with ``rows``), so a
-solve makes one pass per iteration. The solve state is carried as a
-:class:`PoseStack` of stacked arrays; :class:`~geopgo.graph.Pose` lists
-are built only for the result.
+solve makes one pass per iteration. The solve state, the result and
+its trajectory are stacked poses (:class:`~geopgo.graph.PoseStack`), so
+a solve builds no :class:`~geopgo.graph.Pose`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import so3
 from .consistency import averaged_translation
-from .graph import (EdgeArrays, NodeSumPlan, Pose, PoseGraph, compose,
-                    edge_blocks, inverse, max_degree, sequential_sum)
+from .graph import (EdgeArrays, NodeSumPlan, Pose, PoseGraph, PoseStack,
+                    as_stack, compose, edge_blocks, inverse, max_degree,
+                    sequential_sum)
 
 TRANSLATION_MODES = ("per_step_averaged", "online_averaged", "raw")
 
@@ -101,40 +102,19 @@ class ObjectiveValue:
     translation_only: float
 
 
-class PoseStack(NamedTuple):
-    """Poses as stacked arrays: rotations ``r`` ``(n, 3, 3)`` and
-    translations ``t`` ``(n, 3)``, row ``i`` belonging to pose ``i``."""
-
-    r: np.ndarray
-    t: np.ndarray
-
-
-def as_stack(estimates: Sequence[Pose] | PoseStack) -> PoseStack:
-    """``estimates`` as a :class:`PoseStack`; a stack is returned as is."""
-    if isinstance(estimates, PoseStack):
-        return estimates
-    return PoseStack(
-        np.array([p.r for p in estimates], dtype=float).reshape(-1, 3, 3),
-        np.array([p.t for p in estimates], dtype=float).reshape(-1, 3))
-
-
-def as_poses(stack: PoseStack) -> list[Pose]:
-    """One :class:`~geopgo.graph.Pose` per row of ``stack``."""
-    return [Pose(t, r) for t, r in zip(stack.t, stack.r)]
-
-
 class SolverState:
-    """One iterate of the flow, held as a :class:`PoseStack`.
+    """One iterate of the flow, held as a
+    :class:`~geopgo.graph.PoseStack`.
 
-    ``estimates`` is a Pose list or a stack; reading :attr:`estimates`
-    builds a Pose list. ``controls`` is the per-node velocity pair at
+    ``estimates`` is a Pose sequence or a stack; :attr:`estimates` is
+    the stack. ``controls`` is the per-node velocity pair at
     this state, as ``(n, 3)`` arrays, once computed; :func:`step`
     computes it when it is None. ``rows`` is the state's ``(3, E)``
     objective rows (see :func:`node_controls`) from the same kernel
     pass, or None.
     """
 
-    def __init__(self, estimates: Sequence[Pose] | PoseStack,
+    def __init__(self, estimates: Sequence[Pose],
                  controls: tuple[np.ndarray, np.ndarray] | None = None,
                  rows: np.ndarray | None = None) -> None:
         self.stack = as_stack(estimates)
@@ -142,22 +122,22 @@ class SolverState:
         self.rows = rows
 
     @property
-    def estimates(self) -> list[Pose]:
-        return as_poses(self.stack)
+    def estimates(self) -> PoseStack:
+        return self.stack
 
 
 @dataclass
 class SolveResult:
     """Outcome of a solve. Entry ``k`` of each history belongs to state
     ``k`` (0 is the initial state); ``trajectory`` holds every state when
-    the config records it."""
+    the config records it. The states are stacks."""
 
-    estimates: list[Pose]
+    estimates: PoseStack
     objective_history: list[ObjectiveValue]
     iterations: int
     converged: bool
     control_norm_history: list[float]
-    trajectory: list[list[Pose]] | None = None
+    trajectory: list[PoseStack] | None = None
 
 
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -323,7 +303,7 @@ def objective_rows(r: np.ndarray, t: np.ndarray,
 
 
 def all_controls(
-    estimates: Sequence[Pose] | PoseStack, g: PoseGraph,
+    estimates: Sequence[Pose], g: PoseGraph,
     translation_mode: str, rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked ``(n, 3)`` velocity arrays for every node, ascending id:
@@ -334,8 +314,8 @@ def all_controls(
         so3.AngleAtPiError: an edge's rotation residual left the log
             chart; the message names the edge ``(i, j)``.
     """
-    return node_controls(*as_stack(estimates), g.edge_arrays,
-                         translation_mode, rows)
+    s = as_stack(estimates)
+    return node_controls(s.r, s.t, g.edge_arrays, translation_mode, rows)
 
 
 def integrate_pose(t: np.ndarray, r: np.ndarray, nu: np.ndarray,
@@ -361,7 +341,7 @@ def _check_step_size(g: PoseGraph, dt: float) -> None:
             "the divergence threshold", StepSizeUnstableWarning, stacklevel=4)
 
 
-def evaluate_objective(estimates: Sequence[Pose] | PoseStack, g: PoseGraph,
+def evaluate_objective(estimates: Sequence[Pose], g: PoseGraph,
                        rows: np.ndarray | None = None) -> ObjectiveValue:
     """Objective over all directed measurements, in ``(src, dst)`` order.
 
@@ -372,7 +352,8 @@ def evaluate_objective(estimates: Sequence[Pose] | PoseStack, g: PoseGraph,
     evaluations of the same state are bitwise equal wherever they run.
     """
     if rows is None:
-        rows = objective_rows(*as_stack(estimates), g.edge_arrays)
+        s = as_stack(estimates)
+        rows = objective_rows(s.r, s.t, g.edge_arrays)
     trans_total, rot_total, chord_total = sequential_sum(rows.T).tolist()
     return ObjectiveValue(
         geodesic=trans_total + rot_total,
@@ -395,8 +376,9 @@ def desired_offsets(estimates: Sequence[Pose], g: PoseGraph) -> np.ndarray:
     translation velocity in stacked form.
     """
     b = g.edge_arrays
+    s = as_stack(estimates)
     terms = np.zeros((len(b.src) + 1, 3, 3))
-    for sl, (*_, raw) in _block_terms(*as_stack(estimates), b, "raw"):
+    for sl, (*_, raw) in _block_terms(s.r, s.t, b, "raw"):
         terms[sl, 2] = raw
     # the rotation sum of _node_sums adds each node's rows from zero in
     # ascending neighbor order, as the per-node loop ``delta[i] += ...``
@@ -407,9 +389,10 @@ def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> 
     """True when every directed rotation residual angle is at most
     ``pi/2 - epsilon``."""
     bound = np.pi / 2.0 - epsilon
+    s = as_stack(estimates)
     return not any(np.any(so3.rotation_angle(resid) > bound)
-                   for _, (_, resid, *_) in _block_terms(
-                       *as_stack(estimates), g.edge_arrays))
+                   for _, (_, resid, *_) in _block_terms(s.r, s.t,
+                                                         g.edge_arrays))
 
 
 def max_control_norm(nu: np.ndarray, omega: np.ndarray) -> float:
@@ -432,8 +415,8 @@ def step(state: SolverState, g: PoseGraph, config: SolverConfig) -> SolverState:
     """
     nu, omega = (state.controls if state.controls is not None else
                  all_controls(state.stack, g, config.translation_mode))
-    t, r = integrate_pose(state.stack.t, state.stack.r, nu, omega, config.dt)
-    new = PoseStack(r, t)
+    new = PoseStack(*integrate_pose(state.stack.t, state.stack.r, nu, omega,
+                                    config.dt))
     rows = np.empty((3, g.directed_count))
     return SolverState(new, all_controls(new, g, config.translation_mode,
                                          rows), rows)
@@ -445,12 +428,13 @@ class Driver:
     An executor calls :meth:`start` with the initial estimates. Unless
     that returns True (a fixed point: every initial control is exactly
     zero), it advances one synchronous round at a time and hands
-    :meth:`record` each round's new state as a :class:`PoseStack`, the
+    :meth:`record` each round's new state as a
+    :class:`~geopgo.graph.PoseStack`, the
     ``(n, 3)`` velocity arrays the round used and the ``(3, E)``
     objective rows of the new state (see :func:`node_controls`), until
     that returns True. :meth:`result` then builds the
-    :class:`SolveResult` from the velocity pair at the final state; it
-    is where the states become Pose lists.
+    :class:`SolveResult` from the velocity pair at the final state; the
+    states stay stacks.
 
     ``objective`` sums the objective rows of one state and defaults to
     :func:`evaluate_objective`; an executor may pass its own binding of
@@ -464,18 +448,18 @@ class Driver:
         self.objective = (evaluate_objective if objective is None
                           else objective)
 
-    def start(self, init: Sequence[Pose] | PoseStack) -> bool:
+    def start(self, init: Sequence[Pose]) -> bool:
         """Check the inputs, record state 0, and report a fixed point.
 
         One kernel pass at ``init`` gives its objective and its velocity
         pair, which is kept in ``initial_controls``; the state is kept
-        as a :class:`PoseStack` in ``state``.
+        as a :class:`~geopgo.graph.PoseStack` in ``state``.
         """
         g, config = self.g, self.config
         self.state = as_stack(init)
-        if len(self.state.t) != g.n:
+        if len(self.state) != g.n:
             raise ValueError(
-                f"expected {g.n} initial poses, got {len(self.state.t)}")
+                f"expected {g.n} initial poses, got {len(self.state)}")
         _check_step_size(g, config.dt)
         rows = np.empty((3, g.directed_count))
         self.initial_controls = all_controls(self.state, g,
@@ -509,12 +493,10 @@ class Driver:
     def result(self, controls: tuple[np.ndarray, np.ndarray]) -> SolveResult:
         """The solve's result; ``controls`` is the velocity pair at the
         final state."""
-        trajectory = (None if self.trajectory is None
-                      else [as_poses(s) for s in self.trajectory])
-        return SolveResult(as_poses(self.state), self.history,
-                           self.iterations, self.converged,
+        return SolveResult(self.state, self.history, self.iterations,
+                           self.converged,
                            self.norms + [max_control_norm(*controls)],
-                           trajectory)
+                           self.trajectory)
 
 
 def solve(

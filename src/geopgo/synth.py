@@ -12,13 +12,13 @@ backward translation, backward rotation, three standard normals each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import so3
-from .graph import (Pose, PoseGraph, RelativeMeasurement, build_graph,
-                    compose, spanning_tree)
+from .graph import (Pose, PoseGraph, PoseStack, RelativeMeasurement,
+                    as_stack, bfs_tree, build_graph)
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -230,7 +230,7 @@ def _random_layout(
 
 def generate_ground_truth(
     spec: ScenarioSpec, seed: int = 0,
-) -> tuple[list[Pose], PoseGraph]:
+) -> tuple[PoseStack, PoseGraph]:
     """Ground-truth poses plus the scenario topology as a pose graph.
 
     The returned graph carries the exact (noise-free) measurements, so
@@ -250,27 +250,27 @@ def generate_ground_truth(
         positions, edges = _sphere_layout(spec)
     else:
         positions, edges = _random_layout(spec, rng)
-    poses = [Pose(positions[i], so3.random_rotation(rng))
-             for i in range(spec.n)]
+    poses = PoseStack(positions, np.array(
+        [so3.random_rotation(rng) for _ in range(spec.n)]))
     return poses, build_graph(spec.n, exact_measurements(poses, edges))
 
 
 def exact_measurements(
-    poses: list[Pose], edges: Iterable[tuple[int, int]],
+    poses: Sequence[Pose], edges: Iterable[tuple[int, int]],
 ) -> list[RelativeMeasurement]:
     """Noise-free directed measurements, both directions of every edge."""
+    s = as_stack(poses)
+    t, r = s.t, s.r
     out = []
     for i, j in sorted(edges):
-        rij = poses[i].r.T @ poses[j].r
-        out.append(RelativeMeasurement(
-            i, j, poses[i].r.T @ (poses[j].t - poses[i].t), rij))
-        out.append(RelativeMeasurement(
-            j, i, poses[j].r.T @ (poses[i].t - poses[j].t), rij.T))
+        rij = r[i].T @ r[j]
+        out.append(RelativeMeasurement(i, j, r[i].T @ (t[j] - t[i]), rij))
+        out.append(RelativeMeasurement(j, i, r[j].T @ (t[i] - t[j]), rij.T))
     return out
 
 
 def corrupt_measurements(
-    poses: list[Pose], topology: PoseGraph, noise: NoiseModel,
+    poses: Sequence[Pose], topology: PoseGraph, noise: NoiseModel,
 ) -> PoseGraph:
     """Measurement graph over the same edges with independent noise per
     direction.
@@ -282,10 +282,12 @@ def corrupt_measurements(
     normals.
     """
     rng = np.random.default_rng(noise.seed)
+    s = as_stack(poses)
+    t, r = s.t, s.r
 
     def one(src: int, dst: int) -> RelativeMeasurement:
-        t_true = poses[src].r.T @ (poses[dst].t - poses[src].t)
-        r_true = poses[src].r.T @ poses[dst].r
+        t_true = r[src].T @ (t[dst] - t[src])
+        r_true = r[src].T @ r[dst]
         t_meas = t_true + noise.tau * rng.standard_normal(3)
         r_meas = r_true @ so3.exp_map(noise.kappa * rng.standard_normal(3))
         return RelativeMeasurement(src, dst, t_meas, r_meas)
@@ -299,7 +301,7 @@ def corrupt_measurements(
 
 def generate_dataset(
     spec: ScenarioSpec, noise: NoiseModel | None = None, seed: int = 0,
-) -> tuple[list[Pose], PoseGraph]:
+) -> tuple[PoseStack, PoseGraph]:
     """Ground truth plus a measurement graph in one call.
 
     ``noise=None`` yields exact measurements and consumes no noise draws.
@@ -311,44 +313,44 @@ def generate_dataset(
 
 
 def gps_init(
-    poses: list[Pose], tau: float, kappa: float, seed: int | None = 0,
-) -> list[Pose]:
+    poses: Sequence[Pose], tau: float, kappa: float, seed: int | None = 0,
+) -> PoseStack:
     """Ground truth independently corrupted per vertex, as if from a noisy
     global positioning fix.
 
     Draws per vertex ascending: three normals for translation, three for
     rotation.
     """
-    z = np.random.default_rng(seed).standard_normal((len(poses), 2, 3))
-    t = np.array([p.t for p in poses]).reshape(-1, 3) + tau * z[:, 0]
-    r = (np.array([p.r for p in poses]).reshape(-1, 3, 3)
-         @ so3.exp_map(kappa * z[:, 1]))
-    return [Pose(ti, ri) for ti, ri in zip(t, r)]
+    s = as_stack(poses)
+    z = np.random.default_rng(seed).standard_normal((len(s), 2, 3))
+    return PoseStack(s.t + tau * z[:, 0], s.r @ so3.exp_map(kappa * z[:, 1]))
 
 
-def spanning_tree_init(g: PoseGraph, root: int = 0) -> list[Pose]:
+def spanning_tree_init(g: PoseGraph, root: int = 0) -> PoseStack:
     """Compose measurements outward along a breadth-first tree.
 
     The root is pinned to the identity, so on noise-free input this
-    recovers ground truth up to the global frame choice.
+    recovers ground truth up to the global frame choice. Each level of
+    the tree is composed from the level above in one stacked step, each
+    pose as ``compose(parent, measurement)`` alone.
     """
-    parent = spanning_tree(g, root)
-    children: dict[int, list[int]] = {i: [] for i in range(g.n)}
-    for child, par in parent.items():
-        children[par].append(child)
+    order, parent, depth = bfs_tree(g, root)
+    order = np.array(order)
+    parent = np.array(parent)[order]
+    rows = g.edge_rows(parent[1:], order[1:])  # the tree edges, root excluded
     e = g.edge_arrays
-    poses: list[Pose | None] = [None] * g.n
-    poses[root] = Pose.identity()
-    queue = [root]
-    while queue:
-        i = queue.pop(0)
-        for j in sorted(children[i]):
-            k = g.edge_index(i, j)
-            poses[j] = compose(poses[i], Pose(e.t_rel[k], e.r_rel[k]))
-            queue.append(j)
-    return poses  # type: ignore[return-value]
+    t = np.zeros((g.n, 3))
+    r = np.empty((g.n, 3, 3))
+    r[root] = np.eye(3)
+    # order lists the vertices level by level
+    cuts = np.flatnonzero(np.diff(np.array(depth)[order])) + 1
+    for lo, hi in zip(cuts, [*cuts[1:], g.n]):
+        kids, up, k = order[lo:hi], parent[lo:hi], rows[lo - 1:hi - 1]
+        t[kids] = t[up] + (r[up] @ e.t_rel[k][..., None])[..., 0]
+        r[kids] = r[up] @ e.r_rel[k]
+    return PoseStack(t, r)
 
 
-def identity_init(n: int) -> list[Pose]:
+def identity_init(n: int) -> PoseStack:
     """All poses at the identity."""
-    return [Pose.identity() for _ in range(n)]
+    return PoseStack(np.zeros((n, 3)), np.tile(np.eye(3), (n, 1, 1)))

@@ -7,7 +7,7 @@ import pytest
 
 from geopgo import cli, consistency, runtime
 from geopgo import io as gio
-from geopgo.graph import RelativeMeasurement
+from geopgo.graph import Pose, RelativeMeasurement
 
 G2O_ONE_WAY = """\
 VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1
@@ -151,6 +151,40 @@ def test_unwritable_message_log_fails_before_the_first_round(
     assert len(err) == 1
     assert err[0].startswith("error:") and str(log) in err[0]
     assert rounds == []
+
+
+@pytest.mark.parametrize("out_dir", ["fo/run", "run"])
+def test_bad_message_log_leaves_no_out_dir(tmp_path, capsys, out_dir):
+    # the out-dir (and its missing parents) are made for the log, then
+    # removed again when the log cannot be created; tmp_path itself stays
+    ds = _generate(tmp_path, n=50)
+    capsys.readouterr()
+    log = tmp_path / "fo" / "missing" / "m.jsonl"
+    rc = cli.main(["solve", "--dataset", str(ds), "--init", "gps",
+                   "--seed", "3", "--mode", "distributed",
+                   "--out-dir", str(tmp_path / out_dir),
+                   "--message-log", str(log)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "--message-log" in err[0]
+    assert str(log) in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                          "ds.json"]
+
+
+@pytest.mark.parametrize("command", ["solve", "info"])
+def test_negative_cycles_exits_one(tmp_path, capsys, command):
+    ds = _generate(tmp_path)
+    capsys.readouterr()
+    argv = [command, "--dataset", str(ds), "--cycles", "-5"]
+    if command == "solve":
+        argv += ["--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "--cycles" in err[0]
+    assert not (tmp_path / "run").exists()
 
 
 def test_message_log_in_reference_mode_exits_one(tmp_path, capsys):
@@ -355,6 +389,27 @@ def test_solve_builds_no_measurement_objects(tmp_path, monkeypatch, mode):
     assert built == []
     RelativeMeasurement(0, 1, np.zeros(3), np.eye(3))  # the counter counts
     assert built == [(0, 1)]
+
+
+@pytest.mark.parametrize("init", ["gps", "tree", "identity"])
+@pytest.mark.parametrize("mode", ["reference", "distributed"])
+def test_solve_builds_no_poses(tmp_path, monkeypatch, mode, init):
+    # the poses stay stacked from the loader to the writer
+    ds = _generate(tmp_path)
+    built = []
+    post_init = Pose.__post_init__
+
+    def counted(self):
+        built.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(Pose, "__post_init__", counted)
+    argv = _solve_argv(ds, tmp_path, mode)
+    argv[argv.index("--init") + 1] = init
+    assert cli.main(argv) == 0
+    assert built == []
+    Pose.identity()  # the counter counts
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("mode", ["reference", "distributed"])

@@ -5,13 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from geopgo import consistency, so3, solver, synth
+from geopgo import consistency, graph, so3, solver, synth
 from geopgo.graph import (
     EdgeArrays,
     Pose,
     RelativeMeasurement,
     build_graph,
+    edge_blocks,
     reversed_measurement,
+    spanning_tree,
 )
 
 
@@ -128,6 +130,131 @@ def test_global_noisy_far_from_consistent():
 def test_global_cycle_limit():
     rep = consistency.check_global(_noisy_sphere(), cycle_basis_limit=3)
     assert rep.cycles_checked == 3
+
+
+def _oracle_check_global(g, cycle_basis_limit=None):
+    # the cycle check as it was before its walks were built from arrays:
+    # per-cycle root paths, set intersections and list.index, and a
+    # gather of each step's operands from the padded edge arrays
+    parent = spanning_tree(g, root=0)
+    tree_edges = {(min(c, p), max(c, p)) for c, p in parent.items()}
+
+    def path_to_root(v):
+        path = [v]
+        while path[-1] in parent:
+            path.append(parent[path[-1]])
+        return path
+
+    walks = []
+    for u, v in g.undirected_edges():
+        if (u, v) in tree_edges:
+            continue
+        if cycle_basis_limit is not None and len(walks) >= cycle_basis_limit:
+            break
+        up, vp = path_to_root(u), path_to_root(v)
+        shared = set(up) & set(vp)
+        anc = next(x for x in up if x in shared)
+        walk = up[: up.index(anc) + 1] + list(reversed(vp[: vp.index(anc)]))
+        walk.append(u)
+        walks.append(walk)
+
+    e = g.edge_arrays
+    pair_keys = e.src * g.n + e.dst
+    t_rel = np.concatenate((e.t_rel, np.zeros((1, 3))))[..., None]
+    r_rel = np.concatenate((e.r_rel, np.eye(3)[None]))
+    rot_defect = 0.0
+    trans_defect = 0.0
+    for block in edge_blocks(len(walks)):
+        part = walks[block]
+        length = max(len(w) for w in part) - 1
+        keys = np.full((len(part), length), -1, dtype=np.intp)
+        for c, walk in enumerate(part):
+            keys[c, length - len(walk) + 1:] = [
+                a * g.n + b for a, b in zip(walk[:-1], walk[1:])]
+        rows = np.where(keys < 0, len(e.src), np.searchsorted(pair_keys, keys))
+        acc_t = np.zeros((len(part), 3, 1))
+        acc_r = np.broadcast_to(np.eye(3), (len(part), 3, 3))
+        for step in rows.T:
+            acc_t = acc_t + acc_r @ t_rel[step]
+            acc_r = acc_r @ r_rel[step]
+        acc_t = acc_t[..., 0]
+        rot_defect = max(rot_defect, float(so3.rotation_angle(acc_r).max()))
+        trans_defect = max(trans_defect, float(
+            np.sqrt(so3.dot_rows(acc_t, acc_t)).max()))
+    return consistency.ConsistencyReport(
+        global_checked=True,
+        global_max_cycle_rot_defect=rot_defect,
+        global_max_cycle_trans_defect=trans_defect,
+        cycles_checked=len(walks),
+    )
+
+
+def _random_measured_graph(rng, n, chords):
+    # a random spanning tree plus up to ``chords`` extra edges, each
+    # direction measured independently (so the cycles do not close)
+    edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    for _ in range(chords):
+        a, b = sorted(int(x) for x in rng.integers(0, n, size=2))
+        if a != b:
+            edges.add((a, b))
+    ms = []
+    for i, j in sorted(edges):
+        for a, b in ((i, j), (j, i)):
+            ms.append(_edge(a, b, rng.normal(scale=3.0, size=3),
+                            so3.random_rotation(rng)))
+    return build_graph(n, ms)
+
+
+def _ring(n, seed):
+    spec = synth.ScenarioSpec(topology="circle", n=n, radius=30.0)
+    _, g = synth.generate_dataset(spec, synth.NoiseModel(seed=seed), seed)
+    return g
+
+
+def _chain(n, seed):
+    rng = np.random.default_rng(seed)
+    ms = []
+    for i in range(n - 1):
+        ms += _pair(i, i + 1, rng.normal(size=3), so3.random_rotation(rng))
+    return build_graph(n, ms)
+
+
+CYCLE_LIMITS = [None, 0, 1, 200]
+
+
+@pytest.mark.parametrize("limit", CYCLE_LIMITS)
+def test_global_equals_the_per_cycle_oracle(limit, monkeypatch):
+    rng = np.random.default_rng(61)
+    graphs = [_random_measured_graph(rng, int(rng.integers(1, 40)),
+                                     int(rng.integers(0, 80)))
+              for _ in range(30)]
+    graphs += [_ring(3, 1), _ring(400, 2), _chain(2, 3), _chain(300, 4),
+               _noisy_sphere(5), _noise_free("grid"), _noise_free("circle")]
+    for g in graphs:
+        assert consistency.check_global(g, limit) == _oracle_check_global(
+            g, limit)
+    # many blocks of cycles, and runs of steps gathered a few at a time
+    monkeypatch.setattr(graph, "EDGE_BLOCK", 7)
+    for g in graphs:
+        assert consistency.check_global(g, limit) == _oracle_check_global(
+            g, limit)
+
+
+@pytest.mark.parametrize("limit", [None, 1, 1100])
+def test_global_equals_the_oracle_past_one_block_of_cycles(limit):
+    # sphere-250 has 1,111 non-tree edges, more than EDGE_BLOCK
+    spec = synth.ScenarioSpec(topology="sphere", n=250)
+    _, g = synth.generate_dataset(spec, synth.NoiseModel(seed=62), seed=62)
+    want = _oracle_check_global(g, limit)
+    assert want.cycles_checked == min(1111, limit or 1111)
+    assert consistency.check_global(g, limit) == want
+
+
+def test_global_rejects_a_negative_limit():
+    with pytest.raises(ValueError, match="cycle_basis_limit"):
+        consistency.check_global(_noisy_sphere(), cycle_basis_limit=-1)
+    with pytest.raises(ValueError, match="cycle_basis_limit"):
+        consistency.full_report(_noisy_sphere(), cycle_basis_limit=-5)
 
 
 def test_paired_correction_identity_when_consistent():

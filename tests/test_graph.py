@@ -9,8 +9,11 @@ from geopgo.graph import (
     DisconnectedGraphError,
     DuplicateEdgeError,
     Pose,
+    PoseStack,
     RelativeMeasurement,
     algebraic_connectivity,
+    as_stack,
+    bfs_tree,
     build_graph,
     compose,
     inverse,
@@ -53,6 +56,32 @@ def test_pose_identity_and_compose():
     ia = compose(inverse(a), a)
     assert np.allclose(ia.t, 0.0, atol=1e-12)
     assert np.allclose(ia.r, np.eye(3), atol=1e-12)
+
+
+def test_pose_stack_reads_as_a_pose_sequence():
+    rng = np.random.default_rng(26)
+    t = rng.normal(size=(5, 3))
+    r = np.array([so3.random_rotation(rng) for _ in range(5)])
+    s = PoseStack(t, r)
+    assert len(s) == 5
+    for k, p in zip([0, 2, -1], [s[0], s[2], s[-1]]):
+        assert isinstance(p, Pose)
+        assert np.array_equal(p.t, t[k]) and np.array_equal(p.r, r[k])
+    p = s[1]
+    p.t[:] = 0.0  # a pose holds copies of its rows
+    assert np.array_equal(s.t, t)
+    part = s[1:4]
+    assert isinstance(part, PoseStack) and len(part) == 3
+    assert np.array_equal(part.t, t[1:4]) and np.array_equal(part.r, r[1:4])
+    poses = list(s)
+    assert len(poses) == 5
+    with pytest.raises(IndexError):
+        s[5]
+    assert as_stack(s) is s
+    again = as_stack(poses)
+    assert np.array_equal(again.t, t) and np.array_equal(again.r, r)
+    empty = as_stack([])
+    assert empty.t.shape == (0, 3) and empty.r.shape == (0, 3, 3)
 
 
 def test_two_node_graph():
@@ -245,6 +274,27 @@ def test_spanning_tree_covers_random_graphs():
         assert 0 not in parents
         for child, parent in parents.items():
             assert g.has_edge(parent, child)
+
+
+def test_bfs_tree_and_edge_rows_equal_the_per_edge_lookups():
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        n = int(rng.integers(1, 20))
+        g = _random_graph(rng, n, int(rng.integers(0, 2 * n)))
+        root = int(rng.integers(0, n))
+        order, parent, depth = bfs_tree(g, root)
+        assert sorted(order) == list(range(n)) and order[0] == root
+        assert parent[root] == -1 and depth[root] == 0
+        assert spanning_tree(g, root) == {j: parent[j] for j in order[1:]}
+        assert all(depth[a] <= depth[b] for a, b in zip(order, order[1:]))
+        for j in order[1:]:
+            assert depth[j] == depth[parent[j]] + 1
+        kids = np.array(order[1:], dtype=np.intp)
+        ups = np.array(parent, dtype=np.intp)[kids]
+        assert g.edge_rows(ups, kids).tolist() == [
+            g.edge_index(i, j) for i, j in zip(ups.tolist(), kids.tolist())]
+    with pytest.raises(DanglingVertexError):
+        bfs_tree(_path_graph(3), root=3)
 
 
 def test_measurements_sorted_and_lookup():

@@ -291,7 +291,8 @@ def _control_pass_rows(r, t, block):
 def test_objective_rows_equal_the_control_pass_rows(inst, block, monkeypatch):
     g, est = _instance(*inst)
     rng = np.random.default_rng(len(inst[0]) + (inst[1] or 0))
-    r, t = solver.as_stack(est)
+    s = solver.as_stack(est)
+    r, t = s.r, s.t
     states = [(r, t)]
     for _ in range(3):  # random states around the initial guess
         turn = so3.exp_map(rng.normal(scale=0.3, size=(g.n, 3)))
@@ -311,7 +312,7 @@ def test_objective_rows_equal_the_control_pass_rows(inst, block, monkeypatch):
             got = solver.objective_rows(r[b.ids], t[b.ids], b)
             assert np.array_equal(got, w)
             assert np.array_equal(np.signbit(got), np.signbit(w))
-        assert (solver.evaluate_objective(solver.PoseStack(r, t), g)
+        assert (solver.evaluate_objective(solver.PoseStack(t=t, r=r), g)
                 == solver.evaluate_objective(None, g, rows[0]))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from geopgo import consistency, io as gio, so3, solver, synth
 from geopgo.graph import DisconnectedGraphError  # noqa: F401  (api surface)
-from geopgo.graph import Pose
+from geopgo.graph import Pose, PoseStack, compose, spanning_tree
 
 
 def test_scenario_spec_validation():
@@ -241,6 +241,59 @@ def test_spanning_tree_init_recovers_noise_free_truth():
     dt_err, dr_err = solver.pose_errors(aligned, truth)
     assert dt_err < 1e-9
     assert dr_err < 1e-9
+
+
+def _loop_spanning_tree_init(g, root=0):
+    # the per-node form: a FIFO queue over the tree, each child composed
+    # from its parent's pose and the tree edge's measurement
+    parent = spanning_tree(g, root)
+    children = {i: [] for i in range(g.n)}
+    for child, par in parent.items():
+        children[par].append(child)
+    poses = [None] * g.n
+    poses[root] = Pose.identity()
+    queue = [root]
+    while queue:
+        i = queue.pop(0)
+        for j in sorted(children[i]):
+            m = g.measurement(i, j)
+            poses[j] = compose(poses[i], Pose(m.t_rel, m.r_rel))
+            queue.append(j)
+    return poses
+
+
+def _tree_init_graphs():
+    rng = np.random.default_rng(71)
+    graphs = []
+    for n in (1, 2, 3, 9, 25):
+        spec = synth.ScenarioSpec(topology="random", n=max(n, 2))
+        graphs.append(synth.generate_dataset(
+            spec, synth.NoiseModel(seed=n), seed=n)[1])
+    for spec in (synth.ScenarioSpec(topology="circle", n=200, radius=30.0),
+                 synth.ScenarioSpec(topology="sphere", n=50),
+                 synth.ScenarioSpec(topology="grid", grid_dims=(4, 3, 2))):
+        graphs.append(synth.generate_dataset(
+            spec, synth.NoiseModel(seed=int(rng.integers(100))), seed=72)[1])
+    return graphs
+
+
+@pytest.mark.parametrize("root", [0, 1])
+def test_spanning_tree_init_equals_the_per_node_loop_bitwise(root):
+    for g in _tree_init_graphs():
+        init = synth.spanning_tree_init(g, root)
+        oracle = _loop_spanning_tree_init(g, root)
+        assert isinstance(init, PoseStack) and len(init) == g.n
+        assert np.array_equal(init.t, np.array([p.t for p in oracle]))
+        assert np.array_equal(init.r, np.array([p.r for p in oracle]))
+
+
+def test_spanning_tree_init_on_sphere_800_equals_the_loop_bitwise():
+    spec = synth.ScenarioSpec(topology="sphere", n=800)
+    _, g = synth.generate_dataset(spec, synth.NoiseModel(seed=913), seed=913)
+    init = synth.spanning_tree_init(g)
+    oracle = _loop_spanning_tree_init(g)
+    assert np.array_equal(init.t, np.array([p.t for p in oracle]))
+    assert np.array_equal(init.r, np.array([p.r for p in oracle]))
 
 
 def test_identity_init():
