@@ -124,12 +124,12 @@ def check_global(
         raise ValueError("cycle_basis_limit must be nonnegative, got "
                          f"{cycle_basis_limit}")
     e = g.edge_arrays
-    order, parent, depth = bfs_tree(g, root=0)
+    _, parent, depth = bfs_tree(g, root=0)
     # a tree edge joins a vertex to its parent
     par = np.array(parent)
     loose = np.flatnonzero((e.src < e.dst) & (par[e.dst] != e.src)
                            & (par[e.src] != e.dst))[:cycle_basis_limit]
-    walks = _cycle_walks(g, order, parent, depth, loose)
+    walks = _cycle_walks(g, loose, parent, depth)
 
     # The cycles are composed in lockstep, a block of them per stacked
     # step. Each walk is right-aligned behind identity steps (row E of
@@ -163,26 +163,25 @@ def check_global(
     )
 
 
-def _cycle_walks(g: PoseGraph, order: list[int], parent: list[int],
-                 depth: list[int], loose: np.ndarray) -> list[list[int]]:
+def _cycle_walks(g: PoseGraph, loose: np.ndarray, parent: list[int],
+                 depth: list[int]) -> list[list[int]]:
     """The edge rows of each fundamental cycle, one per non-tree edge
     row ``(u, v)`` of ``loose``: the tree path from ``u`` up to the
     lowest common ancestor and down to ``v``, then the edge ``(v, u)``.
 
     The two ends climb their parent pointers, the deeper one first, then
-    both together until they meet. ``order``, ``parent`` and ``depth``
-    are the :func:`~geopgo.graph.bfs_tree`.
+    both together until they meet. ``parent`` and ``depth`` are those of
+    the :func:`~geopgo.graph.bfs_tree`.
     """
     if not len(loose):
         return []
     e = g.edge_arrays
-    kids = np.array(order[1:])
-    down_rows = g.edge_rows(np.array(parent)[kids], kids)  # (parent, kid)
-    down = [0] * g.n
-    up = [0] * g.n
-    for v, k, back in zip(order[1:], down_rows.tolist(),
-                          e.rev[down_rows].tolist()):
-        down[v], up[v] = k, back
+    par = np.array(parent)
+    kids = np.flatnonzero(par >= 0)
+    down = np.zeros(g.n, dtype=np.intp)
+    down[kids] = g.edge_rows(par[kids], kids)  # the rows (parent, kid)
+    up = e.rev[down].tolist()  # the rows (kid, parent); the root's is unused
+    down = down.tolist()
     walks = []
     for u, v, back in zip(e.src[loose].tolist(), e.dst[loose].tolist(),
                           e.rev[loose].tolist()):

@@ -335,19 +335,19 @@ def spanning_tree_init(g: PoseGraph, root: int = 0) -> PoseStack:
     pose as ``compose(parent, measurement)`` alone.
     """
     order, parent, depth = bfs_tree(g, root)
-    order = np.array(order)
-    parent = np.array(parent)[order]
-    rows = g.edge_rows(parent[1:], order[1:])  # the tree edges, root excluded
+    kids = np.array(order[1:], dtype=np.intp)
+    ups = np.array(parent, dtype=np.intp)[kids]
+    rows = g.edge_rows(ups, kids)
     e = g.edge_arrays
     t = np.zeros((g.n, 3))
     r = np.empty((g.n, 3, 3))
     r[root] = np.eye(3)
-    # order lists the vertices level by level
-    cuts = np.flatnonzero(np.diff(np.array(depth)[order])) + 1
-    for lo, hi in zip(cuts, [*cuts[1:], g.n]):
-        kids, up, k = order[lo:hi], parent[lo:hi], rows[lo - 1:hi - 1]
-        t[kids] = t[up] + (r[up] @ e.t_rel[k][..., None])[..., 0]
-        r[kids] = r[up] @ e.r_rel[k]
+    # bfs_tree lists the vertices level by level
+    cuts = (np.flatnonzero(np.diff(np.array(depth)[kids])) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(kids)]):
+        k, up = kids[lo:hi], ups[lo:hi]
+        t[k] = t[up] + (r[up] @ e.t_rel[rows[lo:hi]][..., None])[..., 0]
+        r[k] = r[up] @ e.r_rel[rows[lo:hi]]
     return PoseStack(t, r)
 
 

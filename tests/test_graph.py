@@ -62,6 +62,7 @@ def test_pose_stack_reads_as_a_pose_sequence():
     rng = np.random.default_rng(26)
     t = rng.normal(size=(5, 3))
     r = np.array([so3.random_rotation(rng) for _ in range(5)])
+    want_t, want_r = t.copy(), r.copy()
     s = PoseStack(t, r)
     assert len(s) == 5
     for k, p in zip([0, 2, -1], [s[0], s[2], s[-1]]):
@@ -69,7 +70,8 @@ def test_pose_stack_reads_as_a_pose_sequence():
         assert np.array_equal(p.t, t[k]) and np.array_equal(p.r, r[k])
     p = s[1]
     p.t[:] = 0.0  # a pose holds copies of its rows
-    assert np.array_equal(s.t, t)
+    p.r[:] = 0.0
+    assert np.array_equal(s.t, want_t) and np.array_equal(s.r, want_r)
     part = s[1:4]
     assert isinstance(part, PoseStack) and len(part) == 3
     assert np.array_equal(part.t, t[1:4]) and np.array_equal(part.r, r[1:4])
