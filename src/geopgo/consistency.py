@@ -141,8 +141,8 @@ def check_global(
     for block in edge_blocks(len(walks)):
         part = walks[block]
         rows = _aligned_rows(part, len(e.src))
-        # the operands of a run of steps are gathered at once, at most
-        # 16 * EDGE_BLOCK of them
+        # each run of steps gathers its operands at once; at most
+        # 16 * EDGE_BLOCK of them, to bound that memory on long cycles
         span = max(1, 16 * graph.EDGE_BLOCK // len(part))
         acc_t = np.zeros((len(part), 3, 1))
         acc_r = np.broadcast_to(np.eye(3), (len(part), 3, 3))

@@ -70,9 +70,10 @@ class StoredDataset:
 
     ``measurements`` are stacked columns that keep the file's directions
     and order, unpaired. ``vertices`` are the file's poses in dense-id
-    order, as a stack, None for a JSON dataset without vertices. ``id_map`` maps the
-    file's vertex ids to dense ids; ``skipped_records`` counts unknown
-    g2o records. The provenance fields are None for g2o.
+    order, as a stack, or None for a JSON dataset without vertices.
+    ``id_map`` maps the file's vertex ids to dense ids;
+    ``skipped_records`` counts unknown g2o records. The provenance
+    fields are None for g2o.
     """
 
     format: str

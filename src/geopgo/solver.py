@@ -103,27 +103,22 @@ class ObjectiveValue:
 
 
 class SolverState:
-    """One iterate of the flow, held as a
-    :class:`~geopgo.graph.PoseStack`.
+    """One iterate of the flow.
 
-    ``estimates`` is a Pose sequence or a stack; :attr:`estimates` is
-    the stack. ``controls`` is the per-node velocity pair at
-    this state, as ``(n, 3)`` arrays, once computed; :func:`step`
-    computes it when it is None. ``rows`` is the state's ``(3, E)``
-    objective rows (see :func:`node_controls`) from the same kernel
-    pass, or None.
+    ``estimates`` is a Pose sequence or a stack, kept as a
+    :class:`~geopgo.graph.PoseStack`. ``controls`` is the per-node
+    velocity pair at this state, as ``(n, 3)`` arrays, once computed;
+    :func:`step` computes it when it is None. ``rows`` is the state's
+    ``(3, E)`` objective rows (see :func:`node_controls`) from the same
+    kernel pass, or None.
     """
 
     def __init__(self, estimates: Sequence[Pose],
                  controls: tuple[np.ndarray, np.ndarray] | None = None,
                  rows: np.ndarray | None = None) -> None:
-        self.stack = as_stack(estimates)
+        self.estimates = as_stack(estimates)
         self.controls = controls
         self.rows = rows
-
-    @property
-    def estimates(self) -> PoseStack:
-        return self.stack
 
 
 @dataclass
@@ -414,9 +409,9 @@ def step(state: SolverState, g: PoseGraph, config: SolverConfig) -> SolverState:
     and its objective rows.
     """
     nu, omega = (state.controls if state.controls is not None else
-                 all_controls(state.stack, g, config.translation_mode))
-    new = PoseStack(*integrate_pose(state.stack.t, state.stack.r, nu, omega,
-                                    config.dt))
+                 all_controls(state.estimates, g, config.translation_mode))
+    s = state.estimates
+    new = PoseStack(*integrate_pose(s.t, s.r, nu, omega, config.dt))
     rows = np.empty((3, g.directed_count))
     return SolverState(new, all_controls(new, g, config.translation_mode,
                                          rows), rows)
@@ -526,7 +521,7 @@ def solve(
             k += 1
             nu, omega = state.controls
             state = step(state, g, config)
-            stop = driver.record(state.stack, nu, omega, state.rows)
+            stop = driver.record(state.estimates, nu, omega, state.rows)
     except so3.AngleAtPiError as exc:
         raise so3.AngleAtPiError(f"iteration {k}: {exc}", exc.index) from None
     return driver.result(state.controls)
