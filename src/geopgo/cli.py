@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import functools
 import json
 import logging
 import os
@@ -22,7 +24,7 @@ from . import io as gio
 from .consistency import enforce_pairwise_rotations, full_report
 from .graph import algebraic_connectivity, symmetrize
 from .runtime import run_distributed
-from .solver import SolverConfig, in_basin, solve
+from .solver import TRANSLATION_MODES, SolverConfig, in_basin, solve
 from .synth import (NoiseModel, ScenarioSpec, generate_dataset, gps_init,
                     identity_init, spanning_tree_init)
 
@@ -51,7 +53,7 @@ def _load_config(path: str) -> tuple[ScenarioSpec, NoiseModel | None, int]:
         except (TypeError, ValueError, KeyError) as exc:
             raise CliError(f"config error at noise: {exc}") from exc
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise CliError("config error at seed: must be an integer")
     return spec, noise, seed
 
@@ -70,34 +72,26 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_init(ds: gio.Dataset, args: argparse.Namespace):
+def _build_init(ds: gio.Dataset, name: str, seed: int):
+    """The init ``name``, or None for ``gps`` on a dataset without ground
+    truth."""
     g = ds.graph
-    if args.init == "identity":
+    if name == "identity":
         return identity_init(g.n)
-    if args.init == "tree":
+    if name == "tree":
         return spanning_tree_init(g, root=0)
-    if args.init == "gps":
-        if ds.vertices is None or ds.vertex_kind != "ground_truth":
-            raise CliError(
-                "gps init needs ground-truth vertices, which this dataset "
-                "does not carry; use tree or identity")
-        noise = ds.noise if ds.noise is not None else NoiseModel()
-        return gps_init(ds.vertices, noise.tau, noise.kappa, seed=args.seed)
-    raise CliError(f"unknown init {args.init!r}")
+    if ds.vertices is None or ds.vertex_kind != "ground_truth":
+        return None
+    noise = ds.noise if ds.noise is not None else NoiseModel()
+    return gps_init(ds.vertices, noise.tau, noise.kappa, seed=seed)
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    try:
-        return SolverConfig(
-            dt=args.dt, stop_tol=args.stop_tol, max_iters=args.max_iters,
-            translation_mode=args.translation_mode)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _check_cycles(args: argparse.Namespace) -> None:
+def _load(args: argparse.Namespace):
+    """The dataset at ``--dataset`` and its consistency report."""
     if args.cycles < 0:
         raise CliError(f"--cycles must be nonnegative, got {args.cycles}")
+    ds = gio.load_any(args.dataset)
+    return ds, full_report(ds.graph, cycle_basis_limit=args.cycles)
 
 
 def _make_out_dir(out_dir: Path, message_log: str | None) -> None:
@@ -123,12 +117,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.message_log is not None and args.mode != "distributed":
         raise CliError("--message-log is written only in distributed mode "
                        "(--mode distributed)")
-    _check_cycles(args)
-    ds = gio.load_any(args.dataset)
+    ds, report = _load(args)
     g = ds.graph
-    report = full_report(g, cycle_basis_limit=args.cycles)
-    init = _build_init(ds, args)
-    config = _solver_config(args)
+    init = _build_init(ds, args.init, args.seed)
+    if init is None:
+        raise CliError(
+            "gps init needs ground-truth vertices, which this dataset "
+            "does not carry; use tree or identity")
+    config = SolverConfig(
+        dt=args.dt, stop_tol=args.stop_tol, max_iters=args.max_iters,
+        translation_mode=args.translation_mode)
     solved_graph = enforce_pairwise_rotations(g)
     out_dir = Path(args.out_dir)
     _make_out_dir(out_dir, args.message_log)
@@ -164,12 +162,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "wall_clock_seconds": wall,
-        "final": {
-            "geodesic": final.geodesic,
-            "chordal": final.chordal,
-            "rotation_only": final.rotation_only,
-            "translation_only": final.translation_only,
-        },
+        "final": dataclasses.asdict(final),
         "consistency": report.to_dict(),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -186,23 +179,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    _check_cycles(args)
-    ds = gio.load_any(args.dataset)
+    ds, report = _load(args)
     g = ds.graph
     degrees = np.diff(g.edge_arrays.offsets)
-    report = full_report(g, cycle_basis_limit=args.cycles)
     lam2 = algebraic_connectivity(g)
 
     basin: dict[str, bool | None] = {}
-    basin["identity"] = in_basin(identity_init(g.n), g, args.epsilon)
-    basin["tree"] = in_basin(spanning_tree_init(g, root=0), g, args.epsilon)
-    if ds.vertices is not None and ds.vertex_kind == "ground_truth":
-        noise = ds.noise if ds.noise is not None else NoiseModel()
-        basin["gps"] = in_basin(
-            gps_init(ds.vertices, noise.tau, noise.kappa, seed=args.seed),
-            g, args.epsilon)
-    else:
-        basin["gps"] = None
+    for name in ("identity", "tree", "gps"):
+        init = _build_init(ds, name, args.seed)
+        basin[name] = (None if init is None
+                       else in_basin(init, g, args.epsilon))
 
     info = {
         "dataset": str(args.dataset),
@@ -224,12 +210,12 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"dataset {args.dataset}")
     print(f"  poses: {g.n}")
     print(f"  directed measurements: {g.directed_count} "
-          f"({len(g.undirected_edges())} undirected edges)")
+          f"({info['undirected_edges']} undirected edges)")
     print(f"  degree min/mean/max: {info['degree']['min']}"
           f"/{info['degree']['mean']:.2f}/{info['degree']['max']}")
     print(f"  algebraic connectivity: {lam2:.6f}")
     print("  consistency:")
-    for key, val in report.to_dict().items():
+    for key, val in info["consistency"].items():
         print(f"    {key}: {val}")
     print("  basin membership by init mode "
           f"(epsilon={args.epsilon}):")
@@ -250,17 +236,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dt", type=float, default=0.05,
-                   help="integration step (default 0.05)")
-    p.add_argument("--stop-tol", type=float, default=1e-2,
-                   help="stop when the objective changes less than this")
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--translation-mode", default="per_step_averaged",
-                   choices=("per_step_averaged", "online_averaged", "raw"))
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="geopgo",
         description="Distributed pose-graph optimization toolkit")
@@ -290,7 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
                          "only; created before the first round)")
     p_solve.add_argument("--json", action="store_true",
                          help="print the summary JSON to stdout")
-    _add_solver_flags(p_solve)
+    p_solve.add_argument("--dt", type=float, default=SolverConfig.dt,
+                         help="integration step (default %(default)s)")
+    p_solve.add_argument("--stop-tol", type=float,
+                         default=SolverConfig.stop_tol,
+                         help="stop when the objective changes less than this")
+    p_solve.add_argument("--max-iters", type=int,
+                         default=SolverConfig.max_iters)
+    p_solve.add_argument("--translation-mode",
+                         default=SolverConfig.translation_mode,
+                         choices=TRANSLATION_MODES)
     p_solve.set_defaults(func=cmd_solve)
 
     p_info = sub.add_parser("info", help="inspect a dataset")
@@ -315,14 +302,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=os.environ.get("GEOPGO_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (CliError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,6 +30,9 @@ from .graph import PoseGraph, bfs_tree, edge_blocks, sequential_sum
 # arrays; the name stays because perfbench/run.py's tracer wraps it.
 build_graph = graph.build_graph
 
+# Largest pairwise defect, in radians and in meters, that still passes.
+PAIRWISE_TOL = 1e-6
+
 
 @dataclass
 class ConsistencyReport:
@@ -56,16 +59,13 @@ class ConsistencyReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def check_pairwise(
-    g: PoseGraph,
-    rot_tol: float = 1e-6,
-    trans_tol: float = 1e-6,
-) -> ConsistencyReport:
+def check_pairwise(g: PoseGraph) -> ConsistencyReport:
     """Measure how far each edge's two directions are from rigid inverses.
 
     Rotation defect per edge is the angle of ``r_ij @ r_ji``; translation
     defect is ``norm(t_ij + r_ij @ t_ji)``. Both vanish exactly when the
-    reverse direction equals the rigid inverse of the forward one.
+    reverse direction equals the rigid inverse of the forward one; the
+    check passes when neither exceeds :data:`PAIRWISE_TOL`.
     """
     e = g.edge_arrays
     fwd = np.flatnonzero(e.src < e.dst)
@@ -82,7 +82,8 @@ def check_pairwise(
     return ConsistencyReport(
         pairwise_rot_max_defect=rot_defect,
         pairwise_trans_max_defect=trans_defect,
-        pairwise_pass=(rot_defect <= rot_tol and trans_defect <= trans_tol),
+        pairwise_pass=(rot_defect <= PAIRWISE_TOL
+                       and trans_defect <= PAIRWISE_TOL),
     )
 
 
@@ -221,13 +222,10 @@ def _aligned_rows(walks: list[list[int]], pad: int) -> np.ndarray:
 
 
 def full_report(
-    g: PoseGraph,
-    rot_tol: float = 1e-6,
-    trans_tol: float = 1e-6,
-    cycle_basis_limit: int | None = None,
+    g: PoseGraph, cycle_basis_limit: int | None = None,
 ) -> ConsistencyReport:
     """Run all three checks and merge their fields into one report."""
-    pw = check_pairwise(g, rot_tol, trans_tol)
+    pw = check_pairwise(g)
     mn = check_minimal(g)
     gl = check_global(g, cycle_basis_limit)
     return ConsistencyReport(

@@ -538,7 +538,12 @@ def max_degree(g: PoseGraph) -> int:
 
 
 def algebraic_connectivity(g: PoseGraph) -> float:
-    """Second-smallest Laplacian eigenvalue; positive iff connected."""
+    """Second-smallest Laplacian eigenvalue; positive iff connected.
+
+    A single pose has no second eigenvalue; it reads 0.0.
+    """
+    if g.n == 1:
+        return 0.0
     return float(np.linalg.eigvalsh(laplacian(g))[1])
 
 

@@ -78,8 +78,9 @@ class RoundMessage:
     r: np.ndarray
 
 
-class _MessageLog:
-    """Every read of a neighbor's pose: one row per directed edge per round.
+def _write_message_log(path, blocks: list[EdgeArrays], rounds: int) -> None:
+    """Write every read of a neighbor's pose: one row per directed edge
+    per round, for ``rounds`` rounds of the workers of ``blocks``.
 
     A row is derived from the worker's edge list, which is exactly what
     its kernel reads each round, not observed on the queues: a cut-edge
@@ -87,36 +88,27 @@ class _MessageLog:
     :class:`RoundMessage` carries the rows of many. The rows of one
     worker's round are a fixed block, its edges in ``(receiver,
     sender)`` order, each line ``json.dumps`` of its row. The block's
-    text is built once, from ids read with one ``tolist``, as a list of
-    pieces split where the round number goes, so a worker-round is one
-    ``str(round).join(pieces)``. Each worker records only the rounds it
-    ran, in its own list. :meth:`dump` writes the blocks in ``(round,
-    worker)`` order, which is ``(round, receiver, sender)`` order
-    because the blocks are contiguous and ascending, one worker-round
-    at a time, so the file is never held in memory whole.
+    text is formatted once, from ids read with one ``tolist``, as a list
+    of pieces split where the round number goes, so a worker-round is
+    one ``str(round).join(pieces)``. Every worker runs every round, and
+    the blocks are contiguous and ascending, so writing the rounds in
+    order and each round's blocks in worker order gives ``(round,
+    receiver, sender)`` order, one worker-round at a time: the file is
+    never held in memory whole.
     """
-
-    def __init__(self, blocks: list[EdgeArrays]) -> None:
-        lead = '{"round": '
-        self.pieces: list[list[str]] = []
-        for b in blocks:
-            ids = b.ids.tolist()
-            pieces = [lead] + [
-                f', "sender": {ids[j]}, "receiver": {ids[i]}}}\n{lead}'
-                for i, j in zip(b.src.tolist(), b.dst.tolist())]
-            pieces[-1] = pieces[-1][:-len(lead)]  # no row follows the last
-            self.pieces.append(pieces)
-        self.rounds: list[list[int]] = [[] for _ in blocks]
-
-    def record(self, worker: int, round_no: int) -> None:
-        self.rounds[worker].append(round_no)
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            for round_no, b in sorted((r, b) for b, rounds
-                                      in enumerate(self.rounds)
-                                      for r in rounds):
-                fh.write(str(round_no).join(self.pieces[b]))
+    lead = '{"round": '
+    block_pieces = []
+    for b in blocks:
+        ids = b.ids.tolist()
+        pieces = [lead] + [
+            f', "sender": {ids[j]}, "receiver": {ids[i]}}}\n{lead}'
+            for i, j in zip(b.src.tolist(), b.dst.tolist())]
+        pieces[-1] = pieces[-1][:-len(lead)]  # no row follows the last
+        block_pieces.append(pieces)
+    with open(path, "w") as fh:
+        for round_no in map(str, range(rounds)):
+            for pieces in block_pieces:
+                fh.write(round_no.join(pieces))
 
 
 class NodeWorker:
@@ -146,7 +138,6 @@ class NodeWorker:
         outboxes: dict[int, tuple[queue.Queue, np.ndarray]],
         config: SolverConfig,
         timeout: float,
-        log: _MessageLog | None = None,
     ) -> None:
         self.index = index
         self.block = block
@@ -158,7 +149,6 @@ class NodeWorker:
         self.outboxes = outboxes
         self.config = config
         self.timeout = timeout
-        self.log = log
 
     def broadcast(self, round_no: int) -> None:
         for box, rows in self.outboxes.values():
@@ -191,8 +181,6 @@ class NodeWorker:
             self.t[:m], self.r[:m], nu, omega, self.config.dt)
         self.broadcast(round_no)
         self.collect(round_no)
-        if self.log is not None:
-            self.log.record(self.index, round_no)
         try:
             self.nu, self.omega = node_controls(
                 self.r, self.t, b, self.config.translation_mode, self.rows)
@@ -287,11 +275,6 @@ def run_distributed(
 
     workers = block_workers(g, driver.state, driver.initial_controls,
                             worker_count(g.n), config, deadlock_timeout)
-    log = None
-    if message_log_path is not None:
-        log = _MessageLog([w.block for w in workers])
-        for w in workers:
-            w.log = log
     controls: list = [None] * len(workers)  # each worker's (nu, omega)
 
     errors: list[BaseException] = []
@@ -347,7 +330,8 @@ def run_distributed(
     for th in threads:
         th.join()  # each returns right after the last barrier
 
-    if log is not None:
-        log.dump(message_log_path)
+    if message_log_path is not None:
+        _write_message_log(message_log_path, [w.block for w in workers],
+                           driver.iterations)
     return driver.result(
         all_controls(driver.state, g, config.translation_mode))

@@ -77,11 +77,11 @@ class SolverConfig:
             raise ValueError(
                 f"unknown translation mode {self.translation_mode!r}; "
                 f"expected one of {TRANSLATION_MODES}")
-        if self.dt <= 0:
+        if not self.dt > 0:  # written so that NaN fails too
             raise ValueError("dt must be positive")
-        if self.stop_tol <= 0:
+        if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
 
 

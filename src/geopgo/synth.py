@@ -55,6 +55,13 @@ class NoiseModel:
                           seed=int(d["seed"]))
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject anything but an int or a numpy integer: a float is not
+    truncated and a bool is not taken as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ScenarioSpec:
     """Declarative description of a synthetic pose network.
@@ -91,9 +98,13 @@ class ScenarioSpec:
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}; "
                              f"expected one of {TOPOLOGIES}")
+        for name in ("n", "circle_neighbors"):
+            _check_integer(name, getattr(self, name))
         if self.topology == "grid":
             if self.grid_dims is None:
                 raise ValueError("grid topology requires grid_dims")
+            for d in self.grid_dims:
+                _check_integer("grid_dims entry", d)
             self.grid_dims = tuple(int(d) for d in self.grid_dims)
             if any(d < 1 for d in self.grid_dims):
                 raise ValueError("grid dimensions must be at least 1")

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line driver via main(argv)."""
 
+import argparse
 import json
 
 import numpy as np
@@ -330,6 +331,78 @@ def test_bad_solver_flag_exits_one(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "run")])
     assert rc == 1
     assert "stop_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,field", [("--dt", "dt"),
+                                        ("--stop-tol", "stop_tol")])
+def test_nan_solver_flag_exits_one(tmp_path, capsys, flag, field):
+    # NaN fails every comparison, so a `<= 0` check would let it through
+    # and the solve would run to --max-iters
+    ds = _generate(tmp_path)
+    capsys.readouterr()
+    rc = cli.main(["solve", "--dataset", str(ds), flag, "nan",
+                   "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and field in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("scenario,seed,message", [
+    ({"topology": "sphere", "n": 8.0}, 3,
+     "at scenario: n must be an integer, got 8.0"),
+    ({"topology": "circle", "n": 8, "circle_neighbors": 1.5}, 3,
+     "at scenario: circle_neighbors must be an integer, got 1.5"),
+    ({"topology": "grid", "grid_dims": [2, 2, 2.5]}, 3,
+     "at scenario: grid_dims entry must be an integer, got 2.5"),
+    ({"topology": "grid", "grid_dims": [2, True, 2]}, 3,
+     "at scenario: grid_dims entry must be an integer, got True"),
+    ({"topology": "sphere", "n": True}, 3,
+     "at scenario: n must be an integer, got True"),
+    ({"topology": "sphere", "n": 8}, True, "at seed: must be an integer"),
+], ids=["n-float", "circle-float", "grid-float", "grid-bool", "n-bool",
+        "seed-bool"])
+def test_non_integer_config_field_exits_one(tmp_path, capsys, scenario,
+                                            seed, message):
+    # a float is not truncated and a bool is not taken as 0 or 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "seed": seed}))
+    out = tmp_path / "x.json"
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config error {message}\n"
+    assert not out.exists()
+
+
+def test_info_on_one_pose(tmp_path, capsys):
+    path = tmp_path / "one.g2o"
+    path.write_text("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\n")
+    assert cli.main(["info", "--dataset", str(path), "--json"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["n"] == 1
+    assert info["algebraic_connectivity"] == 0.0
+    assert info["in_basin_by_init"]["gps"] is None
+    assert cli.main(["info", "--dataset", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "algebraic connectivity: 0.000000" in out
+    assert "gps: n/a (no ground truth)" in out
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        assert cli.main(["convert", "--in", str(tmp_path / "in.txt"),
+                         "--out", str(tmp_path / "out.json")]) == 1
+    # none when an earlier call in this process built it already
+    assert built.count("geopgo") <= 1
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_convert_unknown_suffix_exits_one(tmp_path, capsys):

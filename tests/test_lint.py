@@ -89,3 +89,38 @@ def test_foreign_import_check_sees_both_forms():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_only_the_standard_library_and_numpy(path):
     assert _foreign_imports(ast.parse(path.read_text())) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_")]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_private_definition_check_sees_both_forms():
+    tree = ast.parse("def _used(): pass\nclass _Kept: pass\n"
+                     "def _left(): pass\nx = _used() or so3._Kept\n")
+    refs = _references(tree)
+    assert [n for n in _private_definitions(tree) if n not in refs] == [
+        "_left"]
+
+
+def test_every_private_helper_has_a_caller():
+    # a helper whose last caller went away is dead code; the package's
+    # own sources, not its tests, must reference it
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    used = set().union(*map(_references, trees))
+    unused = [name for tree in trees for name in _private_definitions(tree)
+              if name not in used]
+    assert unused == []

@@ -270,23 +270,15 @@ def test_message_log_is_deterministic(tmp_path, monkeypatch):
     assert len(set(keys)) == len(keys) == 5 * g.directed_count
 
 
-class _TemplateLog(runtime._MessageLog):
+def _template_log(blocks, rounds):
     """The log's former dump, kept as an oracle of its bytes: one
-    ``%(round)d`` template per worker, filled once per worker-round."""
-
-    def __init__(self, blocks):
-        self.templates = ["".join(
-            f'{{"round": %(round)d, "sender": {b.ids[j]}, '
-            f'"receiver": {b.ids[i]}}}\n' for i, j in zip(b.src, b.dst))
-            for b in blocks]
-        self.rounds = [[] for _ in blocks]
-
-    def dump(self, path):
-        with open(path, "w") as fh:
-            for round_no, b in sorted((r, b) for b, rounds
-                                      in enumerate(self.rounds)
-                                      for r in rounds):
-                fh.write(self.templates[b] % {"round": round_no})
+    ``%(round)d`` template per worker, filled once per worker-round in
+    ``(round, worker)`` order."""
+    templates = ["".join(
+        f'{{"round": %(round)d, "sender": {b.ids[j]}, '
+        f'"receiver": {b.ids[i]}}}\n' for i, j in zip(b.src, b.dst))
+        for b in blocks]
+    return "".join(t % {"round": r} for r in range(rounds) for t in templates)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -303,7 +295,13 @@ def test_message_log_bytes_equal_both_oracles(tmp_path, monkeypatch, k):
         json.dumps({"round": r, "sender": int(j), "receiver": int(i)}) + "\n"
         for r in range(12) for i, j in zip(e.src, e.dst))
     assert got.read_bytes() == want.encode()
-    monkeypatch.setattr(runtime, "_MessageLog", _TemplateLog)
+    # the same run, its log written from the same blocks by the oracle
+    def write_template(path, blocks, rounds):
+        assert len(blocks) == k and rounds == 12
+        with open(path, "w") as fh:
+            fh.write(_template_log(blocks, rounds))
+
+    monkeypatch.setattr(runtime, "_write_message_log", write_template)
     old = tmp_path / "template.jsonl"
     runtime.run_distributed(g, init, cfg, message_log_path=str(old))
     assert got.read_bytes() == old.read_bytes()
