@@ -300,12 +300,20 @@ class EdgeArrays:
     ``r_rel`` ``(E, 3, 3)`` and ``t_rel`` ``(E, 3)`` are its measurement
     and ``t_in`` ``(E, 3)`` the reverse edge's translation ``t_ji``. Own
     pose ``b``'s edges are rows ``offsets[b]:offsets[b + 1]``, by
-    ascending ``dst`` id. Over the whole graph the pose rows are the ids
-    and ``rev[k]`` is the row of edge ``k``'s reverse direction; a
-    block has no ``rev``.
+    ascending ``dst`` id. Over the whole graph the pose rows are the ids.
 
-    Two derived fields serve the solver's kernel pass, and both are made
-    once, when the arrays are frozen: ``r_rel_t`` is ``r_rel`` with each
+    ``cut`` lists, ascending, the ``C`` rows whose reverse edge starts
+    outside the run: the rows whose ``dst`` is a halo pose. The whole
+    graph has none. ``rev[k]`` is the row of edge ``k``'s reverse
+    direction in the ``E + C`` rows ``[own rows; cut rows]``: an own row,
+    or ``E + c`` when ``k`` is the ``c``-th cut row. The edges must come
+    in pairs: every edge between two own poses has its reverse among the
+    rows.
+
+    Derived fields serve the solver's kernel pass, and all are made
+    once, when the arrays are frozen: ``cut`` always, and ``rev`` when it
+    is not given (:func:`build_graph` gives the whole graph's, by which it
+    reads ``t_in``). ``r_rel_t`` is ``r_rel`` with each
     matrix transposed, C-contiguous, because a stacked ``@`` with a
     transposed right operand takes a slow BLAS path; a block's is a view
     of the whole graph's (built when it is not given). ``plan`` is the
@@ -323,9 +331,13 @@ class EdgeArrays:
     offsets: np.ndarray
     rev: np.ndarray | None = None
     r_rel_t: np.ndarray | None = None
+    cut: np.ndarray = field(init=False, repr=False)
     plan: NodeSumPlan = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cut", np.flatnonzero(self.dst >= self.size))
+        if self.rev is None:
+            object.__setattr__(self, "rev", self._reverse_rows())
         if self.r_rel_t is None:
             object.__setattr__(self, "r_rel_t", _transposed_stack(self.r_rel))
         object.__setattr__(self, "plan", _node_sum_plan(self.offsets))
@@ -339,12 +351,28 @@ class EdgeArrays:
         """The number of own poses."""
         return len(self.offsets) - 1
 
+    def _reverse_rows(self) -> np.ndarray:
+        """``rev``, derived: each own row whose reverse starts at an own
+        pose finds it by one ``searchsorted`` over the sorted pair keys,
+        and the cut rows point past the own rows, in order."""
+        count = len(self.src)
+        keys = self.src * len(self.ids) + self.dst
+        order = np.argsort(keys)
+        inner = self.dst < self.size
+        rev = np.empty(count, dtype=np.intp)
+        rev[inner] = order[np.searchsorted(
+            keys, self.dst[inner] * len(self.ids) + self.src[inner],
+            sorter=order)]
+        rev[self.cut] = np.arange(count, count + len(self.cut))
+        return rev
+
     def name(self, k: int) -> str:
         return f"edge ({self.ids[self.src[k]]}, {self.ids[self.dst[k]]})"
 
     def block(self, lo: int, hi: int) -> "EdgeArrays":
         """The outgoing edges of poses ``lo..hi-1`` of the whole graph,
-        indexed locally; the measurement stacks are views of this one's."""
+        indexed locally; the measurement stacks are views of this one's,
+        and its ``rev`` and ``cut`` are derived."""
         rows = slice(self.offsets[lo], self.offsets[hi])
         dst = self.dst[rows]
         read = np.zeros(self.size, dtype=bool)

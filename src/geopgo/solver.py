@@ -4,7 +4,8 @@ Each node applies feedback assembled only from its own estimate, its
 neighbors' estimates, and the measurements on its incident edges:
 
 * translation velocity: consensus difference minus the rotated
-  translation measurement (three variants, see ``TRANSLATION_MODES``);
+  translation measurement, averaged over the edge's two directions or
+  raw (see ``TRANSLATION_MODES``: the two averaged names are one map);
 * rotation velocity: sum of logs of the per-edge rotation residuals
   ``R_i.T @ R_j @ r_ij.T``, applied in the body frame.
 
@@ -15,7 +16,11 @@ a synchronization barrier reproduces this solver exactly, bit for bit.
 The per-edge terms are computed by one stacked kernel over the outgoing
 edges of any contiguous block of poses (the whole graph, or one
 distributed worker's block), in slices of ``graph.EDGE_BLOCK`` edges,
-and each node sums its edges in ascending order. Only
+and each node sums its edges in ascending order. The pass makes one
+stacked matrix-vector product per edge row, ``R_i t_ij``; the averaged
+translation term reads the ``R_j t_ji`` of an edge from its reverse
+row, and a block makes it from the halo pose for an edge whose reverse
+starts outside the block (:attr:`~geopgo.graph.EdgeArrays.cut`). Only
 operations that give the same bits per row whatever the stack size are
 used: stacked ``@``, elementwise ufuncs, :func:`so3.dot_rows` for dot
 products and :func:`graph.sequential_sum` for totals; no ``einsum`` or
@@ -48,7 +53,6 @@ from typing import Sequence
 import numpy as np
 
 from . import so3
-from .consistency import averaged_translation
 from .graph import (EdgeArrays, NodeSumPlan, Pose, PoseGraph, PoseStack,
                     as_stack, compose, edge_blocks, inverse, max_degree,
                     sequential_sum)
@@ -189,17 +193,15 @@ def _sum_squares9(c: np.ndarray) -> np.ndarray:
             + ((q[:, 4] + q[:, 5]) + (q[:, 6] + q[:, 7]))) + q[:, 8]
 
 
-def _block_terms(r, t, block: EdgeArrays, mode=None):
+def _block_terms(r, t, block: EdgeArrays):
     """Per-edge terms of ``block``'s directed edges ``(i, j)``, one slice
     of at most ``graph.EDGE_BLOCK`` edges at a time.
 
     ``r`` and ``t`` are the stacked poses that ``block.src`` and
     ``block.dst`` index. Yields each slice and its terms: ``rrel = R_i.T
-    @ R_j``, the rotation residual ``rrel @ r_ij.T`` and, for a
-    translation ``mode``, the consensus difference ``d = t_j - t_i``,
-    the term ``m`` that a node's velocity subtracts and the objective's
-    ``R_i @ t_ij`` (mode ``"raw"``'s ``m``); these three are None
-    without a mode.
+    @ R_j``, the rotation residual ``rrel @ r_ij.T``, the consensus
+    difference ``d = t_j - t_i`` and ``R_i @ t_ij``, the slice's one
+    stacked matrix-vector product.
 
     Every product is a stacked ``@``, which equals the per-edge product
     bit for bit, so any slice of the edges gives the same rows. Both
@@ -210,24 +212,10 @@ def _block_terms(r, t, block: EdgeArrays, mode=None):
     rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
     for sl in edge_blocks(len(block.src)):
         src, dst = block.src[sl], block.dst[sl]
-        rj = r.take(dst, 0)
-        rrel = rt.take(src, 0) @ rj
+        rrel = rt.take(src, 0) @ r.take(dst, 0)
         resid = rrel @ block.r_rel_t[sl]
-        if mode is None:
-            yield sl, (rrel, resid, None, None, None)
-            continue
-        ri = r.take(src, 0)
         d = t.take(dst, 0) - t.take(src, 0)
-        t_rel, t_in = block.t_rel[sl], block.t_in[sl]
-        raw = _mv(ri, t_rel)
-        if mode == "raw":
-            m = raw
-        elif mode == "per_step_averaged":
-            m = _mv(ri, averaged_translation(t_rel, t_in, rrel))
-        else:  # online_averaged: adding 0.5 (R_j t_ji - R_i t_ij) is
-            # subtracting its exact negation
-            m = 0.5 * (raw - _mv(rj, t_in))
-        yield sl, (rrel, resid, d, m, raw)
+        yield sl, (rrel, resid, d, _mv(r.take(src, 0), block.t_rel[sl]))
 
 
 def node_controls(
@@ -244,6 +232,15 @@ def node_controls(
     block it runs in, so the rows equal the reference solver's bit for
     bit, which is what makes the trajectories identical.
 
+    Each edge's translation term ``m``, which its node's velocity
+    subtracts from ``d = t_j - t_i``, is ``R_i t_ij`` in mode ``"raw"``
+    and the average over the edge's two directions, ``0.5 * (R_i t_ij -
+    R_j t_ji)``, in both averaged modes. ``R_j t_ji`` is the reverse
+    edge's ``R_i t_ij``, read through ``block.rev``; for a cut edge,
+    whose reverse starts at a halo pose, the pass makes it from that
+    pose. So a pass makes one stacked product per edge row and one per
+    cut row.
+
     ``rows``, when given, is a ``(3, E)`` array over the block's edges
     that the same pass fills with each edge's objective terms: the
     squared translation residual ``|t_j - t_i - R_i t_ij|^2``, the
@@ -256,16 +253,26 @@ def node_controls(
             chart; the message names the edge ``(i, j)`` by global ids
             and the index is the edge's row in the block.
     """
-    terms = np.empty((len(block.src) + 1, 3, 3))  # see _node_sums
+    count, cut = len(block.src), block.cut
+    terms = np.empty((count + 1, 3, 3))  # see _node_sums
     terms[-1] = 0.0
-    for sl, (rrel, resid, d, m, raw) in _block_terms(
-            r, t, block, translation_mode):
+    raw = np.empty((count + len(cut), 3))  # R_i t_ij: own rows, cut rows
+    for sl, (rrel, resid, d, raw_sl) in _block_terms(r, t, block):
         w = _residual_logs(resid, block, sl.start)
         terms[sl, 0] = d
-        np.negative(m, out=terms[sl, 1])
         terms[sl, 2] = w
+        raw[sl] = raw_sl
         if rows is not None:
-            _fill_rows(rows, sl, block, rrel, w, d, raw)
+            _fill_rows(rows, sl, block, rrel, w, d, raw_sl)
+    if translation_mode == "raw":
+        np.negative(raw[:count], out=terms[:-1, 1])
+    else:
+        if len(cut):
+            raw[count:] = _mv(r.take(block.dst[cut], 0), block.t_in[cut])
+        # adding 0.5 (R_j t_ji - R_i t_ij) is subtracting its exact negation
+        m = raw[:count] - raw.take(block.rev, 0)
+        m *= 0.5
+        np.negative(m, out=terms[:-1, 1])
     return _node_sums(terms, block.plan)
 
 
@@ -291,7 +298,7 @@ def objective_rows(r: np.ndarray, t: np.ndarray,
         so3.AngleAtPiError: as :func:`node_controls`.
     """
     rows = np.empty((3, len(block.src)))
-    for sl, (rrel, resid, d, _, raw) in _block_terms(r, t, block, "raw"):
+    for sl, (rrel, resid, d, raw) in _block_terms(r, t, block):
         _fill_rows(rows, sl, block, rrel,
                    _residual_logs(resid, block, sl.start), d, raw)
     return rows
@@ -373,7 +380,7 @@ def desired_offsets(estimates: Sequence[Pose], g: PoseGraph) -> np.ndarray:
     b = g.edge_arrays
     s = as_stack(estimates)
     terms = np.zeros((len(b.src) + 1, 3, 3))
-    for sl, (*_, raw) in _block_terms(s.r, s.t, b, "raw"):
+    for sl, (*_, raw) in _block_terms(s.r, s.t, b):
         terms[sl, 2] = raw
     # the rotation sum of _node_sums adds each node's rows from zero in
     # ascending neighbor order, as the per-node loop ``delta[i] += ...``

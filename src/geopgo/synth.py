@@ -29,6 +29,13 @@ class GenerationFailedError(RuntimeError):
     """Random placement could not satisfy its constraints."""
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject anything but an int or a numpy integer: a float is not
+    truncated and a bool is not taken as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class NoiseModel:
     """Isotropic Gaussian corruption scales.
@@ -45,6 +52,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.tau < 0 or self.kappa < 0:
             raise ValueError("noise scales must be nonnegative")
+        _check_integer("seed", self.seed)
 
     def to_dict(self) -> dict:
         return {"tau": self.tau, "kappa": self.kappa, "seed": self.seed}
@@ -52,14 +60,7 @@ class NoiseModel:
     @staticmethod
     def from_dict(d: dict) -> "NoiseModel":
         return NoiseModel(tau=float(d["tau"]), kappa=float(d["kappa"]),
-                          seed=int(d["seed"]))
-
-
-def _check_integer(name: str, value) -> None:
-    """Reject anything but an int or a numpy integer: a float is not
-    truncated and a bool is not taken as 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+                          seed=d["seed"])
 
 
 @dataclass
@@ -100,6 +101,9 @@ class ScenarioSpec:
                              f"expected one of {TOPOLOGIES}")
         for name in ("n", "circle_neighbors"):
             _check_integer(name, getattr(self, name))
+        if self.sphere_target_undirected is not None:
+            _check_integer("sphere_target_undirected",
+                           self.sphere_target_undirected)
         if self.topology == "grid":
             if self.grid_dims is None:
                 raise ValueError("grid topology requires grid_dims")

@@ -361,8 +361,10 @@ def test_nan_solver_flag_exits_one(tmp_path, capsys, flag, field):
     ({"topology": "sphere", "n": True}, 3,
      "at scenario: n must be an integer, got True"),
     ({"topology": "sphere", "n": 8}, True, "at seed: must be an integer"),
+    ({"topology": "sphere", "n": 20, "sphere_target_undirected": 40.5}, 3,
+     "at scenario: sphere_target_undirected must be an integer, got 40.5"),
 ], ids=["n-float", "circle-float", "grid-float", "grid-bool", "n-bool",
-        "seed-bool"])
+        "seed-bool", "sphere-target-float"])
 def test_non_integer_config_field_exits_one(tmp_path, capsys, scenario,
                                             seed, message):
     # a float is not truncated and a bool is not taken as 0 or 1
@@ -371,6 +373,20 @@ def test_non_integer_config_field_exits_one(tmp_path, capsys, scenario,
     out = tmp_path / "x.json"
     assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: config error {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2.7, True], ids=["float", "bool"])
+def test_non_integer_noise_seed_exits_one(tmp_path, capsys, seed):
+    # the noise seed is not truncated to 2 or taken as 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"topology": "sphere", "n": 8},
+        "noise": {"tau": 0.5, "kappa": 0.524, "seed": seed}}))
+    out = tmp_path / "x.json"
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config error at noise: seed must be an integer, got {seed!r}\n")
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Pose-graph model: pairing, connectivity, Laplacian, spanning tree."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -308,3 +310,34 @@ def test_measurements_sorted_and_lookup():
     assert (m.src, m.dst) == (1, 2)
     with pytest.raises(KeyError):
         g.measurement(0, 0)
+
+
+def test_reverse_rows_and_cut_rows_of_random_blocks():
+    # rev pairs each own row with its reverse direction: another own row,
+    # or, past the own rows, the cut row itself, whose reverse starts at
+    # a halo pose
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        n = int(rng.integers(1, 16))
+        tree = _random_graph(rng, n, int(rng.integers(0, 2 * n)))
+        g = build_graph(n, [_edge(i, j, t=rng.normal(size=3))
+                            for i, j in tree.undirected_edges()],
+                        symmetrize_missing=True)
+        e = g.edge_arrays
+        assert e.cut.dtype == np.intp and e.cut.size == 0
+        assert np.array_equal(replace(e, rev=None).rev, e.rev)
+        for _ in range(5):
+            lo = int(rng.integers(0, n))
+            hi = int(rng.integers(lo + 1, n + 1))
+            b = e.block(lo, hi)
+            count = len(b.src)
+            src, dst = b.ids[b.src], b.ids[b.dst]
+            halo = (dst < lo) | (dst >= hi)
+            assert np.array_equal(b.cut, np.flatnonzero(halo))
+            inner = np.flatnonzero(~halo)
+            back = b.rev[inner]
+            assert np.array_equal(src[back], dst[inner])
+            assert np.array_equal(dst[back], src[inner])
+            assert np.array_equal(b.t_rel[back], b.t_in[inner])
+            assert np.array_equal(b.rev[b.cut],
+                                  count + np.arange(len(b.cut)))

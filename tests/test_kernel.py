@@ -24,10 +24,7 @@ def _loop_node_controls(own, neighbors, neighbor_poses, r_out, t_out, t_in,
         omega = omega + so3.log_map(rrel @ r_out[j].T)
         if translation_mode == "raw":
             nu = nu + (pj.t - own.t) - own.r @ t_out[j]
-        elif translation_mode == "per_step_averaged":
-            t_avg = consistency.averaged_translation(t_out[j], t_in[j], rrel)
-            nu = nu + (pj.t - own.t) - own.r @ t_avg
-        else:  # online_averaged
+        else:  # both averaged modes are the one map
             nu = nu + (pj.t - own.t) + 0.5 * (pj.r @ t_in[j] - own.r @ t_out[j])
     return nu, omega
 
@@ -108,6 +105,53 @@ def test_controls_equal_the_loop_bitwise(inst, mode, block):
             got_nu, got_omega = _block_controls(est, g, lo, hi, mode)
             assert np.array_equal(got_nu, want_nu[lo:hi])
             assert np.array_equal(got_omega, want_omega[lo:hi])
+
+
+def _worker_blocks(g, k):
+    # the blocks runtime.block_workers cuts for k workers
+    bounds = [b * g.n // k for b in range(k + 1)]
+    return [g.edge_arrays.block(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda x: f"{x[0]}{x[1] or ''}")
+def test_reverse_products_from_other_slices_equal_the_loop(inst, monkeypatch):
+    # with slices of 7 edges an edge's reverse row, whose R_i t_ij the
+    # averaged term reads, mostly lies in another slice, or in another
+    # worker's block, where the worker makes it from the halo pose
+    monkeypatch.setattr(graph, "EDGE_BLOCK", 7)
+    g, est = _instance(*inst)
+    e = g.edge_arrays
+    assert np.any(e.rev // 7 != np.arange(len(e.rev)) // 7)
+    mode = "per_step_averaged"
+    want = [_loop_node_controls(*_local(est, g, i), mode) for i in range(g.n)]
+    want_nu = np.array([w[0] for w in want])
+    want_omega = np.array([w[1] for w in want])
+    s = solver.as_stack(est)
+    for k in (1, 2, 3):
+        blocks = _worker_blocks(g, k)
+        assert k == 1 or all(len(b.cut) for b in blocks)
+        got = [solver.node_controls(s.r[b.ids], s.t[b.ids], b, mode)
+               for b in blocks]
+        assert np.array_equal(np.concatenate([nu for nu, _ in got]), want_nu)
+        assert np.array_equal(np.concatenate([om for _, om in got]),
+                              want_omega)
+
+
+def test_averaged_modes_are_one_map():
+    # the two averaged names run the same arithmetic: every state, every
+    # objective and every control norm of a solve are the same bytes
+    g, est = _instance("sphere", 40, 13)
+    runs = [solver.solve(g, est, solver.SolverConfig(
+        max_iters=8, stop_tol=1e-12, translation_mode=mode,
+        record_trajectory=True))
+        for mode in ("per_step_averaged", "online_averaged")]
+    a, b = runs
+    assert a.iterations == b.iterations == 8
+    assert a.objective_history == b.objective_history
+    assert a.control_norm_history == b.control_norm_history
+    for x, y in zip(a.trajectory, b.trajectory):
+        assert x.t.tobytes() == y.t.tobytes()
+        assert x.r.tobytes() == y.r.tobytes()
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=lambda x: f"{x[0]}{x[1] or ''}")
@@ -263,6 +307,50 @@ def test_one_kernel_pass_per_state(monkeypatch, workers):
         want = iters * workers + 2
     assert res.iterations == iters
     assert len(calls) == want
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3],
+                         ids=["reference", "k1", "k2", "k3"])
+def test_one_stacked_product_per_edge_row(monkeypatch, workers):
+    # A pass makes one stacked matrix-vector product per edge row, R_i
+    # t_ij, and one per cut row, whose reverse starts at a halo pose: E
+    # rows over the whole graph, E_b + C_b over a worker's block. A run
+    # adds them up per state as test_one_kernel_pass_per_state counts
+    # the passes.
+    real = solver._mv
+    rows = []
+
+    def counted(a, v):
+        rows.append(len(a))
+        return real(a, v)
+
+    g, est = _instance("sphere", 50, 11)
+    s = solver.as_stack(est)
+    monkeypatch.setattr(solver, "_mv", counted)
+    solver.all_controls(est, g, "per_step_averaged")
+    assert sum(rows) == g.directed_count
+    per_round = g.directed_count
+    if workers is not None:
+        per_round = 0
+        for b in _worker_blocks(g, workers):
+            halo = set(b.ids[b.size:].tolist())
+            cut = sum(j in halo for j in b.ids[b.dst].tolist())
+            rows.clear()
+            solver.node_controls(s.r[b.ids], s.t[b.ids], b,
+                                 "per_step_averaged")
+            assert sum(rows) == len(b.src) + cut
+            per_round += len(b.src) + cut
+    iters = 7
+    cfg = solver.SolverConfig(max_iters=iters, stop_tol=1e-12)
+    rows.clear()
+    if workers is None:
+        solver.solve(g, est, cfg)
+        assert sum(rows) == (iters + 1) * per_round
+    else:
+        monkeypatch.setattr(runtime, "AGENTS", workers)
+        runtime.run_distributed(g, est, cfg)
+        # the initial pass and the final controls run on the whole graph
+        assert sum(rows) == iters * per_round + 2 * g.directed_count
 
 
 @pytest.mark.parametrize("mode", solver.TRANSLATION_MODES)

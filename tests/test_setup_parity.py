@@ -196,6 +196,7 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
         "r_rel": np.array([m.r_rel for m in ordered],
                           dtype=float).reshape(-1, 3, 3),
         "t_rel": t_rel, "t_in": t_rel[rev], "offsets": offsets, "rev": rev,
+        "cut": np.zeros(0, dtype=np.intp),  # a whole graph cuts no edge
         "r_rel_t": np.array([m.r_rel.T for m in ordered],
                             dtype=float).reshape(-1, 3, 3),
         "plan": (np.array(order, dtype=np.intp), nu, omega),
