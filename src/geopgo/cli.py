@@ -50,11 +50,16 @@ def _load_config(path: str) -> tuple[ScenarioSpec, NoiseModel | None, int]:
     if raw.get("noise") is not None:
         try:
             noise = NoiseModel.from_dict(raw["noise"])
-        except (TypeError, ValueError, KeyError) as exc:
+        except KeyError as exc:
+            raise CliError(
+                f"config error at noise: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise CliError(f"config error at noise: {exc}") from exc
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise CliError("config error at seed: must be an integer")
+    if seed < 0:
+        raise CliError(f"config error at seed: must be nonnegative, got {seed}")
     return spec, noise, seed
 
 
@@ -90,6 +95,8 @@ def _load(args: argparse.Namespace):
     """The dataset at ``--dataset`` and its consistency report."""
     if args.cycles < 0:
         raise CliError(f"--cycles must be nonnegative, got {args.cycles}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be nonnegative, got {args.seed}")
     ds = gio.load_any(args.dataset)
     return ds, full_report(ds.graph, cycle_basis_limit=args.cycles)
 

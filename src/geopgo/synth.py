@@ -53,6 +53,9 @@ class NoiseModel:
         if self.tau < 0 or self.kappa < 0:
             raise ValueError("noise scales must be nonnegative")
         _check_integer("seed", self.seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        self.seed = int(self.seed)  # a numpy integer is not JSON serializable
 
     def to_dict(self) -> dict:
         return {"tau": self.tau, "kappa": self.kappa, "seed": self.seed}
@@ -99,11 +102,14 @@ class ScenarioSpec:
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}; "
                              f"expected one of {TOPOLOGIES}")
+        # counts are kept as ints: a numpy integer is not JSON serializable
         for name in ("n", "circle_neighbors"):
             _check_integer(name, getattr(self, name))
+            setattr(self, name, int(getattr(self, name)))
         if self.sphere_target_undirected is not None:
             _check_integer("sphere_target_undirected",
                            self.sphere_target_undirected)
+            self.sphere_target_undirected = int(self.sphere_target_undirected)
         if self.topology == "grid":
             if self.grid_dims is None:
                 raise ValueError("grid topology requires grid_dims")

@@ -390,6 +390,47 @@ def test_non_integer_noise_seed_exits_one(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--init", "gps"], ["solve", "--init", "tree"], ["info"]],
+    ids=["solve-gps", "solve-tree", "info"])
+def test_negative_seed_flag_exits_one(tmp_path, capsys, monkeypatch, argv):
+    # rejected before the dataset is loaded, for every init alike
+    ds = _generate(tmp_path)
+    capsys.readouterr()
+
+    def load_any(path):
+        raise AssertionError("loaded before the flags were checked")
+
+    monkeypatch.setattr(gio, "load_any", load_any)
+    argv = argv + ["--dataset", str(ds), "--seed", "-2"]
+    if argv[0] == "solve":
+        argv += ["--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: --seed must be nonnegative, got -2\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"seed": -1}, "at seed: must be nonnegative, got -1"),
+    ({"noise": {"tau": 0.5, "kappa": 0.524, "seed": -5}},
+     "at noise: seed must be nonnegative, got -5"),
+    ({"noise": {"tau": 0.5, "kappa": 0.524}},
+     "at noise: missing field 'seed'"),
+    ({"noise": {"kappa": 0.524, "seed": 3}},
+     "at noise: missing field 'tau'"),
+], ids=["seed-negative", "noise-seed-negative", "noise-no-seed",
+        "noise-no-tau"])
+def test_bad_config_seed_names_its_field(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"scenario": {"topology": "sphere", "n": 8}, **config}))
+    out = tmp_path / "x.json"
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config error {message}\n"
+    assert not out.exists()
+
+
 def test_info_on_one_pose(tmp_path, capsys):
     path = tmp_path / "one.g2o"
     path.write_text("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\n")

@@ -1,5 +1,6 @@
 """File formats: g2o parsing and writing, CSV exports, JSON datasets."""
 
+import gc
 import io as pyio
 import json
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from geopgo import cli
 from geopgo import io as gio
 from geopgo import so3, solver, synth
 from geopgo.graph import Pose
@@ -265,3 +267,132 @@ def test_load_any_dispatches_by_suffix(tmp_path):
     other.write_text(jp.read_text())
     with pytest.raises(ValueError, match="c.txt"):
         gio.load_any(other)
+
+
+@pytest.mark.parametrize("spec", [
+    dict(topology="sphere", n=np.int64(8)),
+    dict(topology="sphere", n=np.int32(9), sphere_target_undirected=np.int64(20)),
+    dict(topology="circle", n=np.int64(6), circle_neighbors=np.int16(2)),
+], ids=["sphere", "sphere-target", "circle"])
+def test_dataset_built_with_numpy_integers_saves_and_loads(tmp_path, spec):
+    # the spec and the noise model accept numpy integers, so saving them
+    # must not fail in the JSON encoder
+    scenario = synth.ScenarioSpec(**spec)
+    noise = synth.NoiseModel(seed=np.int64(3))
+    poses, graph = synth.generate_dataset(scenario, noise, seed=5)
+    path = tmp_path / "ds.json"
+    gio.save_dataset(path, gio.Dataset(
+        graph=graph, vertices=poses, vertex_kind="ground_truth",
+        scenario=scenario, noise=noise, seed=5))
+    back = gio.load_any(path)
+    assert back.scenario == scenario and back.noise == noise
+    assert back.graph.directed_count == graph.directed_count
+    plain = synth.ScenarioSpec(**{k: v if isinstance(v, str) else int(v)
+                                  for k, v in spec.items()})
+    twin = tmp_path / "twin.json"
+    gio.save_dataset(twin, gio.Dataset(
+        graph=graph, vertices=poses, vertex_kind="ground_truth",
+        scenario=plain, noise=synth.NoiseModel(seed=3), seed=5))
+    assert path.read_bytes() == twin.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def big_inputs(tmp_path_factory):
+    """A JSON dataset with more than 2,000 directed edges and the g2o file
+    that ``geopgo convert`` writes from it."""
+    root = tmp_path_factory.mktemp("big")
+    spec = synth.ScenarioSpec(topology="sphere", n=200)
+    poses, graph = synth.generate_dataset(spec, synth.NoiseModel(seed=1), 1)
+    assert graph.directed_count >= 2000
+    jp, gp = root / "big.json", root / "big.g2o"
+    gio.save_dataset(jp, gio.Dataset(graph=graph, vertices=poses,
+                                     vertex_kind="ground_truth",
+                                     scenario=spec, seed=1))
+    assert cli.main(["convert", "--in", str(jp), "--out", str(gp)]) == 0
+    return jp, gp
+
+
+def _collections(read, enabled: bool) -> tuple[list[int], bool]:
+    """The generations of the collections that ``read()`` runs, and
+    whether the collector is enabled after it, starting from ``enabled``
+    and an empty young generation."""
+    runs = []
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.collect()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(count)
+    try:
+        read()
+        return runs, gc.isenabled()
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+
+
+READERS = {
+    "read_dataset-json": lambda jp, gp: gio.read_dataset(jp),
+    "read_dataset-g2o": lambda jp, gp: gio.read_dataset(gp),
+    "parse_g2o": lambda jp, gp: gio.parse_g2o(gp),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("reader", READERS)
+def test_decode_runs_no_collection(big_inputs, capsys, reader, enabled):
+    # the decoded tree holds no cycles and is dropped before the read
+    # returns, so a collection over it would free nothing
+    capsys.readouterr()
+    runs, after = _collections(lambda: READERS[reader](*big_inputs), enabled)
+    assert runs == []
+    assert after is enabled
+
+
+@pytest.mark.parametrize("suffix", ["json", "g2o"])
+def test_the_inputs_are_large_enough_to_collect(big_inputs, suffix):
+    # without the hold the same decode runs collections, so the test
+    # above can fail
+    path = big_inputs[0 if suffix == "json" else 1]
+    bare = (gio._json_contents if suffix == "json"
+            else gio._g2o_contents).__wrapped__
+    runs, _ = _collections(lambda: bare(path.read_text()), True)
+    assert len(runs) >= 3
+
+
+def _broken_json(path):
+    d = json.loads(path.read_text())
+    d["measurements"][1999]["t"] = [0.0, "x", 0.0]
+    return json.dumps(d)
+
+
+def _broken_g2o(path):
+    lines = path.read_text().splitlines()
+    tokens = lines[-1].split()
+    tokens[3] = "abc"  # the edge's x
+    lines[-1] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("suffix,error,message", [
+    ("json", ValueError, "measurement 1999"),
+    ("g2o", gio.ParseError, "abc"),
+], ids=["json", "g2o"])
+def test_a_failing_decode_restores_the_collector(
+        big_inputs, tmp_path, suffix, error, message, enabled):
+    # only the state is checked: the traceback keeps the decoder's frame,
+    # and with it the decoded tree, alive past the hold, so the first
+    # young collection after it may scan the tree once
+    src = big_inputs[0 if suffix == "json" else 1]
+    path = tmp_path / f"broken.{suffix}"
+    path.write_text((_broken_json if suffix == "json" else _broken_g2o)(src))
+
+    def read():
+        with pytest.raises(error, match=message):
+            gio.read_dataset(path)
+
+    assert _collections(read, enabled)[1] is enabled

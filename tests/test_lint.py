@@ -124,3 +124,53 @@ def test_every_private_helper_has_a_caller():
     unused = [name for tree in trees for name in _private_definitions(tree)
               if name not in used]
     assert unused == []
+
+
+# The collector's switches act on the whole process. Only the io helper
+# that holds the collector for a decode may flip them, and it restores
+# the state it found.
+GC_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
+GC_HOLDER = ("io.py", "_collector_held")
+
+
+def _gc_switch_calls(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(top-level definition, line: call)`` of each call of a
+    :data:`GC_SWITCHES` function, spelled ``gc.x`` or imported from gc."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "gc"}
+    imported = {alias.asname or alias.name: alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "gc"
+                for alias in node.names}
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in modules):
+                name = func.attr
+            else:
+                name = imported.get(getattr(func, "id", None))
+            if name in GC_SWITCHES:
+                found.append((owner, f"line {node.lineno}: gc.{name}"))
+    return found
+
+
+def test_gc_switch_check_sees_both_forms():
+    tree = ast.parse("import gc\nfrom gc import freeze as f\n"
+                     "def g():\n    gc.disable()\n    f()\n"
+                     "gc.collect()\nenable()\n")
+    assert _gc_switch_calls(tree) == [("g", "line 4: gc.disable"),
+                                      ("g", "line 5: gc.freeze")]
+
+
+def test_only_the_io_helper_switches_the_collector():
+    found = {(path.name, owner)
+             for path in sorted(SRC.glob("*.py"))
+             for owner, _ in _gc_switch_calls(ast.parse(path.read_text()))}
+    assert found == {GC_HOLDER}
