@@ -40,21 +40,14 @@ def _load_config(path: str) -> tuple[ScenarioSpec, NoiseModel | None, int]:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
-    if "scenario" not in raw:
+    if not isinstance(raw, dict) or "scenario" not in raw:
         raise CliError("config error at scenario: section missing")
     try:
-        spec = ScenarioSpec.from_dict(raw["scenario"])
-    except (TypeError, ValueError, KeyError) as exc:
-        raise CliError(f"config error at scenario: {exc}") from exc
-    noise = None
-    if raw.get("noise") is not None:
-        try:
-            noise = NoiseModel.from_dict(raw["noise"])
-        except KeyError as exc:
-            raise CliError(
-                f"config error at noise: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"config error at noise: {exc}") from exc
+        spec = gio.read_section("scenario", raw["scenario"])
+        noise = (gio.read_section("noise", raw["noise"])
+                 if raw.get("noise") is not None else None)
+    except ValueError as exc:
+        raise CliError(f"config error {exc}") from exc
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise CliError("config error at seed: must be an integer")

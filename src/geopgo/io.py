@@ -384,11 +384,36 @@ def _json_contents(text: str) -> StoredDataset:
         return _assemble(
             "json", vertices, edges, n,
             vertex_kind=d.get("vertex_kind"), seed=d.get("seed"),
-            scenario=(ScenarioSpec.from_dict(d["scenario"])
-                      if d.get("scenario") else None),
-            noise=NoiseModel.from_dict(d["noise"]) if d.get("noise") else None)
+            scenario=_section(d, "scenario"), noise=_section(d, "noise"))
     except (KeyError, TypeError) as exc:  # a list or section of the wrong shape
         raise ValueError(f"malformed JSON dataset: {exc!r}") from None
+
+
+def read_section(name: str, d) -> ScenarioSpec | NoiseModel:
+    """The ``scenario`` or ``noise`` section ``d`` of a config or a
+    dataset, decoded.
+
+    Raises:
+        ValueError: ``at <name>: <reason>``, naming a missing field.
+    """
+    decode = {"scenario": ScenarioSpec, "noise": NoiseModel}[name].from_dict
+    try:
+        return decode(d)
+    except KeyError as exc:
+        raise ValueError(f"at {name}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"at {name}: {exc}") from None
+
+
+def _section(d: dict, name: str) -> ScenarioSpec | NoiseModel | None:
+    """A JSON dataset's ``scenario`` or ``noise`` section, decoded, or
+    None when it has none; an error names the section."""
+    if not d.get(name):
+        return None
+    try:
+        return read_section(name, d[name])
+    except ValueError as exc:
+        raise ValueError(f"malformed JSON dataset {exc}") from None
 
 
 def _format(path: str | Path) -> str:

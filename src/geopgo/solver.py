@@ -54,8 +54,7 @@ import numpy as np
 
 from . import so3
 from .graph import (EdgeArrays, NodeSumPlan, Pose, PoseGraph, PoseStack,
-                    as_stack, compose, edge_blocks, inverse, max_degree,
-                    sequential_sum)
+                    as_stack, edge_blocks, max_degree, sequential_sum)
 
 TRANSLATION_MODES = ("per_step_averaged", "online_averaged", "raw")
 
@@ -536,23 +535,29 @@ def solve(
 
 def align_gauge(
     estimates: Sequence[Pose], reference: Sequence[Pose], anchor: int = 0,
-) -> list[Pose]:
+) -> PoseStack:
     """Left-multiply all estimates by the rigid transform that carries
     ``estimates[anchor]`` onto ``reference[anchor]``.
 
     The objective is invariant under this (all residuals are built from
-    pose differences), so it is pure reporting convenience.
+    pose differences), so it is pure reporting convenience. The
+    transform is composed once, as ``compose(reference[anchor],
+    inverse(estimates[anchor]))``, then applied to every pose in one
+    stacked pass.
     """
-    t = compose(reference[anchor], inverse(estimates[anchor]))
-    return [compose(t, p) for p in estimates]
+    s, ref = as_stack(estimates), as_stack(reference)
+    r_inv = s.r[anchor].T
+    r = ref.r[anchor] @ r_inv
+    t = ref.t[anchor] + ref.r[anchor] @ -(r_inv @ s.t[anchor])
+    return PoseStack(t + (r @ s.t[..., None])[..., 0], r @ s.r)
 
 
 def pose_errors(
     estimates: Sequence[Pose], reference: Sequence[Pose],
 ) -> tuple[float, float]:
     """Max translation distance (m) and rotation angle (rad) to a reference."""
-    et = max(float(np.linalg.norm(e.t - r.t))
-             for e, r in zip(estimates, reference))
-    er = max(so3.rotation_angle(e.r.T @ r.r)
-             for e, r in zip(estimates, reference))
+    s, ref = as_stack(estimates), as_stack(reference)
+    d = s.t - ref.t
+    et = float(np.sqrt(so3.dot_rows(d, d)).max())
+    er = float(so3.rotation_angle(np.swapaxes(s.r, -1, -2) @ ref.r).max())
     return et, er

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import so3
-from .graph import (Pose, PoseGraph, PoseStack, RelativeMeasurement,
+from .graph import (MeasurementColumns, Pose, PoseGraph, PoseStack,
                     as_stack, bfs_tree, build_graph)
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -50,8 +50,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tau < 0 or self.kappa < 0:
-            raise ValueError("noise scales must be nonnegative")
+        for name, value in (("tau", self.tau), ("kappa", self.kappa)):
+            if not 0 <= value < np.inf:  # written so that NaN fails too
+                raise ValueError(
+                    f"{name} must be finite and nonnegative, got {value!r}")
         _check_integer("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
@@ -113,6 +115,9 @@ class ScenarioSpec:
         if self.topology == "grid":
             if self.grid_dims is None:
                 raise ValueError("grid topology requires grid_dims")
+            if len(self.grid_dims) != 3:
+                raise ValueError(
+                    f"grid_dims needs three entries, got {self.grid_dims!r}")
             for d in self.grid_dims:
                 _check_integer("grid_dims entry", d)
             self.grid_dims = tuple(int(d) for d in self.grid_dims)
@@ -127,12 +132,11 @@ class ScenarioSpec:
             raise ValueError("need at least two vertices")
         if self.topology == "circle" and self.circle_neighbors < 1:
             raise ValueError("circle_neighbors must be at least 1")
-        if self.topology == "random" and self.comm_radius <= 0:
-            raise ValueError("comm_radius must be positive")
-        if self.topology == "grid" and self.grid_spacing <= 0:
-            raise ValueError("grid_spacing must be positive")
-        if self.topology in ("circle", "sphere") and self.radius <= 0:
-            raise ValueError("radius must be positive")
+        scale = {"random": "comm_radius",
+                 "grid": "grid_spacing"}.get(self.topology, "radius")
+        if not 0 < getattr(self, scale) < np.inf:  # NaN fails too
+            raise ValueError(f"{scale} must be finite and positive, "
+                             f"got {getattr(self, scale)!r}")
 
     def to_dict(self) -> dict:
         d = {"topology": self.topology, "n": self.n}
@@ -157,71 +161,64 @@ class ScenarioSpec:
         return ScenarioSpec(**kwargs)
 
 
-def _grid_layout(spec: ScenarioSpec) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _pair_distances(positions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every vertex pair ``i < j``, ascending, and its distance, in one
+    pass; ``sqrt(dot(d, d))`` is ``np.linalg.norm(d)`` bit for bit."""
+    i, j = np.triu_indices(len(positions), 1)
+    d = positions[i] - positions[j]
+    return i, j, np.sqrt(so3.dot_rows(d, d))
+
+
+def _grid_layout(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     a, b, c = spec.grid_dims
-    positions = np.zeros((spec.n, 3))
-    index = {}
-    for i, (x, y, z) in enumerate(np.ndindex(a, b, c)):
-        positions[i] = np.array([x, y, z], dtype=float) * spec.grid_spacing
-        index[(x, y, z)] = i
-    edges = []
-    for (x, y, z), i in index.items():
-        for dx, dy, dz in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            key = (x + dx, y + dy, z + dz)
-            if key in index:
-                edges.append((i, index[key]))
-    return positions, sorted(edges)
+    coords = np.indices(spec.grid_dims).reshape(3, -1).T  # x, y, z per id
+    # each vertex to its next neighbor along z, y and x, so by ascending id
+    step = coords[:, ::-1] < np.array([c, b, a]) - 1
+    j = np.arange(spec.n)[:, None] + np.array([1, c, b * c])
+    return (coords.astype(float) * spec.grid_spacing,
+            np.stack((np.nonzero(step)[0], j[step]), axis=1))
 
 
-def _circle_layout(spec: ScenarioSpec) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _circle_layout(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     n = spec.n
     angles = 2.0 * np.pi * np.arange(n) / n
     positions = spec.radius * np.stack(
         [np.cos(angles), np.sin(angles), np.zeros(n)], axis=1)
-    edges = set()
     k = min(spec.circle_neighbors, n // 2)
-    for i in range(n):
-        for d in range(1, k + 1):
-            j = (i + d) % n
-            edges.add((min(i, j), max(i, j)))
-    return positions, sorted(edges)
+    i = np.repeat(np.arange(n), k)
+    j = (i + np.tile(np.arange(1, k + 1), n)) % n
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    return positions, np.stack(np.divmod(keys, n), axis=1)
 
 
-def _sphere_layout(spec: ScenarioSpec) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _sphere_layout(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     n = spec.n
-    positions = np.zeros((n, 3))
-    for i in range(n):
-        z = 1.0 - 2.0 * (i + 0.5) / n
-        rho = np.sqrt(max(0.0, 1.0 - z * z))
-        phi = i * _GOLDEN_ANGLE
-        positions[i] = spec.radius * np.array(
-            [rho * np.cos(phi), rho * np.sin(phi), z])
-    edges = {(i, i + 1) for i in range(n - 1)}
-    edges.add((0, n - 1))
-    complete = n * (n - 1) // 2
+    z = 1.0 - 2.0 * (np.arange(n) + 0.5) / n
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = np.arange(n) * _GOLDEN_ANGLE
+    positions = spec.radius * np.stack(
+        [rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    i, j, d = _pair_distances(positions)
+    # a closed ring along the spiral
+    keep = (j == i + 1) | ((i == 0) & (j == n - 1))
+    ring = int(keep.sum())
+    complete = len(i)
     target = spec.sphere_target_undirected
     if target is None:
         target = min(int(round(5.44 * n)), complete)
-    if not (len(edges) <= target <= complete):
+    if not (ring <= target <= complete):
         raise ValueError(
-            f"sphere edge target {target} outside [{len(edges)}, {complete}]")
-    candidates = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in edges:
-                d = float(np.linalg.norm(positions[i] - positions[j]))
-                candidates.append((d, i, j))
-    candidates.sort()
-    for d, i, j in candidates:
-        if len(edges) >= target:
-            break
-        edges.add((i, j))
-    return positions, sorted(edges)
+            f"sphere edge target {target} outside [{ring}, {complete}]")
+    # then the nearest other pairs, ties by ascending (i, j)
+    other = np.flatnonzero(~keep)
+    nearest = np.lexsort((j[other], i[other], d[other]))
+    keep[other[nearest[:target - ring]]] = True
+    return positions, np.stack((i[keep], j[keep]), axis=1)
 
 
 def _random_layout(
     spec: ScenarioSpec, rng: np.random.Generator,
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     n = spec.n
     r = spec.comm_radius
     positions = np.zeros((n, 3))
@@ -241,12 +238,13 @@ def _random_layout(
         else:
             raise GenerationFailedError(
                 f"could not place vertex {i} after 100 attempts")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if float(np.linalg.norm(positions[i] - positions[j])) <= r:
-                edges.append((i, j))
-    return positions, edges
+    i, j, d = _pair_distances(positions)
+    near = d <= r
+    return positions, np.stack((i[near], j[near]), axis=1)
+
+
+_LAYOUTS = {"grid": _grid_layout, "circle": _circle_layout,
+            "sphere": _sphere_layout}
 
 
 def generate_ground_truth(
@@ -263,31 +261,41 @@ def generate_ground_truth(
     drives everything, so identical inputs give identical output bytes.
     """
     rng = np.random.default_rng(seed)
-    if spec.topology == "grid":
-        positions, edges = _grid_layout(spec)
-    elif spec.topology == "circle":
-        positions, edges = _circle_layout(spec)
-    elif spec.topology == "sphere":
-        positions, edges = _sphere_layout(spec)
-    else:
+    if spec.topology == "random":
         positions, edges = _random_layout(spec, rng)
+    else:
+        positions, edges = _LAYOUTS[spec.topology](spec)
     poses = PoseStack(positions, np.array(
         [so3.random_rotation(rng) for _ in range(spec.n)]))
     return poses, build_graph(spec.n, exact_measurements(poses, edges))
 
 
+def _relative(
+    poses: PoseStack, src: np.ndarray, dst: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pose of each ``dst[k]`` in the frame of ``src[k]``, stacked:
+    ``R_src^T (t_dst - t_src)`` and ``R_src^T R_dst``."""
+    # transposed views, as r[i].T is: a contiguous copy may round differently
+    r_t = np.swapaxes(poses.r[src], -1, -2)
+    t = (r_t @ (poses.t[dst] - poses.t[src])[..., None])[..., 0]
+    return t, r_t @ poses.r[dst]
+
+
 def exact_measurements(
     poses: Sequence[Pose], edges: Iterable[tuple[int, int]],
-) -> list[RelativeMeasurement]:
-    """Noise-free directed measurements, both directions of every edge."""
-    s = as_stack(poses)
-    t, r = s.t, s.r
-    out = []
-    for i, j in sorted(edges):
-        rij = r[i].T @ r[j]
-        out.append(RelativeMeasurement(i, j, r[i].T @ (t[j] - t[i]), rij))
-        out.append(RelativeMeasurement(j, i, r[j].T @ (t[i] - t[j]), rij.T))
-    return out
+) -> MeasurementColumns:
+    """Noise-free directed measurements, both directions of every edge.
+
+    The edges come in ascending ``(i, j)`` order, each forward then
+    back; a back rotation is the exact transpose of its forward one.
+    """
+    pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
+                     dtype=np.intp).reshape(-1, 2)
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
+    src, dst = pairs.ravel(), pairs[:, ::-1].ravel()
+    t_rel, r_rel = _relative(as_stack(poses), src, dst)
+    r_rel[1::2] = np.swapaxes(r_rel[::2], -1, -2)
+    return MeasurementColumns(src, dst, t_rel, r_rel)
 
 
 def corrupt_measurements(
@@ -302,22 +310,13 @@ def corrupt_measurements(
     forward direction then backward, translation normals before rotation
     normals.
     """
-    rng = np.random.default_rng(noise.seed)
-    s = as_stack(poses)
-    t, r = s.t, s.r
-
-    def one(src: int, dst: int) -> RelativeMeasurement:
-        t_true = r[src].T @ (t[dst] - t[src])
-        r_true = r[src].T @ r[dst]
-        t_meas = t_true + noise.tau * rng.standard_normal(3)
-        r_meas = r_true @ so3.exp_map(noise.kappa * rng.standard_normal(3))
-        return RelativeMeasurement(src, dst, t_meas, r_meas)
-
-    out = []
-    for i, j in topology.undirected_edges():
-        out.append(one(i, j))
-        out.append(one(j, i))
-    return build_graph(topology.n, out)
+    e = topology.edge_arrays
+    fwd = e.src < e.dst
+    m = exact_measurements(poses, np.stack((e.src[fwd], e.dst[fwd]), axis=1))
+    z = np.random.default_rng(noise.seed).standard_normal((len(m), 2, 3))
+    return build_graph(topology.n, MeasurementColumns(
+        m.src, m.dst, m.t_rel + noise.tau * z[:, 0],
+        m.r_rel @ so3.exp_map(noise.kappa * z[:, 1])))
 
 
 def generate_dataset(

@@ -431,6 +431,65 @@ def test_bad_config_seed_names_its_field(tmp_path, capsys, config, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"noise": {"tau": float("nan"), "kappa": 0.524, "seed": 1}},
+     "at noise: tau must be finite and nonnegative, got nan"),
+    ({"noise": {"tau": 0.5, "kappa": float("inf"), "seed": 1}},
+     "at noise: kappa must be finite and nonnegative, got inf"),
+    ({"scenario": {"topology": "sphere", "n": 8, "radius": float("nan")}},
+     "at scenario: radius must be finite and positive, got nan"),
+    ({"scenario": {"topology": "grid", "grid_dims": [2, 2, 2],
+                   "grid_spacing": float("inf")}},
+     "at scenario: grid_spacing must be finite and positive, got inf"),
+    ({"scenario": {"topology": "random", "n": 8,
+                   "comm_radius": float("nan")}},
+     "at scenario: comm_radius must be finite and positive, got nan"),
+], ids=["tau-nan", "kappa-inf", "radius-nan", "grid-spacing-inf",
+        "comm-radius-nan"])
+def test_non_finite_config_scale_exits_one(tmp_path, capsys, config,
+                                           message):
+    # json writes NaN and Infinity, and json reads them back
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"scenario": {"topology": "sphere", "n": 8}, **config}))
+    out = tmp_path / "x.json"
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config error {message}\n"
+    assert not out.exists()
+
+
+def _scenario_n_float(d):
+    d["scenario"]["n"] = 8.0
+
+
+def _noise_without_kappa(d):
+    del d["noise"]["kappa"]
+
+
+def _noise_tau_nan(d):
+    d["noise"]["tau"] = float("nan")
+
+
+@pytest.mark.parametrize("command", ["info", "convert"])
+@pytest.mark.parametrize("corrupt, message", [
+    (_scenario_n_float, "at scenario: n must be an integer, got 8.0"),
+    (_noise_without_kappa, "at noise: missing field 'kappa'"),
+    (_noise_tau_nan, "at noise: tau must be finite and nonnegative, got nan"),
+], ids=["scenario-n-float", "noise-without-kappa", "noise-tau-nan"])
+def test_bad_dataset_provenance_names_its_section(tmp_path, capsys, corrupt,
+                                                  message, command):
+    ds = _generate(tmp_path)
+    d = json.loads(ds.read_text())
+    corrupt(d)
+    ds.write_text(json.dumps(d))
+    capsys.readouterr()
+    argv = (["info", "--dataset", str(ds)] if command == "info" else
+            ["convert", "--in", str(ds), "--out", str(tmp_path / "x.g2o")])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: malformed JSON dataset {message}\n")
+
+
 def test_info_on_one_pose(tmp_path, capsys):
     path = tmp_path / "one.g2o"
     path.write_text("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\n")

@@ -247,6 +247,20 @@ def test_json_dataset_without_provenance(tmp_path):
     assert back.graph.directed_count == ds.graph.directed_count
 
 
+@pytest.mark.parametrize("name, section, message", [
+    ("scenario", {"topology": "sphere", "n": 8.0},
+     "at scenario: n must be an integer, got 8.0"),
+    ("scenario", {"topology": "sphere", "n": 8, "bogus": 1},
+     "at scenario: .*unexpected keyword argument 'bogus'"),
+    ("noise", {"tau": 0.5, "seed": 1}, "at noise: missing field 'kappa'"),
+    ("noise", {"tau": float("nan"), "kappa": 0.5, "seed": 1},
+     "at noise: tau must be finite and nonnegative, got nan"),
+], ids=["n-float", "unknown-field", "no-kappa", "nan-tau"])
+def test_read_section_names_the_section(name, section, message):
+    with pytest.raises(ValueError, match=message):
+        gio.read_section(name, section)
+
+
 def test_load_any_dispatches_by_suffix(tmp_path):
     ds = _dataset(seed=5)
     jp = tmp_path / "a.json"

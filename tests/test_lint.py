@@ -126,6 +126,41 @@ def test_every_private_helper_has_a_caller():
     assert unused == []
 
 
+# Poses and measurements travel as stacks (PoseStack, MeasurementColumns).
+# Only graph.py, which defines the per-object types and reads a stack
+# row as one on demand, builds them; so do its helpers that return one.
+PER_OBJECT_BUILDERS = {"Pose", "RelativeMeasurement", "identity", "compose",
+                       "inverse", "reversed_measurement"}
+OBJECT_HOME = "graph.py"
+
+
+def _per_object_builds(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            if name in PER_OBJECT_BUILDERS:
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_per_object_build_check_sees_both_forms():
+    tree = ast.parse("Pose(t, r)\ngraph.RelativeMeasurement(0, 1, t, r)\n"
+                     "Pose.identity()\nPoseStack(t, r)\ncompose(a, b)\n")
+    assert _per_object_builds(tree) == [
+        "line 1: Pose", "line 2: RelativeMeasurement", "line 3: identity",
+        "line 5: compose"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != OBJECT_HOME],
+    ids=lambda p: p.name)
+def test_only_graph_builds_per_object_poses_and_measurements(path):
+    assert _per_object_builds(ast.parse(path.read_text())) == []
+
+
 # The collector's switches act on the whole process. Only the io helper
 # that holds the collector for a decode may flip them, and it restores
 # the state it found.

@@ -6,9 +6,11 @@ import pytest
 from geopgo import consistency, runtime, so3, solver, synth
 from geopgo.graph import (
     Pose,
+    PoseStack,
     RelativeMeasurement,
     build_graph,
     compose,
+    inverse,
     laplacian,
     reversed_measurement,
 )
@@ -337,6 +339,44 @@ def test_align_gauge():
     same = solver.align_gauge(truth, truth)
     for a, b in zip(same, truth):
         assert np.allclose(a.t, b.t, atol=1e-12)
+
+
+def _loop_align_gauge(estimates, reference, anchor=0):
+    # the per-pose form: one composed transform, then one Pose per pose
+    t = compose(reference[anchor], inverse(estimates[anchor]))
+    return [compose(t, p) for p in estimates]
+
+
+def _loop_pose_errors(estimates, reference):
+    et = max(float(np.linalg.norm(e.t - r.t))
+             for e, r in zip(estimates, reference))
+    er = max(so3.rotation_angle(e.r.T @ r.r)
+             for e, r in zip(estimates, reference))
+    return et, er
+
+
+@pytest.mark.parametrize("spec", [
+    synth.ScenarioSpec(topology="sphere", n=60),
+    synth.ScenarioSpec(topology="circle", n=200, radius=30.0),
+    synth.ScenarioSpec(topology="random", n=25),
+], ids=["sphere-60", "circle-200", "random-25"])
+@pytest.mark.parametrize("anchor", [0, 1, -1])
+def test_gauge_tools_equal_the_per_pose_loops_bitwise(spec, anchor):
+    truth, _ = synth.generate_ground_truth(spec, seed=spec.n)
+    est = synth.gps_init(truth, 0.5, 0.524, seed=3)
+    anchor %= spec.n
+    aligned = solver.align_gauge(est, truth, anchor)
+    oracle = _loop_align_gauge(est, truth, anchor)
+    assert isinstance(aligned, PoseStack)
+    assert np.array_equal(aligned.t, [p.t for p in oracle])
+    assert np.array_equal(aligned.r, [p.r for p in oracle])
+    # a Pose list goes in as a stack does
+    listed = solver.align_gauge(list(est), list(truth), anchor)
+    assert np.array_equal(listed.t, aligned.t)
+    assert np.array_equal(listed.r, aligned.r)
+    errors = solver.pose_errors(aligned, truth)
+    assert errors == _loop_pose_errors(oracle, truth)
+    assert all(type(e) is float for e in errors)
 
 
 def test_objective_gauge_invariance():

@@ -7,7 +7,9 @@ import pytest
 
 from geopgo import consistency, io as gio, so3, solver, synth
 from geopgo.graph import DisconnectedGraphError  # noqa: F401  (api surface)
-from geopgo.graph import Pose, PoseStack, compose, spanning_tree
+from geopgo.graph import (MeasurementColumns, Pose, PoseStack,
+                          RelativeMeasurement, as_columns, build_graph,
+                          compose, spanning_tree)
 
 
 def test_scenario_spec_validation():
@@ -30,6 +32,31 @@ def test_noise_model_validation_and_round_trip():
     assert synth.NoiseModel.from_dict(nm.to_dict()) == nm
     spec = synth.ScenarioSpec(topology="circle", n=6, circle_neighbors=2)
     assert synth.ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1])
+@pytest.mark.parametrize("field", ["tau", "kappa"])
+def test_noise_scales_must_be_finite_and_nonnegative(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and "
+                                         "nonnegative"):
+        synth.NoiseModel(**{field: value})
+    assert synth.NoiseModel(**{field: 0.0}).to_dict()[field] == 0.0
+
+
+@pytest.mark.parametrize("topology, field", [
+    ("random", "comm_radius"), ("grid", "grid_spacing"),
+    ("circle", "radius"), ("sphere", "radius")])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_scenario_scales_must_be_finite_and_positive(topology, field, value):
+    shape = {"grid_dims": (2, 2, 1)} if topology == "grid" else {"n": 5}
+    with pytest.raises(ValueError, match=f"{field} must be finite and "
+                                         "positive"):
+        synth.ScenarioSpec(topology=topology, **shape, **{field: value})
+
+
+def test_grid_dims_need_three_entries():
+    with pytest.raises(ValueError, match="grid_dims needs three entries"):
+        synth.ScenarioSpec(topology="grid", grid_dims=(2, 2))
 
 
 def test_determinism_byte_for_byte(tmp_path):
@@ -320,3 +347,225 @@ def test_scenario_json_config_round_trip():
     back = json.loads(blob)
     assert synth.ScenarioSpec.from_dict(back["scenario"]) == spec
     assert synth.NoiseModel.from_dict(back["noise"]) == noise
+
+
+# -- the stacked generator against its per-edge loops ----------------------
+# The oracles are the generator's earlier loop forms: one Python step per
+# vertex pair and one RelativeMeasurement per direction. The stacked
+# forms must give the same bits and draw the same stream.
+
+
+def _loop_grid_layout(spec):
+    a, b, c = spec.grid_dims
+    positions = np.zeros((spec.n, 3))
+    index = {}
+    for i, (x, y, z) in enumerate(np.ndindex(a, b, c)):
+        positions[i] = np.array([x, y, z], dtype=float) * spec.grid_spacing
+        index[(x, y, z)] = i
+    edges = []
+    for (x, y, z), i in index.items():
+        for dx, dy, dz in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            key = (x + dx, y + dy, z + dz)
+            if key in index:
+                edges.append((i, index[key]))
+    return positions, sorted(edges)
+
+
+def _loop_circle_layout(spec):
+    n = spec.n
+    angles = 2.0 * np.pi * np.arange(n) / n
+    positions = spec.radius * np.stack(
+        [np.cos(angles), np.sin(angles), np.zeros(n)], axis=1)
+    edges = set()
+    for i in range(n):
+        for d in range(1, min(spec.circle_neighbors, n // 2) + 1):
+            j = (i + d) % n
+            edges.add((min(i, j), max(i, j)))
+    return positions, sorted(edges)
+
+
+def _loop_sphere_layout(spec):
+    n = spec.n
+    positions = np.zeros((n, 3))
+    for i in range(n):
+        z = 1.0 - 2.0 * (i + 0.5) / n
+        rho = np.sqrt(max(0.0, 1.0 - z * z))
+        phi = i * synth._GOLDEN_ANGLE
+        positions[i] = spec.radius * np.array(
+            [rho * np.cos(phi), rho * np.sin(phi), z])
+    edges = {(i, i + 1) for i in range(n - 1)}
+    edges.add((0, n - 1))
+    target = spec.sphere_target_undirected
+    if target is None:
+        target = min(int(round(5.44 * n)), n * (n - 1) // 2)
+    candidates = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in edges:
+                d = float(np.linalg.norm(positions[i] - positions[j]))
+                candidates.append((d, i, j))
+    candidates.sort()
+    for d, i, j in candidates:
+        if len(edges) >= target:
+            break
+        edges.add((i, j))
+    return positions, sorted(edges)
+
+
+def _loop_random_layout(spec, rng):
+    n, r = spec.n, spec.comm_radius
+    positions = np.zeros((n, 3))
+    for i in range(1, n):
+        for _ in range(100):
+            anchor = int(rng.integers(0, i))
+            direction = rng.standard_normal(3)
+            norm = float(np.linalg.norm(direction))
+            if norm < 1e-12:
+                continue
+            scale = r * float(rng.uniform()) ** (1.0 / 3.0)
+            candidate = positions[anchor] + direction / norm * scale
+            dists = np.linalg.norm(positions[:i] - candidate, axis=1)
+            if float(dists.min()) > 1e-9:
+                positions[i] = candidate
+                break
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if float(np.linalg.norm(positions[i] - positions[j])) <= r:
+                edges.append((i, j))
+    return positions, edges
+
+
+_LOOP_LAYOUTS = {"grid": _loop_grid_layout, "circle": _loop_circle_layout,
+                 "sphere": _loop_sphere_layout}
+
+
+def _loop_exact_measurements(poses, edges):
+    out = []
+    for i, j in sorted(edges):
+        rij = poses[i].r.T @ poses[j].r
+        out.append(RelativeMeasurement(
+            i, j, poses[i].r.T @ (poses[j].t - poses[i].t), rij))
+        out.append(RelativeMeasurement(
+            j, i, poses[j].r.T @ (poses[i].t - poses[j].t), rij.T))
+    return out
+
+
+def _loop_corrupt_measurements(poses, topology, noise):
+    rng = np.random.default_rng(noise.seed)
+
+    def one(src, dst):
+        t_true = poses[src].r.T @ (poses[dst].t - poses[src].t)
+        r_true = poses[src].r.T @ poses[dst].r
+        t_meas = t_true + noise.tau * rng.standard_normal(3)
+        r_meas = r_true @ so3.exp_map(noise.kappa * rng.standard_normal(3))
+        return RelativeMeasurement(src, dst, t_meas, r_meas)
+
+    out = []
+    for i, j in topology.undirected_edges():
+        out.append(one(i, j))
+        out.append(one(j, i))
+    return build_graph(topology.n, out)
+
+
+def _loop_generate_dataset(spec, noise, seed):
+    rng = np.random.default_rng(seed)
+    if spec.topology == "random":
+        positions, edges = _loop_random_layout(spec, rng)
+    else:
+        positions, edges = _LOOP_LAYOUTS[spec.topology](spec)
+    poses = [Pose(t, so3.random_rotation(rng)) for t in positions]
+    topology = build_graph(spec.n, _loop_exact_measurements(poses, edges))
+    if noise is None:
+        return poses, topology
+    return poses, _loop_corrupt_measurements(poses, topology, noise)
+
+
+_GENERATOR_SPECS = [
+    *(synth.ScenarioSpec(topology=t, n=n)
+      for t in ("random", "circle", "sphere") for n in (2, 3)),
+    synth.ScenarioSpec(topology="random", n=40, comm_radius=1.5),
+    synth.ScenarioSpec(topology="circle", n=9, circle_neighbors=3),
+    synth.ScenarioSpec(topology="circle", n=6, circle_neighbors=7),
+    synth.ScenarioSpec(topology="sphere", n=60),
+    *(synth.ScenarioSpec(topology="sphere", n=12, sphere_target_undirected=k)
+      for k in (12, 13, 40, 65, 66)),  # 66 is the complete graph
+    # (0, 2) and (1, 3) are equally far apart; the lower pair goes first
+    synth.ScenarioSpec(topology="sphere", n=4, radius=3.0,
+                       sphere_target_undirected=5),
+    *(synth.ScenarioSpec(topology="grid", grid_dims=d)
+      for d in ((1, 1, 1), (2, 1, 1), (1, 3, 1), (3, 1, 2), (4, 3, 2))),
+]
+
+
+def _spec_id(spec):
+    if spec.topology == "grid":
+        return "grid-" + "x".join(map(str, spec.grid_dims))
+    extra = {"random": spec.comm_radius, "circle": spec.circle_neighbors,
+             "sphere": spec.sphere_target_undirected}[spec.topology]
+    return "-".join(f"{v}" for v in (spec.topology, spec.n, extra)
+                    if v is not None)
+
+
+def _assert_same_columns(cols, oracle):
+    assert np.array_equal(cols.src, oracle.src)
+    assert np.array_equal(cols.dst, oracle.dst)
+    assert np.array_equal(cols.t_rel, oracle.t_rel)
+    assert np.array_equal(cols.r_rel, oracle.r_rel)
+
+
+@pytest.mark.parametrize("spec", _GENERATOR_SPECS, ids=_spec_id)
+def test_layouts_equal_the_pair_loops_bitwise(spec):
+    if spec.topology == "random":
+        rng, oracle_rng = (np.random.default_rng(31) for _ in range(2))
+        positions, edges = synth._random_layout(spec, rng)
+        oracle_positions, oracle_edges = _loop_random_layout(spec, oracle_rng)
+        # the same draws, and no more
+        assert rng.standard_normal() == oracle_rng.standard_normal()
+    else:
+        layout = getattr(synth, f"_{spec.topology}_layout")
+        positions, edges = layout(spec)
+        oracle_positions, oracle_edges = _LOOP_LAYOUTS[spec.topology](spec)
+    assert positions.dtype == float
+    assert np.array_equal(positions, oracle_positions)
+    assert edges.shape == (len(oracle_edges), 2)
+    assert list(map(tuple, edges.tolist())) == oracle_edges
+
+
+@pytest.mark.parametrize("spec", _GENERATOR_SPECS, ids=_spec_id)
+def test_measurements_equal_the_per_edge_loops_bitwise(spec):
+    poses, topology = synth.generate_ground_truth(spec, seed=17)
+    oracle_poses, oracle_topology = _loop_generate_dataset(spec, None, 17)
+    assert np.array_equal(poses.t, [p.t for p in oracle_poses])
+    assert np.array_equal(poses.r, [p.r for p in oracle_poses])
+    assert isinstance(topology.measurements, MeasurementColumns)
+    _assert_same_columns(topology.measurements, oracle_topology.measurements)
+
+    edges = topology.undirected_edges()
+    exact = synth.exact_measurements(poses, reversed(edges))
+    assert isinstance(exact, MeasurementColumns)
+    _assert_same_columns(
+        exact, as_columns(_loop_exact_measurements(oracle_poses, edges)))
+    # a back rotation is its forward rotation transposed, exactly
+    assert np.array_equal(exact.r_rel[1::2],
+                          np.swapaxes(exact.r_rel[::2], -1, -2))
+
+    noise = synth.NoiseModel(tau=0.3, kappa=0.2, seed=5)
+    _assert_same_columns(
+        synth.corrupt_measurements(poses, topology, noise).measurements,
+        _loop_corrupt_measurements(oracle_poses, topology, noise)
+        .measurements)
+    _, noisy = synth.generate_dataset(spec, noise, seed=17)
+    _, oracle_noisy = _loop_generate_dataset(spec, noise, 17)
+    _assert_same_columns(noisy.measurements, oracle_noisy.measurements)
+
+
+def test_exact_measurements_take_an_array_or_any_iterable_of_pairs():
+    spec = synth.ScenarioSpec(topology="circle", n=5)
+    poses, _ = synth.generate_ground_truth(spec, seed=2)
+    pairs = [(3, 4), (0, 1), (1, 2), (0, 4), (2, 3)]
+    cols = synth.exact_measurements(poses, np.array(pairs))
+    assert cols.src.tolist() == [0, 1, 0, 4, 1, 2, 2, 3, 3, 4]
+    assert cols.dst.tolist() == [1, 0, 4, 0, 2, 1, 3, 2, 4, 3]
+    for edges in (pairs, set(pairs), iter(pairs)):
+        _assert_same_columns(synth.exact_measurements(poses, edges), cols)
