@@ -249,8 +249,10 @@ def paired_rotation_correction(
 
     Returns ``r_fwd @ exp(0.5 * log(r_fwd.T @ r_rev.T))``. Applying this
     to both directions (swapping the roles) yields rotations that are
-    exact transposes of one another: the two corrections conjugate onto
-    the same half-angle rotation.
+    transposes of one another up to rounding: in exact arithmetic the two
+    corrections conjugate onto the same half-angle rotation, and in
+    floating point they differ by a few ulps (see
+    :func:`enforce_pairwise_rotations`).
     """
     r_fwd = np.asarray(r_fwd, dtype=float)
     half = 0.5 * so3.log_map(np.swapaxes(r_fwd, -1, -2)
@@ -261,9 +263,13 @@ def paired_rotation_correction(
 def enforce_pairwise_rotations(g: PoseGraph) -> PoseGraph:
     """Split each edge's rotation disagreement evenly between directions.
 
-    Runs once, up front. Translations are untouched. The result is exact:
-    post-repair ``r_ij @ r_ji`` has zero angle to machine precision, and
-    a second application is the identity on already-consistent input.
+    Runs once, up front. Translations are untouched. The repaired
+    directions are transposes of each other up to rounding, not bit for
+    bit: the largest entry of ``|r_ji - r_ij.T|`` after the repair
+    measured 1.35e-14 on an 800-pose sphere (8,704 directed
+    measurements), 1.4e-15 on a 50-pose sphere and 1.7e-15 on a 200-pose
+    ring. A second application changes entries by rounding only (at most
+    6.7e-15 on the same 800-pose sphere).
 
     Raises:
         so3.AngleAtPiError: if an edge's two directions disagree by a
@@ -281,7 +287,8 @@ def enforce_pairwise_rotations(g: PoseGraph) -> PoseGraph:
                 f"directions of {e.name(sl.start + exc.index[0])} "
                 f"disagree at pi: {exc}", exc.index) from None
     # only r_rel changes: the rows stay valid, sorted and paired, so the
-    # arrays are derived, not rebuilt (r_rel_t and the plan are made anew)
+    # arrays are derived, not rebuilt (r_rel_t is made anew; rev and the
+    # plans, which depend on the layout only, are kept)
     return replace(g, edge_arrays=replace(e, r_rel=repaired, r_rel_t=None))
 
 

@@ -219,9 +219,10 @@ def symmetrize(
     return _concat(cols, cols.take(np.flatnonzero(missing)).inverted())
 
 
-# Edges per stacked pass: bounds the (block, 3, 3) temporaries, and so the
-# peak memory of a pass, whatever the size of the graph.
-EDGE_BLOCK = 1024
+# Edges (or padded edge slots) per stacked pass: bounds the (block, 3, 3)
+# temporaries, and so the peak memory of a pass, whatever the size of the
+# graph.
+EDGE_BLOCK = 2048
 
 
 def edge_blocks(count: int) -> list[slice]:
@@ -283,6 +284,68 @@ def _node_sum_plan(offsets: np.ndarray) -> NodeSumPlan:
     return NodeSumPlan(order, tuple(nu), tuple(omega))
 
 
+class RunPlan(NamedTuple):
+    """Where the kernel makes its rotation products, node by node, for
+    one CSR edge layout (see ``solver._block_terms``).
+
+    The own poses are cut into runs of consecutive nodes: run ``k``
+    holds nodes ``bounds[k]`` to ``bounds[k + 1] - 1``, and so the
+    contiguous edge rows ``offsets[bounds[k]]:offsets[bounds[k + 1]]``.
+    A run pads each of its ``m`` nodes to its largest degree ``W``:
+    ``nbr[k]`` is an ``(m, W)`` index whose row for node ``i`` lists the
+    pose rows of its edges' ``dst``, in row order, and then ``i`` itself
+    in the padding slots. ``real[k]`` lists, ascending, the flat slots
+    of the ``m * W`` that hold an edge, which are then in row order, or
+    is None when no slot is padding. A run holds whole nodes: at most
+    ``EDGE_BLOCK`` slots, or one node, and never more than twice as many
+    slots as edges, so that a node of high degree does not pad its
+    neighbors.
+
+    The kernel works in slices of consecutive runs, slice ``g`` being
+    runs ``groups[g]`` to ``groups[g + 1] - 1``: as many as hold at most
+    ``EDGE_BLOCK`` edges together, or one, so that the runs a node of
+    high degree cuts short, or padding, do not each pay for a slice.
+    """
+
+    bounds: np.ndarray
+    nbr: tuple[np.ndarray, ...]
+    real: tuple[np.ndarray | None, ...]
+    groups: np.ndarray
+
+
+def _run_plan(offsets: np.ndarray, dst: np.ndarray) -> RunPlan:
+    """The :class:`RunPlan` of the CSR layout ``offsets`` whose edges
+    point at the pose rows ``dst``: each run is the longest one, from
+    where the last ended, whose every prefix fits, and each slice takes
+    runs until the next would not fit."""
+    deg = np.diff(offsets)
+    bounds, nbr, real = [0], [], []
+    groups, filled = [0], 0  # the edges of the runs in the open slice
+    while bounds[-1] < len(deg):
+        lo = bounds[-1]
+        window = deg[lo:lo + EDGE_BLOCK]
+        width = np.maximum.accumulate(window)
+        slots = width * np.arange(1, len(window) + 1)
+        fits = (slots <= EDGE_BLOCK) & (slots <= 2 * np.cumsum(window))
+        fits[0] = True
+        size = len(window) if fits.all() else int(np.argmin(fits))
+        hi = lo + size
+        count = int(offsets[hi] - offsets[lo])
+        if filled and filled + count > EDGE_BLOCK:
+            groups.append(len(nbr))
+            filled = 0
+        filled += count
+        p = np.arange(width[size - 1])
+        pad = p >= window[:size, None]
+        edges = dst.take(offsets[lo:hi, None] + p, mode="clip")
+        nbr.append(np.where(pad, np.arange(lo, hi)[:, None], edges))
+        real.append(np.flatnonzero(~pad) if pad.any() else None)
+        bounds.append(hi)
+    groups.append(len(nbr))
+    return RunPlan(np.array(bounds), tuple(nbr), tuple(real),
+                   np.array(groups))
+
+
 def _transposed_stack(r: np.ndarray) -> np.ndarray:
     """A C-contiguous copy of the transpose of each matrix of ``r``."""
     return np.ascontiguousarray(np.swapaxes(r, -1, -2))
@@ -311,15 +374,20 @@ class EdgeArrays:
     rows.
 
     Derived fields serve the solver's kernel pass, and all are made
-    once, when the arrays are frozen: ``cut`` always, and ``rev`` when it
-    is not given (:func:`build_graph` gives the whole graph's, by which it
-    reads ``t_in``). ``r_rel_t`` is ``r_rel`` with each
-    matrix transposed, C-contiguous, because a stacked ``@`` with a
-    transposed right operand takes a slow BLAS path; a block's is a view
-    of the whole graph's (built when it is not given). ``plan`` is the
-    :class:`NodeSumPlan` of ``offsets``, whose padded chunks each read at
-    most ``EDGE_BLOCK`` term slots, so the node sums' temporaries are
-    bounded as the kernel's are.
+    once, when the arrays are frozen: ``cut`` always, and the others
+    when they are not given (:func:`build_graph` gives the whole graph's
+    ``rev``, by which it reads ``t_in``; a ``replace`` that keeps the
+    layout keeps ``rev`` and both plans). ``r_rel_t`` is ``r_rel`` with
+    each matrix transposed, C-contiguous, because the kernel works on
+    transposed rotation products, and an elementwise subtract that reads
+    a transposed view is several times slower; a block's is a view of
+    the whole graph's. ``plan`` is the :class:`NodeSumPlan` of
+    ``offsets``, whose padded chunks each read at most ``EDGE_BLOCK``
+    term slots, so the node sums' temporaries are bounded as the
+    kernel's are. ``runs`` is the :class:`RunPlan` of ``offsets`` and
+    ``dst``, by which the kernel makes its rotation products one run of
+    whole nodes at a time, in at most ``EDGE_BLOCK`` slots each, and
+    cuts its pass into slices of whole runs.
     """
 
     ids: np.ndarray
@@ -331,8 +399,9 @@ class EdgeArrays:
     offsets: np.ndarray
     rev: np.ndarray | None = None
     r_rel_t: np.ndarray | None = None
+    plan: NodeSumPlan | None = field(default=None, repr=False)
+    runs: RunPlan | None = field(default=None, repr=False)
     cut: np.ndarray = field(init=False, repr=False)
-    plan: NodeSumPlan = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cut", np.flatnonzero(self.dst >= self.size))
@@ -340,9 +409,13 @@ class EdgeArrays:
             object.__setattr__(self, "rev", self._reverse_rows())
         if self.r_rel_t is None:
             object.__setattr__(self, "r_rel_t", _transposed_stack(self.r_rel))
-        object.__setattr__(self, "plan", _node_sum_plan(self.offsets))
-        plan = self.plan
-        for a in (*vars(self).values(), plan.order, *plan.nu, *plan.omega):
+        if self.plan is None:
+            object.__setattr__(self, "plan", _node_sum_plan(self.offsets))
+        if self.runs is None:
+            object.__setattr__(self, "runs", _run_plan(self.offsets, self.dst))
+        plan, runs = self.plan, self.runs
+        for a in (*vars(self).values(), plan.order, *plan.nu, *plan.omega,
+                  runs.bounds, *runs.nbr, *runs.real, runs.groups):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 

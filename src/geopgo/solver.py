@@ -15,23 +15,31 @@ a synchronization barrier reproduces this solver exactly, bit for bit.
 
 The per-edge terms are computed by one stacked kernel over the outgoing
 edges of any contiguous block of poses (the whole graph, or one
-distributed worker's block), in slices of ``graph.EDGE_BLOCK`` edges,
-and each node sums its edges in ascending order. The pass makes one
-stacked matrix-vector product per edge row, ``R_i t_ij``; the averaged
-translation term reads the ``R_j t_ji`` of an edge from its reverse
-row, and a block makes it from the halo pose for an edge whose reverse
-starts outside the block (:attr:`~geopgo.graph.EdgeArrays.cut`). Only
-operations that give the same bits per row whatever the stack size are
-used: stacked ``@``, elementwise ufuncs, :func:`so3.dot_rows` for dot
-products and :func:`graph.sequential_sum` for totals; no ``einsum`` or
+distributed worker's block), in slices of whole runs of nodes
+(:class:`~geopgo.graph.RunPlan`: at most ``graph.EDGE_BLOCK`` padded
+edge slots per run and edges per slice), and each node sums its edges
+in ascending order.
+A run makes every rotation product of its nodes in one stacked product,
+``(m, 3W, 3) @ (m, 3, 3)``, which gives the transposes ``R_j.T R_i`` of
+the ``R_i.T R_j``, and the pass stays with the transposes: the residual
+is made as its transpose ``r_ij R_j.T R_i`` and its log as the negated
+log of that. The pass makes one stacked matrix-vector product per edge
+row, ``R_i t_ij``; the averaged translation term reads the ``R_j t_ji``
+of an edge from its reverse row, and a block makes it from the halo
+pose for an edge whose reverse starts outside the block
+(:attr:`~geopgo.graph.EdgeArrays.cut`). Only operations that give the
+same bits per row whatever the stack size are used: stacked ``@``,
+elementwise ufuncs, :func:`so3.dot_rows` for dot products and
+:func:`graph.sequential_sum` for totals; no ``einsum`` or
 ``reduceat``. Where numpy's own reduction is cheaper to spell out, the
 pass spells out numpy's order: a chordal row of 9 squares is added as
-``((q0+q1)+(q2+q3))+((q4+q5)+(q6+q7))+q8`` (:func:`_sum_squares9`), as
-``np.sum`` adds it, and ``so3`` adds a trace as ``((0 + r00) + r11) +
-r22``, as ``np.trace`` does. The pass keeps its memory traffic low
-without changing that arithmetic: both operands of every stacked ``@``
-are C-contiguous (the poses are transposed once per pass, the
-measurements once per graph), pose rows are gathered with ``take``, and
+``((q0+q1)+(q2+q3))+((q4+q5)+(q6+q7))+q8`` (:func:`_sum_squares9`, in
+the entry order of the untransposed matrices), as ``np.sum`` adds it,
+and ``so3`` adds a trace as ``((0 + r00) + r11) + r22``, as
+``np.trace`` does. The pass keeps its memory traffic low without
+changing that arithmetic: both operands of every stacked ``@`` are
+C-contiguous (the poses are transposed once per pass, and a run's own
+poses are one slice of them), pose rows are gathered with ``take``, and
 the node sums read the graph's :class:`~geopgo.graph.NodeSumPlan`: one
 padded, position-major gather per family and chunk of nodes, summed
 left to right from ``+0.0`` by one ``np.add.reduce`` along the position
@@ -54,7 +62,7 @@ import numpy as np
 
 from . import so3
 from .graph import (EdgeArrays, NodeSumPlan, Pose, PoseGraph, PoseStack,
-                    as_stack, edge_blocks, max_degree, sequential_sum)
+                    as_stack, max_degree, sequential_sum)
 
 TRANSLATION_MODES = ("per_step_averaged", "online_averaged", "raw")
 
@@ -143,11 +151,16 @@ def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-def _residual_logs(resid: np.ndarray, block: EdgeArrays, start: int) -> np.ndarray:
-    """``so3.log_map`` of the stacked residuals of ``block``'s edge rows
-    from ``start``; an error names the edge that left the chart."""
-    return so3.named_log_map(
-        resid, lambda k: f"rotation residual on {block.name(k)}", start)
+def _residual_logs(resid_t: np.ndarray, block: EdgeArrays,
+                   start: int) -> np.ndarray:
+    """``so3.log_map`` of the rotation residuals of ``block``'s edge rows
+    from ``start``, from their transposes ``resid_t``: the log of a
+    transpose is the exact negation of the log (a zero entry may change
+    sign, which no node sum and no square sees). An error names the edge
+    that left the chart."""
+    w = so3.named_log_map(
+        resid_t, lambda k: f"rotation residual on {block.name(k)}", start)
+    return np.negative(w, out=w)
 
 
 def _node_sums(terms: np.ndarray, plan: NodeSumPlan
@@ -182,39 +195,66 @@ def _node_sums(terms: np.ndarray, plan: NodeSumPlan
     return out_nu, out_omega
 
 
-def _sum_squares9(c: np.ndarray) -> np.ndarray:
-    """``np.sum(c * c, axis=-1)`` of ``c`` ``(N, 9)``, bit for bit, from
-    elementwise adds in numpy's pairwise order for 9 values,
-    ``((q0+q1)+(q2+q3))+((q4+q5)+(q6+q7))+q8``. (numpy adds that to
-    +0.0, which changes no sum of squares: none is -0.0.)"""
-    q = c * c
-    return (((q[:, 0] + q[:, 1]) + (q[:, 2] + q[:, 3]))
-            + ((q[:, 4] + q[:, 5]) + (q[:, 6] + q[:, 7]))) + q[:, 8]
+# the entries of a flat (9,) row of a matrix's transpose, in row-major
+# order: entry (a, b) of r.T is entry (b, a) of r
+_TRANSPOSED = (0, 3, 6, 1, 4, 7, 2, 5, 8)
+
+
+def _sum_squares9(c: np.ndarray, order=range(9)) -> np.ndarray:
+    """``np.sum(c[:, order] * c[:, order], axis=-1)`` of ``c`` ``(N, 9)``,
+    bit for bit, from elementwise adds in numpy's pairwise order for 9
+    values, ``((q0+q1)+(q2+q3))+((q4+q5)+(q6+q7))+q8``. (numpy adds that
+    to +0.0, which changes no sum of squares: none is -0.0.) With
+    ``order`` :data:`_TRANSPOSED` it is the sum over the transposes of
+    the rows of ``c`` read as 3x3 matrices."""
+    sq = c * c
+    q = [sq[:, k] for k in order]
+    return (((q[0] + q[1]) + (q[2] + q[3]))
+            + ((q[4] + q[5]) + (q[6] + q[7]))) + q[8]
 
 
 def _block_terms(r, t, block: EdgeArrays):
     """Per-edge terms of ``block``'s directed edges ``(i, j)``, one slice
-    of at most ``graph.EDGE_BLOCK`` edges at a time.
+    of whole runs of nodes at a time (``block.runs``: at most
+    ``graph.EDGE_BLOCK`` padded slots per run and edges per slice).
 
     ``r`` and ``t`` are the stacked poses that ``block.src`` and
-    ``block.dst`` index. Yields each slice and its terms: ``rrel = R_i.T
-    @ R_j``, the rotation residual ``rrel @ r_ij.T``, the consensus
-    difference ``d = t_j - t_i`` and ``R_i @ t_ij``, the slice's one
-    stacked matrix-vector product.
+    ``block.dst`` index. Yields each slice's edge rows, as a slice, and
+    their terms: the transposes ``R_j.T @ R_i`` of ``rrel = R_i.T @
+    R_j``, the transposes ``r_ij @ R_j.T @ R_i`` of the rotation
+    residuals ``rrel @ r_ij.T``, the consensus difference ``d = t_j -
+    t_i`` and ``R_i @ t_ij``, the slice's one stacked matrix-vector
+    product.
 
-    Every product is a stacked ``@``, which equals the per-edge product
-    bit for bit, so any slice of the edges gives the same rows. Both
-    operands of each product are C-contiguous: the pass transposes the
-    poses once into one stack and reads the transposed measurements of
-    ``block.r_rel_t``, and every pose row is gathered with ``take``.
+    A run makes all its ``R_j.T @ R_i`` in one stacked product, ``(m,
+    3W, 3) @ (m, 3, 3)``: node ``i``'s left operand stacks the
+    transposed rotations of its ``W`` padded neighbors, and block ``k``
+    of the result is the ``k``-th neighbor's product; the padding slots,
+    which hold ``R_i.T @ R_i``, are dropped. Each block, and each
+    residual ``r_ij @ (R_j.T @ R_i)``, is the transpose of the per-edge
+    product bit for bit, since BLAS adds the same three products in the
+    same order, so any cut of the nodes into runs and slices gives the
+    same rows. Both operands of each product are C-contiguous: the pass
+    transposes the poses once into one stack for the left operands, a
+    run's own rotations are one slice of ``r``, and every other pose row
+    is gathered with ``take``.
     """
     rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
-    for sl in edge_blocks(len(block.src)):
+    runs, bounds = block.runs, block.runs.bounds
+    for a, b in zip(runs.groups[:-1], runs.groups[1:]):
+        parts = []
+        for k in range(a, b):
+            m, width = runs.nbr[k].shape
+            blocks = (rt.take(runs.nbr[k], 0).reshape(m, 3 * width, 3)
+                      @ r[bounds[k]:bounds[k + 1]]).reshape(-1, 3, 3)
+            real = runs.real[k]
+            parts.append(blocks if real is None else blocks.take(real, 0))
+        rrel_t = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        sl = slice(block.offsets[bounds[a]], block.offsets[bounds[b]])
         src, dst = block.src[sl], block.dst[sl]
-        rrel = rt.take(src, 0) @ r.take(dst, 0)
-        resid = rrel @ block.r_rel_t[sl]
         d = t.take(dst, 0) - t.take(src, 0)
-        yield sl, (rrel, resid, d, _mv(r.take(src, 0), block.t_rel[sl]))
+        yield sl, (rrel_t, block.r_rel[sl] @ rrel_t, d,
+                   _mv(r.take(src, 0), block.t_rel[sl]))
 
 
 def node_controls(
@@ -256,13 +296,13 @@ def node_controls(
     terms = np.empty((count + 1, 3, 3))  # see _node_sums
     terms[-1] = 0.0
     raw = np.empty((count + len(cut), 3))  # R_i t_ij: own rows, cut rows
-    for sl, (rrel, resid, d, raw_sl) in _block_terms(r, t, block):
-        w = _residual_logs(resid, block, sl.start)
+    for sl, (rrel_t, resid_t, d, raw_sl) in _block_terms(r, t, block):
+        w = _residual_logs(resid_t, block, sl.start)
         terms[sl, 0] = d
         terms[sl, 2] = w
         raw[sl] = raw_sl
         if rows is not None:
-            _fill_rows(rows, sl, block, rrel, w, d, raw_sl)
+            _fill_rows(rows, sl, block, rrel_t, w, d, raw_sl)
     if translation_mode == "raw":
         np.negative(raw[:count], out=terms[:-1, 1])
     else:
@@ -276,15 +316,18 @@ def node_controls(
 
 
 def _fill_rows(rows: np.ndarray, sl: slice, block: EdgeArrays,
-               rrel: np.ndarray, w: np.ndarray, d: np.ndarray,
+               rrel_t: np.ndarray, w: np.ndarray, d: np.ndarray,
                raw: np.ndarray) -> None:
     """The objective rows ``rows[:, sl]`` of ``block``'s edge slice
     ``sl`` from its :func:`_block_terms` and residual logs ``w``:
-    ``|d - R_i t_ij|^2``, ``|w|^2`` and ``|rrel - r_ij|_F^2``."""
+    ``|d - R_i t_ij|^2``, ``|w|^2`` and ``|rrel - r_ij|_F^2``, whose
+    entries are those of the transposes ``rrel_t - r_ij.T``, added in
+    the row-major order of ``rrel - r_ij``."""
     err = d - raw
     rows[0, sl] = so3.dot_rows(err, err)
     rows[1, sl] = so3.dot_rows(w, w)
-    rows[2, sl] = _sum_squares9((rrel - block.r_rel[sl]).reshape(-1, 9))
+    rows[2, sl] = _sum_squares9(
+        (rrel_t - block.r_rel_t[sl]).reshape(-1, 9), _TRANSPOSED)
 
 
 def objective_rows(r: np.ndarray, t: np.ndarray,
@@ -297,9 +340,9 @@ def objective_rows(r: np.ndarray, t: np.ndarray,
         so3.AngleAtPiError: as :func:`node_controls`.
     """
     rows = np.empty((3, len(block.src)))
-    for sl, (rrel, resid, d, raw) in _block_terms(r, t, block):
-        _fill_rows(rows, sl, block, rrel,
-                   _residual_logs(resid, block, sl.start), d, raw)
+    for sl, (rrel_t, resid_t, d, raw) in _block_terms(r, t, block):
+        _fill_rows(rows, sl, block, rrel_t,
+                   _residual_logs(resid_t, block, sl.start), d, raw)
     return rows
 
 
@@ -388,12 +431,12 @@ def desired_offsets(estimates: Sequence[Pose], g: PoseGraph) -> np.ndarray:
 
 def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> bool:
     """True when every directed rotation residual angle is at most
-    ``pi/2 - epsilon``."""
+    ``pi/2 - epsilon``. (A transpose has the same angle.)"""
     bound = np.pi / 2.0 - epsilon
     s = as_stack(estimates)
-    return not any(np.any(so3.rotation_angle(resid) > bound)
-                   for _, (_, resid, *_) in _block_terms(s.r, s.t,
-                                                         g.edge_arrays))
+    return not any(np.any(so3.rotation_angle(resid_t) > bound)
+                   for _, (_, resid_t, *_) in _block_terms(s.r, s.t,
+                                                           g.edge_arrays))
 
 
 def max_control_norm(nu: np.ndarray, omega: np.ndarray) -> float:

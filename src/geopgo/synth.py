@@ -36,6 +36,14 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_number(name: str, value) -> None:
+    """Reject anything but a real number: a bool is not taken as 0 or 1
+    and a string is not parsed."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass
 class NoiseModel:
     """Isotropic Gaussian corruption scales.
@@ -50,10 +58,15 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, value in (("tau", self.tau), ("kappa", self.kappa)):
+        for name in ("tau", "kappa"):
+            value = getattr(self, name)
+            _check_number(name, value)
             if not 0 <= value < np.inf:  # written so that NaN fails too
                 raise ValueError(
                     f"{name} must be finite and nonnegative, got {value!r}")
+            # a float: a config's 1 is written 1.0, as it always was, and
+            # a numpy float is JSON serializable
+            setattr(self, name, float(value))
         _check_integer("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
@@ -64,8 +77,7 @@ class NoiseModel:
 
     @staticmethod
     def from_dict(d: dict) -> "NoiseModel":
-        return NoiseModel(tau=float(d["tau"]), kappa=float(d["kappa"]),
-                          seed=d["seed"])
+        return NoiseModel(tau=d["tau"], kappa=d["kappa"], seed=d["seed"])
 
 
 @dataclass
@@ -132,6 +144,11 @@ class ScenarioSpec:
             raise ValueError("need at least two vertices")
         if self.topology == "circle" and self.circle_neighbors < 1:
             raise ValueError("circle_neighbors must be at least 1")
+        for name in ("radius", "grid_spacing", "comm_radius"):
+            value = getattr(self, name)
+            _check_number(name, value)
+            if isinstance(value, (np.integer, np.floating)):
+                setattr(self, name, value.item())  # JSON serializable
         scale = {"random": "comm_radius",
                  "grid": "grid_spacing"}.get(self.topology, "radius")
         if not 0 < getattr(self, scale) < np.inf:  # NaN fails too

@@ -458,6 +458,53 @@ def test_non_finite_config_scale_exits_one(tmp_path, capsys, config,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"scenario": {"topology": "sphere", "n": 10, "radius": True},
+      "noise": {"tau": True, "kappa": "0.5", "seed": 1}},
+     "at scenario: radius must be a number, got True"),
+    ({"noise": {"tau": True, "kappa": 0.5, "seed": 1}},
+     "at noise: tau must be a number, got True"),
+    ({"noise": {"tau": 0.5, "kappa": "0.5", "seed": 1}},
+     "at noise: kappa must be a number, got '0.5'"),
+    ({"noise": {"tau": None, "kappa": 0.5, "seed": 1}},
+     "at noise: tau must be a number, got None"),
+    ({"scenario": {"topology": "grid", "grid_dims": [2, 2, 2],
+                   "grid_spacing": "2"}},
+     "at scenario: grid_spacing must be a number, got '2'"),
+    ({"scenario": {"topology": "random", "n": 8, "comm_radius": False}},
+     "at scenario: comm_radius must be a number, got False"),
+    ({"scenario": {"topology": "sphere", "n": 8, "comm_radius": [2.0]}},
+     "at scenario: comm_radius must be a number, got [2.0]"),
+], ids=["radius-bool-and-noise", "tau-bool", "kappa-string", "tau-null",
+        "grid-spacing-string", "comm-radius-bool", "unused-scale-list"])
+def test_non_numeric_config_scale_exits_one(tmp_path, capsys, config,
+                                            message):
+    # a bool is not taken as 0 or 1 and a string is not parsed, so
+    # nothing reaches the dataset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"scenario": {"topology": "sphere", "n": 8}, **config}))
+    out = tmp_path / "x.json"
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config error {message}\n"
+    assert not out.exists()
+
+
+def test_integer_config_scales_are_written_as_before(tmp_path):
+    # an integer tau or kappa is written as a float, an integer radius as
+    # given
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"topology": "circle", "n": 6, "radius": 3},
+        "noise": {"tau": 1, "kappa": 0, "seed": 2}}))
+    out = tmp_path / "x.json"
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    d = json.loads(out.read_text())
+    assert d["noise"] == {"tau": 1.0, "kappa": 0.0, "seed": 2}
+    assert type(d["noise"]["tau"]) is float
+    assert d["scenario"]["radius"] == 3 and type(d["scenario"]["radius"]) is int
+
+
 def _scenario_n_float(d):
     d["scenario"]["n"] = 8.0
 
@@ -470,12 +517,18 @@ def _noise_tau_nan(d):
     d["noise"]["tau"] = float("nan")
 
 
+def _noise_kappa_string(d):
+    d["noise"]["kappa"] = "0.5"
+
+
 @pytest.mark.parametrize("command", ["info", "convert"])
 @pytest.mark.parametrize("corrupt, message", [
     (_scenario_n_float, "at scenario: n must be an integer, got 8.0"),
     (_noise_without_kappa, "at noise: missing field 'kappa'"),
     (_noise_tau_nan, "at noise: tau must be finite and nonnegative, got nan"),
-], ids=["scenario-n-float", "noise-without-kappa", "noise-tau-nan"])
+    (_noise_kappa_string, "at noise: kappa must be a number, got '0.5'"),
+], ids=["scenario-n-float", "noise-without-kappa", "noise-tau-nan",
+        "noise-kappa-string"])
 def test_bad_dataset_provenance_names_its_section(tmp_path, capsys, corrupt,
                                                   message, command):
     ds = _generate(tmp_path)

@@ -241,8 +241,10 @@ def test_global_equals_the_per_cycle_oracle(limit, monkeypatch):
 
 
 @pytest.mark.parametrize("limit", [None, 1, 1100])
-def test_global_equals_the_oracle_past_one_block_of_cycles(limit):
-    # sphere-250 has 1,111 non-tree edges, more than EDGE_BLOCK
+def test_global_equals_the_oracle_past_one_block_of_cycles(limit,
+                                                          monkeypatch):
+    # sphere-250 has 1,111 non-tree edges, more than a block of 1,024
+    monkeypatch.setattr(graph, "EDGE_BLOCK", 1024)
     spec = synth.ScenarioSpec(topology="sphere", n=250)
     _, g = synth.generate_dataset(spec, synth.NoiseModel(seed=62), seed=62)
     want = _oracle_check_global(g, limit)

@@ -310,6 +310,27 @@ def test_dataset_built_with_numpy_integers_saves_and_loads(tmp_path, spec):
     assert path.read_bytes() == twin.read_bytes()
 
 
+def test_dataset_built_with_numpy_scales_saves_and_loads(tmp_path):
+    # numpy scalars in the scale fields are kept as Python numbers, so the
+    # dataset saves, with the bytes of the same spec in plain numbers
+    def save(path, radius, tau, kappa):
+        scenario = synth.ScenarioSpec(topology="sphere", n=8, radius=radius)
+        noise = synth.NoiseModel(tau=tau, kappa=kappa, seed=3)
+        poses, graph = synth.generate_dataset(scenario, noise, seed=5)
+        gio.save_dataset(path, gio.Dataset(
+            graph=graph, vertices=poses, vertex_kind="ground_truth",
+            scenario=scenario, noise=noise, seed=5))
+        return path.read_bytes()
+
+    got = save(tmp_path / "ds.json", np.float32(4.5), np.float32(0.25),
+               np.int64(1))
+    assert got == save(tmp_path / "twin.json", 4.5, 0.25, 1)
+    assert gio.load_any(tmp_path / "ds.json").scenario.radius == 4.5
+    radius = synth.ScenarioSpec(topology="sphere", n=8,
+                                radius=np.int64(3)).radius
+    assert radius == 3 and type(radius) is int
+
+
 @pytest.fixture(scope="module")
 def big_inputs(tmp_path_factory):
     """A JSON dataset with more than 2,000 directed edges and the g2o file

@@ -80,9 +80,10 @@ def _instance(topology, n, seed):
     return g, synth.gps_init(truth, 0.5, 0.524, seed=seed)
 
 
-@pytest.fixture(params=[7, graph.EDGE_BLOCK], ids=["block7", "block1024"])
+@pytest.fixture(params=sorted({7, 1024, graph.EDGE_BLOCK}),
+                ids=lambda b: f"block{b}")
 def block(request, monkeypatch):
-    # a small block makes every graph here span several blocks
+    # a small block makes every graph here span several runs
     monkeypatch.setattr(graph, "EDGE_BLOCK", request.param)
     return request.param
 
@@ -210,9 +211,10 @@ def test_solve_names_the_iteration_at_pi():
 
 
 def test_solve_names_a_later_iteration(monkeypatch):
-    # the pass of state 3 fails: below one edge block a pass makes one
-    # _residual_logs call, and state k's pass is the (k + 1)-th
+    # the pass of state 3 fails: a graph of one slice makes one
+    # _residual_logs call per pass, and state k's pass is the (k + 1)-th
     g, est = _instance("sphere", 12, 7)
+    assert len(g.edge_arrays.runs.groups) == 2  # one slice
     real = solver._residual_logs
     calls = []
 
@@ -255,8 +257,8 @@ def test_distributed_names_the_node_at_pi_in_the_initial_state():
 
 
 def test_log_map_calls_do_not_grow_with_the_edge_count(monkeypatch):
-    # The kernel calls log_map once per block of edges, not once per
-    # edge: two graphs below one block make the same number of calls.
+    # The kernel calls log_map once per slice of runs, not once per
+    # edge: two graphs of one slice each make the same number of calls.
     real = so3.log_map
     calls = []
 
@@ -269,7 +271,7 @@ def test_log_map_calls_do_not_grow_with_the_edge_count(monkeypatch):
     counts = {}
     for n in (12, 60):
         g, est = _instance("sphere", n, 7)
-        assert g.directed_count <= graph.EDGE_BLOCK
+        assert len(g.edge_arrays.runs.groups) == 2  # one slice
         calls.clear()
         res = solver.solve(g, est, solver.SolverConfig(max_iters=iters,
                                                        stop_tol=1e-12))
@@ -282,7 +284,7 @@ def test_log_map_calls_do_not_grow_with_the_edge_count(monkeypatch):
 @pytest.mark.parametrize("workers", [None, 1, 2, 3],
                          ids=["reference", "k1", "k2", "k3"])
 def test_one_kernel_pass_per_state(monkeypatch, workers):
-    # Below one edge block a pass makes one log_map call. The reference
+    # A graph of one slice makes one log_map call per pass. The reference
     # solve makes one pass per state: the initial one and one per
     # iteration. Each distributed round makes one pass per worker, and
     # the run adds the initial pass and the final controls.
@@ -294,7 +296,7 @@ def test_one_kernel_pass_per_state(monkeypatch, workers):
         return real(r)
 
     g, est = _instance("sphere", 50, 11)
-    assert g.directed_count <= graph.EDGE_BLOCK
+    assert len(g.edge_arrays.runs.groups) == 2  # one slice
     monkeypatch.setattr(so3, "log_map", counted)
     iters = 7
     cfg = solver.SolverConfig(max_iters=iters, stop_tol=1e-12)
@@ -492,11 +494,12 @@ def test_node_sum_plan_equals_the_accumulate_form(monkeypatch):
 @pytest.mark.parametrize("workers", [None, 1, 2, 3],
                          ids=["reference", "k1", "k2", "k3"])
 def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
-    # over building the graph and a 10-iteration solve: one plan per
-    # EdgeArrays (the graph's, then each worker's block), and one
-    # transposed stack, the graph's, of which each block holds a view
+    # over building the graph and a 10-iteration solve: one node-sum plan
+    # and one run plan per EdgeArrays (the graph's, then each worker's
+    # block), and one transposed stack, the graph's, of which each block
+    # holds a view
     g0, est = _instance("sphere", 50, 11)
-    built = {"plan": 0, "transposed": 0}
+    built = {"plan": 0, "runs": 0, "transposed": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -506,6 +509,7 @@ def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
 
     monkeypatch.setattr(graph, "_node_sum_plan",
                         counted("plan", graph._node_sum_plan))
+    monkeypatch.setattr(graph, "_run_plan", counted("runs", graph._run_plan))
     monkeypatch.setattr(graph, "_transposed_stack",
                         counted("transposed", graph._transposed_stack))
     blocks = []
@@ -526,7 +530,8 @@ def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
         res = runtime.run_distributed(g, est, cfg)
     assert res.iterations == 10
     assert len(blocks) == (workers or 0)
-    assert built == {"plan": 1 + len(blocks), "transposed": 1}
+    assert built == {"plan": 1 + len(blocks), "runs": 1 + len(blocks),
+                     "transposed": 1}
     whole = g.edge_arrays.r_rel_t
     assert whole.flags.c_contiguous and not whole.flags.writeable
     assert np.array_equal(whole, np.swapaxes(g.edge_arrays.r_rel, -1, -2))
@@ -534,3 +539,171 @@ def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
         assert np.shares_memory(b.r_rel_t, whole)
         assert not b.r_rel_t.flags.writeable
         assert np.array_equal(b.r_rel_t, np.swapaxes(b.r_rel, -1, -2))
+
+
+def test_reconciled_graph_keeps_the_plans():
+    # pairwise reconciliation changes the measured rotations only, so the
+    # layout's plans carry over and only the transposed stack is made anew
+    _, g = synth.generate_dataset(synth.ScenarioSpec(topology="sphere", n=40),
+                                  synth.NoiseModel(seed=1), seed=1)
+    e = consistency.enforce_pairwise_rotations(g).edge_arrays
+    assert e.plan is g.edge_arrays.plan and e.runs is g.edge_arrays.runs
+    assert e.rev is g.edge_arrays.rev
+    assert np.array_equal(e.r_rel_t, np.swapaxes(e.r_rel, -1, -2))
+    assert not np.array_equal(e.r_rel_t, g.edge_arrays.r_rel_t)
+
+
+# -- irregular degrees -----------------------------------------------------
+
+
+def _irregular(name):
+    # A hub: pose 200 of 520 sees every other pose (degree 519), and the
+    # rest form a path. A chain: a path of 400 poses that revisits
+    # earlier poses every 37 steps, three of its closures landing on one
+    # pose. A grid of 8 x 6 x 4 poses, degrees 3 to 6.
+    rng = np.random.default_rng(len(name))
+    if name == "grid":
+        spec = synth.ScenarioSpec(topology="grid", grid_dims=(8, 6, 4))
+        truth, topology = synth.generate_ground_truth(spec, seed=3)
+    else:
+        n = 520 if name == "hub" else 400
+        path = [(i, i + 1) for i in range(n - 1)]
+        if name == "hub":
+            edges = path + [(min(i, 200), max(i, 200)) for i in range(n)
+                            if abs(i - 200) > 1]
+        else:
+            edges = path + [(i - 150, i) for i in range(150, n, 37)]
+            edges += [(10, j) for j in (90, 170, 250)]
+        truth = graph.PoseStack(rng.normal(scale=5.0, size=(n, 3)),
+                                so3.exp_map(rng.normal(size=(n, 3))))
+        topology = build_graph(n, synth.exact_measurements(truth, edges))
+    noise = synth.NoiseModel(tau=0.5, kappa=0.524, seed=5)
+    g = consistency.enforce_pairwise_rotations(
+        synth.corrupt_measurements(truth, topology, noise))
+    return g, synth.gps_init(truth, 0.5, 0.524, seed=5)
+
+
+@pytest.mark.parametrize("name", ["hub", "chain", "grid"])
+@pytest.mark.parametrize("mode", ["per_step_averaged", "raw"])
+def test_irregular_degrees_equal_the_loop_bitwise(name, mode, block):
+    g, est = _irregular(name)
+    deg = np.diff(g.edge_arrays.offsets)
+    assert name != "hub" or deg.max() >= 500
+    want = [_loop_node_controls(*_local(est, g, i), mode) for i in range(g.n)]
+    want_nu = np.array([w[0] for w in want])
+    want_omega = np.array([w[1] for w in want])
+    nu, omega = solver.all_controls(est, g, mode)
+    assert np.array_equal(nu, want_nu)
+    assert np.array_equal(omega, want_omega)
+    s = solver.as_stack(est)
+    for k in (1, 2, 3):
+        got = [solver.node_controls(s.r[b.ids], s.t[b.ids], b, mode)
+               for b in _worker_blocks(g, k)]
+        assert np.array_equal(np.concatenate([nu for nu, _ in got]), want_nu)
+        assert np.array_equal(np.concatenate([om for _, om in got]),
+                              want_omega)
+    assert solver.evaluate_objective(est, g) == _loop_objective(est, g)
+
+
+def _assert_run_plan(offsets, dst, runs, bound):
+    # runs cover the nodes in order, each whole; a run of more than one
+    # node pads to at most `bound` slots and at most twice its edges, and
+    # the next node would break one of those; each slot reads the row of
+    # its edge's dst, or of its own node where it pads. Slices cover the
+    # runs in order: more than one run only within `bound` edges, and the
+    # next run would pass it.
+    deg = np.diff(offsets)
+    bounds = runs.bounds.tolist()
+    assert bounds[0] == 0 and bounds[-1] == len(deg)
+    assert len(runs.nbr) == len(runs.real) == len(bounds) - 1
+    for lo, hi, nbr, real in zip(bounds, bounds[1:], runs.nbr, runs.real):
+        assert hi > lo
+        width = int(deg[lo:hi].max())
+        assert nbr.shape == (hi - lo, width)
+        slots, edges = nbr.size, int(offsets[hi] - offsets[lo])
+        assert hi - lo == 1 or (slots <= bound and slots <= 2 * edges)
+        if hi < len(deg):
+            more = max(width, deg[hi]) * (hi + 1 - lo)
+            assert more > bound or more > 2 * (edges + deg[hi])
+        flat = nbr.ravel()
+        slot = np.arange(nbr.size)
+        mask = slot % width < np.repeat(deg[lo:hi], width)
+        assert (real is None) == mask.all()
+        assert np.array_equal(slot[mask], slot if real is None else real)
+        assert np.array_equal(flat[mask], dst[offsets[lo]:offsets[hi]])
+        assert np.array_equal(flat[~mask],
+                              np.repeat(np.arange(lo, hi), width)[~mask])
+    edges = np.diff(offsets[runs.bounds]).tolist()
+    groups = runs.groups.tolist()
+    assert groups[0] == 0 and groups[-1] == len(edges)
+    for a, b in zip(groups, groups[1:]):
+        assert b > a
+        assert b - a == 1 or sum(edges[a:b]) <= bound
+        if b < len(edges):
+            assert sum(edges[a:b + 1]) > bound
+
+
+def test_run_plans_hold_whole_nodes_within_the_bounds(monkeypatch):
+    rng = np.random.default_rng(43)
+    layouts = []
+    for name in ("hub", "chain", "grid"):
+        e = _irregular(name)[0].edge_arrays
+        layouts += [(e.offsets, e.dst)]
+        layouts += [(b.offsets, b.dst) for k in (2, 3)
+                    for b in _worker_blocks(_irregular(name)[0], k)]
+    for _ in range(60):
+        deg = rng.integers(1, 40, size=int(rng.integers(1, 60)))
+        deg[rng.random(len(deg)) < 0.05] = 300  # a few hubs
+        offsets = np.concatenate(([0], np.cumsum(deg)))
+        layouts.append((offsets, rng.integers(0, 500, size=offsets[-1])))
+    for bound in (1, 7, 30, 1024, graph.EDGE_BLOCK):
+        monkeypatch.setattr(graph, "EDGE_BLOCK", bound)
+        for offsets, dst in layouts:
+            _assert_run_plan(offsets, dst, graph._run_plan(offsets, dst),
+                             bound)
+    one = build_graph(1, []).edge_arrays.runs
+    assert one.bounds.tolist() == [0, 1] and one.nbr[0].shape == (1, 0)
+    assert one.groups.tolist() == [0, 1]
+
+
+class _Recorded(np.ndarray):
+    """Poses that record the operand shapes of every stacked product
+    that reads them."""
+
+    products: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        args = [np.asarray(x) for x in inputs]
+        if ufunc is np.matmul:
+            _Recorded.products.append(tuple(a.shape for a in args))
+        out = kwargs.get("out")
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(x) for x in out)
+        return getattr(ufunc, method)(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["hub", "chain"])
+@pytest.mark.parametrize("workers", [None, 2], ids=["graph", "k2"])
+def test_one_batched_rotation_product_per_run(name, workers, block):
+    # Every product of two rotation stacks that the pass makes from the
+    # poses is a run's (m, 3W, 3) @ (m, 3, 3): none is made per edge.
+    # The other products that read the poses are the matrix-vector
+    # products R_i t_ij of each slice of runs and of the cut rows.
+    g, est = _irregular(name)
+    s = solver.as_stack(est)
+    blocks = [g.edge_arrays] if workers is None else _worker_blocks(g, workers)
+    for b in blocks:
+        _Recorded.products = []
+        solver.node_controls(s.r[b.ids].view(_Recorded), s.t[b.ids], b,
+                             "per_step_averaged")
+        runs = b.runs
+        want = [((nbr.shape[0], 3 * nbr.shape[1], 3), (nbr.shape[0], 3, 3))
+                for nbr in runs.nbr]
+        rotations = [p for p in _Recorded.products if p[1][-1] == 3]
+        assert rotations == want
+        vectors = [p for p in _Recorded.products if p[1][-1] == 1]
+        sizes = np.diff(b.offsets[runs.bounds[runs.groups]]).tolist()
+        if len(b.cut):
+            sizes.append(len(b.cut))
+        assert [a[0] for a, _ in vectors] == sizes
+        assert len(rotations) + len(vectors) == len(_Recorded.products)

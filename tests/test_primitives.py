@@ -10,7 +10,10 @@ angles near pi and drifted rotations, as one matrix and as stacks.
 
 ``test_numpy_still_adds_in_the_spelled_out_orders`` pins numpy's own
 orders against plain Python float arithmetic; after a numpy upgrade that
-changes one of them, it is the test that names the cause.
+changes one of them, it is the test that names the cause. The
+``test_blas_*`` tests and ``test_log_of_a_transpose_is_the_negated_log``
+do the same for the identities by which the kernel makes its rotation
+products node by node and reads them transposed.
 """
 
 import numpy as np
@@ -158,6 +161,59 @@ def test_chordal_rows_equal_np_sum(rng):
     x[:2] = -0.0
     x[2:4] = 0.0
     assert _same_bits(solver._sum_squares9(x), np.sum(x * x, axis=-1))
+    # read as the transposes of 3x3 matrices: the kernel's chordal rows
+    # come from transposed products
+    xt = np.ascontiguousarray(np.swapaxes(x.reshape(-1, 3, 3), -1, -2))
+    assert _same_bits(solver._sum_squares9(xt.reshape(-1, 9),
+                                           solver._TRANSPOSED),
+                      np.sum(x * x, axis=-1))
+
+
+def _transposed(x):
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2))
+
+
+@pytest.mark.parametrize("width", [1, 2, 13, 978])
+def test_blas_batched_blocks_equal_the_transposed_products(rng, width):
+    # The kernel makes every R_i.T @ R_j of a node at once, as the
+    # transposes R_j.T @ R_i: one (m, 3W, 3) @ (m, 3, 3) product whose
+    # block k is the k-th neighbor's. Each block must equal the
+    # transpose of the per-edge stacked product, bit for bit.
+    m = max(1, 2000 // width)
+    pool = _matrices(rng, 1000)
+    own = pool[rng.integers(0, len(pool), size=m)]
+    nbr = pool[rng.integers(0, len(pool), size=(m, width))]
+    blocks = (_transposed(nbr).reshape(m, 3 * width, 3) @ own).reshape(
+        m, width, 3, 3)
+    edge_own = np.repeat(own, width, axis=0)
+    per_edge = _transposed(edge_own) @ nbr.reshape(-1, 3, 3)
+    assert _same_bits(blocks.reshape(-1, 3, 3),
+                      _transposed(per_edge))
+
+
+def test_blas_transposed_products_are_the_swapped_products(rng):
+    # (X @ Y.T).T == Y @ X.T on contiguous stacks: the kernel's residual
+    # r_ij @ (R_j.T @ R_i) is the transpose of (R_i.T @ R_j) @ r_ij.T
+    x, y = _matrices(rng, 4000), _matrices(rng, 4000)[::-1].copy()
+    assert _same_bits(_transposed(x @ _transposed(y)), y @ _transposed(x))
+
+
+def test_log_of_a_transpose_is_the_negated_log(rng):
+    # The kernel reads each residual log from the residual's transpose:
+    # the skew part changes sign and the angle does not, so every entry
+    # is the exact negation, except that a zero entry may come out with
+    # the other sign. A node sum that starts at +0.0 and a square cannot
+    # tell those apart.
+    r = np.concatenate((_rotations(rng, 20000), so3.exp_map(
+        rng.normal(size=(100000, 3)))))
+    r = r[so3.rotation_angle(r) < np.pi - 1e-8]
+    want = -so3.log_map(r)
+    got = so3.log_map(_transposed(r))
+    assert np.array_equal(got, want)
+    nonzero = want != 0.0
+    assert _same_bits(got[nonzero], want[nonzero])
+    assert _same_bits(0.0 + got, 0.0 + want)
+    assert _same_bits(so3.dot_rows(got, got), so3.dot_rows(want, want))
 
 
 def test_max_control_norm_equals_np_linalg_norm(rng):

@@ -191,6 +191,33 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
         omega.append(np.array([[r + 2 for r in row] for row in rows],
                               dtype=np.intp).reshape(width, len(nodes)))
         lo += len(nodes)
+    # the run plan: from where the last run ended, add one node at a time
+    # while the run pads to at most EDGE_BLOCK slots and to at most twice
+    # its edges (the first node always)
+    bounds, run_nbr, run_real = [0], [], []
+    groups, filled = [0], 0
+    while bounds[-1] < n:
+        lo = hi = bounds[-1]
+        width = edges = 0
+        while hi < n:
+            w, e = max(width, deg[hi]), edges + deg[hi]
+            slots = w * (hi + 1 - lo)
+            if hi > lo and (slots > graph.EDGE_BLOCK or slots > 2 * e):
+                break
+            width, edges, hi = w, e, hi + 1
+        if filled and filled + edges > graph.EDGE_BLOCK:
+            groups.append(len(run_nbr))  # the kernel's next slice
+            filled = 0
+        filled += edges
+        run_nbr.append(np.array(
+            [[nbrs[i][p] if p < deg[i] else i for p in range(width)]
+             for i in range(lo, hi)], dtype=np.intp).reshape(hi - lo, width))
+        real = [k * width + p for k, i in enumerate(range(lo, hi))
+                for p in range(deg[i])]
+        run_real.append(None if len(real) == width * (hi - lo)
+                        else np.array(real, dtype=np.intp))
+        bounds.append(hi)
+    groups.append(len(run_nbr))
     return {
         "ids": np.arange(n), "src": src, "dst": dst,
         "r_rel": np.array([m.r_rel for m in ordered],
@@ -200,6 +227,8 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
         "r_rel_t": np.array([m.r_rel.T for m in ordered],
                             dtype=float).reshape(-1, 3, 3),
         "plan": (np.array(order, dtype=np.intp), nu, omega),
+        "runs": (np.array(bounds, dtype=np.intp), run_nbr, run_real,
+                 np.array(groups, dtype=np.intp)),
     }
 
 
@@ -256,6 +285,17 @@ def _assert_graph_equal(g, oracle):
     for got, want in ((arrays["plan"].nu, nu), (arrays["plan"].omega, omega)):
         assert len(got) == len(want)
         for a, b in zip(got, want):
+            _assert_bitwise(a, b)
+    bounds, nbr, real, groups = oracle.pop("runs")
+    runs = arrays["runs"]
+    _assert_bitwise(runs.bounds, bounds)
+    _assert_bitwise(runs.groups, groups)
+    assert len(runs.nbr) == len(nbr) and len(runs.real) == len(real)
+    for a, b in zip(runs.nbr, nbr):
+        _assert_bitwise(a, b)
+    for a, b in zip(runs.real, real):
+        assert (a is None) == (b is None)
+        if b is not None:
             _assert_bitwise(a, b)
     for name, value in oracle.items():
         _assert_bitwise(arrays[name], value)
