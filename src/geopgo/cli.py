@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io as gio
 from .consistency import enforce_pairwise_rotations, full_report
-from .graph import algebraic_connectivity, symmetrize
+from .graph import PoseGraph, algebraic_connectivity, symmetrize
 from .runtime import run_distributed
 from .solver import TRANSLATION_MODES, SolverConfig, in_basin, solve
 from .synth import (NoiseModel, ScenarioSpec, generate_dataset, gps_init,
@@ -70,10 +70,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_init(ds: gio.Dataset, name: str, seed: int):
-    """The init ``name``, or None for ``gps`` on a dataset without ground
-    truth."""
-    g = ds.graph
+def _build_init(ds: gio.Dataset, g: PoseGraph, name: str, seed: int):
+    """The init ``name`` built on ``g``, the reconciled ``ds.graph``, or
+    None for ``gps`` on a dataset without ground truth."""
     if name == "identity":
         return identity_init(g.n)
     if name == "tree":
@@ -119,7 +118,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                        "(--mode distributed)")
     ds, report = _load(args)
     g = ds.graph
-    init = _build_init(ds, args.init, args.seed)
+    solved_graph = enforce_pairwise_rotations(g)
+    init = _build_init(ds, solved_graph, args.init, args.seed)
     if init is None:
         raise CliError(
             "gps init needs ground-truth vertices, which this dataset "
@@ -127,7 +127,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     config = SolverConfig(
         dt=args.dt, stop_tol=args.stop_tol, max_iters=args.max_iters,
         translation_mode=args.translation_mode)
-    solved_graph = enforce_pairwise_rotations(g)
     out_dir = Path(args.out_dir)
     _make_out_dir(out_dir, args.message_log)
 
@@ -184,11 +183,14 @@ def cmd_info(args: argparse.Namespace) -> int:
     degrees = np.diff(g.edge_arrays.offsets)
     lam2 = algebraic_connectivity(g)
 
+    # the inits and their basin check see the graph a solve runs on; the
+    # consistency report is the raw graph's
+    solved_graph = enforce_pairwise_rotations(g)
     basin: dict[str, bool | None] = {}
     for name in ("identity", "tree", "gps"):
-        init = _build_init(ds, name, args.seed)
+        init = _build_init(ds, solved_graph, name, args.seed)
         basin[name] = (None if init is None
-                       else in_basin(init, g, args.epsilon))
+                       else in_basin(init, solved_graph, args.epsilon))
 
     info = {
         "dataset": str(args.dataset),

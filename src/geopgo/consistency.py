@@ -11,8 +11,8 @@ Three nested notions are checked, weakest to strongest:
 
 Pairwise rotation consistency can be enforced exactly by splitting each
 edge's two-direction disagreement evenly between the directions; the
-translation analogue is an averaging that solvers re-apply every step
-with their current rotation estimates.
+translation analogue is an averaging that the solver re-applies every
+step with its current rotation estimates (``solver.node_controls``).
 """
 
 from __future__ import annotations
@@ -287,23 +287,7 @@ def enforce_pairwise_rotations(g: PoseGraph) -> PoseGraph:
                 f"directions of {e.name(sl.start + exc.index[0])} "
                 f"disagree at pi: {exc}", exc.index) from None
     # only r_rel changes: the rows stay valid, sorted and paired, so the
-    # arrays are derived, not rebuilt (r_rel_t is made anew; rev and the
-    # plans, which depend on the layout only, are kept)
+    # arrays are derived, not rebuilt (r_rel_t is made anew; rev, bins and
+    # runs, which depend on the layout only, are kept)
     return replace(g, edge_arrays=replace(e, r_rel=repaired, r_rel_t=None))
 
-
-def averaged_translation(
-    t_ij: np.ndarray, t_ji: np.ndarray, r_ij_est: np.ndarray,
-) -> np.ndarray:
-    """Average an edge's two translation measurements in one frame.
-
-    ``r_ij_est`` carries frame ``j`` vectors into frame ``i``; solvers
-    pass their current estimate ``R_i.T @ R_j``. The reverse measurement
-    enters negated because the two directions point opposite ways. For
-    any inputs, the pair of averages built this way satisfies
-    ``t'_ij + r_ij_est @ t'_ji == 0`` identically. Takes one edge, or a
-    stack of edges with ``(..., 3)`` vectors and ``(..., 3, 3)`` rotations.
-    """
-    t_ji = np.asarray(t_ji, dtype=float)
-    return 0.5 * (np.asarray(t_ij, dtype=float)
-                  - (np.asarray(r_ij_est, dtype=float) @ t_ji[..., None])[..., 0])

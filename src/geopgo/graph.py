@@ -242,48 +242,6 @@ def sequential_sum(rows: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate([start, rows]))[-1]
 
 
-class NodeSumPlan(NamedTuple):
-    """Where the per-node sums read their terms, for one CSR edge layout
-    (see ``solver._node_sums``).
-
-    The terms are a flat ``(3E + 3, 3)`` stack: rows ``3k``, ``3k + 1``
-    and ``3k + 2`` hold edge row ``k``'s translation terms ``d`` and
-    ``-m`` and its rotation term ``w``, and the last three rows are
-    zero. ``order`` lists the nodes by descending degree, ties by
-    ascending index. It is cut into consecutive chunks of at most
-    ``EDGE_BLOCK`` padded slots each (one node at least), a chunk's
-    width ``W`` being the degree of its first node. For each chunk,
-    ``nu`` holds a ``(2W, nodes)`` index whose column for node ``i``
-    lists the rows of ``d`` and ``-m`` of its edges ``offsets[i] + p``,
-    ``p`` ascending, and ``omega`` a ``(W, nodes)`` index of the rows
-    of ``w``; past the node's degree both point to a zero row.
-    """
-
-    order: np.ndarray
-    nu: tuple[np.ndarray, ...]
-    omega: tuple[np.ndarray, ...]
-
-
-def _node_sum_plan(offsets: np.ndarray) -> NodeSumPlan:
-    """The :class:`NodeSumPlan` of the CSR layout ``offsets``."""
-    deg = np.diff(offsets)
-    order = np.argsort(-deg, kind="stable")
-    pad = 3 * int(offsets[-1])  # the first of the three zero rows
-    nu, omega = [], []
-    lo = 0
-    while lo < len(order):
-        width = int(deg[order[lo]])  # the chunk's largest degree
-        hi = min(len(order), lo + max(1, EDGE_BLOCK // max(width, 1)))
-        nodes = order[lo:hi]
-        p = np.arange(width)[:, None]
-        d_rows = np.where(p < deg[nodes], 3 * (offsets[nodes] + p), pad)
-        pairs = np.stack((d_rows, d_rows + 1), axis=1)  # d, then -m
-        nu.append(pairs.reshape(2 * width, len(nodes)))
-        omega.append(d_rows + 2)
-        lo = hi
-    return NodeSumPlan(order, tuple(nu), tuple(omega))
-
-
 class RunPlan(NamedTuple):
     """Where the kernel makes its rotation products, node by node, for
     one CSR edge layout (see ``solver._block_terms``).
@@ -346,6 +304,17 @@ def _run_plan(offsets: np.ndarray, dst: np.ndarray) -> RunPlan:
                    np.array(groups))
 
 
+# the bin of each entry of an edge's (3, 3) terms (d, -m, w), relative
+# to its node's first bin: d and -m add into the node's translation sum,
+# w into its rotation sum
+_TERM_BINS = np.array([0, 1, 2, 0, 1, 2, 3, 4, 5])
+
+
+def _term_bins(src: np.ndarray) -> np.ndarray:
+    """The ``bins`` of the edges that start at the pose rows ``src``."""
+    return (6 * src[:, None] + _TERM_BINS).ravel()
+
+
 def _transposed_stack(r: np.ndarray) -> np.ndarray:
     """A C-contiguous copy of the transpose of each matrix of ``r``."""
     return np.ascontiguousarray(np.swapaxes(r, -1, -2))
@@ -377,17 +346,19 @@ class EdgeArrays:
     once, when the arrays are frozen: ``cut`` always, and the others
     when they are not given (:func:`build_graph` gives the whole graph's
     ``rev``, by which it reads ``t_in``; a ``replace`` that keeps the
-    layout keeps ``rev`` and both plans). ``r_rel_t`` is ``r_rel`` with
-    each matrix transposed, C-contiguous, because the kernel works on
-    transposed rotation products, and an elementwise subtract that reads
-    a transposed view is several times slower; a block's is a view of
-    the whole graph's. ``plan`` is the :class:`NodeSumPlan` of
-    ``offsets``, whose padded chunks each read at most ``EDGE_BLOCK``
-    term slots, so the node sums' temporaries are bounded as the
-    kernel's are. ``runs`` is the :class:`RunPlan` of ``offsets`` and
-    ``dst``, by which the kernel makes its rotation products one run of
-    whole nodes at a time, in at most ``EDGE_BLOCK`` slots each, and
-    cuts its pass into slices of whole runs.
+    layout keeps ``rev``, ``bins`` and ``runs``). ``r_rel_t`` is
+    ``r_rel`` with each matrix transposed, C-contiguous, because the
+    kernel works on transposed rotation products, and an elementwise
+    subtract that reads a transposed view is several times slower; a
+    block's is a view of the whole graph's. ``bins`` ``(9E,)`` is where
+    the node sums put each entry of the kernel's ``(E, 3, 3)`` per-edge
+    terms ``(d, -m, w)``: entry ``c`` of edge ``k``'s ``d`` and ``-m``
+    goes to bin ``6 * src[k] + c`` and of its ``w`` to bin ``6 * src[k]
+    + 3 + c``, so one ``np.bincount`` makes every node's sums. ``runs``
+    is the :class:`RunPlan` of ``offsets`` and ``dst``, by which the
+    kernel makes its rotation products one run of whole nodes at a
+    time, in at most ``EDGE_BLOCK`` slots each, and cuts its pass into
+    slices of whole runs.
     """
 
     ids: np.ndarray
@@ -399,7 +370,7 @@ class EdgeArrays:
     offsets: np.ndarray
     rev: np.ndarray | None = None
     r_rel_t: np.ndarray | None = None
-    plan: NodeSumPlan | None = field(default=None, repr=False)
+    bins: np.ndarray | None = field(default=None, repr=False)
     runs: RunPlan | None = field(default=None, repr=False)
     cut: np.ndarray = field(init=False, repr=False)
 
@@ -409,13 +380,13 @@ class EdgeArrays:
             object.__setattr__(self, "rev", self._reverse_rows())
         if self.r_rel_t is None:
             object.__setattr__(self, "r_rel_t", _transposed_stack(self.r_rel))
-        if self.plan is None:
-            object.__setattr__(self, "plan", _node_sum_plan(self.offsets))
+        if self.bins is None:
+            object.__setattr__(self, "bins", _term_bins(self.src))
         if self.runs is None:
             object.__setattr__(self, "runs", _run_plan(self.offsets, self.dst))
-        plan, runs = self.plan, self.runs
-        for a in (*vars(self).values(), plan.order, *plan.nu, *plan.omega,
-                  runs.bounds, *runs.nbr, *runs.real, runs.groups):
+        runs = self.runs
+        for a in (*vars(self).values(), runs.bounds, *runs.nbr, *runs.real,
+                  runs.groups):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 

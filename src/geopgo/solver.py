@@ -36,14 +36,14 @@ pass spells out numpy's order: a chordal row of 9 squares is added as
 ``((q0+q1)+(q2+q3))+((q4+q5)+(q6+q7))+q8`` (:func:`_sum_squares9`, in
 the entry order of the untransposed matrices), as ``np.sum`` adds it,
 and ``so3`` adds a trace as ``((0 + r00) + r11) + r22``, as
-``np.trace`` does. The pass keeps its memory traffic low without
-changing that arithmetic: both operands of every stacked ``@`` are
-C-contiguous (the poses are transposed once per pass, and a run's own
-poses are one slice of them), pose rows are gathered with ``take``, and
-the node sums read the graph's :class:`~geopgo.graph.NodeSumPlan`: one
-padded, position-major gather per family and chunk of nodes, summed
-left to right from ``+0.0`` by one ``np.add.reduce`` along the position
-axis (:func:`_node_sums`).
+``np.trace`` does. The node sums are one ``np.bincount`` per pass over
+:attr:`~geopgo.graph.EdgeArrays.bins`, which adds in input order, so
+each node adds its terms in edge-row order from ``+0.0``, as a per-edge
+loop does (:func:`_node_sums`). The pass keeps its memory traffic low
+without changing that arithmetic: both operands of every stacked ``@``
+are C-contiguous (the poses are transposed once per pass, and a run's
+own poses are one slice of them), and pose rows are gathered with
+``take``.
 
 One kernel pass per state gives both the velocity pairs and the
 per-edge objective rows (:func:`node_controls` with ``rows``), so a
@@ -61,8 +61,8 @@ from typing import Sequence
 import numpy as np
 
 from . import so3
-from .graph import (EdgeArrays, NodeSumPlan, Pose, PoseGraph, PoseStack,
-                    as_stack, max_degree, sequential_sum)
+from .graph import (EdgeArrays, Pose, PoseGraph, PoseStack, as_stack,
+                    max_degree, sequential_sum)
 
 TRANSLATION_MODES = ("per_step_averaged", "online_averaged", "raw")
 
@@ -163,36 +163,25 @@ def _residual_logs(resid_t: np.ndarray, block: EdgeArrays,
     return np.negative(w, out=w)
 
 
-def _node_sums(terms: np.ndarray, plan: NodeSumPlan
+def _node_sums(terms: np.ndarray, block: EdgeArrays
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity pairs of the nodes whose edges are the CSR rows of
-    ``plan``'s layout, from their per-edge ``terms``, a ``(E + 1, 3,
-    3)`` stack whose row ``k`` is ``(d, -m, w)`` of edge row ``k`` and
-    whose last row is zero (see :class:`~geopgo.graph.NodeSumPlan`).
+    """Velocity pairs ``(nu, omega)`` of ``block``'s own poses from the
+    per-edge ``terms``, an ``(E, 3, 3)`` stack whose row ``k`` is ``(d,
+    -m, w)`` of edge row ``k``.
 
-    Each node adds its edges' terms in row order starting from zero, as
-    ``(nu + d) + (-m)`` and ``omega + w``: the association of a per-edge
-    loop (``x - m`` is the same IEEE operation as ``x + (-m)``), so the
-    result does not depend on how many nodes are summed at once. For
-    each chunk of the plan, one ``take`` per family gathers the terms
-    position-major, padded with zero rows, and one ``np.add.reduce``
-    from ``+0.0`` along the position axis adds them left to right. An
-    accumulator that starts at ``+0.0`` never becomes ``-0.0``, so the
-    padding adds nothing. The sums are then put back in node order.
+    One ``np.bincount`` over ``block.bins`` adds each weight into its
+    zero-initialised bin in input order, so each node adds its edges'
+    terms in row order from ``+0.0``, as ``(nu + d) + (-m)`` and ``omega
+    + w``: the association of a per-edge loop (``x - m`` is the same IEEE
+    operation as ``x + (-m)``), so the result does not depend on how
+    many nodes are summed at once. A sum from ``+0.0`` never becomes
+    ``-0.0``, so a node of no edges reads ``+0.0``.
     """
-    flat = terms.reshape(-1, 3)
-    nu = np.empty((len(plan.order), 3))
-    omega = np.empty((len(plan.order), 3))
-    lo = 0
-    for nu_rows, omega_rows in zip(plan.nu, plan.omega):
-        hi = lo + nu_rows.shape[1]
-        np.add.reduce(flat.take(nu_rows, 0), 0, initial=0.0, out=nu[lo:hi])
-        np.add.reduce(flat.take(omega_rows, 0), 0, initial=0.0,
-                      out=omega[lo:hi])
-        lo = hi
-    out_nu, out_omega = np.empty_like(nu), np.empty_like(omega)
-    out_nu[plan.order], out_omega[plan.order] = nu, omega
-    return out_nu, out_omega
+    size = block.size
+    sums = np.bincount(block.bins, terms.reshape(-1), 6 * size)
+    # numpy returns integer zeros for a bincount of no weights
+    sums = sums.astype(float, copy=False).reshape(size, 2, 3)
+    return sums[:, 0], sums[:, 1]
 
 
 # the entries of a flat (9,) row of a matrix's transpose, in row-major
@@ -293,8 +282,7 @@ def node_controls(
             and the index is the edge's row in the block.
     """
     count, cut = len(block.src), block.cut
-    terms = np.empty((count + 1, 3, 3))  # see _node_sums
-    terms[-1] = 0.0
+    terms = np.empty((count, 3, 3))  # see _node_sums
     raw = np.empty((count + len(cut), 3))  # R_i t_ij: own rows, cut rows
     for sl, (rrel_t, resid_t, d, raw_sl) in _block_terms(r, t, block):
         w = _residual_logs(resid_t, block, sl.start)
@@ -304,15 +292,15 @@ def node_controls(
         if rows is not None:
             _fill_rows(rows, sl, block, rrel_t, w, d, raw_sl)
     if translation_mode == "raw":
-        np.negative(raw[:count], out=terms[:-1, 1])
+        np.negative(raw[:count], out=terms[:, 1])
     else:
         if len(cut):
             raw[count:] = _mv(r.take(block.dst[cut], 0), block.t_in[cut])
         # adding 0.5 (R_j t_ji - R_i t_ij) is subtracting its exact negation
         m = raw[:count] - raw.take(block.rev, 0)
         m *= 0.5
-        np.negative(m, out=terms[:-1, 1])
-    return _node_sums(terms, block.plan)
+        np.negative(m, out=terms[:, 1])
+    return _node_sums(terms, block)
 
 
 def _fill_rows(rows: np.ndarray, sl: slice, block: EdgeArrays,
@@ -421,12 +409,12 @@ def desired_offsets(estimates: Sequence[Pose], g: PoseGraph) -> np.ndarray:
     """
     b = g.edge_arrays
     s = as_stack(estimates)
-    terms = np.zeros((len(b.src) + 1, 3, 3))
+    terms = np.zeros((len(b.src), 3, 3))
     for sl, (*_, raw) in _block_terms(s.r, s.t, b):
         terms[sl, 2] = raw
     # the rotation sum of _node_sums adds each node's rows from zero in
     # ascending neighbor order, as the per-node loop ``delta[i] += ...``
-    return _node_sums(terms, b.plan)[1]
+    return _node_sums(terms, b)[1]
 
 
 def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> bool:

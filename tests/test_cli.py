@@ -225,6 +225,32 @@ def test_info_json(tmp_path, capsys):
     assert set(info["in_basin_by_init"]) == {"identity", "tree", "gps"}
 
 
+@pytest.mark.parametrize("command", ["solve", "info"])
+def test_tree_init_composes_the_reconciled_measurements(
+        tmp_path, monkeypatch, capsys, command):
+    # the one-step init composes pairwise-consistent rotations: the graph
+    # it is built on is the reconciled one that the solve runs on
+    ds = _generate(tmp_path)
+    raw = gio.load_any(str(ds)).graph
+    want = consistency.enforce_pairwise_rotations(raw).edge_arrays.r_rel
+    assert not np.array_equal(want, raw.edge_arrays.r_rel)
+    seen = []
+    real = cli.spanning_tree_init
+
+    def spy(g, **kw):
+        seen.append(g)
+        return real(g, **kw)
+
+    monkeypatch.setattr(cli, "spanning_tree_init", spy)
+    argv = [command, "--dataset", str(ds)]
+    if command == "solve":
+        argv += ["--init", "tree", "--max-iters", "2",
+                 "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == 0
+    assert len(seen) == 1
+    assert np.array_equal(seen[0].edge_arrays.r_rel, want)
+
+
 def _doubled_vertex_id(d):
     d["vertices"][5]["id"] = 2
 

@@ -291,8 +291,9 @@ def test_enforce_pairwise_rotations():
 
 
 def _same(a, b):
-    # arrays, or tuples of arrays and tuples (EdgeArrays.plan: the order,
-    # then a tuple of indices per family)
+    # arrays, or tuples of arrays and tuples (EdgeArrays.runs: the run
+    # bounds, a tuple of indices per run for nbr and for real, in which
+    # None marks a run with no padding, and the slice groups)
     if isinstance(a, tuple):
         return (type(a) is type(b) and len(a) == len(b)
                 and all(map(_same, a, b)))
@@ -329,29 +330,30 @@ def test_enforced_implies_minimal_rotation():
         assert rep.minimal_rot_defect < 1e-9
 
 
-def test_averaged_translation_consistent_inputs_unchanged():
+def test_averaged_translation_consistent_inputs_unchanged(
+        averaged_translation):
     rng = np.random.default_rng(34)
     for _ in range(50):
         r = so3.random_rotation(rng)
         t_ij = rng.normal(size=3)
         t_ji = -(r.T @ t_ij)  # exact reverse measurement
-        out = consistency.averaged_translation(t_ij, t_ji, r)
+        out = averaged_translation(t_ij, t_ji, r)
         assert np.linalg.norm(out - t_ij) < 1e-12
 
 
-def test_averaged_translation_zero_reverse():
+def test_averaged_translation_zero_reverse(averaged_translation):
     t = np.array([2.0, -4.0, 6.0])
-    out = consistency.averaged_translation(t, np.zeros(3), so3.random_rotation(1))
+    out = averaged_translation(t, np.zeros(3), so3.random_rotation(1))
     assert np.array_equal(out, 0.5 * t)
 
 
-def test_averaged_translation_pair_identity():
+def test_averaged_translation_pair_identity(averaged_translation):
     rng = np.random.default_rng(35)
     for _ in range(100):
         r = so3.random_rotation(rng)
         t_ij, t_ji = rng.normal(size=3), rng.normal(size=3)
-        fwd = consistency.averaged_translation(t_ij, t_ji, r)
-        rev = consistency.averaged_translation(t_ji, t_ij, r.T)
+        fwd = averaged_translation(t_ij, t_ji, r)
+        rev = averaged_translation(t_ji, t_ij, r.T)
         assert np.linalg.norm(fwd + r @ rev) < 1e-12
 
 

@@ -7,6 +7,8 @@ arithmetic, so every comparison here is bitwise (``==``), not a
 tolerance.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -413,9 +415,9 @@ def test_objective_names_the_edge_at_pi():
 
 
 def _accumulated_node_sums(w, d, m, offsets):
-    # the per-degree np.add.accumulate form of solver._node_sums that the
-    # node-sum plan replaced: each degree's nodes as padded (nodes, 2k+1, 3)
-    # term arrays, m negated, summed from zero along the terms
+    # the per-degree np.add.accumulate form of solver._node_sums: each
+    # degree's nodes as (nodes, 2k+1, 3) term arrays, m negated, summed
+    # from zero along the terms
     deg = np.diff(offsets)
     nu = np.zeros((len(deg), 3))
     omega = np.zeros((len(deg), 3))
@@ -448,58 +450,45 @@ def _edge_terms(rng, count):
     return w, d, m
 
 
-def _assert_node_sums_equal_the_accumulate_form(rng, offsets, plan):
-    w, d, m = _edge_terms(rng, int(offsets[-1]))
-    terms = np.zeros((len(w) + 1, 3, 3))
-    terms[:-1, 0], terms[:-1, 1], terms[:-1, 2] = d, -m, w
-    got = solver._node_sums(terms, plan)
-    want = _accumulated_node_sums(w, d, m, offsets)
+def _assert_node_sums_equal_the_accumulate_form(rng, block):
+    w, d, m = _edge_terms(rng, int(block.offsets[-1]))
+    got = solver._node_sums(np.stack((d, -m, w), axis=1), block)
+    want = _accumulated_node_sums(w, d, m, block.offsets)
     for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def test_node_sum_plan_equals_the_accumulate_form(monkeypatch):
+def test_node_sums_equal_the_accumulate_form():
     rng = np.random.default_rng(41)
     ring, _ = _instance("circle", 12, 3)
     assert set(np.diff(ring.edge_arrays.offsets)) == {2}
     # every block of a graph with irregular degrees
     g, _ = _instance("sphere", 40, 3)
     assert len(set(np.diff(g.edge_arrays.offsets))) > 2
-    arrays = [build_graph(1, []).edge_arrays, ring.edge_arrays] + [
+    blocks = [build_graph(1, []).edge_arrays, ring.edge_arrays] + [
         g.edge_arrays.block(lo, min(lo + size, g.n))
         for size in range(1, g.n + 1) for lo in range(0, g.n, size)]
-    layouts = [(e.offsets, e.plan) for e in arrays]
+    # degree layouts with nodes of no edges, as bins alone
     for _ in range(100):
         deg = rng.integers(0, 16, size=int(rng.integers(1, 40)))
-        offsets = np.concatenate(([0], np.cumsum(deg)))
-        layouts.append((offsets, graph._node_sum_plan(offsets)))
-    # plans cut into chunks of one node each, or of a few nodes; a chunk
-    # of more than one node pads to at most EDGE_BLOCK slots
-    for bound in (1, 7, 30):
-        monkeypatch.setattr(graph, "EDGE_BLOCK", bound)
-        for offsets, _ in layouts[:40]:
-            plan = graph._node_sum_plan(offsets)
-            nodes = [rows.shape[1] for rows in plan.omega]
-            assert sum(nodes) == len(offsets) - 1
-            for nu_rows, omega_rows in zip(plan.nu, plan.omega):
-                width, count = omega_rows.shape
-                assert nu_rows.shape == (2 * width, count)
-                assert omega_rows.shape[1] == 1 or omega_rows.size <= bound
-            layouts.append((offsets, plan))
-    for offsets, plan in layouts:
-        _assert_node_sums_equal_the_accumulate_form(rng, offsets, plan)
+        src = np.repeat(np.arange(len(deg)), deg)
+        blocks.append(SimpleNamespace(
+            offsets=np.concatenate(([0], np.cumsum(deg))), size=len(deg),
+            bins=graph._term_bins(src)))
+    for block in blocks:
+        _assert_node_sums_equal_the_accumulate_form(rng, block)
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2, 3],
                          ids=["reference", "k1", "k2", "k3"])
 def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
-    # over building the graph and a 10-iteration solve: one node-sum plan
-    # and one run plan per EdgeArrays (the graph's, then each worker's
-    # block), and one transposed stack, the graph's, of which each block
-    # holds a view
+    # over building the graph and a 10-iteration solve: one bins array and
+    # one run plan per EdgeArrays (the graph's, then each worker's block),
+    # and one transposed stack, the graph's, of which each block holds a
+    # view
     g0, est = _instance("sphere", 50, 11)
-    built = {"plan": 0, "runs": 0, "transposed": 0}
+    built = {"bins": 0, "runs": 0, "transposed": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -507,8 +496,7 @@ def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(graph, "_node_sum_plan",
-                        counted("plan", graph._node_sum_plan))
+    monkeypatch.setattr(graph, "_term_bins", counted("bins", graph._term_bins))
     monkeypatch.setattr(graph, "_run_plan", counted("runs", graph._run_plan))
     monkeypatch.setattr(graph, "_transposed_stack",
                         counted("transposed", graph._transposed_stack))
@@ -530,7 +518,7 @@ def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
         res = runtime.run_distributed(g, est, cfg)
     assert res.iterations == 10
     assert len(blocks) == (workers or 0)
-    assert built == {"plan": 1 + len(blocks), "runs": 1 + len(blocks),
+    assert built == {"bins": 1 + len(blocks), "runs": 1 + len(blocks),
                      "transposed": 1}
     whole = g.edge_arrays.r_rel_t
     assert whole.flags.c_contiguous and not whole.flags.writeable
@@ -543,11 +531,12 @@ def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
 
 def test_reconciled_graph_keeps_the_plans():
     # pairwise reconciliation changes the measured rotations only, so the
-    # layout's plans carry over and only the transposed stack is made anew
+    # layout's bins and run plan carry over and only the transposed stack
+    # is made anew
     _, g = synth.generate_dataset(synth.ScenarioSpec(topology="sphere", n=40),
                                   synth.NoiseModel(seed=1), seed=1)
     e = consistency.enforce_pairwise_rotations(g).edge_arrays
-    assert e.plan is g.edge_arrays.plan and e.runs is g.edge_arrays.runs
+    assert e.bins is g.edge_arrays.bins and e.runs is g.edge_arrays.runs
     assert e.rev is g.edge_arrays.rev
     assert np.array_equal(e.r_rel_t, np.swapaxes(e.r_rel, -1, -2))
     assert not np.array_equal(e.r_rel_t, g.edge_arrays.r_rel_t)

@@ -92,16 +92,26 @@ def test_imports_only_the_standard_library_and_numpy(path):
 
 
 def _private_definitions(tree: ast.Module) -> list[str]:
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and node.name.startswith("_")]
+    """The module-level functions, classes and constants whose names
+    start with ``_``, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.append(node.target.id)
+    return [name for name in names
+            if name.startswith("_") and not name.endswith("__")]
 
 
 def _references(tree: ast.Module) -> set[str]:
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -110,10 +120,11 @@ def _references(tree: ast.Module) -> set[str]:
 
 def test_private_definition_check_sees_both_forms():
     tree = ast.parse("def _used(): pass\nclass _Kept: pass\n"
-                     "def _left(): pass\nx = _used() or so3._Kept\n")
+                     "def _left(): pass\n_ROWS = (0, 1)\n_TAIL: int = 2\n"
+                     "_LEFT = 3\nx = _used() or so3._Kept or _ROWS[_TAIL]\n")
     refs = _references(tree)
     assert [n for n in _private_definitions(tree) if n not in refs] == [
-        "_left"]
+        "_left", "_LEFT"]
 
 
 def test_every_private_helper_has_a_caller():

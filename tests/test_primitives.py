@@ -251,13 +251,16 @@ def test_numpy_still_adds_in_the_spelled_out_orders(rng):
     for row, trace, total in zip(rows, traces, totals):
         assert _same_bits(np.trace(row.reshape(3, 3)), trace)
         assert _same_bits(np.sum(row), total)
-    # np.add.reduce along the leading axis of a C-contiguous stack, from
-    # initial +0.0: each column left to right, as the node sums need
-    for shape in ((1, 1, 3), (24, 1, 3), (5, 7, 3), (26, 40, 3)):
-        terms = _signed_zeros(rng, rng.normal(size=shape)
-                              * 10.0 ** rng.integers(-8, 8, size=shape))
-        want = np.zeros(shape[1:])
-        for step in terms:
-            want = want + step
-        got = np.add.reduce(terms, 0, initial=0.0)
-        assert _same_bits(got, want)
+    # np.bincount with weights adds each weight into its bin in input
+    # order, from +0.0, as the node sums need: unsorted bins, bins that
+    # get nothing, and a bin of -0.0 weights only (which reads +0.0)
+    for count, size in ((1, 1), (2, 5), (40, 12), (900, 60)):
+        bins = rng.integers(0, max(size - 2, 1), size=count)
+        weights = _signed_zeros(rng, rng.normal(size=count)
+                                * 10.0 ** rng.integers(-8, 8, size=count))
+        weights[bins == bins[0]] = -0.0
+        want = [0.0] * size
+        for b, w in zip(bins.tolist(), weights.tolist()):
+            want[b] = want[b] + w
+        got = np.bincount(bins, weights, size)
+        assert _same_bits(got, np.array(want))

@@ -175,22 +175,10 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
     rev = np.lexsort((src, dst))
     offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
     deg = [len(nbrs[i]) for i in range(n)]
-    order = sorted(range(n), key=lambda i: -deg[i])
-    # the node-sum plan: chunks of the order, each padded to its first
-    # node's degree, every term row past a node's degree the zero row
-    pad = 3 * len(ordered)
-    nu, omega, lo = [], [], 0
-    while lo < n:
-        width = deg[order[lo]]
-        nodes = order[lo:lo + max(1, graph.EDGE_BLOCK // max(width, 1))]
-        rows = [[3 * (offsets[i] + p) if p < deg[i] else pad for i in nodes]
-                for p in range(width)]
-        nu.append(np.array([[r + f for r in row] for row in rows
-                            for f in (0, 1)],
-                           dtype=np.intp).reshape(2 * width, len(nodes)))
-        omega.append(np.array([[r + 2 for r in row] for row in rows],
-                              dtype=np.intp).reshape(width, len(nodes)))
-        lo += len(nodes)
+    # the node-sum bins: entry c of an edge's d and -m goes to its src's
+    # bin 6 src + c, entry c of its w to bin 6 src + 3 + c
+    bins = [6 * m.src + c for m in ordered
+            for c in (0, 1, 2, 0, 1, 2, 3, 4, 5)]
     # the run plan: from where the last run ended, add one node at a time
     # while the run pads to at most EDGE_BLOCK slots and to at most twice
     # its edges (the first node always)
@@ -226,7 +214,7 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
         "cut": np.zeros(0, dtype=np.intp),  # a whole graph cuts no edge
         "r_rel_t": np.array([m.r_rel.T for m in ordered],
                             dtype=float).reshape(-1, 3, 3),
-        "plan": (np.array(order, dtype=np.intp), nu, omega),
+        "bins": np.array(bins, dtype=np.intp),
         "runs": (np.array(bounds, dtype=np.intp), run_nbr, run_real,
                  np.array(groups, dtype=np.intp)),
     }
@@ -280,12 +268,6 @@ def _assert_decoded_equal(stored, oracle):
 def _assert_graph_equal(g, oracle):
     arrays = vars(g.edge_arrays)
     assert set(arrays) == set(oracle)
-    order, nu, omega = oracle.pop("plan")
-    _assert_bitwise(arrays["plan"].order, order)
-    for got, want in ((arrays["plan"].nu, nu), (arrays["plan"].omega, omega)):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            _assert_bitwise(a, b)
     bounds, nbr, real, groups = oracle.pop("runs")
     runs = arrays["runs"]
     _assert_bitwise(runs.bounds, bounds)

@@ -112,7 +112,7 @@ def test_translation_modes_agree_when_consistent_and_aligned():
         assert np.linalg.norm(raw - online) < 1e-10
 
 
-def test_online_mode_matches_consistency_helper():
+def test_online_mode_matches_consistency_helper(averaged_translation):
     # folding the averaging into the sum equals averaging each edge with
     # the current rotations first, then the plain consensus feedback
     truth, g = _enforced_noisy(seed=9)
@@ -121,7 +121,7 @@ def test_online_mode_matches_consistency_helper():
     for i in range(g.n):
         want = np.zeros(3)
         for j in g.neighbors(i):
-            t_avg = consistency.averaged_translation(
+            t_avg = averaged_translation(
                 g.measurement(i, j).t_rel, g.measurement(j, i).t_rel,
                 est[i].r.T @ est[j].r)
             want = want + (est[j].t - est[i].t) - est[i].r @ t_avg
