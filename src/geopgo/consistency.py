@@ -274,7 +274,8 @@ def enforce_pairwise_rotations(g: PoseGraph) -> PoseGraph:
     Raises:
         so3.AngleAtPiError: if an edge's two directions disagree by a
             rotation whose angle reaches pi, where the even split is
-            ambiguous; the message names the edge.
+            ambiguous; the message names the edge, and the index is its
+            row in the graph's edge arrays.
     """
     e = g.edge_arrays
     repaired = np.empty(e.r_rel.shape)
@@ -283,9 +284,10 @@ def enforce_pairwise_rotations(g: PoseGraph) -> PoseGraph:
             repaired[sl] = paired_rotation_correction(e.r_rel[sl],
                                                       e.r_rel[e.rev[sl]])
         except so3.AngleAtPiError as exc:
+            k = sl.start + exc.index[0]
             raise so3.AngleAtPiError(
-                f"directions of {e.name(sl.start + exc.index[0])} "
-                f"disagree at pi: {exc}", exc.index) from None
+                f"directions of {e.name(k)} disagree at pi: {exc}",
+                (k,)) from None
     # only r_rel changes: the rows stay valid, sorted and paired, so the
     # arrays are derived, not rebuilt (r_rel_t is made anew; rev, bins and
     # runs, which depend on the layout only, are kept)

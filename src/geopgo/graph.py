@@ -328,25 +328,26 @@ class EdgeArrays:
     ``ids`` maps each pose row the edges read to its global id: the own
     poses first, ascending, then the halo (the other poses the edges
     point to), ascending. Row ``k`` is the ``k``-th edge in ``(src,
-    dst)`` order: ``src``/``dst`` ``(E,)`` index the pose rows,
-    ``r_rel`` ``(E, 3, 3)`` and ``t_rel`` ``(E, 3)`` are its measurement
-    and ``t_in`` ``(E, 3)`` the reverse edge's translation ``t_ji``. Own
-    pose ``b``'s edges are rows ``offsets[b]:offsets[b + 1]``, by
-    ascending ``dst`` id. Over the whole graph the pose rows are the ids.
+    dst)`` order: ``src``/``dst`` ``(E,)`` index the pose rows, and
+    ``r_rel`` ``(E, 3, 3)`` and ``t_rel`` ``(E, 3)`` are its
+    measurement. Own pose ``b``'s edges are rows ``offsets[b]:offsets[b
+    + 1]``, by ascending ``dst`` id. Over the whole graph the pose rows
+    are the ids.
 
     ``cut`` lists, ascending, the ``C`` rows whose reverse edge starts
     outside the run: the rows whose ``dst`` is a halo pose. The whole
     graph has none. ``rev[k]`` is the row of edge ``k``'s reverse
     direction in the ``E + C`` rows ``[own rows; cut rows]``: an own row,
-    or ``E + c`` when ``k`` is the ``c``-th cut row. The edges must come
-    in pairs: every edge between two own poses has its reverse among the
-    rows.
+    or ``E + c`` when ``k`` is the ``c``-th cut row. ``t_cut`` ``(C, 3)``
+    holds the cut rows' reverse translations ``t_ji``, the one
+    measurement a run reads from outside its rows. :func:`build_graph`
+    sorts the whole graph's ``rev``, and :meth:`block` slices its own
+    from it; the whole graph's ``t_cut`` is empty.
 
     Derived fields serve the solver's kernel pass, and all are made
     once, when the arrays are frozen: ``cut`` always, and the others
-    when they are not given (:func:`build_graph` gives the whole graph's
-    ``rev``, by which it reads ``t_in``; a ``replace`` that keeps the
-    layout keeps ``rev``, ``bins`` and ``runs``). ``r_rel_t`` is
+    when they are not given (a ``replace`` that keeps the layout keeps
+    ``bins`` and ``runs``). ``r_rel_t`` is
     ``r_rel`` with each matrix transposed, C-contiguous, because the
     kernel works on transposed rotation products, and an elementwise
     subtract that reads a transposed view is several times slower; a
@@ -366,9 +367,9 @@ class EdgeArrays:
     dst: np.ndarray
     r_rel: np.ndarray
     t_rel: np.ndarray
-    t_in: np.ndarray
+    t_cut: np.ndarray
     offsets: np.ndarray
-    rev: np.ndarray | None = None
+    rev: np.ndarray
     r_rel_t: np.ndarray | None = None
     bins: np.ndarray | None = field(default=None, repr=False)
     runs: RunPlan | None = field(default=None, repr=False)
@@ -376,8 +377,6 @@ class EdgeArrays:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cut", np.flatnonzero(self.dst >= self.size))
-        if self.rev is None:
-            object.__setattr__(self, "rev", self._reverse_rows())
         if self.r_rel_t is None:
             object.__setattr__(self, "r_rel_t", _transposed_stack(self.r_rel))
         if self.bins is None:
@@ -395,30 +394,16 @@ class EdgeArrays:
         """The number of own poses."""
         return len(self.offsets) - 1
 
-    def _reverse_rows(self) -> np.ndarray:
-        """``rev``, derived: each own row whose reverse starts at an own
-        pose finds it by one ``searchsorted`` over the sorted pair keys,
-        and the cut rows point past the own rows, in order."""
-        count = len(self.src)
-        keys = self.src * len(self.ids) + self.dst
-        order = np.argsort(keys)
-        inner = self.dst < self.size
-        rev = np.empty(count, dtype=np.intp)
-        rev[inner] = order[np.searchsorted(
-            keys, self.dst[inner] * len(self.ids) + self.src[inner],
-            sorter=order)]
-        rev[self.cut] = np.arange(count, count + len(self.cut))
-        return rev
-
     def name(self, k: int) -> str:
         return f"edge ({self.ids[self.src[k]]}, {self.ids[self.dst[k]]})"
 
     def block(self, lo: int, hi: int) -> "EdgeArrays":
         """The outgoing edges of poses ``lo..hi-1`` of the whole graph,
         indexed locally; the measurement stacks are views of this one's,
-        and its ``rev`` and ``cut`` are derived."""
-        rows = slice(self.offsets[lo], self.offsets[hi])
-        dst = self.dst[rows]
+        and its ``rev`` is a slice of this one's: a row whose reverse
+        lies outside the block's rows is a cut row."""
+        a, b = self.offsets[lo], self.offsets[hi]
+        dst = self.dst[a:b]
         read = np.zeros(self.size, dtype=bool)
         read[dst] = True
         read[lo:hi] = False
@@ -426,13 +411,17 @@ class EdgeArrays:
         local = np.empty(self.size, dtype=np.intp)
         local[lo:hi] = np.arange(hi - lo)
         local[halo] = np.arange(hi - lo, hi - lo + len(halo))
+        back = self.rev[a:b]
+        cut = np.flatnonzero((back < a) | (back >= b))
+        rev = back - a
+        rev[cut] = np.arange(b - a, b - a + len(cut))
         return EdgeArrays(
             ids=np.concatenate((np.arange(lo, hi), halo)),
-            src=self.src[rows] - lo, dst=local[dst],
-            r_rel=self.r_rel[rows], t_rel=self.t_rel[rows],
-            t_in=self.t_in[rows],
-            offsets=self.offsets[lo:hi + 1] - self.offsets[lo],
-            r_rel_t=self.r_rel_t[rows])
+            src=self.src[a:b] - lo, dst=local[dst],
+            r_rel=self.r_rel[a:b], t_rel=self.t_rel[a:b],
+            t_cut=self.t_rel[back[cut]],
+            offsets=self.offsets[lo:hi + 1] - a, rev=rev,
+            r_rel_t=self.r_rel_t[a:b])
 
 
 @dataclass(frozen=True)
@@ -560,12 +549,12 @@ def build_graph(
     src, dst = cols.src[order], cols.dst[order]
     offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
     _check_connected(n, src, dst)
-    t_rel = cols.t_rel[order]
     # listing the edges by (dst, src) lists the reverse of each (src, dst) row
     rev = np.argsort(_pair_keys(dst, src), kind="stable")
     return PoseGraph(n=n, edge_arrays=EdgeArrays(
         ids=np.arange(n), src=src, dst=dst, r_rel=cols.r_rel[order],
-        t_rel=t_rel, t_in=t_rel[rev], offsets=offsets, rev=rev))
+        t_rel=cols.t_rel[order], t_cut=np.empty((0, 3)), offsets=offsets,
+        rev=rev))
 
 
 def _check_connected(n: int, src: np.ndarray, dst: np.ndarray) -> None:

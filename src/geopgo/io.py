@@ -516,13 +516,27 @@ def export_trajectory_csv(poses: Sequence[Pose]) -> str:
 
 
 def parse_trajectory_csv(text: str) -> PoseStack:
-    """Inverse of :func:`export_trajectory_csv`, as a stack."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "id,tx,ty,tz,qx,qy,qz,qw":
+    """Inverse of :func:`export_trajectory_csv`, as a stack. Each
+    non-blank line past the header must be its 0-based row id and 7
+    finite numbers; a ValueError names a bad line by its number."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines or lines[0][1] != "id,tx,ty,tz,qx,qy,qz,qw":
         raise ValueError("not a trajectory CSV (bad header)")
-    vals = np.array([[float(x) for x in ln.split(",")[1:8]]
-                     for ln in lines[1:]], dtype=float).reshape(-1, 7)
-    return PoseStack(vals[:, 0:3].copy(), so3.quat_to_matrix(vals[:, 3:7]))
+    vals = []
+    for row, (k, ln) in enumerate(lines[1:]):
+        fields = ln.split(",")
+        try:
+            vals.append([float(x) for x in fields[1:]])
+            good = len(fields) == 8 and int(fields[0]) == row
+        except ValueError:
+            good = False
+        if not (good and all(map(math.isfinite, vals[-1]))):
+            raise ValueError(f"line {k}: expected row id {row} and 7 "
+                             f"finite numbers, got {ln!r}")
+    vals = np.array(vals, dtype=float).reshape(-1, 7)
+    return PoseStack(vals[:, 0:3].copy(), _rotations(
+        vals[:, 3:7], lambda r: f"line {lines[r + 1][0]}"))
 
 
 def export_objective_csv(

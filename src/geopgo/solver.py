@@ -26,12 +26,12 @@ is made as its transpose ``r_ij R_j.T R_i`` and its log as the negated
 log of that. The pass makes one stacked matrix-vector product per edge
 row, ``R_i t_ij``; the averaged translation term reads the ``R_j t_ji``
 of an edge from its reverse row, and a block makes it from the halo
-pose for an edge whose reverse starts outside the block
-(:attr:`~geopgo.graph.EdgeArrays.cut`). Only operations that give the
-same bits per row whatever the stack size are used: stacked ``@``,
-elementwise ufuncs, :func:`so3.dot_rows` for dot products and
-:func:`graph.sequential_sum` for totals; no ``einsum`` or
-``reduceat``. Where numpy's own reduction is cheaper to spell out, the
+pose and :attr:`~geopgo.graph.EdgeArrays.t_cut` for an edge whose
+reverse starts outside the block (:attr:`~geopgo.graph.EdgeArrays.cut`).
+Only operations that give the same bits per row whatever the stack
+size are used: stacked ``@``, elementwise ufuncs, :func:`so3.dot_rows`
+for dot products and :func:`graph.sequential_sum` for totals; no
+``einsum`` or ``reduceat``. Where numpy's own reduction is cheaper to spell out, the
 pass spells out numpy's order: a chordal row of 9 squares is added as
 ``((q0+q1)+(q2+q3))+((q4+q5)+(q6+q7))+q8`` (:func:`_sum_squares9`, in
 the entry order of the untransposed matrices), as ``np.sum`` adds it,
@@ -47,9 +47,11 @@ own poses are one slice of them), and pose rows are gathered with
 
 One kernel pass per state gives both the velocity pairs and the
 per-edge objective rows (:func:`node_controls` with ``rows``), so a
-solve makes one pass per iteration. The solve state, the result and
-its trajectory are stacked poses (:class:`~geopgo.graph.PoseStack`), so
-a solve builds no :class:`~geopgo.graph.Pose`.
+solve makes one pass per iteration. :func:`node_controls` is the
+kernel's one entry point: :func:`evaluate_objective` of a state whose
+rows no pass has made runs it too. The solve state, the result and its
+trajectory are stacked poses (:class:`~geopgo.graph.PoseStack`), so a
+solve builds no :class:`~geopgo.graph.Pose`.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ class StepSizeUnstableError(ValueError):
 
 
 class StepSizeUnstableWarning(UserWarning):
-    """dt is within a factor of two of the provable divergence threshold."""
+    """``dt * max_degree`` is in ``[1, 2)``, where the translation
+    consensus may already diverge (see :func:`_check_step_size`)."""
 
 
 @dataclass
@@ -266,8 +269,8 @@ def node_controls(
     R_j t_ji)``, in both averaged modes. ``R_j t_ji`` is the reverse
     edge's ``R_i t_ij``, read through ``block.rev``; for a cut edge,
     whose reverse starts at a halo pose, the pass makes it from that
-    pose. So a pass makes one stacked product per edge row and one per
-    cut row.
+    pose and the edge's ``block.t_cut`` row. So a pass makes one stacked
+    product per edge row and one per cut row.
 
     ``rows``, when given, is a ``(3, E)`` array over the block's edges
     that the same pass fills with each edge's objective terms: the
@@ -290,48 +293,23 @@ def node_controls(
         terms[sl, 2] = w
         raw[sl] = raw_sl
         if rows is not None:
-            _fill_rows(rows, sl, block, rrel_t, w, d, raw_sl)
+            # the chordal entries are those of the transposes rrel_t -
+            # r_ij.T, added in the row-major order of rrel - r_ij
+            err = d - raw_sl
+            rows[0, sl] = so3.dot_rows(err, err)
+            rows[1, sl] = so3.dot_rows(w, w)
+            rows[2, sl] = _sum_squares9(
+                (rrel_t - block.r_rel_t[sl]).reshape(-1, 9), _TRANSPOSED)
     if translation_mode == "raw":
         np.negative(raw[:count], out=terms[:, 1])
     else:
         if len(cut):
-            raw[count:] = _mv(r.take(block.dst[cut], 0), block.t_in[cut])
+            raw[count:] = _mv(r.take(block.dst[cut], 0), block.t_cut)
         # adding 0.5 (R_j t_ji - R_i t_ij) is subtracting its exact negation
         m = raw[:count] - raw.take(block.rev, 0)
         m *= 0.5
         np.negative(m, out=terms[:, 1])
     return _node_sums(terms, block)
-
-
-def _fill_rows(rows: np.ndarray, sl: slice, block: EdgeArrays,
-               rrel_t: np.ndarray, w: np.ndarray, d: np.ndarray,
-               raw: np.ndarray) -> None:
-    """The objective rows ``rows[:, sl]`` of ``block``'s edge slice
-    ``sl`` from its :func:`_block_terms` and residual logs ``w``:
-    ``|d - R_i t_ij|^2``, ``|w|^2`` and ``|rrel - r_ij|_F^2``, whose
-    entries are those of the transposes ``rrel_t - r_ij.T``, added in
-    the row-major order of ``rrel - r_ij``."""
-    err = d - raw
-    rows[0, sl] = so3.dot_rows(err, err)
-    rows[1, sl] = so3.dot_rows(w, w)
-    rows[2, sl] = _sum_squares9(
-        (rrel_t - block.r_rel_t[sl]).reshape(-1, 9), _TRANSPOSED)
-
-
-def objective_rows(r: np.ndarray, t: np.ndarray,
-                   block: EdgeArrays) -> np.ndarray:
-    """The ``(3, E)`` objective rows of a block's edges, as
-    :func:`node_controls` fills them, from a pass that makes no
-    controls: no terms stack and no node sums.
-
-    Raises:
-        so3.AngleAtPiError: as :func:`node_controls`.
-    """
-    rows = np.empty((3, len(block.src)))
-    for sl, (rrel_t, resid_t, d, raw) in _block_terms(r, t, block):
-        _fill_rows(rows, sl, block, rrel_t,
-                   _residual_logs(resid_t, block, sl.start), d, raw)
-    return rows
 
 
 def all_controls(
@@ -362,6 +340,10 @@ def integrate_pose(t: np.ndarray, r: np.ndarray, nu: np.ndarray,
 
 
 def _check_step_size(g: PoseGraph, dt: float) -> None:
+    """Raise at ``dt * max_degree >= 2`` and warn at ``>= 1``. The
+    consensus is stable iff ``dt * lambda_max(L) < 2``, and ``lambda_max
+    <= 2 * max_degree``, with equality on even rings: there the warning
+    band already diverges. A ``lambda_max`` guard is ROADMAP item 3."""
     s = dt * max_degree(g)
     if s >= 2.0:
         raise StepSizeUnstableError(
@@ -379,13 +361,15 @@ def evaluate_objective(estimates: Sequence[Pose], g: PoseGraph,
 
     ``rows`` are the state's ``(3, E)`` objective rows when a kernel
     pass has already made them (:func:`node_controls`); ``estimates``
-    is then not read. Otherwise :func:`objective_rows` makes them.
-    The per-edge terms are summed left to right in that order, so two
-    evaluations of the same state are bitwise equal wherever they run.
+    is then not read. Otherwise one ``"raw"`` kernel pass over the whole
+    graph makes them, and its controls are dropped. The per-edge terms
+    are summed left to right in that order, so two evaluations of the
+    same state are bitwise equal wherever they run.
     """
     if rows is None:
         s = as_stack(estimates)
-        rows = objective_rows(s.r, s.t, g.edge_arrays)
+        rows = np.empty((3, g.directed_count))
+        node_controls(s.r, s.t, g.edge_arrays, "raw", rows)
     trans_total, rot_total, chord_total = sequential_sum(rows.T).tolist()
     return ObjectiveValue(
         geodesic=trans_total + rot_total,

@@ -7,7 +7,6 @@ import pytest
 
 from geopgo import consistency, graph, so3, solver, synth
 from geopgo.graph import (
-    EdgeArrays,
     Pose,
     RelativeMeasurement,
     build_graph,
@@ -323,6 +322,19 @@ def test_enforce_names_the_edge_at_pi():
         consistency.enforce_pairwise_rotations(build_graph(2, [fwd, rev]))
 
 
+def test_enforce_reports_the_graph_row_past_the_first_slice(monkeypatch):
+    # a path 0-1-...-5 whose edge (3, 4) disagrees by a half-turn: its
+    # row 6 lies in the second slice of 4 rows, at row 2 of that slice
+    monkeypatch.setattr(graph, "EDGE_BLOCK", 4)
+    ms = [m for i in range(5) for m in _pair(i, i + 1, [1.0, 0.0, 0.0],
+                                             np.eye(3))]
+    ms[7] = _edge(4, 3, [-1.0, 0.0, 0.0], np.diag([1.0, -1.0, -1.0]))
+    g = build_graph(6, ms)
+    with pytest.raises(so3.AngleAtPiError, match=r"edge \(3, 4\)") as exc:
+        consistency.enforce_pairwise_rotations(g)
+    assert exc.value.index == (g.edge_index(3, 4),) == (6,)
+
+
 def test_enforced_implies_minimal_rotation():
     for seed in range(3):
         fixed = consistency.enforce_pairwise_rotations(_noisy_sphere(seed))
@@ -357,15 +369,14 @@ def test_averaged_translation_pair_identity(averaged_translation):
         assert np.linalg.norm(fwd + r @ rev) < 1e-12
 
 
-def _online_nu(own, nbrs, poses, t_out, t_in):
-    # node 0's online-mode velocity: node_controls on a block of one
-    # node with identity rotation measurements
-    k = len(nbrs)
-    block = EdgeArrays(
-        ids=np.array([0] + list(nbrs)), src=np.zeros(k, dtype=np.intp),
-        dst=np.arange(1, k + 1), r_rel=np.tile(np.eye(3), (k, 1, 1)),
-        t_rel=np.array([t_out[j] for j in nbrs]),
-        t_in=np.array([t_in[j] for j in nbrs]), offsets=np.array([0, k]))
+def _online_nu(own, nbrs, poses, t_out, t_back):
+    # node 0's online-mode velocity: node_controls on the block of node 0
+    # alone in its star, with identity rotation measurements
+    eye = np.eye(3)
+    block = build_graph(len(nbrs) + 1, [
+        m for j in nbrs for m in (RelativeMeasurement(0, j, t_out[j], eye),
+                                  RelativeMeasurement(j, 0, t_back[j], eye))
+    ]).edge_arrays.block(0, 1)
     read = [own] + [poses[j] for j in nbrs]
     nu, _ = solver.node_controls(np.array([p.r for p in read]),
                                  np.array([p.t for p in read]), block,

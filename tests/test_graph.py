@@ -1,7 +1,5 @@
 """Pose-graph model: pairing, connectivity, Laplacian, spanning tree."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -325,7 +323,7 @@ def test_reverse_rows_and_cut_rows_of_random_blocks():
                         symmetrize_missing=True)
         e = g.edge_arrays
         assert e.cut.dtype == np.intp and e.cut.size == 0
-        assert np.array_equal(replace(e, rev=None).rev, e.rev)
+        assert e.t_cut.shape == (0, 3)
         for _ in range(5):
             lo = int(rng.integers(0, n))
             hi = int(rng.integers(lo + 1, n + 1))
@@ -338,6 +336,8 @@ def test_reverse_rows_and_cut_rows_of_random_blocks():
             back = b.rev[inner]
             assert np.array_equal(src[back], dst[inner])
             assert np.array_equal(dst[back], src[inner])
-            assert np.array_equal(b.t_rel[back], b.t_in[inner])
             assert np.array_equal(b.rev[b.cut],
                                   count + np.arange(len(b.cut)))
+            # each cut row's reverse translation, looked up by (dst, src)
+            whole = g.edge_rows(dst[b.cut], src[b.cut])
+            assert np.array_equal(b.t_cut, e.t_rel[whole])

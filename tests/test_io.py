@@ -194,11 +194,29 @@ def test_trajectory_csv_round_trip():
     text = gio.export_trajectory_csv(poses)
     assert len(text.strip().splitlines()) == 18
     back = gio.parse_trajectory_csv(text)
+    assert len(back) == 17
     for a, b in zip(poses, back):
-        assert np.max(np.abs(a.t - b.t)) < 1e-12
+        assert a.t.tobytes() == b.t.tobytes()  # written at full precision
         assert np.max(np.abs(a.r - b.r)) < 1e-12
     with pytest.raises(ValueError):
         gio.parse_trajectory_csv("tx,ty\n1,2\n")
+
+
+@pytest.mark.parametrize("row, line, reason", [
+    ("1,nan,0,0,0,0,0,1", 4, "row id 1 and 7 finite numbers"),
+    ("1,0,0,0,0,0,inf,1", 4, "row id 1 and 7 finite numbers"),
+    ("7,0,0,0,0,0,0,1", 4, "row id 1 and 7 finite numbers"),
+    ("x,0,0,0,0,0,0,1", 4, "row id 1 and 7 finite numbers"),
+    ("1,0,0,0,0,0,0,1,9", 4, "row id 1 and 7 finite numbers"),
+    ("1,0,0,0,0,0", 4, "row id 1 and 7 finite numbers"),
+    ("1,0,0,0,0,0,0,0", 4, "zero quaternion"),
+], ids=["nan", "inf", "id", "text-id", "ninth", "short", "zero-q"])
+def test_trajectory_csv_names_the_bad_line(row, line, reason):
+    # the blank line 3 is skipped but counted: the bad row is file line 4
+    text = ("id,tx,ty,tz,qx,qy,qz,qw\n0,1,2,3,0,0,0,1\n\n"
+            f"{row}\n2,0,0,0,0,0,0,1\n")
+    with pytest.raises(ValueError, match=rf"^line {line}: .*{reason}"):
+        gio.parse_trajectory_csv(text)
 
 
 def test_objective_csv():

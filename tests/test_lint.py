@@ -140,8 +140,10 @@ def test_every_private_helper_has_a_caller():
 # Poses and measurements travel as stacks (PoseStack, MeasurementColumns).
 # Only graph.py, which defines the per-object types and reads a stack
 # row as one on demand, builds them; so do its helpers that return one.
+# It alone builds an EdgeArrays too: the whole graph's in build_graph,
+# and a block's as a slice of it, so every rev is the graph's sort.
 PER_OBJECT_BUILDERS = {"Pose", "RelativeMeasurement", "identity", "compose",
-                       "inverse", "reversed_measurement"}
+                       "inverse", "reversed_measurement", "EdgeArrays"}
 OBJECT_HOME = "graph.py"
 
 
@@ -159,10 +161,12 @@ def _per_object_builds(tree: ast.Module) -> list[str]:
 
 def test_per_object_build_check_sees_both_forms():
     tree = ast.parse("Pose(t, r)\ngraph.RelativeMeasurement(0, 1, t, r)\n"
-                     "Pose.identity()\nPoseStack(t, r)\ncompose(a, b)\n")
+                     "Pose.identity()\nPoseStack(t, r)\ncompose(a, b)\n"
+                     "EdgeArrays(ids=ids)\ngraph.EdgeArrays(ids=ids)\n"
+                     "e.block(0, 1)\n")
     assert _per_object_builds(tree) == [
         "line 1: Pose", "line 2: RelativeMeasurement", "line 3: identity",
-        "line 5: compose"]
+        "line 5: compose", "line 6: EdgeArrays", "line 7: EdgeArrays"]
 
 
 @pytest.mark.parametrize(

@@ -210,8 +210,9 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
         "ids": np.arange(n), "src": src, "dst": dst,
         "r_rel": np.array([m.r_rel for m in ordered],
                           dtype=float).reshape(-1, 3, 3),
-        "t_rel": t_rel, "t_in": t_rel[rev], "offsets": offsets, "rev": rev,
-        "cut": np.zeros(0, dtype=np.intp),  # a whole graph cuts no edge
+        "t_rel": t_rel, "offsets": offsets, "rev": rev,
+        # a whole graph cuts no edge
+        "cut": np.zeros(0, dtype=np.intp), "t_cut": np.zeros((0, 3)),
         "r_rel_t": np.array([m.r_rel.T for m in ordered],
                             dtype=float).reshape(-1, 3, 3),
         "bins": np.array(bins, dtype=np.intp),
