@@ -178,6 +178,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    if not 0 <= args.epsilon < np.inf:  # written so that NaN fails too
+        raise CliError(
+            f"--epsilon must be finite and nonnegative, got {args.epsilon}")
     ds, report = _load(args)
     g = ds.graph
     degrees = np.diff(g.edge_arrays.offsets)

@@ -254,54 +254,36 @@ class RunPlan(NamedTuple):
     pose rows of its edges' ``dst``, in row order, and then ``i`` itself
     in the padding slots. ``real[k]`` lists, ascending, the flat slots
     of the ``m * W`` that hold an edge, which are then in row order, or
-    is None when no slot is padding. A run holds whole nodes: at most
-    ``EDGE_BLOCK`` slots, or one node, and never more than twice as many
-    slots as edges, so that a node of high degree does not pad its
-    neighbors.
-
-    The kernel works in slices of consecutive runs, slice ``g`` being
-    runs ``groups[g]`` to ``groups[g + 1] - 1``: as many as hold at most
-    ``EDGE_BLOCK`` edges together, or one, so that the runs a node of
-    high degree cuts short, or padding, do not each pay for a slice.
+    is None when no slot is padding. A run holds whole nodes, at most
+    ``EDGE_BLOCK`` slots, or one node, and the kernel makes each run's
+    terms as one slice of its pass.
     """
 
     bounds: np.ndarray
     nbr: tuple[np.ndarray, ...]
     real: tuple[np.ndarray | None, ...]
-    groups: np.ndarray
 
 
 def _run_plan(offsets: np.ndarray, dst: np.ndarray) -> RunPlan:
     """The :class:`RunPlan` of the CSR layout ``offsets`` whose edges
     point at the pose rows ``dst``: each run is the longest one, from
-    where the last ended, whose every prefix fits, and each slice takes
-    runs until the next would not fit."""
+    where the last ended, whose slots fit, and at least one node."""
     deg = np.diff(offsets)
     bounds, nbr, real = [0], [], []
-    groups, filled = [0], 0  # the edges of the runs in the open slice
     while bounds[-1] < len(deg):
         lo = bounds[-1]
         window = deg[lo:lo + EDGE_BLOCK]
         width = np.maximum.accumulate(window)
-        slots = width * np.arange(1, len(window) + 1)
-        fits = (slots <= EDGE_BLOCK) & (slots <= 2 * np.cumsum(window))
-        fits[0] = True
-        size = len(window) if fits.all() else int(np.argmin(fits))
+        slots = width * np.arange(1, len(window) + 1)  # ascending
+        size = max(1, int(np.searchsorted(slots, EDGE_BLOCK, "right")))
         hi = lo + size
-        count = int(offsets[hi] - offsets[lo])
-        if filled and filled + count > EDGE_BLOCK:
-            groups.append(len(nbr))
-            filled = 0
-        filled += count
         p = np.arange(width[size - 1])
         pad = p >= window[:size, None]
         edges = dst.take(offsets[lo:hi, None] + p, mode="clip")
         nbr.append(np.where(pad, np.arange(lo, hi)[:, None], edges))
         real.append(np.flatnonzero(~pad) if pad.any() else None)
         bounds.append(hi)
-    groups.append(len(nbr))
-    return RunPlan(np.array(bounds), tuple(nbr), tuple(real),
-                   np.array(groups))
+    return RunPlan(np.array(bounds), tuple(nbr), tuple(real))
 
 
 # the bin of each entry of an edge's (3, 3) terms (d, -m, w), relative
@@ -357,9 +339,9 @@ class EdgeArrays:
     goes to bin ``6 * src[k] + c`` and of its ``w`` to bin ``6 * src[k]
     + 3 + c``, so one ``np.bincount`` makes every node's sums. ``runs``
     is the :class:`RunPlan` of ``offsets`` and ``dst``, by which the
-    kernel makes its rotation products one run of whole nodes at a
-    time, in at most ``EDGE_BLOCK`` slots each, and cuts its pass into
-    slices of whole runs.
+    kernel cuts its pass into runs of whole nodes, of at most
+    ``EDGE_BLOCK`` slots each, and makes each run's rotation products at
+    once.
     """
 
     ids: np.ndarray
@@ -384,8 +366,7 @@ class EdgeArrays:
         if self.runs is None:
             object.__setattr__(self, "runs", _run_plan(self.offsets, self.dst))
         runs = self.runs
-        for a in (*vars(self).values(), runs.bounds, *runs.nbr, *runs.real,
-                  runs.groups):
+        for a in (*vars(self).values(), runs.bounds, *runs.nbr, *runs.real):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 

@@ -441,7 +441,8 @@ def read_dataset(path: str | Path) -> StoredDataset:
 def parse_g2o(source: str | Path | IO[str]) -> G2oParseResult:
     """Parse g2o content into poses and a paired measurement graph.
 
-    ``source`` is a path, a ``.g2o`` path string, g2o text or a stream.
+    ``source`` is a path, a path string whose suffix is ``.g2o`` in any
+    case (as :func:`read_dataset` reads it), g2o text or a stream.
     Files typically carry one direction per edge; the missing direction
     is synthesized as the rigid inverse, so the result is pairwise
     consistent by construction wherever only one direction existed.
@@ -452,7 +453,8 @@ def parse_g2o(source: str | Path | IO[str]) -> G2oParseResult:
     """
     if isinstance(source, Path):
         text = source.read_text()
-    elif isinstance(source, str) and "\n" not in source and source.endswith(".g2o"):
+    elif (isinstance(source, str) and "\n" not in source
+          and Path(source).suffix.lower() == ".g2o"):
         text = Path(source).read_text()
     elif isinstance(source, str):
         text = source

@@ -15,10 +15,9 @@ a synchronization barrier reproduces this solver exactly, bit for bit.
 
 The per-edge terms are computed by one stacked kernel over the outgoing
 edges of any contiguous block of poses (the whole graph, or one
-distributed worker's block), in slices of whole runs of nodes
+distributed worker's block), one run of whole nodes at a time
 (:class:`~geopgo.graph.RunPlan`: at most ``graph.EDGE_BLOCK`` padded
-edge slots per run and edges per slice), and each node sums its edges
-in ascending order.
+edge slots per run), and each node sums its edges in ascending order.
 A run makes every rotation product of its nodes in one stacked product,
 ``(m, 3W, 3) @ (m, 3, 3)``, which gives the transposes ``R_j.T R_i`` of
 the ``R_i.T R_j``, and the pass stays with the transposes: the residual
@@ -206,16 +205,16 @@ def _sum_squares9(c: np.ndarray, order=range(9)) -> np.ndarray:
 
 
 def _block_terms(r, t, block: EdgeArrays):
-    """Per-edge terms of ``block``'s directed edges ``(i, j)``, one slice
-    of whole runs of nodes at a time (``block.runs``: at most
-    ``graph.EDGE_BLOCK`` padded slots per run and edges per slice).
+    """Per-edge terms of ``block``'s directed edges ``(i, j)``, one run
+    of whole nodes at a time (``block.runs``: at most
+    ``graph.EDGE_BLOCK`` padded slots per run).
 
     ``r`` and ``t`` are the stacked poses that ``block.src`` and
-    ``block.dst`` index. Yields each slice's edge rows, as a slice, and
+    ``block.dst`` index. Yields each run's edge rows, as a slice, and
     their terms: the transposes ``R_j.T @ R_i`` of ``rrel = R_i.T @
     R_j``, the transposes ``r_ij @ R_j.T @ R_i`` of the rotation
     residuals ``rrel @ r_ij.T``, the consensus difference ``d = t_j -
-    t_i`` and ``R_i @ t_ij``, the slice's one stacked matrix-vector
+    t_i`` and ``R_i @ t_ij``, the run's one stacked matrix-vector
     product.
 
     A run makes all its ``R_j.T @ R_i`` in one stacked product, ``(m,
@@ -225,24 +224,21 @@ def _block_terms(r, t, block: EdgeArrays):
     which hold ``R_i.T @ R_i``, are dropped. Each block, and each
     residual ``r_ij @ (R_j.T @ R_i)``, is the transpose of the per-edge
     product bit for bit, since BLAS adds the same three products in the
-    same order, so any cut of the nodes into runs and slices gives the
-    same rows. Both operands of each product are C-contiguous: the pass
-    transposes the poses once into one stack for the left operands, a
-    run's own rotations are one slice of ``r``, and every other pose row
-    is gathered with ``take``.
+    same order, so any cut of the nodes into runs gives the same rows.
+    Both operands of each product are C-contiguous: the pass transposes
+    the poses once into one stack for the left operands, a run's own
+    rotations are one slice of ``r``, and every other pose row is
+    gathered with ``take``.
     """
     rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
-    runs, bounds = block.runs, block.runs.bounds
-    for a, b in zip(runs.groups[:-1], runs.groups[1:]):
-        parts = []
-        for k in range(a, b):
-            m, width = runs.nbr[k].shape
-            blocks = (rt.take(runs.nbr[k], 0).reshape(m, 3 * width, 3)
-                      @ r[bounds[k]:bounds[k + 1]]).reshape(-1, 3, 3)
-            real = runs.real[k]
-            parts.append(blocks if real is None else blocks.take(real, 0))
-        rrel_t = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        sl = slice(block.offsets[bounds[a]], block.offsets[bounds[b]])
+    runs = block.runs
+    for lo, hi, nbr, real in zip(runs.bounds, runs.bounds[1:], runs.nbr,
+                                 runs.real):
+        m, width = nbr.shape
+        blocks = (rt.take(nbr, 0).reshape(m, 3 * width, 3)
+                  @ r[lo:hi]).reshape(-1, 3, 3)
+        rrel_t = blocks if real is None else blocks.take(real, 0)
+        sl = slice(block.offsets[lo], block.offsets[hi])
         src, dst = block.src[sl], block.dst[sl]
         d = t.take(dst, 0) - t.take(src, 0)
         yield sl, (rrel_t, block.r_rel[sl] @ rrel_t, d,

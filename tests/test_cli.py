@@ -437,6 +437,23 @@ def test_negative_seed_flag_exits_one(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "-0.5"])
+def test_bad_epsilon_exits_one(tmp_path, capsys, monkeypatch, epsilon):
+    # a NaN margin made every init read as in the basin, and -inf too
+    ds = _generate(tmp_path)
+    capsys.readouterr()
+
+    def load_any(path):
+        raise AssertionError("loaded before the flags were checked")
+
+    monkeypatch.setattr(gio, "load_any", load_any)
+    assert cli.main(["info", "--dataset", str(ds),
+                     f"--epsilon={epsilon}"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --epsilon must be finite and nonnegative, "
+        f"got {float(epsilon)}\n")
+
+
 @pytest.mark.parametrize("config,message", [
     ({"seed": -1}, "at seed: must be nonnegative, got -1"),
     ({"noise": {"tau": 0.5, "kappa": 0.524, "seed": -5}},

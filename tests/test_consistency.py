@@ -292,7 +292,7 @@ def test_enforce_pairwise_rotations():
 def _same(a, b):
     # arrays, or tuples of arrays and tuples (EdgeArrays.runs: the run
     # bounds, a tuple of indices per run for nbr and for real, in which
-    # None marks a run with no padding, and the slice groups)
+    # None marks a run with no padding)
     if isinstance(a, tuple):
         return (type(a) is type(b) and len(a) == len(b)
                 and all(map(_same, a, b)))

@@ -61,6 +61,17 @@ def test_parse_accepts_streams_and_paths(tmp_path):
         assert len(result.poses) == 2
 
 
+@pytest.mark.parametrize("name", ["LOOP.G2O", "loop.G2o"])
+def test_parse_reads_a_path_string_of_any_suffix_case(tmp_path, name):
+    # the suffix rule of read_dataset and load_any
+    p = tmp_path / name
+    p.write_text(TWO_VERTEX_ONE_EDGE)
+    result = gio.parse_g2o(str(p))
+    assert result.id_map == {10: 0, 20: 1}
+    assert result.graph.directed_count == 2
+    assert gio.load_any(p).graph.directed_count == 2
+
+
 def test_parse_whitespace_insensitive():
     sloppy = TWO_VERTEX_ONE_EDGE.replace(" ", "   ") + "\n\n\n"
     result = gio.parse_g2o(sloppy)

@@ -118,8 +118,8 @@ def _worker_blocks(g, k):
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=lambda x: f"{x[0]}{x[1] or ''}")
 def test_reverse_products_from_other_slices_equal_the_loop(inst, monkeypatch):
-    # with slices of 7 edges an edge's reverse row, whose R_i t_ij the
-    # averaged term reads, mostly lies in another slice, or in another
+    # with runs of at most 7 edges an edge's reverse row, whose R_i t_ij
+    # the averaged term reads, mostly lies in another run, or in another
     # worker's block, where the worker makes it from the halo pose
     monkeypatch.setattr(graph, "EDGE_BLOCK", 7)
     g, est = _instance(*inst)
@@ -213,10 +213,10 @@ def test_solve_names_the_iteration_at_pi():
 
 
 def test_solve_names_a_later_iteration(monkeypatch):
-    # the pass of state 3 fails: a graph of one slice makes one
+    # the pass of state 3 fails: a graph of one run makes one
     # _residual_logs call per pass, and state k's pass is the (k + 1)-th
     g, est = _instance("sphere", 12, 7)
-    assert len(g.edge_arrays.runs.groups) == 2  # one slice
+    assert len(g.edge_arrays.runs.nbr) == 1  # one run
     real = solver._residual_logs
     calls = []
 
@@ -259,8 +259,8 @@ def test_distributed_names_the_node_at_pi_in_the_initial_state():
 
 
 def test_log_map_calls_do_not_grow_with_the_edge_count(monkeypatch):
-    # The kernel calls log_map once per slice of runs, not once per
-    # edge: two graphs of one slice each make the same number of calls.
+    # The kernel calls log_map once per run, not once per edge: two
+    # graphs of one run each make the same number of calls.
     real = so3.log_map
     calls = []
 
@@ -273,7 +273,7 @@ def test_log_map_calls_do_not_grow_with_the_edge_count(monkeypatch):
     counts = {}
     for n in (12, 60):
         g, est = _instance("sphere", n, 7)
-        assert len(g.edge_arrays.runs.groups) == 2  # one slice
+        assert len(g.edge_arrays.runs.nbr) == 1  # one run
         calls.clear()
         res = solver.solve(g, est, solver.SolverConfig(max_iters=iters,
                                                        stop_tol=1e-12))
@@ -286,7 +286,7 @@ def test_log_map_calls_do_not_grow_with_the_edge_count(monkeypatch):
 @pytest.mark.parametrize("workers", [None, 1, 2, 3],
                          ids=["reference", "k1", "k2", "k3"])
 def test_one_kernel_pass_per_state(monkeypatch, workers):
-    # A graph of one slice makes one log_map call per pass. The reference
+    # A graph of one run makes one log_map call per pass. The reference
     # solve makes one pass per state: the initial one and one per
     # iteration. Each distributed round makes one pass per worker, and
     # the run adds the initial pass and the final controls.
@@ -298,7 +298,7 @@ def test_one_kernel_pass_per_state(monkeypatch, workers):
         return real(r)
 
     g, est = _instance("sphere", 50, 11)
-    assert len(g.edge_arrays.runs.groups) == 2  # one slice
+    assert len(g.edge_arrays.runs.nbr) == 1  # one run
     monkeypatch.setattr(so3, "log_map", counted)
     iters = 7
     cfg = solver.SolverConfig(max_iters=iters, stop_tol=1e-12)
@@ -593,11 +593,9 @@ def test_irregular_degrees_equal_the_loop_bitwise(name, mode, block):
 
 def _assert_run_plan(offsets, dst, runs, bound):
     # runs cover the nodes in order, each whole; a run of more than one
-    # node pads to at most `bound` slots and at most twice its edges, and
-    # the next node would break one of those; each slot reads the row of
-    # its edge's dst, or of its own node where it pads. Slices cover the
-    # runs in order: more than one run only within `bound` edges, and the
-    # next run would pass it.
+    # node pads to at most `bound` slots, and the next node would pass
+    # it; each slot reads the row of its edge's dst, or of its own node
+    # where it pads
     deg = np.diff(offsets)
     bounds = runs.bounds.tolist()
     assert bounds[0] == 0 and bounds[-1] == len(deg)
@@ -606,11 +604,9 @@ def _assert_run_plan(offsets, dst, runs, bound):
         assert hi > lo
         width = int(deg[lo:hi].max())
         assert nbr.shape == (hi - lo, width)
-        slots, edges = nbr.size, int(offsets[hi] - offsets[lo])
-        assert hi - lo == 1 or (slots <= bound and slots <= 2 * edges)
+        assert hi - lo == 1 or nbr.size <= bound
         if hi < len(deg):
-            more = max(width, deg[hi]) * (hi + 1 - lo)
-            assert more > bound or more > 2 * (edges + deg[hi])
+            assert max(width, deg[hi]) * (hi + 1 - lo) > bound
         flat = nbr.ravel()
         slot = np.arange(nbr.size)
         mask = slot % width < np.repeat(deg[lo:hi], width)
@@ -619,17 +615,13 @@ def _assert_run_plan(offsets, dst, runs, bound):
         assert np.array_equal(flat[mask], dst[offsets[lo]:offsets[hi]])
         assert np.array_equal(flat[~mask],
                               np.repeat(np.arange(lo, hi), width)[~mask])
-    edges = np.diff(offsets[runs.bounds]).tolist()
-    groups = runs.groups.tolist()
-    assert groups[0] == 0 and groups[-1] == len(edges)
-    for a, b in zip(groups, groups[1:]):
-        assert b > a
-        assert b - a == 1 or sum(edges[a:b]) <= bound
-        if b < len(edges):
-            assert sum(edges[a:b + 1]) > bound
 
 
 def test_run_plans_hold_whole_nodes_within_the_bounds(monkeypatch):
+    # a chain of low degree with a few loop-closure poses is one run
+    chain = _irregular("chain")[0].edge_arrays
+    assert len(chain.src) == 818 and np.diff(chain.offsets).max() == 5
+    assert [nbr.size for nbr in chain.runs.nbr] == [2000]
     rng = np.random.default_rng(43)
     layouts = []
     for name in ("hub", "chain", "grid"):
@@ -649,7 +641,6 @@ def test_run_plans_hold_whole_nodes_within_the_bounds(monkeypatch):
                              bound)
     one = build_graph(1, []).edge_arrays.runs
     assert one.bounds.tolist() == [0, 1] and one.nbr[0].shape == (1, 0)
-    assert one.groups.tolist() == [0, 1]
 
 
 class _Recorded(np.ndarray):
@@ -674,7 +665,7 @@ def test_one_batched_rotation_product_per_run(name, workers, block):
     # Every product of two rotation stacks that the pass makes from the
     # poses is a run's (m, 3W, 3) @ (m, 3, 3): none is made per edge.
     # The other products that read the poses are the matrix-vector
-    # products R_i t_ij of each slice of runs and of the cut rows.
+    # products R_i t_ij of each run and of the cut rows.
     g, est = _irregular(name)
     s = solver.as_stack(est)
     blocks = [g.edge_arrays] if workers is None else _worker_blocks(g, workers)
@@ -688,7 +679,7 @@ def test_one_batched_rotation_product_per_run(name, workers, block):
         rotations = [p for p in _Recorded.products if p[1][-1] == 3]
         assert rotations == want
         vectors = [p for p in _Recorded.products if p[1][-1] == 1]
-        sizes = np.diff(b.offsets[runs.bounds[runs.groups]]).tolist()
+        sizes = np.diff(b.offsets[runs.bounds]).tolist()
         if len(b.cut):
             sizes.append(len(b.cut))
         assert [a[0] for a, _ in vectors] == sizes

@@ -224,3 +224,31 @@ def test_only_the_io_helper_switches_the_collector():
              for path in sorted(SRC.glob("*.py"))
              for owner, _ in _gc_switch_calls(ast.parse(path.read_text()))}
     assert found == {GC_HOLDER}
+
+
+# Tests patch graph.EDGE_BLOCK to cut small graphs into many runs and
+# slices. A module that imported the bound by name would keep the value
+# it saw at import, and those tests would silently run one plan; so the
+# bound is read as graph.EDGE_BLOCK where it is used.
+PATCHED_BOUNDS = {"EDGE_BLOCK"}
+
+
+def _bound_imports(tree: ast.Module) -> list[str]:
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name in PATCHED_BOUNDS]
+
+
+def test_bound_import_check_sees_both_forms():
+    tree = ast.parse("from .graph import EDGE_BLOCK\n"
+                     "from . import graph\n"
+                     "from geopgo.graph import sequential_sum, EDGE_BLOCK as B\n"
+                     "span = 16 * graph.EDGE_BLOCK\n")
+    assert _bound_imports(tree) == ["line 1: EDGE_BLOCK",
+                                    "line 3: EDGE_BLOCK"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_binds_the_edge_bound_by_name(path):
+    assert _bound_imports(ast.parse(path.read_text())) == []

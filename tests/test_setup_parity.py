@@ -180,23 +180,17 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
     bins = [6 * m.src + c for m in ordered
             for c in (0, 1, 2, 0, 1, 2, 3, 4, 5)]
     # the run plan: from where the last run ended, add one node at a time
-    # while the run pads to at most EDGE_BLOCK slots and to at most twice
-    # its edges (the first node always)
+    # while the run pads to at most EDGE_BLOCK slots (the first node
+    # always)
     bounds, run_nbr, run_real = [0], [], []
-    groups, filled = [0], 0
     while bounds[-1] < n:
         lo = hi = bounds[-1]
-        width = edges = 0
+        width = 0
         while hi < n:
-            w, e = max(width, deg[hi]), edges + deg[hi]
-            slots = w * (hi + 1 - lo)
-            if hi > lo and (slots > graph.EDGE_BLOCK or slots > 2 * e):
+            w = max(width, deg[hi])
+            if hi > lo and w * (hi + 1 - lo) > graph.EDGE_BLOCK:
                 break
-            width, edges, hi = w, e, hi + 1
-        if filled and filled + edges > graph.EDGE_BLOCK:
-            groups.append(len(run_nbr))  # the kernel's next slice
-            filled = 0
-        filled += edges
+            width, hi = w, hi + 1
         run_nbr.append(np.array(
             [[nbrs[i][p] if p < deg[i] else i for p in range(width)]
              for i in range(lo, hi)], dtype=np.intp).reshape(hi - lo, width))
@@ -205,7 +199,6 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
         run_real.append(None if len(real) == width * (hi - lo)
                         else np.array(real, dtype=np.intp))
         bounds.append(hi)
-    groups.append(len(run_nbr))
     return {
         "ids": np.arange(n), "src": src, "dst": dst,
         "r_rel": np.array([m.r_rel for m in ordered],
@@ -216,8 +209,7 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
         "r_rel_t": np.array([m.r_rel.T for m in ordered],
                             dtype=float).reshape(-1, 3, 3),
         "bins": np.array(bins, dtype=np.intp),
-        "runs": (np.array(bounds, dtype=np.intp), run_nbr, run_real,
-                 np.array(groups, dtype=np.intp)),
+        "runs": (np.array(bounds, dtype=np.intp), run_nbr, run_real),
     }
 
 
@@ -269,10 +261,9 @@ def _assert_decoded_equal(stored, oracle):
 def _assert_graph_equal(g, oracle):
     arrays = vars(g.edge_arrays)
     assert set(arrays) == set(oracle)
-    bounds, nbr, real, groups = oracle.pop("runs")
+    bounds, nbr, real = oracle.pop("runs")
     runs = arrays["runs"]
     _assert_bitwise(runs.bounds, bounds)
-    _assert_bitwise(runs.groups, groups)
     assert len(runs.nbr) == len(nbr) and len(runs.real) == len(real)
     for a, b in zip(runs.nbr, nbr):
         _assert_bitwise(a, b)
