@@ -42,20 +42,20 @@ class AngleAtPiError(ValueError):
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the last axes of ``a`` and ``b``.
 
-    Written as a stacked ``(1, k) @ (k, 1)`` product, which equals
-    ``np.dot`` of each row pair bit for bit; ``np.einsum`` and
-    ``np.sum(a * b, axis=-1)`` may round differently.
+    One ``np.vecdot`` call, which equals ``np.dot`` of each row pair and
+    the stacked ``(1, k) @ (k, 1)`` product bit for bit; ``np.einsum``
+    and ``np.sum(a * b, axis=-1)`` may round differently.
     """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
-# Entries (row, col) of a skew matrix that hold v[0..2], then -v[0..2].
-_HAT_ROWS = np.array([2, 0, 1, 1, 2, 0])
-_HAT_COLS = np.array([1, 2, 0, 2, 0, 1])
-# The same entries of a flat (9,) row: vee(r - r.T) is r[_VEE_PLUS] -
-# r[_VEE_MINUS].
-_VEE_PLUS = 3 * _HAT_ROWS[:3] + _HAT_COLS[:3]
-_VEE_MINUS = 3 * _HAT_ROWS[3:] + _HAT_COLS[3:]
+# Entries of a flat (9,) skew matrix that hold v[0..2], then -v[0..2]:
+# vee(r - r.T) is r[_VEE_PLUS] - r[_VEE_MINUS].
+_VEE_PLUS = np.array([7, 2, 3])
+_VEE_MINUS = np.array([5, 6, 1])
+# read-only, so no caller can change it for the others
+_EYE = np.eye(3)
+_EYE.flags.writeable = False
 
 
 def _skew_part(f: np.ndarray) -> np.ndarray:
@@ -73,11 +73,16 @@ def _trace(f: np.ndarray) -> np.ndarray:
 
 
 def hat(v: np.ndarray) -> np.ndarray:
-    """Map 3-vectors ``(..., 3)`` to skew cross-product matrices ``(..., 3, 3)``."""
+    """Map 3-vectors ``(..., 3)`` to skew cross-product matrices ``(..., 3, 3)``.
+
+    Writes the six entries of each flat ``(9,)`` row by one index,
+    ``v`` at :data:`_VEE_PLUS` and ``-v`` at :data:`_VEE_MINUS`.
+    """
     v = np.asarray(v, dtype=float)
-    s = np.zeros(v.shape + (3,))
-    s[..., _HAT_ROWS, _HAT_COLS] = np.concatenate([v, -v], axis=-1)
-    return s
+    s = np.zeros(v.shape[:-1] + (9,))
+    s[..., _VEE_PLUS] = v
+    s[..., _VEE_MINUS] = -v
+    return s.reshape(v.shape + (3,))
 
 
 def vee(s: np.ndarray) -> np.ndarray:
@@ -111,13 +116,14 @@ def exp_map(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     flat = v.reshape(-1, 3)
     theta = np.sqrt(dot_rows(flat, flat))
-    a = 1.0 - theta * theta / 6.0
-    b = 0.5 - theta * theta / 24.0
+    theta2 = theta * theta
+    a = 1.0 - theta2 / 6.0
+    b = 0.5 - theta2 / 24.0
     big = theta >= _SMALL_ANGLE  # elsewhere the series; no 0/0 at zero
     np.divide(np.sin(theta), theta, out=a, where=big)
-    np.divide(1.0 - np.cos(theta), theta * theta, out=b, where=big)
+    np.divide(1.0 - np.cos(theta), theta2, out=b, where=big)
     s = hat(flat)
-    r = np.eye(3) + a[:, None, None] * s + b[:, None, None] * (s @ s)
+    r = _EYE + a[:, None, None] * s + b[:, None, None] * (s @ s)
     return r.reshape(v.shape + (3,))
 
 
@@ -321,7 +327,7 @@ def orthonormality_drift(r: np.ndarray) -> float | np.ndarray:
     """
     r = np.asarray(r, dtype=float)
     rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
-    e = (rt @ r - np.eye(3)).reshape(r.shape[:-2] + (9,))
+    e = (rt @ r - _EYE).reshape(r.shape[:-2] + (9,))
     drift = np.sqrt(dot_rows(e, e))
     return float(drift) if r.ndim == 2 else drift
 

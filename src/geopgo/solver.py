@@ -29,13 +29,16 @@ pose and :attr:`~geopgo.graph.EdgeArrays.t_cut` for an edge whose
 reverse starts outside the block (:attr:`~geopgo.graph.EdgeArrays.cut`).
 Only operations that give the same bits per row whatever the stack
 size are used: stacked ``@``, elementwise ufuncs, :func:`so3.dot_rows`
-for dot products and :func:`graph.sequential_sum` for totals; no
-``einsum`` or ``reduceat``. Where numpy's own reduction is cheaper to spell out, the
+(one ``np.vecdot``) for dot products and left-to-right
+``np.add.accumulate`` for the objective totals; no ``einsum`` or
+``reduceat``. Where numpy's own reduction is cheaper to spell out, the
 pass spells out numpy's order: a chordal row of 9 squares is added as
 ``((q0+q1)+(q2+q3))+((q4+q5)+(q6+q7))+q8`` (:func:`_sum_squares9`, in
 the entry order of the untransposed matrices), as ``np.sum`` adds it,
-and ``so3`` adds a trace as ``((0 + r00) + r11) + r22``, as
-``np.trace`` does. The node sums are one ``np.bincount`` per pass over
+a control norm's 3 squares as ``(q0+q1)+q2`` (:func:`max_control_norm`),
+as ``add.reduce`` adds them, and ``so3`` adds a trace as ``((0 + r00) +
+r11) + r22``, as ``np.trace`` does. The node sums are one
+``np.bincount`` per pass over
 :attr:`~geopgo.graph.EdgeArrays.bins`, which adds in input order, so
 each node adds its terms in edge-row order from ``+0.0``, as a per-edge
 loop does (:func:`_node_sums`). The pass keeps its memory traffic low
@@ -63,7 +66,7 @@ import numpy as np
 
 from . import so3
 from .graph import (EdgeArrays, Pose, PoseGraph, PoseStack, as_stack,
-                    max_degree, sequential_sum)
+                    max_degree)
 
 TRANSLATION_MODES = ("per_step_averaged", "online_averaged", "raw")
 
@@ -360,13 +363,19 @@ def evaluate_objective(estimates: Sequence[Pose], g: PoseGraph,
     is then not read. Otherwise one ``"raw"`` kernel pass over the whole
     graph makes them, and its controls are dropped. The per-edge terms
     are summed left to right in that order, so two evaluations of the
-    same state are bitwise equal wherever they run.
+    same state are bitwise equal wherever they run: one
+    ``np.add.accumulate`` along each row's contiguous axis, whose last
+    column is :func:`graph.sequential_sum` of ``rows.T`` bit for bit,
+    since no row entry is ``-0.0`` (each is a sum of squares) and so
+    the first one added to ``+0.0`` is itself. No edges give zeros.
     """
     if rows is None:
         s = as_stack(estimates)
         rows = np.empty((3, g.directed_count))
         node_controls(s.r, s.t, g.edge_arrays, "raw", rows)
-    trans_total, rot_total, chord_total = sequential_sum(rows.T).tolist()
+    trans_total, rot_total, chord_total = (
+        np.add.accumulate(rows, axis=1)[:, -1].tolist() if rows.size
+        else [0.0, 0.0, 0.0])
     return ObjectiveValue(
         geodesic=trans_total + rot_total,
         chordal=trans_total + chord_total,
@@ -410,12 +419,22 @@ def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> 
 def max_control_norm(nu: np.ndarray, omega: np.ndarray) -> float:
     """Largest per-node velocity norm across both control families.
 
-    Each norm is ``sqrt(add.reduce(x * x, axis=1))``, what
-    ``np.linalg.norm(x, axis=1)`` computes, without its Python wrapper.
+    Each row's squares are added as ``(q0 + q1) + q2``, the order of
+    ``add.reduce(x * x, axis=1)`` and so of ``np.linalg.norm(x,
+    axis=1)``, and one ``sqrt`` is taken of the larger family maximum:
+    ``sqrt`` is monotone and correctly rounded, so that is the largest
+    row norm. A NaN in either family gives NaN (``np.maximum``, where
+    Python's ``max`` would keep its first argument).
     """
-    nu_norms = np.sqrt(np.add.reduce(nu * nu, 1))
-    omega_norms = np.sqrt(np.add.reduce(omega * omega, 1))
-    return float(max(nu_norms.max(initial=0.0), omega_norms.max(initial=0.0)))
+    return float(np.sqrt(np.maximum(_max_sum_squares3(nu),
+                                    _max_sum_squares3(omega))))
+
+
+def _max_sum_squares3(x: np.ndarray) -> np.ndarray:
+    """Largest ``(q0 + q1) + q2`` over the rows of ``x * x`` ``(n, 3)``;
+    ``0.0`` when ``n`` is 0."""
+    sq = x * x
+    return ((sq[:, 0] + sq[:, 1]) + sq[:, 2]).max(initial=0.0)
 
 
 def step(state: SolverState, g: PoseGraph, config: SolverConfig) -> SolverState:

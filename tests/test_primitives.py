@@ -10,7 +10,10 @@ angles near pi and drifted rotations, as one matrix and as stacks.
 
 ``test_numpy_still_adds_in_the_spelled_out_orders`` pins numpy's own
 orders against plain Python float arithmetic; after a numpy upgrade that
-changes one of them, it is the test that names the cause. The
+changes one of them, it is the test that names the cause, as the
+``test_numpy_vecdot_*``, ``test_control_norm_*`` and
+``test_objective_totals_*`` tests do for the row dots, the control norm
+and the objective totals. The
 ``test_blas_*`` tests and ``test_log_of_a_transpose_is_the_negated_log``
 do the same for the identities by which the kernel makes its rotation
 products node by node and reads them transposed.
@@ -19,7 +22,8 @@ products node by node and reads them transposed.
 import numpy as np
 import pytest
 
-from geopgo import so3, solver
+from geopgo import runtime, so3, solver
+from geopgo.graph import Pose, build_graph, sequential_sum
 
 _HAT_FLAT = np.array([7, 2, 3, 5, 6, 1])  # vee(r - r.T) = e[:3] - e[3:]
 
@@ -264,3 +268,95 @@ def test_numpy_still_adds_in_the_spelled_out_orders(rng):
             want[b] = want[b] + w
         got = np.bincount(bins, weights, size)
         assert _same_bits(got, np.array(want))
+
+
+def _retired_dot_rows(a, b):
+    # the matmul spelling that so3.dot_rows used before np.vecdot
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _special(rng, shape):
+    x = _signed_zeros(rng, rng.normal(size=shape)
+                      * 10.0 ** rng.integers(-8, 8, size=shape))
+    pick = rng.random(shape)
+    x[pick < 0.03] = np.inf
+    x[(pick >= 0.03) & (pick < 0.06)] = -np.inf
+    x[(pick >= 0.06) & (pick < 0.09)] = np.nan
+    return x
+
+
+def test_numpy_vecdot_equals_the_retired_matmul_row_dot(rng):
+    # so3.dot_rows is one np.vecdot; it must keep the bits of the stacked
+    # (1, k) @ (k, 1) product, NaN and infinite rows and signed zeros
+    # included
+    cases = []
+    for width in (3, 4, 9):
+        a, b = _special(rng, (500, width)), _special(rng, (500, width))
+        cases += [(a, b), (a[::3], b[1::3]), (a[0], b[0]), (a[:0], b[:0]),
+                  (a.reshape(2, 250, width), b.reshape(2, 250, width))]
+        zeros = np.where(rng.random((64, width)) < 0.5, 0.0, -0.0)
+        cases.append((zeros, zeros[::-1].copy()))
+    wide = _special(rng, (500, 2 * 3))
+    cases.append((wide[:, ::2], wide[:, 1::2]))  # strided along the row
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a, b in cases:
+            got, want = np.vecdot(a, b), _retired_dot_rows(a, b)
+            assert got.shape == want.shape
+            assert _same_bits(np.asarray(got), np.asarray(want))
+            assert _same_bits(np.asarray(so3.dot_rows(a, b)),
+                              np.asarray(want))
+
+
+def _add_reduce_norm(x):
+    return float(np.sqrt(np.add.reduce(x * x, 1)).max(initial=0.0))
+
+
+def test_control_norm_equals_add_reduce_per_family(rng):
+    # max_control_norm adds a row's squares as (q0 + q1) + q2 and takes
+    # one sqrt of the larger family maximum; per family that must be the
+    # largest of the add.reduce norms
+    empty = np.zeros((0, 3))
+    for n in (0, 1, 2, 3, 50, 800):
+        for scale in (1e-200, 1e-3, 1.0, 1e150):
+            x = _signed_zeros(rng, rng.normal(size=(n, 3)) * scale)
+            want = np.float64(_add_reduce_norm(x))
+            for nu, omega in ((x, empty), (empty, x), (x, x)):
+                got = solver.max_control_norm(nu, omega)
+                assert type(got) is float
+                assert _same_bits(np.float64(got), want)
+    # numpy adds three squares to +0.0 in order, as Python floats do
+    sq = _signed_zeros(rng, rng.normal(size=(300, 3))) ** 2
+    want = np.array([0.0 + ((q[0] + q[1]) + q[2]) for q in sq.tolist()])
+    assert _same_bits(np.add.reduce(sq, 1), want)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 8, 9, 1000, 8704])
+def test_objective_totals_equal_sequential_sum(rng, count):
+    # evaluate_objective adds the (3, E) rows along their contiguous axis;
+    # the rows are sums of squares (never -0.0), and the totals must be
+    # the left-to-right sums from +0.0 of graph.sequential_sum
+    rows = np.abs(_signed_zeros(rng, rng.normal(size=(3, count))
+                                * 10.0 ** rng.integers(-8, 8, (3, count))))
+    rows[:, : count // 4] = 0.0
+    rows[2, 1::5] = np.inf
+    totals = sequential_sum(rows.T)
+    got = solver.evaluate_objective(None, None, rows)
+    assert _same_bits(np.float64(got.translation_only), totals[0])
+    assert _same_bits(np.float64(got.rotation_only), totals[1])
+    assert _same_bits(np.float64(got.geodesic), totals[0] + totals[1])
+    assert _same_bits(np.float64(got.chordal), totals[0] + totals[2])
+
+
+def test_objective_totals_of_a_one_pose_graph_are_zero():
+    # no edges, so E = 0: the totals are +0.0 and the solve stops at a
+    # fixed point, in reference and in distributed mode
+    g = build_graph(1, [])
+    init = [Pose(t=np.array([1.0, -2.0, 3.0]), r=so3.exp_map([0.1, 0.2, 0.3]))]
+    for run in (solver.solve, runtime.run_distributed):
+        res = run(g, init, solver.SolverConfig())
+        assert res.converged and res.iterations == 0
+        obj = res.objective_history[0]
+        for total in (obj.geodesic, obj.chordal, obj.rotation_only,
+                      obj.translation_only):
+            assert _same_bits(np.float64(total), np.float64(0.0))
+        assert res.control_norm_history == [0.0]

@@ -314,6 +314,19 @@ def _max_control(estimates, g):
         *solver.all_controls(estimates, g, "per_step_averaged"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_max_control_norm_shows_a_non_finite_control_in_either_family(bad):
+    # Python's max kept its first argument against a NaN, which hid a NaN
+    # rotation control behind a finite translation one
+    finite = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    odd = np.array([[0.0, 0.5, 0.0], [bad, 0.0, 0.0]])
+    want = np.abs(bad)  # NaN or +inf
+    for nu, omega in ((finite, odd), (odd, finite), (odd, odd)):
+        got = solver.max_control_norm(nu, omega)
+        assert type(got) is float
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+
 def test_is_equilibrium():
     truth, g = _consistent_instance()
     assert _max_control(truth, g) <= 1e-9
