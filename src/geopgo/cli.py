@@ -46,13 +46,9 @@ def _load_config(path: str) -> tuple[ScenarioSpec, NoiseModel | None, int]:
         spec = gio.read_section("scenario", raw["scenario"])
         noise = (gio.read_section("noise", raw["noise"])
                  if raw.get("noise") is not None else None)
+        seed = gio.read_seed(raw.get("seed", 0))
     except ValueError as exc:
         raise CliError(f"config error {exc}") from exc
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise CliError("config error at seed: must be an integer")
-    if seed < 0:
-        raise CliError(f"config error at seed: must be nonnegative, got {seed}")
     return spec, noise, seed
 
 

@@ -6,8 +6,9 @@ local data. A measurement ``(i, j)`` expresses the pose of ``j`` in the
 frame of ``i``.
 
 Measurements travel as stacked columns (:class:`MeasurementColumns`),
-and :func:`build_graph` validates, pairs, sorts and connectivity-checks
-them as arrays, with no per-edge objects. A graph is its arrays
+and :func:`build_graph` validates, pairs and sorts them as arrays, with
+no per-edge objects, then checks with :func:`bfs_tree` that every pose
+is reached from pose 0. A graph is its arrays
 (:attr:`PoseGraph.edge_arrays`), which cut into the local arrays of a
 block of contiguous poses (:meth:`EdgeArrays.block`); measurement
 objects, neighbor tuples and edge lists are derived from them on demand.
@@ -481,7 +482,9 @@ def build_graph(
     """Validate measurements and assemble a :class:`PoseGraph`.
 
     Works on stacked columns: a list of measurements is stacked once, and
-    :class:`MeasurementColumns` are used as given.
+    :class:`MeasurementColumns` are used as given. Connectivity is
+    checked last, on the assembled graph, by the :func:`bfs_tree` from
+    vertex 0.
 
     Args:
         n: vertex count; ids must lie in ``0..n-1``.
@@ -529,41 +532,19 @@ def build_graph(
     order = np.argsort(_pair_keys(cols.src, cols.dst), kind="stable")
     src, dst = cols.src[order], cols.dst[order]
     offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    _check_connected(n, src, dst)
     # listing the edges by (dst, src) lists the reverse of each (src, dst) row
     rev = np.argsort(_pair_keys(dst, src), kind="stable")
-    return PoseGraph(n=n, edge_arrays=EdgeArrays(
+    g = PoseGraph(n=n, edge_arrays=EdgeArrays(
         ids=np.arange(n), src=src, dst=dst, r_rel=cols.r_rel[order],
         t_rel=cols.t_rel[order], t_cut=np.empty((0, 3)), offsets=offsets,
         rev=rev))
-
-
-def _check_connected(n: int, src: np.ndarray, dst: np.ndarray) -> None:
-    """Check that every vertex reaches vertex 0 over the (paired) edges.
-
-    Each vertex carries the lowest id it is known to reach, as stacked
-    passes over the edge arrays: every round takes the lowest label
-    across each edge, then jumps each label to its own label's label.
-    The labels settle on each component's lowest id within a logarithmic
-    number of rounds on paths and rings, where a breadth-first frontier
-    needs one round per level.
-
-    Raises:
-        DisconnectedGraphError: naming the first few vertices not reached.
-    """
-    label = np.arange(n)
-    while True:
-        low = label.copy()
-        np.minimum.at(low, src, label[dst])
-        low = low[low]
-        if np.array_equal(low, label):
-            break
-        label = low
-    if label.any():
-        missing = np.flatnonzero(label)
+    reached, parent, _ = bfs_tree(g)
+    if len(reached) < n:
+        missing = [i for i in range(1, n) if parent[i] < 0]
         raise DisconnectedGraphError(
             f"{len(missing)} vertices unreachable from vertex 0 "
-            f"(first few: {missing[:5].tolist()})")
+            f"(first few: {missing[:5]})")
+    return g
 
 
 def laplacian(g: PoseGraph) -> np.ndarray:
@@ -596,7 +577,9 @@ def bfs_tree(g: PoseGraph, root: int = 0,
     Neighbors are explored in ascending id order, so ties always resolve
     to the lowest-id parent. Returns the vertices in the order the
     search reaches them (the root first, then one level after another),
-    each vertex's parent (-1 at the root) and its depth.
+    each vertex's parent (-1 at the root and at an unreached vertex) and
+    its depth. :func:`build_graph` rejects a graph whose search from
+    vertex 0 misses a vertex, so on a built graph it reaches them all.
     """
     if not (0 <= root < g.n):
         raise DanglingVertexError(f"root {root} outside 0..{g.n - 1}")

@@ -381,10 +381,7 @@ def _json_contents(text: str) -> StoredDataset:
         if d.get("vertices") is not None:
             vertices = _json_columns(d["vertices"], "vertex entry",
                                      "id", "t", "q")
-        return _assemble(
-            "json", vertices, edges, n,
-            vertex_kind=d.get("vertex_kind"), seed=d.get("seed"),
-            scenario=_section(d, "scenario"), noise=_section(d, "noise"))
+        return _assemble("json", vertices, edges, n, **_provenance(d))
     except (KeyError, TypeError) as exc:  # a list or section of the wrong shape
         raise ValueError(f"malformed JSON dataset: {exc!r}") from None
 
@@ -405,13 +402,33 @@ def read_section(name: str, d) -> ScenarioSpec | NoiseModel:
         raise ValueError(f"at {name}: {exc}") from None
 
 
-def _section(d: dict, name: str) -> ScenarioSpec | NoiseModel | None:
-    """A JSON dataset's ``scenario`` or ``noise`` section, decoded, or
-    None when it has none; an error names the section."""
-    if not d.get(name):
-        return None
+def read_seed(seed) -> int:
+    """The ``seed`` of a config or a dataset, checked: an integer, not a
+    bool, and nonnegative.
+
+    Raises:
+        ValueError: ``at seed: <reason>``.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError("at seed: must be an integer")
+    if seed < 0:
+        raise ValueError(f"at seed: must be nonnegative, got {seed}")
+    return seed
+
+
+def _provenance(d: dict) -> dict:
+    """A JSON dataset's ``vertex_kind``, ``seed``, ``scenario`` and
+    ``noise``, checked and the sections decoded, each None when the
+    dataset has none; an error names the field."""
+    kind, seed = d.get("vertex_kind"), d.get("seed")
     try:
-        return read_section(name, d[name])
+        if kind is not None and not isinstance(kind, str):
+            raise ValueError("at vertex_kind: must be a string or null")
+        scenario, noise = (read_section(name, d[name]) if d.get(name)
+                           else None for name in ("scenario", "noise"))
+        return dict(vertex_kind=kind,
+                    seed=None if seed is None else read_seed(seed),
+                    scenario=scenario, noise=noise)
     except ValueError as exc:
         raise ValueError(f"malformed JSON dataset {exc}") from None
 

@@ -564,14 +564,24 @@ def _noise_kappa_string(d):
     d["noise"]["kappa"] = "0.5"
 
 
+def _seed_string(d):
+    d["seed"] = "abc"
+
+
+def _vertex_kind_int(d):
+    d["vertex_kind"] = 5
+
+
 @pytest.mark.parametrize("command", ["info", "convert"])
 @pytest.mark.parametrize("corrupt, message", [
     (_scenario_n_float, "at scenario: n must be an integer, got 8.0"),
     (_noise_without_kappa, "at noise: missing field 'kappa'"),
     (_noise_tau_nan, "at noise: tau must be finite and nonnegative, got nan"),
     (_noise_kappa_string, "at noise: kappa must be a number, got '0.5'"),
+    (_seed_string, "at seed: must be an integer"),
+    (_vertex_kind_int, "at vertex_kind: must be a string or null"),
 ], ids=["scenario-n-float", "noise-without-kappa", "noise-tau-nan",
-        "noise-kappa-string"])
+        "noise-kappa-string", "seed-string", "vertex-kind-int"])
 def test_bad_dataset_provenance_names_its_section(tmp_path, capsys, corrupt,
                                                   message, command):
     ds = _generate(tmp_path)

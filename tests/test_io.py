@@ -276,6 +276,40 @@ def test_json_dataset_without_provenance(tmp_path):
     assert back.graph.directed_count == ds.graph.directed_count
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", "abc", "at seed: must be an integer"),
+    ("seed", True, "at seed: must be an integer"),
+    ("seed", 7.0, "at seed: must be an integer"),
+    ("seed", -1, "at seed: must be nonnegative, got -1"),
+    ("vertex_kind", 5, "at vertex_kind: must be a string or null"),
+    ("vertex_kind", ["ground_truth"], "at vertex_kind: must be a string or null"),
+], ids=["seed-string", "seed-bool", "seed-float", "seed-negative",
+        "vertex-kind-int", "vertex-kind-list"])
+def test_json_dataset_seed_and_vertex_kind_are_checked(tmp_path, field, value,
+                                                       message):
+    path = tmp_path / "ds.json"
+    gio.save_dataset(path, _dataset(seed=6))
+    d = json.loads(path.read_text())
+    d[field] = value
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError) as err:
+        gio.read_dataset(path)
+    assert str(err.value) == f"malformed JSON dataset {message}"
+
+
+def test_json_dataset_seed_may_be_null_or_absent(tmp_path):
+    path = tmp_path / "ds.json"
+    gio.save_dataset(path, _dataset(seed=6))
+    d = json.loads(path.read_text())
+    bare = {k: v for k, v in d.items() if k not in ("seed", "vertex_kind")}
+    for edit in ({"seed": None, "vertex_kind": None}, {}):
+        path.write_text(json.dumps({**bare, **edit}))
+        back = gio.read_dataset(path)
+        assert back.seed is None and back.vertex_kind is None
+    path.write_text(json.dumps({**d, "seed": 0}))
+    assert gio.read_dataset(path).seed == 0
+
+
 @pytest.mark.parametrize("name, section, message", [
     ("scenario", {"topology": "sphere", "n": 8.0},
      "at scenario: n must be an integer, got 8.0"),

@@ -1,11 +1,12 @@
 """The stacked set-up path against per-row oracles.
 
 The loaders decode, check and remap measurements as stacked columns, and
-``build_graph`` validates, pairs, sorts and connectivity-checks them as
-arrays. The oracles below are the per-row forms of the same steps (one
-``_checked`` call and one ``RelativeMeasurement`` per row, a Python set
-per check). On valid input the two must give the same bits; on malformed
-input the same exception type and message.
+``build_graph`` validates, pairs and sorts them as arrays, then checks
+connectivity with ``bfs_tree``. The oracles below are the per-row forms
+of the same steps (one ``_checked`` call and one ``RelativeMeasurement``
+per row, a Python set per check, a ``deque`` search). On valid input the
+two must give the same bits; on malformed input the same exception type
+and message; deep paths pin both on graphs with thousands of levels.
 """
 
 import json
@@ -608,6 +609,10 @@ GRAPH_MALFORMED = {
     "isolated-tail": (9, _paired((0, 1), (1, 2))),
     "no-edges": (3, []),
     "zero-vertices": (0, []),
+    # deep: the search from pose 0 needs 1,499 levels to reach the cut
+    "deep-path-cut": (3000, _paired(*((i, i + 1) for i in range(2999)
+                                      if i != 1499))),
+    "pose-0-isolated": (4, _paired((1, 2), (2, 3))),
 }
 
 
@@ -617,6 +622,14 @@ def test_malformed_graph_fails_as_the_oracle(case, symmetrize):
     n, ms = GRAPH_MALFORMED[case]
     _same_error(lambda: build_graph(n, ms, symmetrize),
                 lambda: _oracle_build(n, ms, symmetrize))
+
+
+@pytest.mark.parametrize("symmetrize", [False, True])
+def test_deep_path_builds_as_the_oracle(symmetrize):
+    n = 3000
+    ms = _paired(*((i, i + 1) for i in range(n - 1)))
+    _assert_graph_equal(build_graph(n, ms, symmetrize),
+                        _oracle_build(n, ms, symmetrize))
 
 
 def test_single_vertex_without_edges():
