@@ -40,16 +40,13 @@ def _load_config(path: str) -> tuple[ScenarioSpec, NoiseModel | None, int]:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict) or "scenario" not in raw:
+    if not isinstance(raw, dict) or raw.get("scenario") is None:
         raise CliError("config error at scenario: section missing")
     try:
-        spec = gio.read_section("scenario", raw["scenario"])
-        noise = (gio.read_section("noise", raw["noise"])
-                 if raw.get("noise") is not None else None)
-        seed = gio.read_seed(raw.get("seed", 0))
+        read = gio.read_provenance(raw)
     except ValueError as exc:
         raise CliError(f"config error {exc}") from exc
-    return spec, noise, seed
+    return read["scenario"], read["noise"], read["seed"] or 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -222,7 +222,9 @@ def symmetrize(
 
 # Edges (or padded edge slots) per stacked pass: bounds the (block, 3, 3)
 # temporaries, and so the peak memory of a pass, whatever the size of the
-# graph.
+# graph. It bounds the padded slots of a kernel run (RunPlan), the edges
+# of a pairwise-rotation repair pass, and the cycles composed per block
+# (and their operands gathered at once) of the cycle check.
 EDGE_BLOCK = 2048
 
 

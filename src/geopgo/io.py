@@ -386,14 +386,27 @@ def _json_contents(text: str) -> StoredDataset:
         raise ValueError(f"malformed JSON dataset: {exc!r}") from None
 
 
-def read_section(name: str, d) -> ScenarioSpec | NoiseModel:
-    """The ``scenario`` or ``noise`` section ``d`` of a config or a
-    dataset, decoded.
+def _decode_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError("must be an integer")
+    if seed < 0:
+        raise ValueError(f"must be nonnegative, got {seed}")
+    return seed
+
+
+_DECODERS = {"scenario": ScenarioSpec.from_dict,
+             "noise": NoiseModel.from_dict, "seed": _decode_seed}
+
+
+def read_section(name: str, d) -> ScenarioSpec | NoiseModel | int:
+    """The ``scenario`` or ``noise`` section or the ``seed`` ``d`` of a
+    config or a dataset, decoded; a seed is an integer, not a bool, and
+    nonnegative.
 
     Raises:
         ValueError: ``at <name>: <reason>``, naming a missing field.
     """
-    decode = {"scenario": ScenarioSpec, "noise": NoiseModel}[name].from_dict
+    decode = _DECODERS[name]
     try:
         return decode(d)
     except KeyError as exc:
@@ -402,33 +415,26 @@ def read_section(name: str, d) -> ScenarioSpec | NoiseModel:
         raise ValueError(f"at {name}: {exc}") from None
 
 
-def read_seed(seed) -> int:
-    """The ``seed`` of a config or a dataset, checked: an integer, not a
-    bool, and nonnegative.
+def read_provenance(d: dict) -> dict:
+    """The ``scenario``, ``noise`` and ``seed`` of a config or a JSON
+    dataset, by :func:`read_section`. A null or absent field is None;
+    any other value decodes or fails.
 
     Raises:
-        ValueError: ``at seed: <reason>``.
+        ValueError: ``at <field>: <reason>``.
     """
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError("at seed: must be an integer")
-    if seed < 0:
-        raise ValueError(f"at seed: must be nonnegative, got {seed}")
-    return seed
+    return {name: None if d.get(name) is None else read_section(name, d[name])
+            for name in _DECODERS}
 
 
 def _provenance(d: dict) -> dict:
-    """A JSON dataset's ``vertex_kind``, ``seed``, ``scenario`` and
-    ``noise``, checked and the sections decoded, each None when the
-    dataset has none; an error names the field."""
-    kind, seed = d.get("vertex_kind"), d.get("seed")
+    """A JSON dataset's ``vertex_kind`` and :func:`read_provenance`,
+    each None when the dataset has none; an error names the field."""
+    kind = d.get("vertex_kind")
     try:
         if kind is not None and not isinstance(kind, str):
             raise ValueError("at vertex_kind: must be a string or null")
-        scenario, noise = (read_section(name, d[name]) if d.get(name)
-                           else None for name in ("scenario", "noise"))
-        return dict(vertex_kind=kind,
-                    seed=None if seed is None else read_seed(seed),
-                    scenario=scenario, noise=noise)
+        return dict(vertex_kind=kind, **read_provenance(d))
     except ValueError as exc:
         raise ValueError(f"malformed JSON dataset {exc}") from None
 

@@ -596,6 +596,53 @@ def test_bad_dataset_provenance_names_its_section(tmp_path, capsys, corrupt,
         f"error: malformed JSON dataset {message}\n")
 
 
+def _generate_from(tmp_path, capsys, config):
+    cfg, out = tmp_path / "c.json", tmp_path / "g.json"
+    cfg.write_text(json.dumps(config))
+    out.unlink(missing_ok=True)
+    rc = cli.main(["generate", "--config", str(cfg), "--out", str(out)])
+    return rc, capsys.readouterr(), out.read_bytes() if out.exists() else None
+
+
+def _read_provenance_of(tmp_path, d):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(d))
+    try:
+        stored = gio.read_dataset(path)
+    except ValueError as exc:
+        return str(exc)
+    return stored.scenario, stored.noise, stored.seed
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param(field, value, id=f"{field}-{json.dumps(value)}")
+    for field, value in [*((f, v) for f in ("scenario", "noise")
+                           for v in ({}, 0, False, [], "")),
+                         ("seed", None), ("scenario", None)]])
+def test_config_and_dataset_read_provenance_alike(tmp_path, capsys, field,
+                                                  value):
+    # one rule for a config and a JSON dataset: null is absent, and any
+    # other value decodes or fails naming the field
+    data = json.loads(_generate(tmp_path).read_text())
+    config = json.loads((tmp_path / "cfg.json").read_text())
+    capsys.readouterr()
+    given = [{**d, field: value} for d in (config, data)]
+    if value is None:
+        absent = [{k: v for k, v in d.items() if k != field}
+                  for d in (config, data)]
+        assert (_generate_from(tmp_path, capsys, given[0])
+                == _generate_from(tmp_path, capsys, absent[0]))
+        assert (_read_provenance_of(tmp_path, given[1])
+                == _read_provenance_of(tmp_path, absent[1]))
+        return
+    rc, printed, out = _generate_from(tmp_path, capsys, given[0])
+    message = _read_provenance_of(tmp_path, given[1])
+    assert message.startswith(f"malformed JSON dataset at {field}: ")
+    assert (rc, out) == (1, None)
+    assert printed.err == "error: config error " + message.removeprefix(
+        "malformed JSON dataset ") + "\n"
+
+
 def test_info_on_one_pose(tmp_path, capsys):
     path = tmp_path / "one.g2o"
     path.write_text("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\n")

@@ -411,9 +411,70 @@ def test_report_serializes():
     assert parsed == d
 
 
+def _report_graphs():
+    return [_noisy_sphere(), _ring(40, 3), build_graph(1, [])]
+
+
 def test_full_report_merges_all_three():
     rep = consistency.full_report(_noisy_sphere())
     assert rep.pairwise_rot_max_defect is not None
     assert rep.minimal_rot_defect is not None
     assert rep.global_checked
     assert rep.cycles_checked > 0
+    for g in _report_graphs():
+        for limit in (None, 1):
+            pw = consistency.check_pairwise(g)
+            mn = consistency.check_minimal(g)
+            gl = consistency.check_global(g, limit)
+            assert consistency.full_report(g, limit) == (
+                consistency.ConsistencyReport(
+                    pairwise_rot_max_defect=pw.pairwise_rot_max_defect,
+                    pairwise_trans_max_defect=pw.pairwise_trans_max_defect,
+                    pairwise_pass=pw.pairwise_pass,
+                    minimal_rot_defect=mn.minimal_rot_defect,
+                    minimal_trans_defect=mn.minimal_trans_defect,
+                    global_checked=gl.global_checked,
+                    global_max_cycle_rot_defect=gl.global_max_cycle_rot_defect,
+                    global_max_cycle_trans_defect=(
+                        gl.global_max_cycle_trans_defect),
+                    cycles_checked=gl.cycles_checked))
+
+
+def _sliced_pairwise_and_minimal(g):
+    # both checks a slice of graph.EDGE_BLOCK rows at a time, with a
+    # running max
+    e = g.edge_arrays
+    fwd = np.flatnonzero(e.src < e.dst)
+    rot_defect = trans_defect = 0.0
+    for sl in edge_blocks(len(fwd)):
+        k = fwd[sl]
+        r, back = e.r_rel[k], e.rev[k]
+        angles = so3.rotation_angle(r @ e.r_rel[back])
+        gaps = e.t_rel[k] + (r @ e.t_rel[back][..., None])[..., 0]
+        rot_defect = max(rot_defect, float(angles.max()))
+        trans_defect = max(trans_defect,
+                           float(np.sqrt(so3.dot_rows(gaps, gaps)).max()))
+    logs = np.empty(e.t_rel.shape)
+    for sl in edge_blocks(len(logs)):
+        logs[sl] = so3.log_map(e.r_rel[sl])
+    return (consistency.ConsistencyReport(
+                pairwise_rot_max_defect=rot_defect,
+                pairwise_trans_max_defect=trans_defect,
+                pairwise_pass=(rot_defect <= consistency.PAIRWISE_TOL
+                               and trans_defect <= consistency.PAIRWISE_TOL)),
+            consistency.ConsistencyReport(
+                minimal_rot_defect=float(np.linalg.norm(
+                    graph.sequential_sum(logs))),
+                minimal_trans_defect=float(np.linalg.norm(
+                    graph.sequential_sum(e.t_rel)))))
+
+
+def test_pairwise_and_minimal_equal_a_sliced_pass(monkeypatch):
+    # the one-pass checks give the bits of many small slices; float
+    # reprs round-trip, so equal JSON text is equal bits, signs of zero
+    # included
+    monkeypatch.setattr(graph, "EDGE_BLOCK", 7)
+    for g in _report_graphs():
+        want_pw, want_mn = _sliced_pairwise_and_minimal(g)
+        assert consistency.check_pairwise(g).to_json() == want_pw.to_json()
+        assert consistency.check_minimal(g).to_json() == want_mn.to_json()
