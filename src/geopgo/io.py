@@ -8,10 +8,14 @@ way for both (unique vertex ids, every edge between declared vertices,
 finite numbers, and a JSON ``n`` that matches its vertex list), remaps
 the ids to dense ``0..n-1`` in ascending order and returns a
 :class:`StoredDataset`: the file's contents as stored, directed and
-unpaired, its measurements as stacked :class:`MeasurementColumns`. The
-checks run on stacked arrays; only when one fails are the rows looked
-at one by one, to name the first bad row (in file order) in the error.
-No per-edge object is built. The format is chosen by the suffix,
+unpaired, its measurements as stacked :class:`MeasurementColumns`. Each
+column has one converter: translations and quaternions are accepted
+only as stacked arrays of finite numbers, and edge endpoints only
+through the map from declared vertex ids, so an endpoint matches a
+declared id by value (``1.0`` names vertex 1). Only when a converter
+fails are the rows looked at one by one, and that pass only names the
+first bad row (in file order) in the error; it never accepts one. No
+per-edge object is built. The format is chosen by the suffix,
 ``.g2o`` or ``.json``, for reading and for writing alike.
 
 Each decoder runs with Python's cyclic garbage collector held
@@ -130,38 +134,30 @@ def _ints(tokens: Sequence[str], line_no: int) -> list[int]:
     return out
 
 
-def _checked(name: str, t, q) -> tuple[np.ndarray, np.ndarray]:
-    """Checked translation and quaternion of one row, named in any error."""
+def _check_row(name: str, t, q) -> None:
+    """Raise naming row ``name`` unless its ``t`` is 3 finite numbers
+    and its ``q`` 4."""
     try:
         t = np.array(t, dtype=float)
         q = np.array(q, dtype=float)
         if (t.shape != (3,) or q.shape != (4,)
                 or not all(map(math.isfinite, t.tolist() + q.tolist()))):
             raise ValueError("needs 3 finite numbers in t and 4 in q")
-        return t, q
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _stacked(rows: Sequence, width: int) -> np.ndarray | None:
-    """``rows`` as one ``(len, width)`` array of finite numbers, or None
-    when any row is not ``width`` finite numbers."""
-    if not len(rows):
-        return np.empty((0, width))
-    try:
-        out = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return None
+def _stacked(rows: Sequence, width: int) -> np.ndarray:
+    """``rows`` as one ``(len, width)`` array of finite numbers.
+
+    Raises:
+        TypeError, ValueError, OverflowError: a row is not ``width``
+            finite numbers; which one is left to the per-row pass.
+    """
+    out = np.array(rows, dtype=float) if len(rows) else np.empty((0, width))
     if out.shape != (len(rows), width) or not np.isfinite(out).all():
-        return None
+        raise ValueError(f"a row is not {width} finite numbers")
     return out
-
-
-def _unzip_checked(rows: list) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_checked` results stacked into ``(len, 3)`` translations
-    and ``(len, 4)`` quaternions."""
-    return (np.array([t for t, _ in rows]).reshape(-1, 3),
-            np.array([q for _, q in rows]).reshape(-1, 4))
 
 
 def _rotations(q: np.ndarray, name) -> np.ndarray:
@@ -179,58 +175,45 @@ def _vertex_columns(ids: list, ts: Sequence, qs: Sequence,
     """Checked translations and quaternions of the vertex rows, in file
     order. A bad row fails as the first one in file order that has a
     non-integer id, a doubled id or a malformed ``t``/``q``."""
-    if all(type(vid) is int for vid in ids) and len(set(ids)) == len(ids):
-        t, q = _stacked(ts, 3), _stacked(qs, 4)
-        if t is not None and q is not None:
-            return t, q
-    seen: set[int] = set()
-    rows = []
-    for vid, t, q in zip(ids, ts, qs):
-        if type(vid) is not int:
-            raise ValueError(f"vertex id {vid!r} is not an integer")
-        if vid in seen:
-            raise InconsistentVertexCountError(
-                f"vertex id {vid} declared twice")
-        seen.add(vid)
-        rows.append(_checked(f"vertex {vid}", t, q))
-    return _unzip_checked(rows)
-
-
-def _dense_ids(ext: Sequence, declared: np.ndarray) -> np.ndarray | None:
-    """The dense ids of the file ids ``ext``, given the ascending
-    ``declared`` ids; None unless every one is a declared integer."""
     try:
-        ids = np.asarray(ext) if len(ext) else np.zeros(0, dtype=np.intp)
+        if (not all(type(vid) is int for vid in ids)
+                or len(set(ids)) < len(ids)):
+            raise ValueError("vertex ids are not distinct integers")
+        return _stacked(ts, 3), _stacked(qs, 4)
     except (TypeError, ValueError, OverflowError):
-        return None
-    if ids.dtype.kind != "i" or ids.ndim != 1 or declared.dtype.kind != "i":
-        return None
-    at = np.searchsorted(declared, ids)
-    if (at == len(declared)).any() or (declared[at] != ids).any():
-        return None
-    return at.astype(np.intp)
+        seen: set[int] = set()
+        for vid, t, q in zip(ids, ts, qs):
+            if type(vid) is not int:
+                raise ValueError(
+                    f"vertex id {vid!r} is not an integer") from None
+            if vid in seen:
+                raise InconsistentVertexCountError(
+                    f"vertex id {vid} declared twice") from None
+            seen.add(vid)
+            _check_row(f"vertex {vid}", t, q)
+        raise
 
 
 def _edge_columns(srcs: Sequence, dsts: Sequence, ts: Sequence,
                   qs: Sequence, id_map: dict) -> MeasurementColumns:
-    """The edge rows as columns over dense ids. A bad row fails as the
-    first one in file order with an undeclared endpoint or a malformed
-    ``t``/``q``; an endpoint is checked first."""
-    declared = np.array(list(id_map))
-    src, dst = _dense_ids(srcs, declared), _dense_ids(dsts, declared)
-    t, q = _stacked(ts, 3), _stacked(qs, 4)
-    if src is None or dst is None or t is None or q is None:
-        ends, rows = [], []
+    """The edge rows as columns over dense ids; each endpoint is looked
+    up in ``id_map``. A bad row fails as the first one in file order
+    with an undeclared endpoint or a malformed ``t``/``q``; an endpoint
+    is checked first."""
+    try:
+        src, dst = (np.fromiter(map(id_map.__getitem__, ends), np.intp,
+                                len(ends)) for ends in (srcs, dsts))
+        t, q = _stacked(ts, 3), _stacked(qs, 4)
+    except (KeyError, TypeError, ValueError, OverflowError):
         for k, (i, j, tk, qk) in enumerate(zip(srcs, dsts, ts, qs)):
             try:
-                ends.append((id_map[i], id_map[j]))
+                id_map[i], id_map[j]
             except (KeyError, TypeError):
                 raise InconsistentVertexCountError(
                     f"measurement {k} ({i}, {j}) references an undeclared "
                     "vertex") from None
-            rows.append(_checked(f"measurement {k}", tk, qk))
-        src, dst = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-        t, q = _unzip_checked(rows)
+            _check_row(f"measurement {k}", tk, qk)
+        raise
     return MeasurementColumns(src, dst, t,
                               _rotations(q, lambda k: f"measurement {k}"))
 
@@ -242,12 +225,15 @@ def _assemble(fmt: str, vertex_rows: tuple | None, edge_rows: tuple,
     ``vertex_rows`` is ``(ids, ts, qs)`` and ``edge_rows`` ``(srcs,
     dsts, ts, qs)``: one entry per row, in file order. ``vertex_rows``
     None (JSON without vertices) declares ids ``0..n-1`` without poses;
-    otherwise a given ``n`` must equal the row count. The checks run on
-    the stacked columns; only a failing one looks at single rows, to name
-    the first bad row.
+    otherwise a given ``n`` must equal the row count. A given ``n`` is a
+    nonnegative integer. Each column is accepted only by its stacked
+    converter; only a failing one looks at single rows, to name the first
+    bad row.
     """
     if n is not None and type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
+    if n is not None and n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n}")
     if vertex_rows is None:
         ids, poses = range(n), None
     else:
@@ -400,13 +386,15 @@ _DECODERS = {"scenario": ScenarioSpec.from_dict,
 
 def read_section(name: str, d) -> ScenarioSpec | NoiseModel | int:
     """The ``scenario`` or ``noise`` section or the ``seed`` ``d`` of a
-    config or a dataset, decoded; a seed is an integer, not a bool, and
-    nonnegative.
+    config or a dataset, decoded; a section is a JSON object, and a seed
+    is an integer, not a bool, and nonnegative.
 
     Raises:
         ValueError: ``at <name>: <reason>``, naming a missing field.
     """
     decode = _DECODERS[name]
+    if name != "seed" and not isinstance(d, dict):
+        raise ValueError(f"at {name}: must be an object")
     try:
         return decode(d)
     except KeyError as exc:

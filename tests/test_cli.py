@@ -310,6 +310,19 @@ def test_number_too_large_for_a_float_names_its_row(tmp_path, capsys,
     assert err.startswith("error: measurement 4: ")
 
 
+@pytest.mark.parametrize("command", ["info", "convert"])
+def test_negative_n_fails_at_decode(tmp_path, capsys, command):
+    ds = tmp_path / "neg.json"
+    ds.write_text(json.dumps({"n": -3, "measurements": []}))
+    out = tmp_path / "out.json"
+    argv = (["info", "--dataset", str(ds)] if command == "info" else
+            ["convert", "--in", str(ds), "--out", str(out)])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: n must be a nonnegative integer, got -3\n")
+    assert not out.exists()
+
+
 def test_convert_round_trip(tmp_path):
     ds = _generate(tmp_path)
     g2o = tmp_path / "ds.g2o"
@@ -641,6 +654,25 @@ def test_config_and_dataset_read_provenance_alike(tmp_path, capsys, field,
     assert (rc, out) == (1, None)
     assert printed.err == "error: config error " + message.removeprefix(
         "malformed JSON dataset ") + "\n"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("scenario", [["topology", "sphere"], ["n", 8]]),
+    ("noise", [["tau", 0.1], ["kappa", 0.05], ["seed", 1]]),
+    ("noise", 0)], ids=["scenario-pairs", "noise-pairs", "noise-0"])
+def test_a_section_that_is_not_an_object_fails(tmp_path, capsys, field,
+                                               value):
+    # a list of key-value pairs is not an object, in a config or a dataset
+    data = json.loads(_generate(tmp_path).read_text())
+    config = json.loads((tmp_path / "cfg.json").read_text())
+    capsys.readouterr()
+    rc, printed, out = _generate_from(tmp_path, capsys,
+                                      {**config, field: value})
+    assert (rc, out) == (1, None)
+    assert printed.err == (
+        f"error: config error at {field}: must be an object\n")
+    assert _read_provenance_of(tmp_path, {**data, field: value}) == (
+        f"malformed JSON dataset at {field}: must be an object")
 
 
 def test_info_on_one_pose(tmp_path, capsys):

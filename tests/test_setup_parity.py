@@ -3,10 +3,11 @@
 The loaders decode, check and remap measurements as stacked columns, and
 ``build_graph`` validates, pairs and sorts them as arrays, then checks
 connectivity with ``bfs_tree``. The oracles below are the per-row forms
-of the same steps (one ``_checked`` call and one ``RelativeMeasurement``
-per row, a Python set per check, a ``deque`` search). On valid input the
-two must give the same bits; on malformed input the same exception type
-and message; deep paths pin both on graphs with thousands of levels.
+of the same steps (one ``_oracle_checked`` call and one
+``RelativeMeasurement`` per row, a Python set per check, a ``deque``
+search). On valid input the two must give the same bits; on malformed
+input the same exception type and message; deep paths pin both on graphs
+with thousands of levels.
 """
 
 import json
@@ -57,6 +58,8 @@ def _oracle_assemble(vertex_rows, edge_rows, n=None):
     """Per-row assembly: (n, poses, measurements, id_map)."""
     if n is not None and type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
+    if n is not None and n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n}")
     if vertex_rows is None:
         ids, poses = range(n), None
     else:
@@ -406,6 +409,70 @@ def test_odd_but_accepted_input_decodes_the_same(change):
     change(d)
     text = json.dumps(d)
     _assert_decoded_equal(gio._json_contents(text), _oracle_json(text))
+
+
+# -- a seeded mutation sweep --------------------------------------------------
+
+# Values that are odd in a numeric slot of a JSON dataset; json.dumps
+# writes NaN as the bare token NaN, which json.loads reads back
+PALETTE = {"1.0": 1.0, "true": True, "false": False, "null": None,
+           '"7"': "7", "[1]": [1], "{}": {}, "2**70": 2 ** 70, "-1": -1,
+           "0.5": 0.5, '"1e3"': "1e3", "NaN": math.nan}
+
+
+def _slots(d):
+    """The slots of ``d`` by kind, each as ``(section, row, key,
+    entry)``; ``entry`` is None for a whole value."""
+    return {
+        "vertex id": [("vertices", k, "id", None)
+                      for k in range(len(d["vertices"]))],
+        "endpoint": [("measurements", k, key, None)
+                     for k in range(len(d["measurements"]))
+                     for key in ("src", "dst")],
+        "t/q entry": [(section, k, key, c)
+                      for section in ("vertices", "measurements")
+                      for k, row in enumerate(d[section])
+                      for key in ("t", "q") for c in range(len(row[key]))],
+    }
+
+
+def _sweep_base():
+    """:func:`_valid` with four vertices renamed -1, 0, 1 and 2**70, so
+    that palette values in an endpoint also name declared vertices."""
+    d = _valid()
+    rename = dict(zip([v["id"] for v in d["vertices"]], [-1, 0, 1, 2 ** 70]))
+    for v in d["vertices"]:
+        v["id"] = rename.get(v["id"], v["id"])
+    for m in d["measurements"]:
+        m["src"], m["dst"] = (rename.get(m["src"], m["src"]),
+                              rename.get(m["dst"], m["dst"]))
+    assert len({v["id"] for v in d["vertices"]}) == d["n"]
+    return d
+
+
+@pytest.mark.parametrize("name", PALETTE)
+def test_single_value_replacements_decode_as_the_oracle(name):
+    # the same 25 slots for every value: 6 vertex ids, 8 endpoints and
+    # 11 t/q entries; 300 cases over the palette
+    base = _sweep_base()
+    slots, rng = _slots(base), np.random.default_rng(28)
+    picked = [slots[kind][i] for kind, count in
+              (("vertex id", 6), ("endpoint", 8), ("t/q entry", 11))
+              for i in rng.choice(len(slots[kind]), count, replace=False)]
+    for section, k, key, c in picked:
+        d = json.loads(json.dumps(base))
+        if c is None:
+            d[section][k][key] = PALETTE[name]
+        else:
+            d[section][k][key][c] = PALETTE[name]
+        text = json.dumps(d)
+        try:
+            want = _oracle_json(text)
+        except Exception:
+            _same_error(lambda: gio._json_contents(text),
+                        lambda: _oracle_json(text))
+        else:
+            _assert_decoded_equal(gio._json_contents(text), want)
 
 
 # -- malformed input ---------------------------------------------------------
