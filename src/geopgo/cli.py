@@ -296,12 +296,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_level() -> str:
+    """The ``GEOPGO_LOG`` level name, upper-cased; WARNING when unset.
+
+    Raises:
+        CliError: the value is not a logging level name.
+    """
+    name = os.environ.get("GEOPGO_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(name.upper()), int):
+        raise CliError(f"GEOPGO_LOG: unknown level {name!r}; use DEBUG, "
+                       "INFO, WARNING, ERROR or CRITICAL")
+    return name.upper()
+
+
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("GEOPGO_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        logging.basicConfig(level=_log_level(),
+                            format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except (CliError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

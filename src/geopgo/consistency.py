@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from . import graph, so3
-from .graph import PoseGraph, bfs_tree, edge_blocks, sequential_sum
+from .graph import PoseGraph, edge_blocks, sequential_sum
 
 # No longer called here, since enforce_pairwise_rotations derives its
 # arrays; the name stays because perfbench/run.py's tracer wraps it.
@@ -106,7 +106,8 @@ def check_global(
     g: PoseGraph,
     cycle_basis_limit: int | None = None,
 ) -> ConsistencyReport:
-    """Compose measurements around fundamental cycles of a BFS tree.
+    """Compose measurements around fundamental cycles of the graph's
+    BFS tree (:attr:`PoseGraph.tree`, from vertex 0).
 
     Every undirected edge outside the spanning tree closes exactly one
     cycle: tree path from one endpoint to the other, then the edge back.
@@ -121,7 +122,7 @@ def check_global(
         raise ValueError("cycle_basis_limit must be nonnegative, got "
                          f"{cycle_basis_limit}")
     e = g.edge_arrays
-    _, parent, depth = bfs_tree(g, root=0)
+    _, parent, depth = g.tree
     # a tree edge joins a vertex to its parent
     par = np.array(parent)
     loose = np.flatnonzero((e.src < e.dst) & (par[e.dst] != e.src)
@@ -160,15 +161,15 @@ def check_global(
     )
 
 
-def _cycle_walks(g: PoseGraph, loose: np.ndarray, parent: list[int],
-                 depth: list[int]) -> list[list[int]]:
+def _cycle_walks(g: PoseGraph, loose: np.ndarray, parent: tuple[int, ...],
+                 depth: tuple[int, ...]) -> list[list[int]]:
     """The edge rows of each fundamental cycle, one per non-tree edge
     row ``(u, v)`` of ``loose``: the tree path from ``u`` up to the
     lowest common ancestor and down to ``v``, then the edge ``(v, u)``.
 
     The two ends climb their parent pointers, the deeper one first, then
     both together until they meet. ``parent`` and ``depth`` are those of
-    the :func:`~geopgo.graph.bfs_tree`.
+    the graph's :attr:`~geopgo.graph.PoseGraph.tree`.
     """
     if not len(loose):
         return []

@@ -7,11 +7,12 @@ frame of ``i``.
 
 Measurements travel as stacked columns (:class:`MeasurementColumns`),
 and :func:`build_graph` validates, pairs and sorts them as arrays, with
-no per-edge objects, then checks with :func:`bfs_tree` that every pose
-is reached from pose 0. A graph is its arrays
-(:attr:`PoseGraph.edge_arrays`), which cut into the local arrays of a
-block of contiguous poses (:meth:`EdgeArrays.block`); measurement
-objects, neighbor tuples and edge lists are derived from them on demand.
+no per-edge objects, then checks with the graph's one :func:`bfs_tree`
+(:attr:`PoseGraph.tree`) that every pose is reached from pose 0. A
+graph is its arrays (:attr:`PoseGraph.edge_arrays`), which cut into the
+local arrays of a block of contiguous poses (:meth:`EdgeArrays.block`);
+measurement objects, neighbor tuples and edge lists are derived from
+them on demand.
 Poses travel the same way, as a :class:`PoseStack` of stacked
 translations and rotations, from the loader to the writer.
 """
@@ -326,7 +327,7 @@ class EdgeArrays:
     or ``E + c`` when ``k`` is the ``c``-th cut row. ``t_cut`` ``(C, 3)``
     holds the cut rows' reverse translations ``t_ji``, the one
     measurement a run reads from outside its rows. :func:`build_graph`
-    sorts the whole graph's ``rev``, and :meth:`block` slices its own
+    finds the whole graph's ``rev``, and :meth:`block` slices its own
     from it; the whole graph's ``t_cut`` is empty.
 
     Derived fields serve the solver's kernel pass, and all are made
@@ -418,10 +419,26 @@ class PoseGraph:
     :class:`RelativeMeasurement`, and :meth:`neighbors` (ascending ids),
     :meth:`measurement`, :meth:`has_edge` and :meth:`undirected_edges`
     look rows up in the arrays. Construct through :func:`build_graph`.
+
+    ``tree`` is the :func:`bfs_tree` from vertex 0, made once with the
+    graph (a ``replace`` that keeps the layout keeps it), which the
+    connectivity check, the cycle check and the tree init all read;
+    :meth:`tree_from` gives it for any root.
     """
 
     n: int
     edge_arrays: EdgeArrays = field(repr=False)
+    tree: tuple[tuple[int, ...], ...] | None = field(
+        default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.tree is None:
+            object.__setattr__(self, "tree", bfs_tree(self))
+
+    def tree_from(self, root: int) -> tuple[tuple[int, ...], ...]:
+        """The :func:`bfs_tree` from ``root``: the stored :attr:`tree`
+        for vertex 0, a new search for any other root."""
+        return self.tree if root == 0 else bfs_tree(self, root)
 
     @property
     def measurements(self) -> MeasurementColumns:
@@ -484,9 +501,12 @@ def build_graph(
     """Validate measurements and assemble a :class:`PoseGraph`.
 
     Works on stacked columns: a list of measurements is stacked once, and
-    :class:`MeasurementColumns` are used as given. Connectivity is
-    checked last, on the assembled graph, by the :func:`bfs_tree` from
-    vertex 0.
+    :class:`MeasurementColumns` are used as given. The rows are sorted
+    once, and the reverse directions are looked up once: that one mask
+    rejects an unpaired direction or, with ``symmetrize_missing``, picks
+    the rows whose inverses are appended, and the places found are the
+    reverse-edge index. Connectivity is checked last, on the assembled
+    graph's :attr:`~PoseGraph.tree`.
 
     Args:
         n: vertex count; ids must lie in ``0..n-1``.
@@ -515,32 +535,41 @@ def build_graph(
             raise DanglingVertexError(f"self loop at vertex {i}")
         raise DanglingVertexError(
             f"measurement ({i}, {j}) references a vertex outside 0..{n - 1}")
-    keys = _pair_keys(src, dst)
-    repeated = _repeats(keys)
+    # one sort of the pair keys finds repeats and orders the rows, and one
+    # search places each row's reverse direction among them: where it is
+    # absent the mask rejects the row or picks it for an appended inverse,
+    # and on the paired rows the places are the reverse-edge index
+    keys, back = _pair_keys(src, dst), _pair_keys(dst, src)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeated = ordered[1:] == ordered[:-1]
     if repeated.any():
-        k = int(np.argmax(repeated))
+        k = int(order[1:][repeated].min())  # the first row seen before
         raise DuplicateEdgeError(
             f"directed pair {(int(src[k]), int(dst[k]))} appears twice")
-    if symmetrize_missing:
-        cols = symmetrize(cols)
-    else:
-        unpaired = _absent(_pair_keys(dst, src), np.sort(keys))
-        if unpaired.any():
+    at = np.searchsorted(ordered, back)
+    unpaired = ordered.take(at, mode="clip") != back
+    if unpaired.any():
+        if not symmetrize_missing:
             k = int(np.argmax(unpaired))
             raise ValueError(
                 f"measurement ({int(src[k])}, {int(dst[k])}) has no reverse "
                 "companion; pass symmetrize_missing=True to synthesize it")
-
-    order = np.argsort(_pair_keys(cols.src, cols.dst), kind="stable")
+        rows = np.flatnonzero(unpaired)
+        cols = _concat(cols, cols.take(rows).inverted())
+        # an inverse swaps its row's ids, which keeps the keys' range
+        keys, back = (np.concatenate((keys, back[rows])),
+                      np.concatenate((back, keys[rows])))
+        order = np.argsort(keys, kind="stable")
+        at = np.searchsorted(keys[order], back)
     src, dst = cols.src[order], cols.dst[order]
     offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    # listing the edges by (dst, src) lists the reverse of each (src, dst) row
-    rev = np.argsort(_pair_keys(dst, src), kind="stable")
+    rev = at[order]  # the sorted place of each sorted row's reverse
     g = PoseGraph(n=n, edge_arrays=EdgeArrays(
         ids=np.arange(n), src=src, dst=dst, r_rel=cols.r_rel[order],
         t_rel=cols.t_rel[order], t_cut=np.empty((0, 3)), offsets=offsets,
         rev=rev))
-    reached, parent, _ = bfs_tree(g)
+    reached, parent, _ = g.tree
     if len(reached) < n:
         missing = [i for i in range(1, n) if parent[i] < 0]
         raise DisconnectedGraphError(
@@ -573,8 +602,8 @@ def algebraic_connectivity(g: PoseGraph) -> float:
 
 
 def bfs_tree(g: PoseGraph, root: int = 0,
-             ) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first spanning tree from ``root``, as per-vertex lists.
+             ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Breadth-first spanning tree from ``root``, as per-vertex tuples.
 
     Neighbors are explored in ascending id order, so ties always resolve
     to the lowest-id parent. Returns the vertices in the order the
@@ -599,11 +628,11 @@ def bfs_tree(g: PoseGraph, root: int = 0,
                 parent[j] = i
                 depth[j] = depth[i] + 1
                 order.append(j)
-    return order, parent, depth
+    return tuple(order), tuple(parent), tuple(depth)
 
 
 def spanning_tree(g: PoseGraph, root: int = 0) -> dict[int, int]:
     """The :func:`bfs_tree` from ``root`` as a parent map covering every
     vertex except the root, in the order the search reached them."""
-    order, parent, _ = bfs_tree(g, root)
+    order, parent, _ = g.tree_from(root)
     return {j: parent[j] for j in order[1:]}

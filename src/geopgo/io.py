@@ -150,11 +150,25 @@ def _check_row(name: str, t, q) -> None:
 def _stacked(rows: Sequence, width: int) -> np.ndarray:
     """``rows`` as one ``(len, width)`` array of finite numbers.
 
+    An array (a g2o column) converts as a whole. JSON rows convert in
+    one pass over their entries, once every row is a ``list`` of
+    ``width`` entries: a string or an object of that length would
+    otherwise pass as its characters or keys.
+
     Raises:
         TypeError, ValueError, OverflowError: a row is not ``width``
             finite numbers; which one is left to the per-row pass.
     """
-    out = np.array(rows, dtype=float) if len(rows) else np.empty((0, width))
+    if isinstance(rows, np.ndarray):
+        out = np.array(rows, dtype=float)
+    else:
+        n = len(rows)
+        if set(map(type, rows)) - {list}:
+            raise TypeError("a row is not a list")
+        if (np.fromiter(map(len, rows), np.intp, n) != width).any():
+            raise ValueError(f"a row is not {width} entries")
+        out = np.fromiter(chain.from_iterable(rows), float,
+                          width * n).reshape(n, width)
     if out.shape != (len(rows), width) or not np.isfinite(out).all():
         raise ValueError(f"a row is not {width} finite numbers")
     return out

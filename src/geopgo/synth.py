@@ -18,7 +18,7 @@ import numpy as np
 
 from . import so3
 from .graph import (MeasurementColumns, Pose, PoseGraph, PoseStack,
-                    as_stack, bfs_tree, build_graph)
+                    as_stack, build_graph)
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -364,14 +364,15 @@ def gps_init(
 
 
 def spanning_tree_init(g: PoseGraph, root: int = 0) -> PoseStack:
-    """Compose measurements outward along a breadth-first tree.
+    """Compose measurements outward along the breadth-first tree from
+    ``root`` (:meth:`PoseGraph.tree_from`; the graph's stored one for 0).
 
     The root is pinned to the identity, so on noise-free input this
     recovers ground truth up to the global frame choice. Each level of
     the tree is composed from the level above in one stacked step, each
     pose as ``compose(parent, measurement)`` alone.
     """
-    order, parent, depth = bfs_tree(g, root)
+    order, parent, depth = g.tree_from(root)
     kids = np.array(order[1:], dtype=np.intp)
     ups = np.array(parent, dtype=np.intp)[kids]
     rows = g.edge_rows(ups, kids)
@@ -379,7 +380,7 @@ def spanning_tree_init(g: PoseGraph, root: int = 0) -> PoseStack:
     t = np.zeros((g.n, 3))
     r = np.empty((g.n, 3, 3))
     r[root] = np.eye(3)
-    # bfs_tree lists the vertices level by level
+    # the tree lists the vertices level by level
     cuts = (np.flatnonzero(np.diff(np.array(depth)[kids])) + 1).tolist()
     for lo, hi in zip([0, *cuts], [*cuts, len(kids)]):
         k, up = kids[lo:hi], ups[lo:hi]

@@ -323,6 +323,21 @@ def test_negative_n_fails_at_decode(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("level", ["verbose", "", "10"])
+def test_unknown_log_level_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                             level):
+    ds = _generate(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setenv("GEOPGO_LOG", level)
+    assert cli.main(["info", "--dataset", str(ds)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: GEOPGO_LOG: unknown level {level!r}; use DEBUG, INFO, "
+        "WARNING, ERROR or CRITICAL\n")
+    # a level name in any case is accepted
+    monkeypatch.setenv("GEOPGO_LOG", "debug")
+    assert cli.main(["info", "--dataset", str(ds)]) == 0
+
+
 def test_convert_round_trip(tmp_path):
     ds = _generate(tmp_path)
     g2o = tmp_path / "ds.g2o"

@@ -34,26 +34,29 @@ def test_no_unused_imports(path):
 BITWISE_BANNED = {"einsum", "reduceat"}
 
 
-def _banned_calls(tree: ast.Module) -> list[str]:
+def _calls(tree: ast.Module, names: set[str]) -> list[str]:
+    """``line: name`` of each call of one of ``names``, spelled bare or
+    as an attribute."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = (func.attr if isinstance(func, ast.Attribute)
                     else getattr(func, "id", None))
-            if name in BITWISE_BANNED:
+            if name in names:
                 found.append(f"line {node.lineno}: {name}")
     return found
 
 
 def test_banned_call_check_sees_both_forms():
     tree = ast.parse("np.add.reduceat(x, i)\neinsum('ij->i', a)\n")
-    assert _banned_calls(tree) == ["line 1: reduceat", "line 2: einsum"]
+    assert _calls(tree, BITWISE_BANNED) == ["line 1: reduceat",
+                                            "line 2: einsum"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_order_changing_reductions(path):
-    assert _banned_calls(ast.parse(path.read_text())) == []
+    assert _calls(ast.parse(path.read_text()), BITWISE_BANNED) == []
 
 
 # pyproject.toml declares numpy as the only runtime dependency; the
@@ -141,22 +144,10 @@ def test_every_private_helper_has_a_caller():
 # Only graph.py, which defines the per-object types and reads a stack
 # row as one on demand, builds them; so do its helpers that return one.
 # It alone builds an EdgeArrays too: the whole graph's in build_graph,
-# and a block's as a slice of it, so every rev is the graph's sort.
+# and a block's as a slice of it, so every rev is the graph's own.
 PER_OBJECT_BUILDERS = {"Pose", "RelativeMeasurement", "identity", "compose",
                        "inverse", "reversed_measurement", "EdgeArrays"}
 OBJECT_HOME = "graph.py"
-
-
-def _per_object_builds(tree: ast.Module) -> list[str]:
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = (func.attr if isinstance(func, ast.Attribute)
-                    else getattr(func, "id", None))
-            if name in PER_OBJECT_BUILDERS:
-                found.append(f"line {node.lineno}: {name}")
-    return found
 
 
 def test_per_object_build_check_sees_both_forms():
@@ -164,7 +155,7 @@ def test_per_object_build_check_sees_both_forms():
                      "Pose.identity()\nPoseStack(t, r)\ncompose(a, b)\n"
                      "EdgeArrays(ids=ids)\ngraph.EdgeArrays(ids=ids)\n"
                      "e.block(0, 1)\n")
-    assert _per_object_builds(tree) == [
+    assert _calls(tree, PER_OBJECT_BUILDERS) == [
         "line 1: Pose", "line 2: RelativeMeasurement", "line 3: identity",
         "line 5: compose", "line 6: EdgeArrays", "line 7: EdgeArrays"]
 
@@ -173,7 +164,28 @@ def test_per_object_build_check_sees_both_forms():
     "path", [p for p in MODULES if p.name != OBJECT_HOME],
     ids=lambda p: p.name)
 def test_only_graph_builds_per_object_poses_and_measurements(path):
-    assert _per_object_builds(ast.parse(path.read_text())) == []
+    assert _calls(ast.parse(path.read_text()), PER_OBJECT_BUILDERS) == []
+
+
+# One breadth-first search per graph: build_graph makes it once, as
+# PoseGraph.tree, and the connectivity check, the cycle check and the
+# tree init read it. Only graph.py searches (PoseGraph.tree_from does
+# for a root other than 0).
+TREE_SEARCH = {"bfs_tree"}
+
+
+def test_tree_search_check_sees_both_forms():
+    tree = ast.parse("bfs_tree(g)\ngraph.bfs_tree(g, root=0)\n"
+                     "g.tree\ng.tree_from(1)\n")
+    assert _calls(tree, TREE_SEARCH) == ["line 1: bfs_tree",
+                                         "line 2: bfs_tree"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != OBJECT_HOME],
+    ids=lambda p: p.name)
+def test_only_graph_searches_the_tree(path):
+    assert _calls(ast.parse(path.read_text()), TREE_SEARCH) == []
 
 
 # The collector's switches act on the whole process. Only the io helper

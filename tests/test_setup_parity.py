@@ -556,6 +556,11 @@ MALFORMED = [
     _set("measurements", 3, "t", [[1.0, 2.0, 3.0]]),
     _set("measurements", 2, "t", ["1", "two", "3"]),
     _set("measurements", 2, "t", "123"),
+    # a string or an object with as many entries as the row needs, which
+    # float one by one: only the stacked pass's list guard rejects them
+    _set("measurements", 2, "t", {"0": 1, "1": 2, "2": 3}),
+    _set("measurements", 2, "q", "0001"),
+    _set("vertices", 2, "t", "123"),
     _set("measurements", 5, "q", [1.0, 0.0, 0.0, 0.0, 0.0]),
     _set("measurements", 5, "q", {"x": 1}),
     _set("measurements", 1, "t", [math.nan, 0.0, 0.0]),
