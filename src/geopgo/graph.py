@@ -8,7 +8,10 @@ frame of ``i``.
 Measurements travel as stacked columns (:class:`MeasurementColumns`),
 and :func:`build_graph` validates, pairs and sorts them as arrays, with
 no per-edge objects, then checks with the graph's one :func:`bfs_tree`
-(:attr:`PoseGraph.tree`) that every pose is reached from pose 0. A
+(:attr:`PoseGraph.tree`) that every pose is reached from pose 0. Every
+built graph is paired: the exact inverse of each direction the input
+lacks is appended, as :func:`symmetrize` appends it to a file's
+columns, and both find the missing directions with one sort. A
 graph is its arrays (:attr:`PoseGraph.edge_arrays`), which cut into the
 local arrays of a block of contiguous poses (:meth:`EdgeArrays.block`);
 measurement objects, neighbor tuples and edge lists are derived from
@@ -188,21 +191,19 @@ def _pair_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return (src - lo) * span + (dst - lo)
 
 
-def _repeats(keys: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose key appeared in an earlier row."""
+def _pairing(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One stable sort of the pair keys of the rows ``(src, dst)`` and
+    one search for each row's reverse direction among them.
+
+    Returns the sorting ``order``, the keys in that order, the sorted
+    place of each row's reverse key, and the mask of the rows whose
+    reverse direction is absent. A self loop is its own reverse.
+    """
+    keys, back = _pair_keys(src, dst), _pair_keys(dst, src)
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
-    out = np.zeros(len(keys), dtype=bool)
-    out[order[1:]] = ordered[1:] == ordered[:-1]
-    return out
-
-
-def _absent(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Mask of the ``keys`` that ``sorted_keys`` does not hold."""
-    if not len(sorted_keys):
-        return np.ones(len(keys), dtype=bool)
-    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[at] != keys
+    at = np.searchsorted(ordered, back)
+    return order, ordered, at, ordered.take(at, mode="clip") != back
 
 
 def symmetrize(
@@ -210,14 +211,15 @@ def symmetrize(
 ) -> MeasurementColumns:
     """Add the rigid inverse for every direction that is missing.
 
-    Existing measurements are kept bit-for-bit and in order; the inverses
-    follow in the order of the rows they invert, one per missing
-    direction. Applying this twice gives the same set as applying it once.
+    Existing measurements are kept bit-for-bit and in order, repeats and
+    self loops included; the inverses follow in the order of the rows
+    they invert, one per missing direction. Applying this twice gives
+    the same set as applying it once.
     """
     cols = as_columns(measurements)
-    keys = _pair_keys(cols.src, cols.dst)
-    missing = (_absent(_pair_keys(cols.dst, cols.src), np.sort(keys))
-               & ~_repeats(keys))
+    order, ordered, _, missing = _pairing(cols.src, cols.dst)
+    # of a repeated pair, only the first row may add an inverse
+    missing[order[1:]] &= ordered[1:] != ordered[:-1]
     return _concat(cols, cols.take(np.flatnonzero(missing)).inverted())
 
 
@@ -496,31 +498,27 @@ class PoseGraph:
 def build_graph(
     n: int,
     measurements: Sequence[RelativeMeasurement],
-    symmetrize_missing: bool = False,
 ) -> PoseGraph:
-    """Validate measurements and assemble a :class:`PoseGraph`.
+    """Validate measurements and assemble a paired :class:`PoseGraph`.
 
     Works on stacked columns: a list of measurements is stacked once, and
     :class:`MeasurementColumns` are used as given. The rows are sorted
-    once, and the reverse directions are looked up once: that one mask
-    rejects an unpaired direction or, with ``symmetrize_missing``, picks
-    the rows whose inverses are appended, and the places found are the
-    reverse-edge index. Connectivity is checked last, on the assembled
-    graph's :attr:`~PoseGraph.tree`.
+    once and their reverse directions looked up once, as
+    :func:`symmetrize` does: the exact inverse of each absent direction
+    is appended (and the grown columns sorted and searched again), and
+    the places found are the reverse-edge index. Connectivity is checked
+    last, on the assembled graph's :attr:`~PoseGraph.tree`.
 
     Args:
         n: vertex count; ids must lie in ``0..n-1``.
-        measurements: directed measurements. Unless ``symmetrize_missing``
-            is set, every edge must already appear in both directions.
-        symmetrize_missing: synthesize the rigid inverse for directions
-            that are absent. Never done implicitly.
+        measurements: directed measurements, one or both directions of
+            each edge.
 
     Raises:
         DanglingVertexError: id out of range or a self loop.
         DuplicateEdgeError: repeated directed pair.
         DisconnectedGraphError: vertices unreachable from vertex 0, or a
             graph with no measurements and more than one vertex.
-        ValueError: an unpaired direction when synthesis was not requested.
     Each error names the first offending measurement in input order.
     """
     if n <= 0:
@@ -535,33 +533,15 @@ def build_graph(
             raise DanglingVertexError(f"self loop at vertex {i}")
         raise DanglingVertexError(
             f"measurement ({i}, {j}) references a vertex outside 0..{n - 1}")
-    # one sort of the pair keys finds repeats and orders the rows, and one
-    # search places each row's reverse direction among them: where it is
-    # absent the mask rejects the row or picks it for an appended inverse,
-    # and on the paired rows the places are the reverse-edge index
-    keys, back = _pair_keys(src, dst), _pair_keys(dst, src)
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
+    order, ordered, at, unpaired = _pairing(src, dst)
     repeated = ordered[1:] == ordered[:-1]
     if repeated.any():
         k = int(order[1:][repeated].min())  # the first row seen before
         raise DuplicateEdgeError(
             f"directed pair {(int(src[k]), int(dst[k]))} appears twice")
-    at = np.searchsorted(ordered, back)
-    unpaired = ordered.take(at, mode="clip") != back
     if unpaired.any():
-        if not symmetrize_missing:
-            k = int(np.argmax(unpaired))
-            raise ValueError(
-                f"measurement ({int(src[k])}, {int(dst[k])}) has no reverse "
-                "companion; pass symmetrize_missing=True to synthesize it")
-        rows = np.flatnonzero(unpaired)
-        cols = _concat(cols, cols.take(rows).inverted())
-        # an inverse swaps its row's ids, which keeps the keys' range
-        keys, back = (np.concatenate((keys, back[rows])),
-                      np.concatenate((back, keys[rows])))
-        order = np.argsort(keys, kind="stable")
-        at = np.searchsorted(keys[order], back)
+        cols = _concat(cols, cols.take(np.flatnonzero(unpaired)).inverted())
+        order, _, at, _ = _pairing(cols.src, cols.dst)
     src, dst = cols.src[order], cols.dst[order]
     offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
     rev = at[order]  # the sorted place of each sorted row's reverse

@@ -10,9 +10,9 @@ the ids to dense ``0..n-1`` in ascending order and returns a
 :class:`StoredDataset`: the file's contents as stored, directed and
 unpaired, its measurements as stacked :class:`MeasurementColumns`. Each
 column has one converter: translations and quaternions are accepted
-only as stacked arrays of finite numbers, and edge endpoints only
-through the map from declared vertex ids, so an endpoint matches a
-declared id by value (``1.0`` names vertex 1). Only when a converter
+only as stacked arrays of finite numbers, and edge endpoints only as
+integers (a JSON ``1.0`` or ``true`` is rejected, as in a vertex id)
+found in the map from declared vertex ids. Only when a converter
 fails are the rows looked at one by one, and that pass only names the
 first bad row (in file order) in the error; it never accepts one. No
 per-edge object is built. The format is chosen by the suffix,
@@ -210,19 +210,23 @@ def _vertex_columns(ids: list, ts: Sequence, qs: Sequence,
 
 def _edge_columns(srcs: Sequence, dsts: Sequence, ts: Sequence,
                   qs: Sequence, id_map: dict) -> MeasurementColumns:
-    """The edge rows as columns over dense ids; each endpoint is looked
-    up in ``id_map``. A bad row fails as the first one in file order
-    with an undeclared endpoint or a malformed ``t``/``q``; an endpoint
-    is checked first."""
+    """The edge rows as columns over dense ids; each endpoint must be an
+    ``int`` and is looked up in ``id_map``. A bad row fails as the first
+    one in file order with a non-integer or undeclared endpoint or a
+    malformed ``t``/``q``; an endpoint is checked first."""
     try:
+        if set(map(type, srcs)) - {int} or set(map(type, dsts)) - {int}:
+            raise TypeError("an endpoint is not an integer")
         src, dst = (np.fromiter(map(id_map.__getitem__, ends), np.intp,
                                 len(ends)) for ends in (srcs, dsts))
         t, q = _stacked(ts, 3), _stacked(qs, 4)
     except (KeyError, TypeError, ValueError, OverflowError):
         for k, (i, j, tk, qk) in enumerate(zip(srcs, dsts, ts, qs)):
-            try:
-                id_map[i], id_map[j]
-            except (KeyError, TypeError):
+            for end in (i, j):
+                if type(end) is not int:
+                    raise ValueError(f"measurement {k}: endpoint {end!r} "
+                                     "is not an integer") from None
+            if i not in id_map or j not in id_map:
                 raise InconsistentVertexCountError(
                     f"measurement {k} ({i}, {j}) references an undeclared "
                     "vertex") from None
@@ -486,7 +490,7 @@ def parse_g2o(source: str | Path | IO[str]) -> G2oParseResult:
     else:
         text = source.read()
     stored = _g2o_contents(text)
-    graph = build_graph(stored.n, stored.measurements, symmetrize_missing=True)
+    graph = build_graph(stored.n, stored.measurements)
     return G2oParseResult(
         poses=stored.vertices, graph=graph, id_map=stored.id_map,
         raw_measurement_count=len(stored.measurements),
@@ -653,7 +657,7 @@ def load_any(path: str | Path) -> Dataset:
     ``Dataset`` carries no vertices; its ``id_map`` is kept.
     """
     stored = read_dataset(path)
-    graph = build_graph(stored.n, stored.measurements, symmetrize_missing=True)
+    graph = build_graph(stored.n, stored.measurements)
     if stored.format == "g2o":
         return Dataset(graph=graph, id_map=stored.id_map)
     return Dataset(graph=graph, vertices=stored.vertices,

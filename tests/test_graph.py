@@ -120,12 +120,14 @@ def test_bad_vertex_ids_rejected():
         build_graph(2, [_edge(0, 0), _edge(0, 1), _edge(1, 0)])
 
 
-def test_unpaired_rejected_unless_symmetrized():
+def test_unpaired_direction_gets_its_exact_inverse():
     one_way = [_edge(0, 1, t=[1.0, 0.0, 0.0], r=so3.exp_map(np.ones(3)))]
-    with pytest.raises(ValueError, match="symmetrize"):
-        build_graph(2, one_way)
-    g = build_graph(2, one_way, symmetrize_missing=True)
+    g = build_graph(2, one_way)
     assert g.directed_count == 2
+    want = reversed_measurement(one_way[0])
+    got = g.measurement(1, 0)
+    assert got.t_rel.tobytes() == want.t_rel.tobytes()
+    assert got.r_rel.tobytes() == want.r_rel.tobytes()
 
 
 def test_symmetrize_inverts_se3():
@@ -319,8 +321,7 @@ def test_reverse_rows_and_cut_rows_of_random_blocks():
         n = int(rng.integers(1, 16))
         tree = _random_graph(rng, n, int(rng.integers(0, 2 * n)))
         g = build_graph(n, [_edge(i, j, t=rng.normal(size=3))
-                            for i, j in tree.undirected_edges()],
-                        symmetrize_missing=True)
+                            for i, j in tree.undirected_edges()])
         e = g.edge_arrays
         assert e.cut.dtype == np.intp and e.cut.size == 0
         assert e.t_cut.shape == (0, 3)

@@ -84,9 +84,13 @@ def _oracle_assemble(vertex_rows, edge_rows, n=None):
     id_map = {ext: i for i, ext in enumerate(ids)}
     edges = []
     for k, (i, j, t, q) in enumerate(edge_rows):
+        for end in (i, j):
+            if type(end) is not int:
+                raise ValueError(
+                    f"measurement {k}: endpoint {end!r} is not an integer")
         try:
             src, dst = id_map[i], id_map[j]
-        except (KeyError, TypeError):
+        except KeyError:
             raise gio.InconsistentVertexCountError(
                 f"measurement {k} ({i}, {j}) references an undeclared "
                 "vertex") from None
@@ -132,10 +136,10 @@ def _oracle_g2o(text):
     return _oracle_assemble(rows["vertex"], rows["edge"])
 
 
-def _oracle_build(n, measurements, symmetrize_missing=False):
-    """Per-measurement validation and pairing, then the per-object freeze
-    into edge arrays; the unpaired-direction check is left out (its set
-    order named an arbitrary edge)."""
+def _oracle_build(n, measurements):
+    """Per-measurement validation and pairing (the inverse of each absent
+    direction appended in input order), then the per-object freeze into
+    edge arrays."""
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
     for m in measurements:
@@ -151,13 +155,12 @@ def _oracle_build(n, measurements, symmetrize_missing=False):
         if key in seen:
             raise DuplicateEdgeError(f"directed pair {key} appears twice")
         seen.add(key)
-    if symmetrize_missing:
-        out = list(measurements)
-        for m in measurements:
-            if (m.dst, m.src) not in seen:
-                out.append(reversed_measurement(m))
-                seen.add((m.dst, m.src))
-        measurements = out
+    out = list(measurements)
+    for m in measurements:
+        if (m.dst, m.src) not in seen:
+            out.append(reversed_measurement(m))
+            seen.add((m.dst, m.src))
+    measurements = out
     ordered = sorted(measurements, key=lambda m: (m.src, m.dst))
     nbrs = {i: [] for i in range(n)}
     for m in ordered:
@@ -250,7 +253,10 @@ def _assert_decoded_equal(stored, oracle):
         for p, q in zip(stored.vertices, poses):
             _assert_bitwise(p.t, q.t)
             _assert_bitwise(p.r, q.r)
-    cols = stored.measurements
+    _assert_columns_equal(stored.measurements, measurements)
+
+
+def _assert_columns_equal(cols, measurements):
     assert len(cols) == len(measurements)
     _assert_bitwise(cols.src, np.array([m.src for m in measurements],
                                        dtype=np.intp))
@@ -337,14 +343,11 @@ def test_decode_and_build_equal_the_per_row_oracles(one_way):
         _assert_decoded_equal(stored, want)
         # both formats decode the same numbers the same way
         _assert_decoded_equal(gio._g2o_contents(_g2o(d)), _oracle_g2o(_g2o(d)))
-        g = build_graph(stored.n, stored.measurements, symmetrize_missing=True)
-        _assert_graph_equal(g, _oracle_build(want[0], want[2],
-                                             symmetrize_missing=True))
+        g = build_graph(stored.n, stored.measurements)
+        _assert_graph_equal(g, _oracle_build(want[0], want[2]))
         # a list of objects is stacked once and builds the same graph
-        again = build_graph(stored.n, list(stored.measurements),
-                            symmetrize_missing=True)
-        _assert_graph_equal(again, _oracle_build(want[0], want[2],
-                                                 symmetrize_missing=True))
+        again = build_graph(stored.n, list(stored.measurements))
+        _assert_graph_equal(again, _oracle_build(want[0], want[2]))
 
 
 def test_json_without_vertices_equals_the_oracle():
@@ -372,22 +375,6 @@ def _numeric_strings(d):
     d["vertices"][1]["q"] = ["0", "0", "0.5", "1"]
 
 
-def _bool_and_float_endpoints(d):
-    # vertex 0 takes the id 1, which the edge rows then name as True
-    # (True == 1) and as 1.0
-    ids = {v["id"]: v["id"] if v["id"] != 1 else 10 ** 6
-           for v in d["vertices"]}
-    ids[d["vertices"][0]["id"]] = 1
-    for v in d["vertices"]:
-        v["id"] = ids[v["id"]]
-    for m in d["measurements"]:
-        m["src"], m["dst"] = ids[m["src"]], ids[m["dst"]]
-        if m["src"] == 1:
-            m["src"] = True
-        if m["dst"] == 1:
-            m["dst"] = 1.0
-
-
 def _huge_vertex_ids(d):
     for k, v in enumerate(d["vertices"]):
         old = v["id"]
@@ -402,8 +389,7 @@ def _bool_edge_rows(d):
 
 
 @pytest.mark.parametrize("change", [
-    _numeric_strings, _bool_and_float_endpoints, _huge_vertex_ids,
-    _bool_edge_rows])
+    _numeric_strings, _huge_vertex_ids, _bool_edge_rows])
 def test_odd_but_accepted_input_decodes_the_same(change):
     d = _valid()
     change(d)
@@ -483,6 +469,22 @@ def _set(section, k, key, value):
         d[section][k][key] = value
     change.__name__ = f"{section}[{k}].{key}={value!r}"
     return change
+
+
+def _bool_and_float_endpoints(d):
+    # vertex 0 takes the id 1, which the edge rows then name as True
+    # (True == 1) and as 1.0: an endpoint must be an integer, as an id is
+    ids = {v["id"]: v["id"] if v["id"] != 1 else 10 ** 6
+           for v in d["vertices"]}
+    ids[d["vertices"][0]["id"]] = 1
+    for v in d["vertices"]:
+        v["id"] = ids[v["id"]]
+    for m in d["measurements"]:
+        m["src"], m["dst"] = ids[m["src"]], ids[m["dst"]]
+        if m["src"] == 1:
+            m["src"] = True
+        if m["dst"] == 1:
+            m["dst"] = 1.0
 
 
 def _every_t_nested(d):
@@ -575,7 +577,7 @@ MALFORMED = [
     _set("measurements", 3, "src", 99999),
     _set("measurements", 3, "dst", None),
     _set("measurements", 3, "src", [1]),
-    _set("measurements", 3, "src", 0.5),
+    _set("measurements", 3, "src", 0.5), _bool_and_float_endpoints,
     _two_bad_rows_bad_t_first, _two_bad_rows_bad_id_first,
     _vertex_and_edge_errors, _doubled_then_bad, _missing_field_late,
     _measurements(None), _measurements({"a": 1}), _measurements(3),
@@ -688,35 +690,104 @@ GRAPH_MALFORMED = {
 }
 
 
+def _one_way(ms):
+    """``ms`` without each row whose reverse direction an earlier kept
+    row holds; repeats stay."""
+    kept = set()
+    out = []
+    for m in ms:
+        if (m.dst, m.src) not in kept:
+            out.append(m)
+            kept.add((m.src, m.dst))
+    return out
+
+
+# paired=False feeds the rows one way, so that the build appends every
+# reverse direction itself
 @pytest.mark.parametrize("case", sorted(GRAPH_MALFORMED))
-@pytest.mark.parametrize("symmetrize", [False, True])
-def test_malformed_graph_fails_as_the_oracle(case, symmetrize):
+@pytest.mark.parametrize("paired", [False, True])
+def test_malformed_graph_fails_as_the_oracle(case, paired):
     n, ms = GRAPH_MALFORMED[case]
-    _same_error(lambda: build_graph(n, ms, symmetrize),
-                lambda: _oracle_build(n, ms, symmetrize))
+    ms = ms if paired else _one_way(ms)
+    _same_error(lambda: build_graph(n, ms), lambda: _oracle_build(n, ms))
 
 
-@pytest.mark.parametrize("symmetrize", [False, True])
-def test_deep_path_builds_as_the_oracle(symmetrize):
+@pytest.mark.parametrize("paired", [False, True])
+def test_deep_path_builds_as_the_oracle(paired):
     n = 3000
     ms = _paired(*((i, i + 1) for i in range(n - 1)))
-    _assert_graph_equal(build_graph(n, ms, symmetrize),
-                        _oracle_build(n, ms, symmetrize))
+    ms = ms if paired else _one_way(ms)
+    _assert_graph_equal(build_graph(n, ms), _oracle_build(n, ms))
 
 
 def test_single_vertex_without_edges():
-    _assert_graph_equal(build_graph(1, []), _oracle_build(1, []))
-    g = build_graph(1, [], symmetrize_missing=True)
+    g = build_graph(1, [])
+    _assert_graph_equal(g, _oracle_build(1, []))
     assert g.directed_count == 0 and g.neighbors(0) == ()
 
 
-def test_unpaired_error_names_the_first_one_way_edge_in_input_order():
-    ms = _paired((0, 1), (1, 2)) + [_m(3, 2), _m(0, 3), _m(1, 3)]
-    for _ in range(3):
-        with pytest.raises(ValueError) as err:
-            build_graph(4, ms)
-        assert str(err.value).startswith(
-            "measurement (3, 2) has no reverse companion")
-    ms = [m for m in ms if (m.src, m.dst) != (3, 2)] + [_m(2, 3)]
-    with pytest.raises(ValueError, match=r"^measurement \(0, 3\) has no"):
-        build_graph(4, ms)
+# -- pairing: convert --symmetrize and build_graph ---------------------------
+
+
+def _oracle_symmetrize(measurements):
+    """The rows as given, then ``reversed_measurement`` of each row seen
+    for the first time whose reverse direction the input lacks."""
+    have = {(m.src, m.dst) for m in measurements}
+    out, seen = list(measurements), set()
+    for m in measurements:
+        if (m.src, m.dst) not in seen and (m.dst, m.src) not in have:
+            out.append(reversed_measurement(m))
+        seen.add((m.src, m.dst))
+    return out
+
+
+def _random_columns(rng):
+    """Up to 30 rows over a few ids, negative ones too, so that repeated
+    pairs, self loops and empty input all occur."""
+    count = int(rng.integers(0, 31))
+    lo, hi = int(rng.integers(-3, 1)), int(rng.integers(1, 7))
+    return graph.MeasurementColumns(
+        rng.integers(lo, hi, size=count), rng.integers(lo, hi, size=count),
+        rng.normal(size=(count, 3)) * 10,
+        np.array([so3.random_rotation(rng) for _ in range(count)]
+                 ).reshape(-1, 3, 3))
+
+
+def test_symmetrize_equals_the_per_row_oracle():
+    rng = np.random.default_rng(30)
+    cases = [_random_columns(rng) for _ in range(300)]
+    assert any(len(c) == 0 for c in cases)
+    assert any((c.src == c.dst).any() for c in cases)
+    for cols in cases:
+        _assert_columns_equal(graph.symmetrize(cols),
+                              _oracle_symmetrize(list(cols)))
+
+
+def _assert_same_graph(a, b):
+    e = b.edge_arrays
+    _assert_graph_equal(a, {**vars(e), "runs": e.runs})
+    assert a.tree == b.tree
+
+
+def _one_way_dataset(d):
+    """The dataset ``d`` with one direction of each edge: from the smaller
+    id where the ids add up to an even number, else from the larger."""
+    d["measurements"] = [m for m in d["measurements"]
+                         if (m["src"] < m["dst"])
+                         == ((m["src"] + m["dst"]) % 2 == 0)]
+    return d
+
+
+def test_loading_and_converting_pair_alike():
+    # a one-way set builds the graph of its symmetrized columns, in the
+    # decoded columns of JSON and of g2o text alike
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        d = _one_way_dataset(_random_dataset(rng))
+        for stored in (gio._json_contents(json.dumps(d)),
+                       gio._g2o_contents(_g2o(d))):
+            cols = stored.measurements
+            paired = graph.symmetrize(cols)
+            assert len(paired) == 2 * len(cols)
+            _assert_same_graph(build_graph(stored.n, cols),
+                               build_graph(stored.n, paired))
