@@ -279,8 +279,8 @@ def enforce_pairwise_rotations(g: PoseGraph) -> PoseGraph:
             raise so3.AngleAtPiError(
                 f"directions of {e.name(k)} disagree at pi: {exc}",
                 (k,)) from None
-    # only r_rel changes: the rows stay valid, sorted and paired, so the
-    # arrays are derived, not rebuilt (r_rel_t is made anew; rev, bins and
-    # runs, which depend on the layout only, are kept)
-    return replace(g, edge_arrays=replace(e, r_rel=repaired, r_rel_t=None))
+    # only r_rel changes: the rows stay valid, sorted and paired, so rev,
+    # bins, runs and the tree, which depend on the layout only, are kept,
+    # and the arrays derive the rest (r_rel_t) from the new rotations
+    return replace(g, edge_arrays=replace(e, r_rel=repaired))
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -332,15 +333,13 @@ class EdgeArrays:
     finds the whole graph's ``rev``, and :meth:`block` slices its own
     from it; the whole graph's ``t_cut`` is empty.
 
-    Derived fields serve the solver's kernel pass, and all are made
-    once, when the arrays are frozen: ``cut`` always, and the others
-    when they are not given (a ``replace`` that keeps the layout keeps
-    ``bins`` and ``runs``). ``r_rel_t`` is
-    ``r_rel`` with each matrix transposed, C-contiguous, because the
-    kernel works on transposed rotation products, and an elementwise
-    subtract that reads a transposed view is several times slower; a
-    block's is a view of the whole graph's. ``bins`` ``(9E,)`` is where
-    the node sums put each entry of the kernel's ``(E, 3, 3)`` per-edge
+    Derived arrays serve the solver's kernel pass. Those derived from
+    the layout are made when the arrays are frozen, ``cut`` always and
+    ``bins`` and ``runs`` unless given, so a ``replace`` that keeps the
+    layout may carry them over, as it may :attr:`PoseGraph.tree`.
+    Nothing derived from the measured rotations may: :attr:`r_rel_t` is
+    made from ``r_rel`` on first read. ``bins`` ``(9E,)`` is where the
+    node sums put each entry of the kernel's ``(E, 3, 3)`` per-edge
     terms ``(d, -m, w)``: entry ``c`` of edge ``k``'s ``d`` and ``-m``
     goes to bin ``6 * src[k] + c`` and of its ``w`` to bin ``6 * src[k]
     + 3 + c``, so one ``np.bincount`` makes every node's sums. ``runs``
@@ -358,15 +357,12 @@ class EdgeArrays:
     t_cut: np.ndarray
     offsets: np.ndarray
     rev: np.ndarray
-    r_rel_t: np.ndarray | None = None
     bins: np.ndarray | None = field(default=None, repr=False)
     runs: RunPlan | None = field(default=None, repr=False)
     cut: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cut", np.flatnonzero(self.dst >= self.size))
-        if self.r_rel_t is None:
-            object.__setattr__(self, "r_rel_t", _transposed_stack(self.r_rel))
         if self.bins is None:
             object.__setattr__(self, "bins", _term_bins(self.src))
         if self.runs is None:
@@ -375,6 +371,15 @@ class EdgeArrays:
         for a in (*vars(self).values(), runs.bounds, *runs.nbr, *runs.real):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
+
+    @cached_property
+    def r_rel_t(self) -> np.ndarray:
+        """``r_rel`` with each matrix transposed, read-only and
+        C-contiguous, for the kernel's transposed rotation products (a
+        subtract that reads a transposed view is several times slower)."""
+        r_t = _transposed_stack(self.r_rel)
+        r_t.flags.writeable = False
+        return r_t
 
     @property
     def size(self) -> int:
@@ -386,9 +391,10 @@ class EdgeArrays:
 
     def block(self, lo: int, hi: int) -> "EdgeArrays":
         """The outgoing edges of poses ``lo..hi-1`` of the whole graph,
-        indexed locally; the measurement stacks are views of this one's,
-        and its ``rev`` is a slice of this one's: a row whose reverse
-        lies outside the block's rows is a cut row."""
+        indexed locally; the measurement stacks are views of this one's
+        (its :attr:`r_rel_t` is made from its own rows), and its ``rev``
+        is a slice of this one's: a row whose reverse lies outside the
+        block's rows is a cut row."""
         a, b = self.offsets[lo], self.offsets[hi]
         dst = self.dst[a:b]
         read = np.zeros(self.size, dtype=bool)
@@ -407,8 +413,7 @@ class EdgeArrays:
             src=self.src[a:b] - lo, dst=local[dst],
             r_rel=self.r_rel[a:b], t_rel=self.t_rel[a:b],
             t_cut=self.t_rel[back[cut]],
-            offsets=self.offsets[lo:hi + 1] - a, rev=rev,
-            r_rel_t=self.r_rel_t[a:b])
+            offsets=self.offsets[lo:hi + 1] - a, rev=rev)
 
 
 @dataclass(frozen=True)
@@ -473,9 +478,6 @@ class PoseGraph:
         graph must have, by one ``searchsorted`` over the sorted rows."""
         e = self.edge_arrays
         return np.searchsorted(e.src * self.n + e.dst, src * self.n + dst)
-
-    def measurement(self, src: int, dst: int) -> RelativeMeasurement:
-        return self.measurements[self.edge_index(src, dst)]
 
     def has_edge(self, src: int, dst: int) -> bool:
         try:
@@ -610,9 +612,3 @@ def bfs_tree(g: PoseGraph, root: int = 0,
                 order.append(j)
     return tuple(order), tuple(parent), tuple(depth)
 
-
-def spanning_tree(g: PoseGraph, root: int = 0) -> dict[int, int]:
-    """The :func:`bfs_tree` from ``root`` as a parent map covering every
-    vertex except the root, in the order the search reached them."""
-    order, parent, _ = g.tree_from(root)
-    return {j: parent[j] for j in order[1:]}

@@ -12,7 +12,6 @@ from geopgo.graph import (
     build_graph,
     edge_blocks,
     reversed_measurement,
-    spanning_tree,
 )
 
 
@@ -135,7 +134,8 @@ def _oracle_check_global(g, cycle_basis_limit=None):
     # the cycle check as it was before its walks were built from arrays:
     # per-cycle root paths, set intersections and list.index, and a
     # gather of each step's operands from the padded edge arrays
-    parent = spanning_tree(g, root=0)
+    order, up, _ = g.tree_from(0)
+    parent = {j: up[j] for j in order[1:]}
     tree_edges = {(min(c, p), max(c, p)) for c, p in parent.items()}
 
     def path_to_root(v):
@@ -306,11 +306,13 @@ def test_enforced_graph_arrays_equal_a_fresh_freeze():
     g = _noisy_sphere(seed=6)
     fixed = consistency.enforce_pairwise_rotations(g)
     fresh = build_graph(fixed.n, list(fixed.measurements)).edge_arrays
-    for name, value in vars(fixed.edge_arrays).items():
+    e = fixed.edge_arrays
+    for name, value in {**vars(e), "r_rel_t": e.r_rel_t}.items():
         assert _same(value, getattr(fresh, name)), name
     # per-edge and stacked repair agree bit for bit
     for m in fixed.measurements[:20]:
-        fwd, rev = g.measurement(m.src, m.dst), g.measurement(m.dst, m.src)
+        fwd = g.measurements[g.edge_index(m.src, m.dst)]
+        rev = g.measurements[g.edge_index(m.dst, m.src)]
         assert np.array_equal(m.r_rel, consistency.paired_rotation_correction(
             fwd.r_rel, rev.r_rel))
 

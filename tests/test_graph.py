@@ -20,7 +20,6 @@ from geopgo.graph import (
     laplacian,
     max_degree,
     reversed_measurement,
-    spanning_tree,
     symmetrize,
 )
 
@@ -125,7 +124,7 @@ def test_unpaired_direction_gets_its_exact_inverse():
     g = build_graph(2, one_way)
     assert g.directed_count == 2
     want = reversed_measurement(one_way[0])
-    got = g.measurement(1, 0)
+    got = g.measurements[g.edge_index(1, 0)]
     assert got.t_rel.tobytes() == want.t_rel.tobytes()
     assert got.r_rel.tobytes() == want.r_rel.tobytes()
 
@@ -204,22 +203,22 @@ def test_max_degree():
 
 
 def test_spanning_tree_path():
-    parents = spanning_tree(_path_graph(3), root=0)
-    assert parents == {1: 0, 2: 1}
+    _, parent, _ = _path_graph(3).tree_from(0)
+    assert parent == (-1, 0, 1)
 
 
 def test_spanning_tree_star():
     ms = _pair(0, 1) + _pair(0, 2) + _pair(0, 3)
     g = build_graph(4, ms)
-    assert spanning_tree(g, root=0) == {1: 0, 2: 0, 3: 0}
+    assert g.tree_from(0)[1] == (-1, 0, 0, 0)
 
 
 def test_spanning_tree_lowest_id_tiebreak():
     # vertex 3 is reachable from both 1 and 2 at the same depth
     ms = _pair(0, 1) + _pair(0, 2) + _pair(1, 3) + _pair(2, 3)
     g = build_graph(4, ms)
-    parents = spanning_tree(g, root=0)
-    assert parents[3] == 1
+    _, parent, _ = g.tree_from(0)
+    assert parent[3] == 1
 
 
 def _random_graph(rng, n, chords):
@@ -273,11 +272,11 @@ def test_spanning_tree_covers_random_graphs():
                 ms += _pair(a, b)
                 seen.add((a, b))
         g = build_graph(n, ms)
-        parents = spanning_tree(g, root=0)
-        assert len(parents) == n - 1
-        assert 0 not in parents
-        for child, parent in parents.items():
-            assert g.has_edge(parent, child)
+        order, parent, _ = g.tree_from(0)
+        assert sorted(order) == list(range(n)) and order[0] == 0
+        assert parent[0] == -1
+        for child in order[1:]:
+            assert g.has_edge(parent[child], child)
 
 
 def test_bfs_tree_and_edge_rows_equal_the_per_edge_lookups():
@@ -289,7 +288,6 @@ def test_bfs_tree_and_edge_rows_equal_the_per_edge_lookups():
         order, parent, depth = bfs_tree(g, root)
         assert sorted(order) == list(range(n)) and order[0] == root
         assert parent[root] == -1 and depth[root] == 0
-        assert spanning_tree(g, root) == {j: parent[j] for j in order[1:]}
         assert all(depth[a] <= depth[b] for a, b in zip(order, order[1:]))
         for j in order[1:]:
             assert depth[j] == depth[parent[j]] + 1
@@ -306,10 +304,10 @@ def test_measurements_sorted_and_lookup():
     g = build_graph(3, ms)
     order = [(m.src, m.dst) for m in g.measurements]
     assert order == sorted(order)
-    m = g.measurement(1, 2)
+    m = g.measurements[g.edge_index(1, 2)]
     assert (m.src, m.dst) == (1, 2)
     with pytest.raises(KeyError):
-        g.measurement(0, 0)
+        g.edge_index(0, 0)
 
 
 def test_reverse_rows_and_cut_rows_of_random_blocks():

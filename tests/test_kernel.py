@@ -7,13 +7,15 @@ arithmetic, so every comparison here is bitwise (``==``), not a
 tolerance.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from geopgo import consistency, graph, runtime, so3, solver, synth
-from geopgo.graph import Pose, RelativeMeasurement, build_graph, reversed_measurement
+from geopgo.graph import (MeasurementColumns, Pose, RelativeMeasurement,
+                          build_graph, reversed_measurement)
 
 
 def _loop_node_controls(own, neighbors, neighbor_poses, r_out, t_out, t_back,
@@ -49,11 +51,11 @@ def _loop_objective(estimates, g):
 def _local(estimates, g, i):
     # one node's dicts, the form the scalar loop takes
     nbrs = g.neighbors(i)
-    ms = [g.measurement(i, j) for j in nbrs]
+    ms = [g.measurements[g.edge_index(i, j)] for j in nbrs]
     return (estimates[i], nbrs, {j: estimates[j] for j in nbrs},
             {j: m.r_rel for j, m in zip(nbrs, ms)},
             {j: m.t_rel for j, m in zip(nbrs, ms)},
-            {j: g.measurement(j, i).t_rel for j in nbrs})
+            {j: g.measurements[g.edge_index(j, i)].t_rel for j in nbrs})
 
 
 def _block_controls(estimates, g, lo, hi, mode):
@@ -480,10 +482,10 @@ def test_node_sums_equal_the_accumulate_form():
 @pytest.mark.parametrize("workers", [None, 1, 2, 3],
                          ids=["reference", "k1", "k2", "k3"])
 def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
-    # over building the graph and a 10-iteration solve: one bins array and
-    # one run plan per EdgeArrays (the graph's, then each worker's block),
-    # and one transposed stack, the graph's, of which each block holds a
-    # view
+    # over building the graph and a 10-iteration solve: one bins array,
+    # one run plan and one transposed stack per EdgeArrays (the graph's,
+    # then each worker's block); a block makes its stack from its own
+    # rows, on its first kernel pass
     g0, est = _instance("sphere", 50, 11)
     built = {"bins": 0, "runs": 0, "transposed": 0}
 
@@ -516,20 +518,17 @@ def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
     assert res.iterations == 10
     assert len(blocks) == (workers or 0)
     assert built == {"bins": 1 + len(blocks), "runs": 1 + len(blocks),
-                     "transposed": 1}
-    whole = g.edge_arrays.r_rel_t
-    assert whole.flags.c_contiguous and not whole.flags.writeable
-    assert np.array_equal(whole, np.swapaxes(g.edge_arrays.r_rel, -1, -2))
-    for b in blocks:
-        assert np.shares_memory(b.r_rel_t, whole)
-        assert not b.r_rel_t.flags.writeable
-        assert np.array_equal(b.r_rel_t, np.swapaxes(b.r_rel, -1, -2))
+                     "transposed": 1 + len(blocks)}
+    for e in (g.edge_arrays, *blocks):
+        assert e.r_rel_t.flags.c_contiguous and not e.r_rel_t.flags.writeable
+        assert np.array_equal(e.r_rel_t, np.swapaxes(e.r_rel, -1, -2))
+    assert built["transposed"] == 1 + len(blocks)  # read, not made again
 
 
 def test_reconciled_graph_keeps_the_plans():
     # pairwise reconciliation changes the measured rotations only, so the
-    # layout's bins and run plan carry over and only the transposed stack
-    # is made anew
+    # layout's bins, run plan and reverse index carry over, and the
+    # transposed stack is made from the new rotations
     _, g = synth.generate_dataset(synth.ScenarioSpec(topology="sphere", n=40),
                                   synth.NoiseModel(seed=1), seed=1)
     e = consistency.enforce_pairwise_rotations(g).edge_arrays
@@ -537,6 +536,37 @@ def test_reconciled_graph_keeps_the_plans():
     assert e.rev is g.edge_arrays.rev
     assert np.array_equal(e.r_rel_t, np.swapaxes(e.r_rel, -1, -2))
     assert not np.array_equal(e.r_rel_t, g.edge_arrays.r_rel_t)
+
+
+def _kernel_rows(est, g):
+    # the objective and, per translation mode, the controls and their
+    # objective rows, as bytes
+    s = graph.as_stack(est)
+    out = [solver.evaluate_objective(est, g)]
+    for mode in solver.TRANSLATION_MODES:
+        rows = np.empty((3, g.directed_count))
+        nu, omega = solver.node_controls(s.r, s.t, g.edge_arrays, mode, rows)
+        out += [nu.tobytes(), omega.tobytes(), rows.tobytes()]
+    return out
+
+
+def test_replacing_the_rotations_leaves_no_stale_transposes():
+    # the transposed stack derives from r_rel: after a kernel pass has
+    # read the reconciled graph's, a replace of r_rel must not keep it
+    spec = synth.ScenarioSpec(topology="sphere", n=20)
+    truth, raw = synth.generate_dataset(spec, synth.NoiseModel(seed=1), seed=1)
+    g = consistency.enforce_pairwise_rotations(raw)
+    est = synth.gps_init(truth, 0.5, 0.524, 1)
+    e = g.edge_arrays
+    before = _kernel_rows(est, g)
+    swapped = replace(g, edge_arrays=replace(e, r_rel=raw.edge_arrays.r_rel))
+    fresh = build_graph(g.n, MeasurementColumns(e.src, e.dst, e.t_rel,
+                                                raw.edge_arrays.r_rel))
+    got = _kernel_rows(est, swapped)
+    assert got == _kernel_rows(est, fresh)
+    assert got[0].chordal != before[0].chordal
+    with pytest.raises(TypeError):
+        replace(e, r_rel_t=e.r_rel_t)
 
 
 # -- irregular degrees -----------------------------------------------------

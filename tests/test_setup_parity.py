@@ -269,7 +269,8 @@ def _assert_columns_equal(cols, measurements):
 
 
 def _assert_graph_equal(g, oracle):
-    arrays = vars(g.edge_arrays)
+    e = g.edge_arrays
+    arrays = {**vars(e), "r_rel_t": e.r_rel_t}  # made on first read
     assert set(arrays) == set(oracle)
     bounds, nbr, real = oracle.pop("runs")
     runs = arrays["runs"]
@@ -765,7 +766,7 @@ def test_symmetrize_equals_the_per_row_oracle():
 
 def _assert_same_graph(a, b):
     e = b.edge_arrays
-    _assert_graph_equal(a, {**vars(e), "runs": e.runs})
+    _assert_graph_equal(a, {**vars(e), "runs": e.runs, "r_rel_t": e.r_rel_t})
     assert a.tree == b.tree
 
 

@@ -122,7 +122,8 @@ def test_online_mode_matches_consistency_helper(averaged_translation):
         want = np.zeros(3)
         for j in g.neighbors(i):
             t_avg = averaged_translation(
-                g.measurement(i, j).t_rel, g.measurement(j, i).t_rel,
+                g.measurements[g.edge_index(i, j)].t_rel,
+                g.measurements[g.edge_index(j, i)].t_rel,
                 est[i].r.T @ est[j].r)
             want = want + (est[j].t - est[i].t) - est[i].r @ t_avg
         assert np.linalg.norm(online[i] - want) < 1e-12
@@ -440,7 +441,7 @@ def test_desired_offsets_equal_the_per_node_loop():
         want = np.zeros((g.n, 3))
         for i in range(g.n):
             for j in g.neighbors(i):
-                want[i] += est[i].r @ g.measurement(i, j).t_rel
+                want[i] += est[i].r @ g.measurements[g.edge_index(i, j)].t_rel
         got = solver.desired_offsets(est, g)
         assert got.shape == (g.n, 3)
         assert np.max(np.abs(got - want)) < 1e-12

@@ -9,7 +9,7 @@ from geopgo import consistency, io as gio, so3, solver, synth
 from geopgo.graph import DisconnectedGraphError  # noqa: F401  (api surface)
 from geopgo.graph import (MeasurementColumns, Pose, PoseStack,
                           RelativeMeasurement, as_columns, build_graph,
-                          compose, spanning_tree)
+                          compose)
 
 
 def test_scenario_spec_validation():
@@ -166,7 +166,8 @@ def test_noise_breaks_pairwise_with_probability_one():
     _, g = synth.generate_dataset(spec, synth.NoiseModel(kappa=0.524, seed=5),
                                   seed=5)
     for u, v in g.undirected_edges():
-        prod = g.measurement(u, v).r_rel @ g.measurement(v, u).r_rel
+        prod = (g.measurements[g.edge_index(u, v)].r_rel
+                @ g.measurements[g.edge_index(v, u)].r_rel)
         assert so3.rotation_angle(prod) > 1e-6
 
 
@@ -255,7 +256,7 @@ def test_spanning_tree_init_two_nodes():
     init = synth.spanning_tree_init(g, root=0)
     assert np.array_equal(init[0].t, np.zeros(3))
     assert np.array_equal(init[0].r, np.eye(3))
-    m = g.measurement(0, 1)
+    m = g.measurements[g.edge_index(0, 1)]
     assert np.allclose(init[1].t, m.t_rel)
     assert np.allclose(init[1].r, m.r_rel)
 
@@ -273,7 +274,8 @@ def test_spanning_tree_init_recovers_noise_free_truth():
 def _loop_spanning_tree_init(g, root=0):
     # the per-node form: a FIFO queue over the tree, each child composed
     # from its parent's pose and the tree edge's measurement
-    parent = spanning_tree(g, root)
+    order, up, _ = g.tree_from(root)
+    parent = {j: up[j] for j in order[1:]}
     children = {i: [] for i in range(g.n)}
     for child, par in parent.items():
         children[par].append(child)
@@ -283,7 +285,7 @@ def _loop_spanning_tree_init(g, root=0):
     while queue:
         i = queue.pop(0)
         for j in sorted(children[i]):
-            m = g.measurement(i, j)
+            m = g.measurements[g.edge_index(i, j)]
             poses[j] = compose(poses[i], Pose(m.t_rel, m.r_rel))
             queue.append(j)
     return poses
