@@ -309,6 +309,34 @@ def _transposed_stack(r: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(r, -1, -2))
 
 
+# The widest run whose products R_i t_ij the kernel makes per edge row.
+# A wider run makes them in one stacked matrix-vector product, which
+# costs three BLAS calls per node against one per edge row; on ring-200
+# (width 2) the stacked product made a pass about 5% slower.
+NARROW_RUN = 3
+
+
+def _padded_stacks(t: np.ndarray, offsets: np.ndarray,
+                   runs: RunPlan) -> tuple[np.ndarray | None, ...]:
+    """Per run of ``runs``, read-only, the ``(m, W, 3)`` stack of its
+    edge rows of ``t``, each node's rows zero-padded to the run's width
+    ``W`` (in the padding slots of ``runs.nbr``); None for a run of width
+    at most :data:`NARROW_RUN`."""
+    stacks = []
+    for lo, hi, nbr, real in zip(runs.bounds, runs.bounds[1:], runs.nbr,
+                                 runs.real):
+        m, width = nbr.shape
+        if width <= NARROW_RUN:
+            stacks.append(None)
+            continue
+        pad = np.zeros((m * width, 3))
+        pad[slice(None) if real is None else real] = t[offsets[lo]:offsets[hi]]
+        pad = pad.reshape(m, width, 3)
+        pad.flags.writeable = False
+        stacks.append(pad)
+    return tuple(stacks)
+
+
 @dataclass(frozen=True)
 class EdgeArrays:
     """The outgoing edges of a contiguous run of poses, as read-only
@@ -337,16 +365,18 @@ class EdgeArrays:
     the layout are made when the arrays are frozen, ``cut`` always and
     ``bins`` and ``runs`` unless given, so a ``replace`` that keeps the
     layout may carry them over, as it may :attr:`PoseGraph.tree`.
-    Nothing derived from the measured rotations may: :attr:`r_rel_t` is
-    made from ``r_rel`` on first read. ``bins`` ``(9E,)`` is where the
-    node sums put each entry of the kernel's ``(E, 3, 3)`` per-edge
-    terms ``(d, -m, w)``: entry ``c`` of edge ``k``'s ``d`` and ``-m``
-    goes to bin ``6 * src[k] + c`` and of its ``w`` to bin ``6 * src[k]
-    + 3 + c``, so one ``np.bincount`` makes every node's sums. ``runs``
+    Nothing derived from the measurements may: :attr:`r_rel_t` is made
+    from ``r_rel``, and :attr:`t_rel_pad` from ``t_rel``, on first read.
+    ``bins`` ``(9E,)`` is where the node sums put each entry of the
+    kernel's ``(E, 3, 3)`` per-edge terms ``(d, -m, w)``: entry ``c`` of
+    edge ``k``'s ``d`` and ``-m`` goes to bin ``6 * src[k] + c`` and of
+    its ``w`` to bin ``6 * src[k] + 3 + c``, so one ``np.bincount`` makes
+    every node's sums. ``runs``
     is the :class:`RunPlan` of ``offsets`` and ``dst``, by which the
     kernel cuts its pass into runs of whole nodes, of at most
     ``EDGE_BLOCK`` slots each, and makes each run's rotation products at
-    once.
+    once, and each wide run's ``R_i t_ij`` from its :attr:`t_rel_pad`
+    stack.
     """
 
     ids: np.ndarray
@@ -381,6 +411,15 @@ class EdgeArrays:
         r_t.flags.writeable = False
         return r_t
 
+    @cached_property
+    def t_rel_pad(self) -> tuple[np.ndarray | None, ...]:
+        """``t_rel`` per run of :attr:`runs`, as the run's nodes' rows
+        zero-padded to its width ``W``, ``(m, W, 3)`` and read-only, for
+        the kernel's one stacked ``R_i t_ij`` product per run; None for a
+        run of width at most :data:`NARROW_RUN`, which makes its products
+        per edge row."""
+        return _padded_stacks(self.t_rel, self.offsets, self.runs)
+
     @property
     def size(self) -> int:
         """The number of own poses."""
@@ -392,9 +431,9 @@ class EdgeArrays:
     def block(self, lo: int, hi: int) -> "EdgeArrays":
         """The outgoing edges of poses ``lo..hi-1`` of the whole graph,
         indexed locally; the measurement stacks are views of this one's
-        (its :attr:`r_rel_t` is made from its own rows), and its ``rev``
-        is a slice of this one's: a row whose reverse lies outside the
-        block's rows is a cut row."""
+        (its :attr:`r_rel_t` and :attr:`t_rel_pad` are made from its own
+        rows), and its ``rev`` is a slice of this one's: a row whose
+        reverse lies outside the block's rows is a cut row."""
         a, b = self.offsets[lo], self.offsets[hi]
         dst = self.dst[a:b]
         read = np.zeros(self.size, dtype=bool)

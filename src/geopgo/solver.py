@@ -22,13 +22,18 @@ A run makes every rotation product of its nodes in one stacked product,
 ``(m, 3W, 3) @ (m, 3, 3)``, which gives the transposes ``R_j.T R_i`` of
 the ``R_i.T R_j``, and the pass stays with the transposes: the residual
 is made as its transpose ``r_ij R_j.T R_i`` and its log as the negated
-log of that. The pass makes one stacked matrix-vector product per edge
-row, ``R_i t_ij``; the averaged translation term reads the ``R_j t_ji``
-of an edge from its reverse row, and a block makes it from the halo
-pose and :attr:`~geopgo.graph.EdgeArrays.t_cut` for an edge whose
-reverse starts outside the block (:attr:`~geopgo.graph.EdgeArrays.cut`).
-Only operations that give the same bits per row whatever the stack
-size are used: stacked ``@``, elementwise ufuncs, :func:`so3.dot_rows`
+log of that. A run wider than ``graph.NARROW_RUN`` makes all its ``R_i
+t_ij`` in one stacked matrix-vector product, ``(m, 1, W, 3) @ (m, 3, 3,
+1)``, whose matrix is a node's zero-padded measured translations
+(:attr:`~geopgo.graph.EdgeArrays.t_rel_pad`) and whose vector is a row
+of ``R_i`` (:func:`_padded_mv`); a narrower run makes one stacked
+product per edge row. The averaged translation term reads the ``R_j
+t_ji`` of an edge from its reverse row, and a block makes it, one
+product per row, from the halo pose and
+:attr:`~geopgo.graph.EdgeArrays.t_cut` for an edge whose reverse starts
+outside the block (:attr:`~geopgo.graph.EdgeArrays.cut`). Only
+operations that give the same bits per row whatever the stack size are
+used: stacked ``@``, elementwise ufuncs, :func:`so3.dot_rows`
 (one ``np.vecdot``) for dot products and left-to-right
 ``np.add.accumulate`` for the objective totals; no ``einsum`` or
 ``reduceat``. Where numpy's own reduction is cheaper to spell out, the
@@ -156,6 +161,26 @@ def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
+def _padded_mv(t_pad: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``r[i] @ t_pad[i, k]`` ``(m, W, 3)`` for the ``W`` slots of each
+    of ``m`` nodes, bit for bit as :func:`_mv` makes each product, for
+    ``W >= 2``.
+
+    It is one stacked matrix-vector product, ``(m, 1, W, 3) @ (m, 3, 3,
+    1)``, written through a transposed view of the result: its matrix is
+    a node's stacked vectors ``t_pad[i]`` and its vector a row ``a`` of
+    ``r[i]``, so its entry ``k`` is the dot product of ``t_pad[i, k]``
+    and ``r[i, a]``, the one that ``r[i] @ t_pad[i, k]`` makes for its
+    row ``a``, and BLAS adds the three terms of both in the same order
+    (``tests/test_primitives.py`` pins this). At ``W = 1`` numpy makes a
+    dot product instead, which may round differently.
+    """
+    out = np.empty(t_pad.shape)
+    np.matmul(t_pad[:, None], r[..., None],
+              out=np.swapaxes(out, 1, 2)[..., None])
+    return out
+
+
 def _residual_logs(resid_t: np.ndarray, block: EdgeArrays,
                    start: int) -> np.ndarray:
     """``so3.log_map`` of the rotation residuals of ``block``'s edge rows
@@ -217,8 +242,7 @@ def _block_terms(r, t, block: EdgeArrays):
     their terms: the transposes ``R_j.T @ R_i`` of ``rrel = R_i.T @
     R_j``, the transposes ``r_ij @ R_j.T @ R_i`` of the rotation
     residuals ``rrel @ r_ij.T``, the consensus difference ``d = t_j -
-    t_i`` and ``R_i @ t_ij``, the run's one stacked matrix-vector
-    product.
+    t_i`` and ``R_i @ t_ij``.
 
     A run makes all its ``R_j.T @ R_i`` in one stacked product, ``(m,
     3W, 3) @ (m, 3, 3)``: node ``i``'s left operand stacks the
@@ -232,11 +256,18 @@ def _block_terms(r, t, block: EdgeArrays):
     the poses once into one stack for the left operands, a run's own
     rotations are one slice of ``r``, and every other pose row is
     gathered with ``take``.
+
+    A run wider than ``graph.NARROW_RUN`` makes all its ``R_i @ t_ij``
+    in one stacked matrix-vector product from that slice and its
+    ``block.t_rel_pad`` stack (:func:`_padded_mv`), which gives each
+    product's bits, and drops the padding slots; it reads no ``R_i`` per
+    edge. A narrower run makes one product per edge row (:func:`_mv`),
+    which takes fewer BLAS calls there.
     """
     rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
     runs = block.runs
-    for lo, hi, nbr, real in zip(runs.bounds, runs.bounds[1:], runs.nbr,
-                                 runs.real):
+    for lo, hi, nbr, real, t_pad in zip(runs.bounds, runs.bounds[1:],
+                                        runs.nbr, runs.real, block.t_rel_pad):
         m, width = nbr.shape
         blocks = (rt.take(nbr, 0).reshape(m, 3 * width, 3)
                   @ r[lo:hi]).reshape(-1, 3, 3)
@@ -244,8 +275,13 @@ def _block_terms(r, t, block: EdgeArrays):
         sl = slice(block.offsets[lo], block.offsets[hi])
         src, dst = block.src[sl], block.dst[sl]
         d = t.take(dst, 0) - t.take(src, 0)
-        yield sl, (rrel_t, block.r_rel[sl] @ rrel_t, d,
-                   _mv(r.take(src, 0), block.t_rel[sl]))
+        if t_pad is None:
+            raw = _mv(r.take(src, 0), block.t_rel[sl])
+        else:
+            raw = _padded_mv(t_pad, r[lo:hi]).reshape(-1, 3)
+            if real is not None:
+                raw = raw.take(real, 0)
+        yield sl, (rrel_t, block.r_rel[sl] @ rrel_t, d, raw)
 
 
 def node_controls(
@@ -269,7 +305,9 @@ def node_controls(
     edge's ``R_i t_ij``, read through ``block.rev``; for a cut edge,
     whose reverse starts at a halo pose, the pass makes it from that
     pose and the edge's ``block.t_cut`` row. So a pass makes one stacked
-    product per edge row and one per cut row.
+    matrix-vector product per run wider than ``graph.NARROW_RUN``, one
+    per edge row of a narrower run and one per cut row (see
+    :func:`_block_terms`).
 
     ``rows``, when given, is a ``(3, E)`` array over the block's edges
     that the same pass fills with each edge's objective terms: the

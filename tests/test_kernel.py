@@ -315,14 +315,13 @@ def test_one_kernel_pass_per_state(monkeypatch, workers):
     assert len(calls) == want
 
 
-@pytest.mark.parametrize("workers", [None, 1, 2, 3],
-                         ids=["reference", "k1", "k2", "k3"])
-def test_one_stacked_product_per_edge_row(monkeypatch, workers):
+def _count_products_per_row(monkeypatch, inst, workers, narrow):
     # A pass makes one stacked matrix-vector product per edge row, R_i
-    # t_ij, and one per cut row, whose reverse starts at a halo pose: E
-    # rows over the whole graph, E_b + C_b over a worker's block. A run
-    # adds them up per state as test_one_kernel_pass_per_state counts
-    # the passes.
+    # t_ij, of each run of width at most graph.NARROW_RUN (narrow: every
+    # run of inst), and one per cut row, whose reverse starts at a halo
+    # pose; a wider run makes its rows' products at once
+    # (test_one_batched_rotation_product_per_run). A run adds them up
+    # per state as test_one_kernel_pass_per_state counts the passes.
     real = solver._mv
     rows = []
 
@@ -330,22 +329,27 @@ def test_one_stacked_product_per_edge_row(monkeypatch, workers):
         rows.append(len(a))
         return real(a, v)
 
-    g, est = _instance("sphere", 50, 11)
+    g, est = _instance(*inst)
+    widths = [nbr.shape[1] for nbr in g.edge_arrays.runs.nbr]
+    assert (max(widths) <= graph.NARROW_RUN) == narrow
+    assert narrow or min(widths) > graph.NARROW_RUN
     s = solver.as_stack(est)
     monkeypatch.setattr(solver, "_mv", counted)
     solver.all_controls(est, g, "per_step_averaged")
-    assert sum(rows) == g.directed_count
-    per_round = g.directed_count
+    whole = g.directed_count if narrow else 0
+    assert sum(rows) == whole
+    per_round = whole
     if workers is not None:
         per_round = 0
         for b in _worker_blocks(g, workers):
             halo = set(b.ids[b.size:].tolist())
             cut = sum(j in halo for j in b.ids[b.dst].tolist())
+            own = len(b.src) if narrow else 0
             rows.clear()
             solver.node_controls(s.r[b.ids], s.t[b.ids], b,
                                  "per_step_averaged")
-            assert sum(rows) == len(b.src) + cut
-            per_round += len(b.src) + cut
+            assert sum(rows) == own + cut
+            per_round += own + cut
     iters = 7
     cfg = solver.SolverConfig(max_iters=iters, stop_tol=1e-12)
     rows.clear()
@@ -356,7 +360,23 @@ def test_one_stacked_product_per_edge_row(monkeypatch, workers):
         monkeypatch.setattr(runtime, "AGENTS", workers)
         runtime.run_distributed(g, est, cfg)
         # the initial pass and the final controls run on the whole graph
-        assert sum(rows) == iters * per_round + 2 * g.directed_count
+        assert sum(rows) == iters * per_round + 2 * whole
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3],
+                         ids=["reference", "k1", "k2", "k3"])
+def test_one_stacked_product_per_edge_row(monkeypatch, workers):
+    # a ring's runs are 2 wide: E rows over the whole graph, E_b + C_b
+    # over a worker's block
+    _count_products_per_row(monkeypatch, ("circle", 40, 11), workers, True)
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3],
+                         ids=["reference", "k1", "k2", "k3"])
+def test_wide_runs_make_one_product_per_cut_row(monkeypatch, workers):
+    # a sphere's runs are all wide: no row over the whole graph, C_b over
+    # a worker's block
+    _count_products_per_row(monkeypatch, ("sphere", 50, 11), workers, False)
 
 
 @pytest.mark.parametrize("mode", solver.TRANSLATION_MODES)
@@ -483,11 +503,11 @@ def test_node_sums_equal_the_accumulate_form():
                          ids=["reference", "k1", "k2", "k3"])
 def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
     # over building the graph and a 10-iteration solve: one bins array,
-    # one run plan and one transposed stack per EdgeArrays (the graph's,
-    # then each worker's block); a block makes its stack from its own
-    # rows, on its first kernel pass
+    # one run plan, one transposed stack and one set of padded stacks per
+    # EdgeArrays (the graph's, then each worker's block); a block makes
+    # its stacks from its own rows, on its first kernel pass
     g0, est = _instance("sphere", 50, 11)
-    built = {"bins": 0, "runs": 0, "transposed": 0}
+    built = {"bins": 0, "runs": 0, "transposed": 0, "padded": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -499,6 +519,8 @@ def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
     monkeypatch.setattr(graph, "_run_plan", counted("runs", graph._run_plan))
     monkeypatch.setattr(graph, "_transposed_stack",
                         counted("transposed", graph._transposed_stack))
+    monkeypatch.setattr(graph, "_padded_stacks",
+                        counted("padded", graph._padded_stacks))
     blocks = []
     real_workers = runtime.block_workers
 
@@ -518,11 +540,14 @@ def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
     assert res.iterations == 10
     assert len(blocks) == (workers or 0)
     assert built == {"bins": 1 + len(blocks), "runs": 1 + len(blocks),
-                     "transposed": 1 + len(blocks)}
+                     "transposed": 1 + len(blocks),
+                     "padded": 1 + len(blocks)}
     for e in (g.edge_arrays, *blocks):
         assert e.r_rel_t.flags.c_contiguous and not e.r_rel_t.flags.writeable
         assert np.array_equal(e.r_rel_t, np.swapaxes(e.r_rel, -1, -2))
-    assert built["transposed"] == 1 + len(blocks)  # read, not made again
+        _assert_padded(e)
+    # read, not made again
+    assert built["transposed"] == built["padded"] == 1 + len(blocks)
 
 
 def test_reconciled_graph_keeps_the_plans():
@@ -569,6 +594,49 @@ def test_replacing_the_rotations_leaves_no_stale_transposes():
         replace(e, r_rel_t=e.r_rel_t)
 
 
+def _assert_padded(e):
+    # each run wider than graph.NARROW_RUN has a read-only stack of its
+    # own nodes' t_rel rows, each node's rows then +0.0 up to the width
+    runs = e.runs
+    assert len(e.t_rel_pad) == len(runs.nbr)
+    for lo, nbr, pad in zip(runs.bounds, runs.nbr, e.t_rel_pad):
+        m, width = nbr.shape
+        if width <= graph.NARROW_RUN:
+            assert pad is None
+            continue
+        assert pad.shape == (m, width, 3) and pad.flags.c_contiguous
+        assert not pad.flags.writeable
+        for i in range(m):
+            a, b = e.offsets[lo + i], e.offsets[lo + i + 1]
+            assert pad[i, :b - a].tobytes() == e.t_rel[a:b].tobytes()
+            assert pad[i, b - a:].tobytes() == np.zeros((width - b + a,
+                                                         3)).tobytes()
+
+
+def test_replacing_the_translations_leaves_no_stale_padded_stacks(block):
+    # the padded stacks derive from t_rel: after a kernel pass has read
+    # the graph's, a replace of t_rel must not keep them, and each block
+    # makes its own from its own rows
+    spec = synth.ScenarioSpec(topology="sphere", n=20)
+    truth, g = synth.generate_dataset(spec, synth.NoiseModel(seed=1), seed=1)
+    _, other = synth.generate_dataset(spec, synth.NoiseModel(seed=2), seed=1)
+    est = synth.gps_init(truth, 0.5, 0.524, 1)
+    e, t_rel = g.edge_arrays, other.edge_arrays.t_rel
+    assert np.array_equal(other.edge_arrays.dst, e.dst)
+    before = _kernel_rows(est, g)
+    assert any(pad is not None for pad in e.t_rel_pad)
+    swapped = replace(g, edge_arrays=replace(e, t_rel=t_rel))
+    fresh = build_graph(g.n, MeasurementColumns(e.src, e.dst, t_rel, e.r_rel))
+    got = _kernel_rows(est, swapped)
+    assert got == _kernel_rows(est, fresh)
+    assert got[0].translation_only != before[0].translation_only
+    with pytest.raises(TypeError):
+        replace(e, t_rel_pad=e.t_rel_pad)
+    for k in (1, 2, 3):
+        for b in [swapped.edge_arrays, *_worker_blocks(swapped, k)]:
+            _assert_padded(b)
+
+
 # -- irregular degrees -----------------------------------------------------
 
 
@@ -576,20 +644,27 @@ def _irregular(name):
     # A hub: pose 200 of 520 sees every other pose (degree 519), and the
     # rest form a path. A chain: a path of 400 poses that revisits
     # earlier poses every 37 steps, three of its closures landing on one
-    # pose. A grid of 8 x 6 x 4 poses, degrees 3 to 6.
+    # pose. A grid of 8 x 6 x 4 poses, degrees 3 to 6. A sphere of 40
+    # poses joined to a ring of 30 (poses 40 to 69, degree 2), whose
+    # chords give pose 50 degree 4 and poses 60 and 65 degree 3.
     rng = np.random.default_rng(len(name))
     if name == "grid":
         spec = synth.ScenarioSpec(topology="grid", grid_dims=(8, 6, 4))
         truth, topology = synth.generate_ground_truth(spec, seed=3)
     else:
-        n = 520 if name == "hub" else 400
+        n = {"hub": 520, "chain": 400, "sphere+ring": 70}[name]
         path = [(i, i + 1) for i in range(n - 1)]
         if name == "hub":
             edges = path + [(min(i, 200), max(i, 200)) for i in range(n)
                             if abs(i - 200) > 1]
-        else:
+        elif name == "chain":
             edges = path + [(i - 150, i) for i in range(150, n, 37)]
             edges += [(10, j) for j in (90, 170, 250)]
+        else:
+            sphere = synth.generate_ground_truth(
+                synth.ScenarioSpec(topology="sphere", n=40), seed=6)[1]
+            edges = sphere.undirected_edges() + path[39:]
+            edges += [(1, 69), (50, 60), (50, 65)]
         truth = graph.PoseStack(rng.normal(scale=5.0, size=(n, 3)),
                                 so3.exp_map(rng.normal(size=(n, 3))))
         topology = build_graph(n, synth.exact_measurements(truth, edges))
@@ -619,6 +694,35 @@ def test_irregular_degrees_equal_the_loop_bitwise(name, mode, block):
         assert np.array_equal(np.concatenate([om for _, om in got]),
                               want_omega)
     assert solver.evaluate_objective(est, g) == _loop_objective(est, g)
+
+
+@pytest.mark.parametrize("bound", [7, 64])
+def test_narrow_and_wide_runs_equal_the_loop_bitwise(monkeypatch, bound):
+    # runs of width at most graph.NARROW_RUN make R_i t_ij per edge row
+    # and wider ones per run; together, over the whole graph and over
+    # the blocks of 2 and 3 workers, they give the loop's controls and
+    # objective
+    monkeypatch.setattr(graph, "EDGE_BLOCK", bound)
+    g, est = _irregular("sphere+ring")
+    widths = {nbr.shape[1] for nbr in g.edge_arrays.runs.nbr}
+    assert min(widths) <= graph.NARROW_RUN < max(widths)
+    assert {2, 3, 4} <= widths or bound != 7
+    want_objective = _loop_objective(est, g)
+    s = solver.as_stack(est)
+    for mode in solver.TRANSLATION_MODES:
+        want = [_loop_node_controls(*_local(est, g, i), mode)
+                for i in range(g.n)]
+        for k in (None, 2, 3):
+            blocks = ([g.edge_arrays] if k is None
+                      else _worker_blocks(g, k))
+            rows = [np.empty((3, len(b.src))) for b in blocks]
+            got = [solver.node_controls(s.r[b.ids], s.t[b.ids], b, mode, rw)
+                   for b, rw in zip(blocks, rows)]
+            for c in (0, 1):
+                assert np.array_equal(np.concatenate([x[c] for x in got]),
+                                      np.array([w[c] for w in want]))
+            assert solver.evaluate_objective(
+                None, g, np.concatenate(rows, axis=1)) == want_objective
 
 
 def _assert_run_plan(offsets, dst, runs, bound):
@@ -695,10 +799,15 @@ def test_one_batched_rotation_product_per_run(name, workers, block):
     # Every product of two rotation stacks that the pass makes from the
     # poses is a run's (m, 3W, 3) @ (m, 3, 3): none is made per edge.
     # The other products that read the poses are the matrix-vector
-    # products R_i t_ij of each run and of the cut rows.
+    # products R_i t_ij: one (m, 1, W, 3) @ (m, 3, 3, 1) for each run
+    # wider than graph.NARROW_RUN, one (3, 3) @ (3, 1) per edge row of a
+    # narrower run, and one per cut row. The hub's path nodes make runs
+    # of width 3 and its hub a run of width 519; the chain's runs are 2
+    # to 5 wide, or, at the largest bound, one run of width 5.
     g, est = _irregular(name)
     s = solver.as_stack(est)
     blocks = [g.edge_arrays] if workers is None else _worker_blocks(g, workers)
+    widths = set()
     for b in blocks:
         _Recorded.products = []
         solver.node_controls(s.r[b.ids].view(_Recorded), s.t[b.ids], b,
@@ -709,8 +818,17 @@ def test_one_batched_rotation_product_per_run(name, workers, block):
         rotations = [p for p in _Recorded.products if p[1][-1] == 3]
         assert rotations == want
         vectors = [p for p in _Recorded.products if p[1][-1] == 1]
-        sizes = np.diff(b.offsets[runs.bounds]).tolist()
+        want = []
+        for lo, hi, nbr in zip(runs.bounds, runs.bounds[1:], runs.nbr):
+            m, width = nbr.shape
+            widths.add(width)
+            rows = int(b.offsets[hi] - b.offsets[lo])
+            want.append(((rows, 3, 3), (rows, 3, 1))
+                        if width <= graph.NARROW_RUN
+                        else ((m, 1, width, 3), (m, 3, 3, 1)))
         if len(b.cut):
-            sizes.append(len(b.cut))
-        assert [a[0] for a, _ in vectors] == sizes
+            want.append(((len(b.cut), 3, 3), (len(b.cut), 3, 1)))
+        assert vectors == want
         assert len(rotations) + len(vectors) == len(_Recorded.products)
+    assert max(widths) > graph.NARROW_RUN
+    assert name == "chain" or min(widths) <= graph.NARROW_RUN

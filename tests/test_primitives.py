@@ -16,7 +16,8 @@ changes one of them, it is the test that names the cause, as the
 and the objective totals. The
 ``test_blas_*`` tests and ``test_log_of_a_transpose_is_the_negated_log``
 do the same for the identities by which the kernel makes its rotation
-products node by node and reads them transposed.
+products node by node and reads them transposed, and rotates a node's
+measured translations at once.
 """
 
 import numpy as np
@@ -193,6 +194,33 @@ def test_blas_batched_blocks_equal_the_transposed_products(rng, width):
     per_edge = _transposed(edge_own) @ nbr.reshape(-1, 3, 3)
     assert _same_bits(blocks.reshape(-1, 3, 3),
                       _transposed(per_edge))
+
+
+@pytest.mark.parametrize("width", range(2, 41))
+def test_blas_stacked_matrix_vector_products_equal_the_per_edge_products(
+        rng, width):
+    # A wide run makes every R_i t_ij of a node at once: one (m, 1, W, 3)
+    # @ (m, 3, 3, 1) product whose matrix is the node's W padded
+    # translations and whose vector is a row of R_i, written through a
+    # transposed view of an (m, W, 3) result. Each entry must equal the
+    # per-edge product R_i @ t_ij, bit for bit. (At W = 1 numpy sends the
+    # (1x3) @ (3x1) product to a dot product, not to a matrix-vector
+    # product, and its bits may differ; the kernel makes runs that
+    # narrow per edge.)
+    def scaled(*shape):
+        # entries from 1e-8 to 1e8 in size, with +0.0 and -0.0
+        return _signed_zeros(rng, rng.normal(size=shape)
+                             * 10.0 ** rng.uniform(-8, 8, size=shape))
+
+    m = 600 // width
+    t = scaled(m, width, 3)
+    t[0, 0] = 0.0
+    t[-1, -1] = -0.0
+    pool = np.concatenate((_matrices(rng, 500), scaled(500, 3, 3)))
+    r = pool[rng.integers(0, len(pool), size=m)]
+    per_edge = (np.repeat(r, width, axis=0) @ t.reshape(-1, 3)[..., None])
+    assert _same_bits(solver._padded_mv(t, r).reshape(-1, 3),
+                      per_edge[..., 0])
 
 
 def test_blas_transposed_products_are_the_swapped_products(rng):
