@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -463,8 +464,8 @@ class PoseGraph:
     sorted by ``(src, dst)``. Per-edge objects are derived from them on
     demand: :attr:`measurements` reads as a sequence of
     :class:`RelativeMeasurement`, and :meth:`neighbors` (ascending ids),
-    :meth:`measurement`, :meth:`has_edge` and :meth:`undirected_edges`
-    look rows up in the arrays. Construct through :func:`build_graph`.
+    :meth:`has_edge` and :meth:`undirected_edges` look rows up in the
+    arrays. Construct through :func:`build_graph`.
 
     ``tree`` is the :func:`bfs_tree` from vertex 0, made once with the
     graph (a ``replace`` that keeps the layout keeps it), which the
@@ -548,7 +549,8 @@ def build_graph(
     :func:`symmetrize` does: the exact inverse of each absent direction
     is appended (and the grown columns sorted and searched again), and
     the places found are the reverse-edge index. Connectivity is checked
-    last, on the assembled graph's :attr:`~PoseGraph.tree`.
+    last, on the assembled graph's :attr:`~PoseGraph.tree`, or first on
+    the rows alone when they are fewer than ``n - 1``.
 
     Args:
         n: vertex count; ids must lie in ``0..n-1``.
@@ -580,6 +582,8 @@ def build_graph(
         k = int(order[1:][repeated].min())  # the first row seen before
         raise DuplicateEdgeError(
             f"directed pair {(int(src[k]), int(dst[k]))} appears twice")
+    if len(src) < n - 1:  # too few edges to connect n vertices
+        raise _disconnected(n, src, dst)
     if unpaired.any():
         cols = _concat(cols, cols.take(np.flatnonzero(unpaired)).inverted())
         order, _, at, _ = _pairing(cols.src, cols.dst)
@@ -590,13 +594,28 @@ def build_graph(
         ids=np.arange(n), src=src, dst=dst, r_rel=cols.r_rel[order],
         t_rel=cols.t_rel[order], t_cut=np.empty((0, 3)), offsets=offsets,
         rev=rev))
-    reached, parent, _ = g.tree
-    if len(reached) < n:
-        missing = [i for i in range(1, n) if parent[i] < 0]
-        raise DisconnectedGraphError(
-            f"{len(missing)} vertices unreachable from vertex 0 "
-            f"(first few: {missing[:5]})")
+    if len(g.tree[0]) < n:
+        raise _disconnected(n, src, dst)
     return g
+
+
+def _disconnected(n: int, src: np.ndarray,
+                  dst: np.ndarray) -> DisconnectedGraphError:
+    """The error for the vertices that the rows ``(src, dst)``, either way
+    round, do not reach from vertex 0, in time and memory of the rows."""
+    adjacent: dict[int, list[int]] = {}
+    for i, j in zip(src.tolist(), dst.tolist()):
+        adjacent.setdefault(i, []).append(j)
+        adjacent.setdefault(j, []).append(i)
+    reached, todo = {0}, [0]
+    for i in todo:  # the list is the queue, as in bfs_tree
+        new = set(adjacent.get(i, ())) - reached
+        reached |= new
+        todo += new
+    first = list(islice((i for i in range(1, n) if i not in reached), 5))
+    return DisconnectedGraphError(
+        f"{n - len(reached)} vertices unreachable from vertex 0 "
+        f"(first few: {first})")
 
 
 def laplacian(g: PoseGraph) -> np.ndarray:

@@ -6,7 +6,8 @@ quaternions, and edge endpoints, translations and quaternions, one entry
 per row in file order. One assembly step checks those columns the same
 way for both (unique vertex ids, every edge between declared vertices,
 finite numbers, and a JSON ``n`` that matches its vertex list), remaps
-the ids to dense ``0..n-1`` in ascending order and returns a
+the ids to dense ``0..n-1`` in ascending order (a JSON ``n`` without
+vertices costs nothing in ``n``: :class:`_DenseIds`) and returns a
 :class:`StoredDataset`: the file's contents as stored, directed and
 unpaired, its measurements as stacked :class:`MeasurementColumns`. Each
 column has one converter: translations and quaternions are accepted
@@ -31,7 +32,8 @@ The g2o dialect handled here is the SE(3) quaternion one: lines of
     VERTEX_SE3:QUAT id x y z qx qy qz qw
     EDGE_SE3:QUAT i j x y z qx qy qz qw  <21 upper-triangular info values>
 
-Quaternions are scalar-last and are normalized on ingest. The information
+Quaternions are scalar-last and are normalized on ingest; one whose norm
+is zero or not finite fails, naming the first such row. The information
 values must be finite numbers but carry no weight in the solver. Unknown
 record types are skipped and counted.
 """
@@ -45,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -176,12 +178,30 @@ def _stacked(rows: Sequence, width: int) -> np.ndarray:
 
 def _rotations(q: np.ndarray, name) -> np.ndarray:
     """The rotations of checked quaternions in one stacked conversion;
-    ``name(k)`` names row ``k`` when it is a zero quaternion."""
+    ``name(k)`` names the first row whose norm is zero or not finite."""
     try:
         return so3.quat_to_matrix(q)
-    except ValueError as exc:
-        k = int(np.argmin(so3.dot_rows(q, q)))  # the first zero row
-        raise ValueError(f"{name(k)}: {exc}") from None
+    except so3.QuaternionNormError as exc:
+        raise ValueError(f"{name(exc.index[0])}: {exc}") from None
+
+
+@dataclass(frozen=True, eq=False)  # eq as a Mapping
+class _DenseIds(Mapping):
+    """The id map of a JSON dataset without vertices: each id of
+    ``0..n-1`` to itself, read-only and O(1) in ``n``."""
+
+    n: int
+
+    def __getitem__(self, vid: int) -> int:
+        if not 0 <= vid < self.n:
+            raise KeyError(vid)
+        return vid
+
+    def __iter__(self):
+        return iter(range(self.n))
+
+    def __len__(self) -> int:
+        return self.n
 
 
 def _vertex_columns(ids: list, ts: Sequence, qs: Sequence,
@@ -253,7 +273,7 @@ def _assemble(fmt: str, vertex_rows: tuple | None, edge_rows: tuple,
     if n is not None and n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     if vertex_rows is None:
-        ids, poses = range(n), None
+        id_map, poses = _DenseIds(n), None
     else:
         declared = list(vertex_rows[0])
         t, q = _vertex_columns(declared, *vertex_rows[1:])
@@ -262,9 +282,8 @@ def _assemble(fmt: str, vertex_rows: tuple | None, edge_rows: tuple,
             raise InconsistentVertexCountError(
                 f"n is {n} but {len(declared)} vertices are declared")
         order = sorted(range(len(declared)), key=declared.__getitem__)
-        ids = [declared[k] for k in order]
+        id_map = {declared[k]: i for i, k in enumerate(order)}
         poses = PoseStack(t[order], r[order])
-    id_map = {ext: i for i, ext in enumerate(ids)}
     return StoredDataset(fmt, len(id_map), poses,
                          _edge_columns(*edge_rows, id_map), id_map, **extra)
 
@@ -385,7 +404,15 @@ def _json_contents(text: str) -> StoredDataset:
         if d.get("vertices") is not None:
             vertices = _json_columns(d["vertices"], "vertex entry",
                                      "id", "t", "q")
-        return _assemble("json", vertices, edges, n, **_provenance(d))
+        kind = d.get("vertex_kind")
+        try:  # each message names its field
+            if kind is not None and not isinstance(kind, str):
+                raise ValueError("at vertex_kind: must be a string or null")
+            provenance = read_provenance(d)
+        except ValueError as exc:
+            raise ValueError(f"malformed JSON dataset {exc}") from None
+        return _assemble("json", vertices, edges, n, vertex_kind=kind,
+                         **provenance)
     except (KeyError, TypeError) as exc:  # a list or section of the wrong shape
         raise ValueError(f"malformed JSON dataset: {exc!r}") from None
 
@@ -402,47 +429,28 @@ _DECODERS = {"scenario": ScenarioSpec.from_dict,
              "noise": NoiseModel.from_dict, "seed": _decode_seed}
 
 
-def read_section(name: str, d) -> ScenarioSpec | NoiseModel | int:
-    """The ``scenario`` or ``noise`` section or the ``seed`` ``d`` of a
-    config or a dataset, decoded; a section is a JSON object, and a seed
-    is an integer, not a bool, and nonnegative.
-
-    Raises:
-        ValueError: ``at <name>: <reason>``, naming a missing field.
-    """
-    decode = _DECODERS[name]
-    if name != "seed" and not isinstance(d, dict):
-        raise ValueError(f"at {name}: must be an object")
-    try:
-        return decode(d)
-    except KeyError as exc:
-        raise ValueError(f"at {name}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"at {name}: {exc}") from None
-
-
 def read_provenance(d: dict) -> dict:
     """The ``scenario``, ``noise`` and ``seed`` of a config or a JSON
-    dataset, by :func:`read_section`. A null or absent field is None;
-    any other value decodes or fails.
+    dataset, decoded. A null or absent field is None; a section is a
+    JSON object, and a seed is an integer, not a bool, and nonnegative.
 
     Raises:
-        ValueError: ``at <field>: <reason>``.
+        ValueError: ``at <field>: <reason>``, naming a missing field.
     """
-    return {name: None if d.get(name) is None else read_section(name, d[name])
-            for name in _DECODERS}
-
-
-def _provenance(d: dict) -> dict:
-    """A JSON dataset's ``vertex_kind`` and :func:`read_provenance`,
-    each None when the dataset has none; an error names the field."""
-    kind = d.get("vertex_kind")
-    try:
-        if kind is not None and not isinstance(kind, str):
-            raise ValueError("at vertex_kind: must be a string or null")
-        return dict(vertex_kind=kind, **read_provenance(d))
-    except ValueError as exc:
-        raise ValueError(f"malformed JSON dataset {exc}") from None
+    out = dict.fromkeys(_DECODERS)
+    for name, decode in _DECODERS.items():
+        value = d.get(name)
+        if value is None:
+            continue
+        if name != "seed" and not isinstance(value, dict):
+            raise ValueError(f"at {name}: must be an object")
+        try:
+            out[name] = decode(value)
+        except KeyError as exc:
+            raise ValueError(f"at {name}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"at {name}: {exc}") from None
+    return out
 
 
 def _format(path: str | Path) -> str:

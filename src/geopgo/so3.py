@@ -27,16 +27,20 @@ class NonSkewInputError(ValueError):
     """A matrix that should be skew-symmetric is not."""
 
 
-class AngleAtPiError(ValueError):
-    """Rotation angle is at or beyond the edge of the logarithm chart.
-
-    ``index`` locates the first such rotation in a stacked input; it is
-    ``()`` for a single matrix.
-    """
+class _RowError(ValueError):
+    """``index`` locates the first bad row of a stack, ``()`` for one."""
 
     def __init__(self, message: str, index: tuple[int, ...] = ()) -> None:
         super().__init__(message)
         self.index = index
+
+
+class AngleAtPiError(_RowError):
+    """Rotation angle is at or beyond the edge of the logarithm chart."""
+
+
+class QuaternionNormError(_RowError):
+    """A quaternion's norm is zero or not finite: it has no direction."""
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -86,13 +90,7 @@ def hat(v: np.ndarray) -> np.ndarray:
 
 
 def vee(s: np.ndarray) -> np.ndarray:
-    """Extract the 3-vector from a skew-symmetric matrix.
-
-    Args:
-        s: 3x3 matrix expected to satisfy ``s + s.T == 0``.
-
-    Returns:
-        Vector ``v`` such that ``hat(v) == s``.
+    """The 3-vector ``v`` with ``hat(v) == s`` of a 3x3 skew matrix ``s``.
 
     Raises:
         NonSkewInputError: if ``norm(s + s.T)`` exceeds 1e-9.
@@ -152,15 +150,10 @@ def _angle(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def log_map(r: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`exp_map` on the open ball of radius pi.
-
-    Args:
-        r: rotation matrix ``(3, 3)``, or a stack ``(..., 3, 3)``, each
-            with geodesic angle strictly below ``pi - 1e-9``.
-
-    Returns:
-        Axis-angle vector ``(3,)`` (or ``(..., 3)``) of length equal to
-        the rotation angle.
+    """Inverse of :func:`exp_map` on the open ball of radius pi: the
+    axis-angle vector ``(3,)`` (or ``(..., 3)``), as long as the angle, of
+    a rotation ``(3, 3)`` (or a stack ``(..., 3, 3)``) whose geodesic
+    angle is below ``pi - 1e-9``.
 
     Raises:
         AngleAtPiError: when an angle reaches the chart boundary, where
@@ -207,15 +200,9 @@ def chordal_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def geodesic_sq_derivative(r: np.ndarray, r_dot_body: np.ndarray) -> float:
-    """Time derivative of ``0.5 * angle(r)^2`` along a body-frame velocity.
-
-    Args:
-        r: current rotation.
-        r_dot_body: body-frame velocity ``r.T @ dr/dt``, a skew matrix.
-
-    Returns:
-        ``log_map(r) . vee(r_dot_body)``.
-    """
+    """Time derivative of ``0.5 * angle(r)^2`` along the body-frame
+    velocity ``r_dot_body = r.T @ dr/dt``, a skew matrix:
+    ``log_map(r) . vee(r_dot_body)``."""
     return float(log_map(r) @ vee(r_dot_body))
 
 
@@ -229,12 +216,19 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     bit for bit, so each row of a stack equals the single call.
 
     Raises:
-        ValueError: a quaternion is zero and has no direction.
+        QuaternionNormError: a norm is zero or not finite, as that of
+            ``(1e200, 0, 0, 0)``, whose square overflows (without a
+            warning); its ``index`` locates the first such row.
     """
     q = np.asarray(q, dtype=float)
-    n = np.sqrt(dot_rows(q, q))
-    if not np.all(n):
-        raise ValueError("zero quaternion has no direction")
+    with np.errstate(over="ignore"):
+        n = np.sqrt(dot_rows(q, q))
+    ok = (n > 0.0) & (n < np.inf)
+    if not ok.all():
+        index = tuple(map(int, np.argwhere(~ok)[0]))
+        reason = ("zero quaternion has no direction" if n[index] == 0.0
+                  else "quaternion norm is not finite")
+        raise QuaternionNormError(reason, index)
     x, y, z, w = np.moveaxis(q / n[..., None], -1, 0)
     return np.stack([
         1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w),
@@ -243,49 +237,35 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     ], axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
+# Shepperd's cases 0..3 (w, x, y, z largest): the diagonal's signs in an
+# axis case's radicand, and where (big, skew, sym) go in (x, y, z, w)
+_SHEPPERD_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+_SHEPPERD_SLOTS = np.array([[1, 2, 3, 0], [0, 6, 5, 1], [6, 0, 4, 2],
+                            [5, 4, 0, 3]])
+
+
 def matrix_to_quat(r: np.ndarray) -> np.ndarray:
     """Convert a rotation matrix ``(3, 3)``, or a stack ``(..., 3, 3)``,
     to a scalar-last quaternion ``(4,)`` (or ``(..., 4)``) with qw >= 0.
 
-    Shepperd's method: branch on the largest of the four squared
-    components so the division is always well conditioned. Each row picks
-    its branch by a mask and keeps that branch's exact arithmetic, and the
-    norm is ``sqrt`` of :func:`dot_rows`, so each row of a stack equals
-    the single call bit for bit.
+    Shepperd's method, one step for its four cases: a row's case (the
+    largest of trace, r00, r11, r22) picks the radicand of its largest
+    component ``big``, and :data:`_SHEPPERD_SLOTS` places ``big`` and the
+    skew parts and symmetric sums times ``0.25 / big``. The norm is
+    ``sqrt`` of :func:`dot_rows`, so each row of a stack equals the
+    single call bit for bit.
     """
     r = np.asarray(r, dtype=float)
-    m = r.reshape(-1, 3, 3)
-    trace = np.trace(m, axis1=-2, axis2=-1)
-    case = np.argmax(np.stack(
-        [trace, m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]], axis=-1), axis=-1)
-    q = np.empty((len(m), 4))
-    # columns x, y, z, w; each branch is its scalar form's arithmetic
-    k = case == 0
-    a, w = m[k], 0.5 * np.sqrt(1.0 + trace[k])
-    f = 0.25 / w
-    q[k] = np.stack([f * (a[:, 2, 1] - a[:, 1, 2]), f * (a[:, 0, 2] - a[:, 2, 0]),
-                     f * (a[:, 1, 0] - a[:, 0, 1]), w], axis=-1)
-    k = case == 1
-    a = m[k]
-    x = 0.5 * np.sqrt(1.0 + a[:, 0, 0] - a[:, 1, 1] - a[:, 2, 2])
-    f = 0.25 / x
-    q[k] = np.stack([x, f * (a[:, 0, 1] + a[:, 1, 0]),
-                     f * (a[:, 0, 2] + a[:, 2, 0]),
-                     f * (a[:, 2, 1] - a[:, 1, 2])], axis=-1)
-    k = case == 2
-    a = m[k]
-    y = 0.5 * np.sqrt(1.0 - a[:, 0, 0] + a[:, 1, 1] - a[:, 2, 2])
-    f = 0.25 / y
-    q[k] = np.stack([f * (a[:, 0, 1] + a[:, 1, 0]), y,
-                     f * (a[:, 1, 2] + a[:, 2, 1]),
-                     f * (a[:, 0, 2] - a[:, 2, 0])], axis=-1)
-    k = case == 3
-    a = m[k]
-    z = 0.5 * np.sqrt(1.0 - a[:, 0, 0] - a[:, 1, 1] + a[:, 2, 2])
-    f = 0.25 / z
-    q[k] = np.stack([f * (a[:, 0, 2] + a[:, 2, 0]),
-                     f * (a[:, 1, 2] + a[:, 2, 1]), z,
-                     f * (a[:, 1, 0] - a[:, 0, 1])], axis=-1)
+    f = r.reshape(-1, 9)
+    trace, diag = _trace(f), f[:, ::4]
+    case = np.argmax(np.column_stack((trace, diag)), axis=1)
+    s = diag * _SHEPPERD_SIGNS[case]
+    big = 0.5 * np.sqrt(np.where(case == 0, 1.0 + trace,
+                                 ((1.0 + s[:, 0]) + s[:, 1]) + s[:, 2]))
+    scale = (0.25 / big)[:, None]
+    candidates = np.column_stack((big, scale * _skew_part(f),
+                                  scale * (f[:, _VEE_PLUS] + f[:, _VEE_MINUS])))
+    q = np.take_along_axis(candidates, _SHEPPERD_SLOTS[case], axis=1)
     q = np.where(q[:, 3:] < 0.0, -q, q)
     q /= np.sqrt(dot_rows(q, q))[:, None]
     return q.reshape(r.shape[:-2] + (4,))

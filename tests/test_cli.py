@@ -364,6 +364,47 @@ def test_unknown_log_level_is_one_error_line(tmp_path, monkeypatch, capsys,
     assert cli.main(["info", "--dataset", str(ds)]) == 0
 
 
+_INFO = " 1 0 0 0 0 0 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1"
+
+
+@pytest.mark.parametrize("suffix, name", [(".g2o", "vertex 1"),
+                                          (".json", "measurement 0")])
+def test_convert_rejects_a_quaternion_whose_norm_overflows(tmp_path, capsys,
+                                                           suffix, name):
+    # (1e200, 0, 0, 0) is a half turn about x whose squared norm
+    # overflows; it used to be written back as the identity
+    src = tmp_path / f"in{suffix}"
+    if suffix == ".g2o":
+        src.write_text("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\n"
+                       "VERTEX_SE3:QUAT 1 1 0 0 1e200 0 0 0\n"
+                       f"EDGE_SE3:QUAT 0 1 1 0 0 1e200 0 0 0{_INFO}\n")
+    else:
+        src.write_text(json.dumps({"n": 2, "measurements": [
+            {"src": 0, "dst": 1, "t": [1, 0, 0], "q": [1e200, 0, 0, 0]}]}))
+    out = tmp_path / ("out.json" if suffix == ".g2o" else "out.g2o")
+    assert cli.main(["convert", "--in", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {name}: quaternion norm is not finite\n")
+    assert not out.exists()
+
+
+def test_vertex_less_json_with_a_huge_n_converts_and_fails_cheaply(
+        tmp_path, capsys, bounded_cost):
+    n = 10 ** 12
+    ds = tmp_path / "huge.json"
+    ds.write_text(json.dumps({"n": n, "measurements": []}))
+    out = tmp_path / "out.json"
+    with bounded_cost(seconds=1.0, peak_bytes=10 << 20):
+        assert cli.main(["convert", "--in", str(ds), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n"] == n
+    capsys.readouterr()
+    with bounded_cost(seconds=1.0, peak_bytes=10 << 20):
+        assert cli.main(["info", "--dataset", str(ds)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {n - 1} vertices unreachable from vertex 0 "
+        "(first few: [1, 2, 3, 4, 5])\n")
+
+
 def test_convert_round_trip(tmp_path):
     ds = _generate(tmp_path)
     g2o = tmp_path / "ds.g2o"

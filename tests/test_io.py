@@ -11,7 +11,7 @@ import pytest
 from geopgo import cli
 from geopgo import io as gio
 from geopgo import so3, solver, synth
-from geopgo.graph import Pose
+from geopgo.graph import DisconnectedGraphError, Pose
 
 GARAGE_LINE = ("VERTEX_SE3:QUAT 0 -1.25 3.5 0.75 0 0 0 1")
 
@@ -152,6 +152,71 @@ def test_zero_quaternion_names_its_vertex_or_measurement():
         gio.parse_g2o(edge)
 
 
+_INFO = " 1 0 0 0 0 0 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1"
+
+
+def test_g2o_quaternion_norm_that_overflows_names_the_first_bad_row():
+    # (1e200, 0, 0, 0) is a half turn about x whose squared norm
+    # overflows: it is rejected, not read as the identity, and the error
+    # names the first bad row in file order, not the zero one
+    vertices = ("VERTEX_SE3:QUAT 10 0 0 0 0 0 0 1\n"
+                "VERTEX_SE3:QUAT 30 0 0 0 1e200 0 0 0\n"
+                "VERTEX_SE3:QUAT 20 0 0 0 0 0 0 0\n")
+    with pytest.raises(ValueError,
+                       match="^vertex 30: quaternion norm is not finite$"):
+        gio.parse_g2o(vertices)
+    edges = ("VERTEX_SE3:QUAT 10 0 0 0 0 0 0 1\n"
+             "VERTEX_SE3:QUAT 20 0 0 0 0 0 0 1\n"
+             "VERTEX_SE3:QUAT 30 0 0 0 0 0 0 1\n"
+             f"EDGE_SE3:QUAT 20 10 1 0 0 0 0 0 1{_INFO}\n"
+             f"EDGE_SE3:QUAT 10 20 1 0 0 1e200 0 0 0{_INFO}\n"
+             f"EDGE_SE3:QUAT 20 30 1 0 0 0 0 0 0{_INFO}\n")
+    with pytest.raises(ValueError,
+                       match="^measurement 1: quaternion norm is not finite$"):
+        gio.parse_g2o(edges)
+
+
+@pytest.mark.parametrize("section, name", [("vertices", "vertex 3"),
+                                           ("measurements", "measurement 3")])
+def test_json_quaternion_norm_that_overflows_names_the_first_bad_row(
+        tmp_path, section, name):
+    path = tmp_path / "ds.json"
+    gio.save_dataset(path, _dataset(seed=7))
+    d = json.loads(path.read_text())
+    d[section][3]["q"] = [1e200, 0.0, 0.0, 0.0]
+    d[section][5]["q"] = [0.0, 0.0, 0.0, 0.0]
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError,
+                       match=f"^{name}: quaternion norm is not finite$"):
+        gio.read_dataset(path)
+
+
+def test_vertex_less_json_costs_nothing_in_its_claimed_n(tmp_path,
+                                                        bounded_cost):
+    # a JSON dataset without vertices declares the ids 0..n-1; reading
+    # it, checking its endpoints and rejecting its graph cost nothing in n
+    n = 10 ** 12
+    path = tmp_path / "huge.json"
+    edge = {"src": 0, "dst": 7, "t": [1.0, 0.0, 0.0], "q": [0, 0, 0, 1]}
+    path.write_text(json.dumps({"n": n, "measurements": [edge]}))
+    with bounded_cost(seconds=1.0, peak_bytes=10 << 20):
+        stored = gio.read_dataset(path)
+    assert stored.n == len(stored.id_map) == n
+    assert stored.id_map[7] == 7 and n - 1 in stored.id_map
+    assert n not in stored.id_map and -1 not in stored.id_map
+    with bounded_cost(seconds=1.0, peak_bytes=10 << 20):
+        with pytest.raises(DisconnectedGraphError) as err:
+            gio.load_any(path)
+    assert str(err.value) == (f"{n - 2} vertices unreachable from vertex 0 "
+                              "(first few: [1, 2, 3, 4, 5])")
+    path.write_text(json.dumps({"n": n, "measurements": [
+        edge, {**edge, "dst": n}]}))
+    with bounded_cost(seconds=1.0, peak_bytes=10 << 20):
+        with pytest.raises(gio.InconsistentVertexCountError,
+                           match=rf"^measurement 1 \(0, {n}\) references"):
+            gio.read_dataset(path)
+
+
 def test_duplicate_vertex_rejected():
     text = GARAGE_LINE + "\n" + GARAGE_LINE
     with pytest.raises(gio.InconsistentVertexCountError):
@@ -227,6 +292,16 @@ def test_trajectory_csv_names_the_bad_line(row, line, reason):
     text = ("id,tx,ty,tz,qx,qy,qz,qw\n0,1,2,3,0,0,0,1\n\n"
             f"{row}\n2,0,0,0,0,0,0,1\n")
     with pytest.raises(ValueError, match=rf"^line {line}: .*{reason}"):
+        gio.parse_trajectory_csv(text)
+
+
+def test_trajectory_csv_names_the_first_bad_quaternion_line():
+    # (1e200, 0, 0, 0) has a squared norm that overflows; the first bad
+    # row in file order is named, not the one of smallest norm
+    text = ("id,tx,ty,tz,qx,qy,qz,qw\n0,0,0,0,0,0,0,1\n"
+            "1,0,0,0,1e200,0,0,0\n2,0,0,0,0,0,0,0\n")
+    with pytest.raises(ValueError,
+                       match="^line 3: quaternion norm is not finite$"):
         gio.parse_trajectory_csv(text)
 
 
@@ -321,7 +396,7 @@ def test_json_dataset_seed_may_be_null_or_absent(tmp_path):
 ], ids=["n-float", "unknown-field", "no-kappa", "nan-tau"])
 def test_read_section_names_the_section(name, section, message):
     with pytest.raises(ValueError, match=message):
-        gio.read_section(name, section)
+        gio.read_provenance({name: section})
 
 
 def test_load_any_dispatches_by_suffix(tmp_path):

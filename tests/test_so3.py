@@ -1,5 +1,6 @@
 """Rotation-group primitives: round trips, identities, sampling law."""
 
+import math
 import warnings
 
 import numpy as np
@@ -446,6 +447,26 @@ def test_stacked_quat_to_matrix_rejects_a_zero_row():
         so3.quat_to_matrix(q)
 
 
+@pytest.mark.parametrize("q", [
+    [1e200, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1e200], [1e154] * 4,
+    [np.nan, 0.0, 0.0, 1.0]], ids=["x", "w", "sum", "nan"])
+def test_quat_to_matrix_rejects_a_norm_that_is_not_finite(q):
+    # (1e200, 0, 0, 0) is a half turn about x, but its squared norm
+    # overflows: it is rejected, not read as the identity, and without a
+    # RuntimeWarning (which this suite turns into an error)
+    with pytest.raises(so3.QuaternionNormError,
+                       match="^quaternion norm is not finite$") as err:
+        so3.quat_to_matrix(q)
+    assert err.value.index == ()
+    stack = np.array([[0.0, 0.0, 0.0, 1.0], q, [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(so3.QuaternionNormError) as err:
+        so3.quat_to_matrix(stack.reshape(3, 1, 4))
+    assert err.value.index == (1, 0)  # the first bad row, not the zero one
+    # large quaternions whose squared norm stays finite are normalized
+    assert np.array_equal(so3.quat_to_matrix([1e150, 0.0, 0.0, 0.0]),
+                          np.diag([1.0, -1.0, -1.0]))
+
+
 def _shepperd(r):
     # the single-matrix form: one scalar branch per call
     t = np.trace(r)
@@ -505,12 +526,63 @@ def test_stacked_matrix_to_quat_equals_single_calls(data):
     _assert_quats_equal_single_calls(so3.exp_map(v[list(order)]))
 
 
-def test_matrix_to_quat_covers_every_branch():
+def _every_branch():
+    """The identity, a small turn, the three diagonal half turns, a turn
+    1e-9 short of a half turn about each axis, and a tie of r00 and r11."""
     half_turns = [np.diag(d) for d in ([1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
                                        [-1.0, -1.0, 1.0])]
     near = [so3.exp_map((np.pi - 1e-9) * np.eye(3)[k]) for k in range(3)]
     tied = so3.exp_map(np.array([1.0, 1.0, 0.0]) * (np.pi - 1e-3) / np.sqrt(2.0))
-    rs = np.stack([np.eye(3), so3.exp_map([0.3, -0.2, 0.1])]
-                  + half_turns + near + [tied])
+    return np.stack([np.eye(3), so3.exp_map([0.3, -0.2, 0.1])]
+                    + half_turns + near + [tied])
+
+
+def test_matrix_to_quat_covers_every_branch():
+    rs = _every_branch()
     assert {_branch(r) for r in rs} == {0, 1, 2, 3}
     _assert_quats_equal_single_calls(rs)
+
+
+def _shepperd_floats(r):
+    """Shepperd's four cases for one matrix, in plain Python floats: the
+    quaternion ``[x, y, z, w]`` before normalizing, with ``w >= 0``."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    t = ((0.0 + r00) + r11) + r22
+    case = max(range(4), key=[t, r00, r11, r22].__getitem__)  # first of ties
+    if case == 0:
+        w = 0.5 * math.sqrt(1.0 + t)
+        f = 0.25 / w
+        q = [f * (r21 - r12), f * (r02 - r20), f * (r10 - r01), w]
+    elif case == 1:
+        x = 0.5 * math.sqrt(1.0 + r00 - r11 - r22)
+        f = 0.25 / x
+        q = [x, f * (r01 + r10), f * (r02 + r20), f * (r21 - r12)]
+    elif case == 2:
+        y = 0.5 * math.sqrt(1.0 - r00 + r11 - r22)
+        f = 0.25 / y
+        q = [f * (r01 + r10), y, f * (r12 + r21), f * (r02 - r20)]
+    else:
+        z = 0.5 * math.sqrt(1.0 - r00 - r11 + r22)
+        f = 0.25 / z
+        q = [f * (r02 + r20), f * (r12 + r21), z, f * (r10 - r01)]
+    return [-c for c in q] if q[3] < 0.0 else q
+
+
+def test_matrix_to_quat_equals_a_scalar_oracle():
+    # the stacked tests above only compare a stack with single calls, so
+    # an arithmetic change that kept that equality would pass them; this
+    # oracle pins the arithmetic. Its norm is the module's one
+    # reduction, dot_rows (an FMA chain on some builds, which plain
+    # Python floats cannot spell), pinned by its own tests.
+    rng = np.random.default_rng(2024)
+    random = so3.quat_to_matrix(rng.standard_normal((100_000, 4)))
+    axes = rng.standard_normal((1000, 3))
+    axes /= np.sqrt(so3.dot_rows(axes, axes))[:, None]
+    near_half = so3.exp_map(
+        axes * (np.pi - 10.0 ** rng.uniform(-12, -3, 1000))[:, None])
+    rs = np.concatenate([random, near_half, _every_branch()])
+    raw = np.array([_shepperd_floats(r) for r in rs])
+    want = raw / np.sqrt(so3.dot_rows(raw, raw))[:, None]
+    assert so3.matrix_to_quat(rs).tobytes() == want.tobytes()
+    cases = np.bincount([_branch(r) for r in random], minlength=4)
+    assert cases.min() > 20_000  # every case is well covered
