@@ -185,11 +185,15 @@ def _concat(a: MeasurementColumns, b: MeasurementColumns) -> MeasurementColumns:
 def _pair_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """One integer per directed pair, ascending in ``(src, dst)`` order;
     symmetric in its arguments' range, so ``_pair_keys(dst, src)`` keys
-    the reverse directions on the same scale."""
+    the reverse directions on the same scale. Ids spanning more than
+    2**31 values, whose keys would wrap in int64, are keyed by rank."""
     if not len(src):
         return np.zeros(0, dtype=np.intp)
     lo = min(src.min(), dst.min())
     span = max(src.max(), dst.max()) - lo + 1
+    if span > 2 ** 31:
+        ids, ranks = np.unique(np.concatenate((src, dst)), return_inverse=True)
+        src, dst, lo, span = ranks[:len(src)], ranks[len(src):], 0, len(ids)
     return (src - lo) * span + (dst - lo)
 
 
@@ -431,26 +435,28 @@ class EdgeArrays:
 
     def block(self, lo: int, hi: int) -> "EdgeArrays":
         """The outgoing edges of poses ``lo..hi-1`` of the whole graph,
-        indexed locally; the measurement stacks are views of this one's
-        (its :attr:`r_rel_t` and :attr:`t_rel_pad` are made from its own
-        rows), and its ``rev`` is a slice of this one's: a row whose
-        reverse lies outside the block's rows is a cut row."""
+        indexed locally and cut from those rows alone: the halo is their
+        distinct ``dst`` ids outside the block. The measurement stacks are
+        views of this one's (its :attr:`r_rel_t` and :attr:`t_rel_pad` are
+        made from its own rows), and its ``rev`` is a slice of this one's:
+        a row whose reverse lies outside the block's rows is a cut row."""
         a, b = self.offsets[lo], self.offsets[hi]
         dst = self.dst[a:b]
-        read = np.zeros(self.size, dtype=bool)
-        read[dst] = True
-        read[lo:hi] = False
-        halo = np.flatnonzero(read)
-        local = np.empty(self.size, dtype=np.intp)
-        local[lo:hi] = np.arange(hi - lo)
-        local[halo] = np.arange(hi - lo, hi - lo + len(halo))
+        out = (dst < lo) | (dst >= hi)
+        far = dst[out]
+        # the distinct far ends, ascending; np.unique would import
+        # numpy.ma, about 1.7 MB of resident memory in a distributed solve
+        halo = np.sort(far)
+        halo = np.concatenate((halo[:1], halo[1:][halo[1:] != halo[:-1]]))
+        local = dst - lo
+        local[out] = hi - lo + np.searchsorted(halo, far)
         back = self.rev[a:b]
         cut = np.flatnonzero((back < a) | (back >= b))
         rev = back - a
         rev[cut] = np.arange(b - a, b - a + len(cut))
         return EdgeArrays(
             ids=np.concatenate((np.arange(lo, hi), halo)),
-            src=self.src[a:b] - lo, dst=local[dst],
+            src=self.src[a:b] - lo, dst=local,
             r_rel=self.r_rel[a:b], t_rel=self.t_rel[a:b],
             t_cut=self.t_rel[back[cut]],
             offsets=self.offsets[lo:hi + 1] - a, rev=rev)

@@ -42,7 +42,7 @@ import itertools
 import queue
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,6 +111,7 @@ def _write_message_log(path, blocks: list[EdgeArrays], rounds: int) -> None:
                 fh.write(round_no.join(pieces))
 
 
+@dataclass(eq=False)
 class NodeWorker:
     """Block worker: owns the poses ``block.ids[:block.size]`` and holds
     only local state.
@@ -127,28 +128,20 @@ class NodeWorker:
     every worker is parked at the barrier.
     """
 
-    def __init__(
-        self,
-        index: int,
-        block: EdgeArrays,
-        r: np.ndarray,
-        t: np.ndarray,
-        controls: tuple[np.ndarray, np.ndarray],
-        inboxes: dict[int, tuple[queue.Queue, slice]],
-        outboxes: dict[int, tuple[queue.Queue, np.ndarray]],
-        config: SolverConfig,
-        timeout: float,
-    ) -> None:
-        self.index = index
-        self.block = block
-        self.r = r
-        self.t = t
-        self.nu, self.omega = controls
-        self.rows = np.empty((3, len(block.src)))
-        self.inboxes = inboxes
-        self.outboxes = outboxes
-        self.config = config
-        self.timeout = timeout
+    index: int
+    block: EdgeArrays
+    r: np.ndarray
+    t: np.ndarray
+    nu: np.ndarray
+    omega: np.ndarray
+    inboxes: dict[int, tuple[queue.Queue, slice]]
+    outboxes: dict[int, tuple[queue.Queue, np.ndarray]]
+    config: SolverConfig
+    timeout: float
+    rows: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.rows = np.empty((3, len(self.block.src)))
 
     def broadcast(self, round_no: int) -> None:
         for box, rows in self.outboxes.values():
@@ -207,29 +200,26 @@ def block_workers(
     """``k`` workers, worker ``b`` owning poses ``b*n//k`` to
     ``(b+1)*n//k - 1``, with one queue for each ordered pair of workers
     that share a cut edge. ``controls`` is the ``(n, 3)`` velocity pair
-    at ``init``; each worker carries its own rows of it into round 0."""
+    at ``init``; each worker carries its own rows of it into round 0.
+    A block is cut from its own edge rows; its halo ascends, so the rows
+    that worker ``c`` fills are the halo's slice between ``c``'s bounds."""
     e = g.edge_arrays
     bounds = [b * g.n // k for b in range(k + 1)]
-    owner = np.repeat(np.arange(k), np.diff(bounds))
     blocks = [e.block(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     inboxes: list[dict] = [{} for _ in blocks]
     outboxes: list[dict] = [{} for _ in blocks]
     for b, blk in enumerate(blocks):
         halo = blk.ids[blk.size:]
-        for c in np.flatnonzero(np.bincount(owner[halo], minlength=k)):
-            c = int(c)
-            # a block is a contiguous id range, so its rows in the
-            # ascending halo are contiguous too
-            rows = np.flatnonzero(owner[halo] == c)
+        cuts = (blk.size + np.searchsorted(halo, bounds)).tolist()
+        for c in np.flatnonzero(np.diff(cuts)).tolist():
+            rows = slice(cuts[c], cuts[c + 1])
             box: queue.Queue = queue.Queue()
-            inboxes[b][c] = (box, slice(blk.size + rows[0],
-                                        blk.size + rows[-1] + 1))
-            outboxes[c][b] = (box, halo[rows] - bounds[c])
+            inboxes[b][c] = (box, rows)
+            outboxes[c][b] = (box, blk.ids[rows] - bounds[c])
     s = as_stack(init)
     nu, omega = controls
-    return [NodeWorker(b, blk, s.r[blk.ids], s.t[blk.ids],
-                       (nu[lo:hi], omega[lo:hi]), inboxes[b], outboxes[b],
-                       config, timeout)
+    return [NodeWorker(b, blk, s.r[blk.ids], s.t[blk.ids], nu[lo:hi],
+                       omega[lo:hi], inboxes[b], outboxes[b], config, timeout)
             for b, (blk, lo, hi) in enumerate(zip(blocks, bounds,
                                                   bounds[1:]))]
 

@@ -405,6 +405,24 @@ def test_vertex_less_json_with_a_huge_n_converts_and_fails_cheaply(
         "(first few: [1, 2, 3, 4, 5])\n")
 
 
+def test_convert_symmetrizes_a_vertex_less_json_at_an_id_span_past_2_31(
+        tmp_path, capsys):
+    # the pair keys of these ids used to wrap in int64, and the inverse
+    # of (2**31, 5) went missing
+    ds = tmp_path / "wide.json"
+    ds.write_text(json.dumps({"n": 2 ** 33, "measurements": [
+        {"src": i, "dst": j, "t": [1, 0, 0], "q": [0, 0, 0, 1]}
+        for i, j in [(0, 5), (2 ** 31, 5), (2 ** 33 - 1, 1)]]}))
+    out = tmp_path / "out.json"
+    assert cli.main(["convert", "--in", str(ds), "--out", str(out),
+                     "--symmetrize"]) == 0
+    assert "(6 measurements)" in capsys.readouterr().out
+    rows = json.loads(out.read_text())["measurements"]
+    assert [(m["src"], m["dst"]) for m in rows] == [
+        (0, 5), (2 ** 31, 5), (2 ** 33 - 1, 1),
+        (5, 0), (5, 2 ** 31), (1, 2 ** 33 - 1)]
+
+
 def test_convert_round_trip(tmp_path):
     ds = _generate(tmp_path)
     g2o = tmp_path / "ds.g2o"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geopgo import so3
+from geopgo import graph, so3
 from geopgo.graph import (
     DanglingVertexError,
     DisconnectedGraphError,
@@ -340,3 +340,49 @@ def test_reverse_rows_and_cut_rows_of_random_blocks():
             # each cut row's reverse translation, looked up by (dst, src)
             whole = g.edge_rows(dst[b.cut], src[b.cut])
             assert np.array_equal(b.t_cut, e.t_rel[whole])
+
+
+# Ids spanning more than 2**31 values: (src - lo) * span + (dst - lo)
+# would pass int64, and (2**31, 5) and (2**33 - 1, 1) used to share a key
+WIDE_ROWS = [(0, 5), (2 ** 31, 5), (2 ** 33 - 1, 1)]
+
+
+def test_symmetrize_adds_every_inverse_at_an_id_span_past_2_31():
+    cols = symmetrize([_edge(i, j, t=[1.0, 0.0, 0.0]) for i, j in WIDE_ROWS])
+    assert list(zip(cols.src.tolist(), cols.dst.tolist())) == WIDE_ROWS + [
+        (5, 0), (5, 2 ** 31), (1, 2 ** 33 - 1)]
+
+
+def test_build_graph_at_an_id_span_past_2_31_finds_it_disconnected(
+        bounded_cost):
+    ms = [_edge(i, j) for i, j in WIDE_ROWS]
+    with bounded_cost(seconds=1.0, peak_bytes=10 << 20):
+        with pytest.raises(DisconnectedGraphError) as info:
+            build_graph(2 ** 33, ms)
+    assert str(info.value) == ("8589934589 vertices unreachable from vertex 0 "
+                               "(first few: [1, 2, 3, 4, 6])")
+
+
+@pytest.mark.parametrize(
+    "span", [2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 33, 2 ** 62],
+    ids=["2^31-1", "2^31", "2^31+1", "2^33", "2^62"])
+def test_pairing_equals_a_lexsort_on_both_sides_of_a_2_31_span(span):
+    # a few ids, the span's two ends among them, so that rows repeat and
+    # many have their reverse direction
+    rng = np.random.default_rng(span % 1000)
+    lo = 7
+    pool = np.concatenate(([lo, lo + span - 1],
+                           lo + rng.integers(0, span, size=6)))
+    for _ in range(20):
+        src, dst = rng.choice(pool, size=(2, 40))
+        order, ordered, at, missing = graph._pairing(src, dst)
+        assert np.array_equal(order, np.lexsort((dst, src)))
+        pairs = list(zip(src[order].tolist(), dst[order].tolist()))
+        assert (ordered[1:] == ordered[:-1]).tolist() == [
+            a == b for a, b in zip(pairs, pairs[1:])]
+        present = set(pairs)
+        assert missing.tolist() == [(j, i) not in present
+                                    for i, j in zip(src.tolist(), dst.tolist())]
+        found = order[at[~missing]]
+        assert np.array_equal(src[found], dst[~missing])
+        assert np.array_equal(dst[found], src[~missing])

@@ -195,15 +195,17 @@ GC_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
 GC_HOLDER = ("io.py", "_collector_held")
 
 
-def _gc_switch_calls(tree: ast.Module) -> list[tuple[str, str]]:
-    """``(top-level definition, line: call)`` of each call of a
-    :data:`GC_SWITCHES` function, spelled ``gc.x`` or imported from gc."""
+def _module_calls(tree: ast.Module, module: str,
+                  names: set[str]) -> list[tuple[str, str]]:
+    """``(top-level definition, line: call)`` of each call of one of
+    ``module``'s functions ``names``, spelled ``module.x`` or imported
+    from ``module``."""
     modules = {alias.asname or alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import)
-               for alias in node.names if alias.name == "gc"}
+               for alias in node.names if alias.name == module}
     imported = {alias.asname or alias.name: alias.name
                 for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module == "gc"
+                if isinstance(node, ast.ImportFrom) and node.module == module
                 for alias in node.names}
     found = []
     for top in tree.body:
@@ -218,24 +220,51 @@ def _gc_switch_calls(tree: ast.Module) -> list[tuple[str, str]]:
                 name = func.attr
             else:
                 name = imported.get(getattr(func, "id", None))
-            if name in GC_SWITCHES:
-                found.append((owner, f"line {node.lineno}: gc.{name}"))
+            if name in names:
+                found.append((owner, f"line {node.lineno}: {module}.{name}"))
     return found
+
+
+def _homes(module: str, names: set[str]) -> set[tuple[str, str]]:
+    """``(file, top-level definition)`` of every package call of one of
+    ``module``'s functions ``names``."""
+    return {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+            for owner, _ in _module_calls(ast.parse(path.read_text()),
+                                          module, names)}
 
 
 def test_gc_switch_check_sees_both_forms():
     tree = ast.parse("import gc\nfrom gc import freeze as f\n"
                      "def g():\n    gc.disable()\n    f()\n"
                      "gc.collect()\nenable()\n")
-    assert _gc_switch_calls(tree) == [("g", "line 4: gc.disable"),
-                                      ("g", "line 5: gc.freeze")]
+    assert _module_calls(tree, "gc", GC_SWITCHES) == [
+        ("g", "line 4: gc.disable"), ("g", "line 5: gc.freeze")]
 
 
 def test_only_the_io_helper_switches_the_collector():
-    found = {(path.name, owner)
-             for path in sorted(SRC.glob("*.py"))
-             for owner, _ in _gc_switch_calls(ast.parse(path.read_text()))}
-    assert found == {GC_HOLDER}
+    assert _homes("gc", GC_SWITCHES) == {GC_HOLDER}
+
+
+# A run has at most AGENTS + 1 live threads, whatever the graph size:
+# only the distributed run starts threads, one per block worker, and
+# only the block set-up makes the workers' queues.
+THREAD_HOMES = {("threading", "Thread"): ("runtime.py", "run_distributed"),
+                ("queue", "Queue"): ("runtime.py", "block_workers")}
+
+
+def test_thread_and_queue_check_sees_both_forms():
+    tree = ast.parse("import threading\nfrom queue import Queue as Q\n"
+                     "def run():\n    threading.Thread(target=f)\n"
+                     "    Q()\nthreading.Barrier(2)\nqueue.Queue()\n")
+    assert _module_calls(tree, "threading", {"Thread"}) == [
+        ("run", "line 4: threading.Thread")]
+    assert _module_calls(tree, "queue", {"Queue"}) == [
+        ("run", "line 5: queue.Queue")]
+
+
+def test_only_the_runtime_starts_threads_and_makes_queues():
+    for (module, name), home in THREAD_HOMES.items():
+        assert _homes(module, {name}) == {home}
 
 
 # Tests patch graph.EDGE_BLOCK to cut small graphs into many runs and

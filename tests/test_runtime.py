@@ -8,8 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from geopgo import consistency, runtime, solver, synth
-from geopgo.graph import Pose, RelativeMeasurement, build_graph, reversed_measurement
+from geopgo import consistency, runtime, so3, solver, synth
+from geopgo.graph import (Pose, PoseStack, RelativeMeasurement, build_graph,
+                          reversed_measurement)
 
 
 def _instance(n=10, seed=0, kappa=0.524, tau=0.5):
@@ -311,3 +312,119 @@ def test_wrong_init_length():
     truth, g, init = _instance(n=8, seed=7)
     with pytest.raises(ValueError):
         runtime.run_distributed(g, init[:-1])
+
+
+# -- blocks cut from their own rows ----------------------------------------
+
+
+def _oracle_block(e, lo, hi):
+    # the construction EdgeArrays.block replaced: a read mask and a
+    # local-index map the size of the whole graph
+    a, b = e.offsets[lo], e.offsets[hi]
+    dst = e.dst[a:b]
+    read = np.zeros(e.size, dtype=bool)
+    read[dst] = True
+    read[lo:hi] = False
+    halo = np.flatnonzero(read)
+    local = np.empty(e.size, dtype=np.intp)
+    local[lo:hi] = np.arange(hi - lo)
+    local[halo] = np.arange(hi - lo, hi - lo + len(halo))
+    back = e.rev[a:b]
+    cut = np.flatnonzero((back < a) | (back >= b))
+    rev = back - a
+    rev[cut] = np.arange(b - a, b - a + len(cut))
+    return {"ids": np.concatenate((np.arange(lo, hi), halo)),
+            "src": e.src[a:b] - lo, "dst": local[dst], "rev": rev,
+            "cut": cut, "t_cut": e.t_rel[back[cut]],
+            "offsets": e.offsets[lo:hi + 1] - a}
+
+
+def _oracle_boxes(blocks, bounds):
+    # the construction block_workers replaced: an n-long pose-to-worker
+    # owner array; per worker, each neighbor's halo slice and the rows
+    # of its own poses that each neighbor reads
+    k = len(blocks)
+    owner = np.repeat(np.arange(k), np.diff(bounds))
+    inboxes = [{} for _ in blocks]
+    outboxes = [{} for _ in blocks]
+    for b, blk in enumerate(blocks):
+        halo = blk.ids[blk.size:]
+        for c in np.flatnonzero(np.bincount(owner[halo], minlength=k)):
+            c = int(c)
+            rows = np.flatnonzero(owner[halo] == c)
+            inboxes[b][c] = slice(blk.size + rows[0], blk.size + rows[-1] + 1)
+            outboxes[c][b] = halo[rows] - bounds[c]
+    return inboxes, outboxes
+
+
+def _hub():
+    # pose 200 of 520 sees every other pose (degree 519), the rest form
+    # a path: the hub of tests/test_kernel.py
+    n = 520
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(min(i, 200), max(i, 200)) for i in range(n) if abs(i - 200) > 1]
+    rng = np.random.default_rng(4)
+    truth = PoseStack(rng.normal(size=(n, 3)),
+                      so3.exp_map(rng.normal(size=(n, 3))))
+    return build_graph(n, synth.exact_measurements(truth, edges))
+
+
+def _block_graph(name):
+    if name == "hub":
+        return _hub()
+    if name == "two":
+        fwd = RelativeMeasurement(0, 1, np.array([0.3, -0.2, 0.5]), np.eye(3))
+        return build_graph(2, [fwd, reversed_measurement(fwd)])
+    spec = {"sphere": synth.ScenarioSpec(topology="sphere", n=50),
+            "ring": synth.ScenarioSpec(topology="circle", n=30),
+            "grid": synth.ScenarioSpec(topology="grid",
+                                       grid_dims=(4, 3, 2))}[name]
+    return synth.generate_dataset(spec, synth.NoiseModel(seed=11), seed=11)[1]
+
+
+BLOCK_GRAPHS = ["sphere", "ring", "grid", "hub", "two"]
+
+
+def _assert_same_block(got, want):
+    for name, value in want.items():
+        have = getattr(got, name)
+        assert have.dtype == value.dtype, name
+        assert np.array_equal(have, value), name
+
+
+@pytest.mark.parametrize("name", BLOCK_GRAPHS)
+def test_blocks_equal_the_mask_and_map_construction(name):
+    g = _block_graph(name)
+    e, n = g.edge_arrays, g.n
+    rng = np.random.default_rng(len(name))
+    spans = [(0, n), (0, 0), (n, n), (n // 2, n // 2), (0, 1), (n - 1, n)]
+    spans += [tuple(sorted(rng.integers(0, n + 1, size=2).tolist()))
+              for _ in range(20)]
+    for lo, hi in spans:
+        b = e.block(lo, hi)
+        _assert_same_block(b, _oracle_block(e, lo, hi))
+        if (lo, hi) == (0, n):  # the whole graph: no halo, no cut rows
+            assert b.ids.size == n and b.cut.size == 0
+
+
+@pytest.mark.parametrize("name", BLOCK_GRAPHS)
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_worker_boxes_equal_the_owner_construction(name, k):
+    g = _block_graph(name)
+    zero = np.zeros((g.n, 3))
+    workers = runtime.block_workers(g, [Pose.identity()] * g.n, (zero, zero),
+                                    k, solver.SolverConfig(), 1.0)
+    bounds = [b * g.n // k for b in range(k + 1)]
+    for w, lo, hi in zip(workers, bounds, bounds[1:]):
+        _assert_same_block(w.block, _oracle_block(g.edge_arrays, lo, hi))
+    inboxes, outboxes = _oracle_boxes([w.block for w in workers], bounds)
+    for b, w in enumerate(workers):
+        assert list(w.inboxes) == list(inboxes[b])
+        assert [rows for _, rows in w.inboxes.values()] == list(
+            inboxes[b].values())
+        assert list(w.outboxes) == list(outboxes[b])
+        for c, (box, rows) in w.outboxes.items():
+            assert rows.dtype == outboxes[b][c].dtype
+            assert np.array_equal(rows, outboxes[b][c])
+            # the queue worker b sends on is the one worker c reads
+            assert workers[c].inboxes[b][0] is box
