@@ -2,30 +2,36 @@
 
 Both dataset formats are read through one path. Each format's decoder
 only turns its syntax into columns: vertex ids, translations and
-quaternions, and edge endpoints, translations and quaternions, one entry
-per row in file order. One assembly step checks those columns the same
-way for both (unique vertex ids, every edge between declared vertices,
-finite numbers, and a JSON ``n`` that matches its vertex list), remaps
-the ids to dense ``0..n-1`` in ascending order (a JSON ``n`` without
-vertices costs nothing in ``n``: :class:`_DenseIds`) and returns a
-:class:`StoredDataset`: the file's contents as stored, directed and
-unpaired, its measurements as stacked :class:`MeasurementColumns`. Each
-column has one converter: translations and quaternions are accepted
-only as stacked arrays of finite numbers, and edge endpoints only as
-integers (a JSON ``1.0`` or ``true`` is rejected, as in a vertex id)
-found in the map from declared vertex ids. Only when a converter
-fails are the rows looked at one by one, and that pass only names the
-first bad row (in file order) in the error; it never accepts one. No
-per-edge object is built. The format is chosen by the suffix,
-``.g2o`` or ``.json``, for reading and for writing alike.
+quaternions, and edge endpoints, translations and quaternions, one list
+per field with one entry per row in file order. One assembly step checks
+those columns the same way for both (unique vertex ids, every edge
+between declared vertices, finite numbers, and a JSON ``n`` that matches
+its vertex list), remaps the ids to dense ``0..n-1`` in ascending order
+(a JSON ``n`` without vertices costs nothing in ``n``:
+:class:`_DenseIds`) and returns a :class:`StoredDataset`: the file's
+contents as stored, directed and unpaired, its measurements as stacked
+:class:`MeasurementColumns`. Each column has one converter:
+translations and quaternions are accepted only as stacked arrays of
+finite numbers, and edge endpoints only as integers (a JSON ``1.0`` or
+``true`` is rejected, as in a vertex id) found in the map from declared
+vertex ids. Only when a converter fails are the rows looked at one by
+one, and that pass only names the first bad row (in file order) in the
+error; it never accepts one. In a JSON file that row may hold any fault;
+a g2o line reaches the assembly already converted, so there it can only
+be a doubled vertex id or an undeclared endpoint. The g2o decoder
+converts each line as it reads it (``int`` for ids, ``float`` and a
+finiteness check for numbers), and a line that fails is converted again
+token by token to name its first bad token. No per-edge object is
+built. The format is chosen by the suffix, ``.g2o`` or ``.json``, for
+reading and for writing alike.
 
 Each decoder runs with Python's cyclic garbage collector held
-(:func:`_collector_held`). A decode allocates a tree of lists and dicts
-(about 28,000 of them for an 800-pose JSON dataset) that has no
-reference cycles and is dropped before the read returns, so reference
-counting frees all of it; a collection over it would rescan that tree
-and free nothing. The collector's state is restored when the decoder
-returns or raises.
+(:func:`_collector_held`). A decode allocates per-row lists, and a JSON
+one dicts too (about 28,000 of them for an 800-pose JSON dataset), that
+have no reference cycles and are dropped before the read returns, so
+reference counting frees all of them; a collection over them would
+rescan them and free nothing. The collector's state is restored when the
+decoder returns or raises.
 
 The g2o dialect handled here is the SE(3) quaternion one: lines of
 
@@ -113,29 +119,6 @@ class G2oParseResult:
     skipped_records: int
 
 
-def _floats(tokens: Sequence[str], line_no: int) -> list[float]:
-    out = []
-    for tok in tokens:
-        try:
-            x = float(tok)
-        except ValueError:
-            raise ParseError(line_no, tok, "expected a number") from None
-        if not math.isfinite(x):
-            raise ParseError(line_no, tok, "expected a finite number")
-        out.append(x)
-    return out
-
-
-def _ints(tokens: Sequence[str], line_no: int) -> list[int]:
-    out = []
-    for tok in tokens:
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ParseError(line_no, tok, "expected an integer id") from None
-    return out
-
-
 def _check_row(name: str, t, q) -> None:
     """Raise naming row ``name`` unless its ``t`` is 3 finite numbers
     and its ``q`` 4."""
@@ -152,8 +135,8 @@ def _check_row(name: str, t, q) -> None:
 def _stacked(rows: Sequence, width: int) -> np.ndarray:
     """``rows`` as one ``(len, width)`` array of finite numbers.
 
-    An array (a g2o column) converts as a whole. JSON rows convert in
-    one pass over their entries, once every row is a ``list`` of
+    Both decoders give one row per entry, in file order. The rows convert
+    in one pass over their entries, once every row is a ``list`` of
     ``width`` entries: a string or an object of that length would
     otherwise pass as its characters or keys.
 
@@ -161,17 +144,14 @@ def _stacked(rows: Sequence, width: int) -> np.ndarray:
         TypeError, ValueError, OverflowError: a row is not ``width``
             finite numbers; which one is left to the per-row pass.
     """
-    if isinstance(rows, np.ndarray):
-        out = np.array(rows, dtype=float)
-    else:
-        n = len(rows)
-        if set(map(type, rows)) - {list}:
-            raise TypeError("a row is not a list")
-        if (np.fromiter(map(len, rows), np.intp, n) != width).any():
-            raise ValueError(f"a row is not {width} entries")
-        out = np.fromiter(chain.from_iterable(rows), float,
-                          width * n).reshape(n, width)
-    if out.shape != (len(rows), width) or not np.isfinite(out).all():
+    n = len(rows)
+    if set(map(type, rows)) - {list}:
+        raise TypeError("a row is not a list")
+    if (np.fromiter(map(len, rows), np.intp, n) != width).any():
+        raise ValueError(f"a row is not {width} entries")
+    out = np.fromiter(chain.from_iterable(rows), float,
+                      width * n).reshape(n, width)
+    if not np.isfinite(out).all():
         raise ValueError(f"a row is not {width} finite numbers")
     return out
 
@@ -256,12 +236,13 @@ def _edge_columns(srcs: Sequence, dsts: Sequence, ts: Sequence,
                               _rotations(q, lambda k: f"measurement {k}"))
 
 
-def _assemble(fmt: str, vertex_rows: tuple | None, edge_rows: tuple,
+def _assemble(fmt: str, vertex_rows: Sequence | None, edge_rows: Sequence,
               n: int | None = None, **extra) -> StoredDataset:
     """Check the decoded columns of either format and remap ids densely.
 
-    ``vertex_rows`` is ``(ids, ts, qs)`` and ``edge_rows`` ``(srcs,
-    dsts, ts, qs)``: one entry per row, in file order. ``vertex_rows``
+    Both formats give the same column form: ``vertex_rows`` is ``(ids,
+    ts, qs)`` and ``edge_rows`` ``(srcs, dsts, ts, qs)``, one list per
+    field with one entry per row, in file order. ``vertex_rows``
     None (JSON without vertices) declares ids ``0..n-1`` without poses;
     otherwise a given ``n`` must equal the row count. A given ``n`` is a
     nonnegative integer. Each column is accepted only by its stacked
@@ -312,38 +293,26 @@ def _collector_held(decode):
     return held
 
 
-def _g2o_line_numbers(line_no: int, tokens: list[str]) -> None:
-    """Check one record's ids and numbers, naming the line and token."""
-    n_ids = _G2O_RECORDS[tokens[0]][1]
-    _ints(tokens[1:1 + n_ids], line_no)
-    _floats(tokens[1 + n_ids:], line_no)
-
-
-def _g2o_columns(records: list[list[str]], tag: str,
-                 ) -> tuple[list[list[int]], np.ndarray]:
-    """The ids (one list per id field) and the numbers ``(len, fields)``
-    of the ``tag`` records, converted in bulk.
-
-    Raises:
-        ValueError: a malformed or non-finite number.
-    """
-    _, n_ids, width = _G2O_RECORDS[tag]
-    mine = [tokens for tokens in records if tokens[0] == tag]
-    ids = list(map(int, chain.from_iterable(t[1:1 + n_ids] for t in mine)))
-    vals = np.array(list(map(float, chain.from_iterable(
-        t[1 + n_ids:] for t in mine))), dtype=float)
-    if not np.isfinite(vals).all():
-        raise ValueError("a non-finite number")
-    return ([ids[c::n_ids] for c in range(n_ids)],
-            vals.reshape(len(mine), width - 1 - n_ids))
+def _g2o_error(line_no: int, tokens: list[str], n_ids: int) -> ParseError:
+    """The error naming the first bad token of a record line: an id that
+    ``int`` rejects, or a number that ``float`` rejects or that is not
+    finite. Ids are checked with ``int`` alone: ``math.isfinite`` would
+    overflow on a long one."""
+    for k, tok in enumerate(tokens[1:]):
+        try:
+            x = int(tok) if k < n_ids else float(tok)
+        except ValueError:
+            return ParseError(line_no, tok, "expected an integer id"
+                              if k < n_ids else "expected a number")
+        if k >= n_ids and not math.isfinite(x):
+            return ParseError(line_no, tok, "expected a finite number")
 
 
 @_collector_held
 def _g2o_contents(text: str) -> StoredDataset:
-    # tokens and line numbers in two lists, not a pair per record: freed
-    # pairs go to the tuple free list without lowering the collector's
-    # young count, so the first allocation after the hold would collect
-    records, line_nos = [], []
+    # per tag, one column per id field, then the t rows and the q rows
+    columns = {tag: [[] for _ in range(n_ids + 2)]
+               for tag, (_, n_ids, _) in _G2O_RECORDS.items()}
     skipped = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -352,27 +321,22 @@ def _g2o_contents(text: str) -> StoredDataset:
         if tokens[0] not in _G2O_RECORDS:
             skipped += 1
             continue
-        kind, _, width = _G2O_RECORDS[tokens[0]]
+        kind, n_ids, width = _G2O_RECORDS[tokens[0]]
         if len(tokens) != width:
-            # a bad number above fails first
-            for earlier in zip(line_nos, records):
-                _g2o_line_numbers(*earlier)
             raise ParseError(line_no, tokens[0],
                              f"{kind} needs {width} fields, got {len(tokens)}")
-        records.append(tokens)
-        line_nos.append(line_no)
-    try:
-        (vids,), v = _g2o_columns(records, "VERTEX_SE3:QUAT")
-        (src, dst), e = _g2o_columns(records, "EDGE_SE3:QUAT")
-    except ValueError:
-        # name the first bad line and token
-        for line in zip(line_nos, records):
-            _g2o_line_numbers(*line)
-        raise
-    # the 21 information values of an edge are checked, then dropped
-    return _assemble("g2o", (vids, v[:, 0:3], v[:, 3:7]),
-                     (src, dst, e[:, 0:3], e[:, 3:7]),
-                     skipped_records=skipped)
+        try:
+            ids = list(map(int, tokens[1:1 + n_ids]))
+            vals = list(map(float, tokens[1 + n_ids:]))
+            if not all(map(math.isfinite, vals)):
+                raise ValueError("a non-finite number")
+        except ValueError:
+            raise _g2o_error(line_no, tokens, n_ids) from None
+        # the 21 information values of an edge are checked, then dropped
+        for column, value in zip(columns[tokens[0]],
+                                 ids + [vals[0:3], vals[3:7]]):
+            column.append(value)
+    return _assemble("g2o", *columns.values(), skipped_records=skipped)
 
 
 def _fields(obj, name: str, *keys: str) -> list:

@@ -4,6 +4,7 @@ import gc
 import io as pyio
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,3 +570,17 @@ def test_a_failing_decode_restores_the_collector(
             gio.read_dataset(path)
 
     assert _collections(read, enabled)[1] is enabled
+
+
+def test_g2o_decode_peak_memory_is_a_few_times_the_file(big_inputs):
+    # each line is converted as it is read and only its columns are kept:
+    # the peak is about 4.2 times the file size, and a decode that keeps
+    # every token of every line until the end reaches about 11.5 times
+    path = big_inputs[1]
+    tracemalloc.start()
+    try:
+        gio.read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * path.stat().st_size

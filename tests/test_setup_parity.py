@@ -117,21 +117,43 @@ def _oracle_json(text):
         raise ValueError(f"malformed JSON dataset: {exc!r}") from None
 
 
+# g2o tag -> (record kind, number of ids, number of fields with the tag)
+_ORACLE_RECORDS = {"VERTEX_SE3:QUAT": ("vertex", 1, 9),
+                   "EDGE_SE3:QUAT": ("edge", 2, 31)}
+
+
+def _oracle_token(line_no, tok, is_id):
+    """One g2o token as an ``int`` id or a finite ``float``."""
+    if is_id:
+        try:
+            return int(tok)
+        except ValueError:
+            raise gio.ParseError(line_no, tok, "expected an integer id") from None
+    try:
+        x = float(tok)
+    except ValueError:
+        raise gio.ParseError(line_no, tok, "expected a number") from None
+    if not math.isfinite(x):
+        raise gio.ParseError(line_no, tok, "expected a finite number")
+    return x
+
+
 def _oracle_g2o(text):
     rows = {"vertex": [], "edge": []}
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
-        if tokens[0] not in gio._G2O_RECORDS:
+        if tokens[0] not in _ORACLE_RECORDS:
             continue
-        kind, n_ids, width = gio._G2O_RECORDS[tokens[0]]
+        kind, n_ids, width = _ORACLE_RECORDS[tokens[0]]
         if len(tokens) != width:
             raise gio.ParseError(
                 line_no, tokens[0],
                 f"{kind} needs {width} fields, got {len(tokens)}")
-        ids = gio._ints(tokens[1:1 + n_ids], line_no)
-        vals = gio._floats(tokens[1 + n_ids:], line_no)
+        values = [_oracle_token(line_no, tok, k < n_ids)
+                  for k, tok in enumerate(tokens[1:])]
+        ids, vals = values[:n_ids], values[n_ids:]
         rows[kind].append((*ids, vals[0:3], vals[3:7]))
     return _oracle_assemble(rows["vertex"], rows["edge"])
 
@@ -659,6 +681,71 @@ def test_malformed_g2o_fails_as_the_oracle(change):
     change(lines, {"vertex": vertex, "edge": edge})
     text = "\n".join(lines) + "\n"
     _same_error(lambda: gio._g2o_contents(text), lambda: _oracle_g2o(text))
+
+
+# -- a seeded g2o mutation sweep ---------------------------------------------
+
+# Tokens that are odd in an id or number slot of a g2o line
+G2O_PALETTE = ["1.5x", "nan", "inf", "-inf", "1e999", "0x1", "1_0", "+2",
+               "-0", "1e3", "9" * 400]
+# whole-line replacements
+_REPLACED = {"comment": "# a note", "blank": "", "unknown": "FIX 0"}
+G2O_CHANGES = G2O_PALETTE + ["drop", "add", *_REPLACED]
+
+
+def _g2o_change(rng, tokens, change):
+    """``tokens`` of a record line after one ``change``: a palette token
+    at a random id, ``t``, ``q`` or information slot, a token dropped or
+    added, or the whole line replaced."""
+    if change in _REPLACED:
+        return _REPLACED[change].split()
+    tokens = list(tokens)
+    if change == "drop":
+        del tokens[rng.integers(len(tokens))]
+    elif change == "add":
+        tokens.insert(rng.integers(len(tokens) + 1), "0.5")
+    else:
+        n_ids = 1 if tokens[0].startswith("VERTEX") else 2
+        bounds = {"id": (1, 1 + n_ids), "t": (1 + n_ids, 4 + n_ids),
+                  "q": (4 + n_ids, 8 + n_ids), "info": (8 + n_ids, 31)}
+        kinds = [k for k, (lo, hi) in bounds.items()
+                 if lo < min(hi, len(tokens))]
+        lo, hi = bounds[kinds[rng.integers(len(kinds))]]
+        tokens[rng.integers(lo, min(hi, len(tokens)))] = change
+    return tokens
+
+
+@pytest.mark.parametrize("change", G2O_CHANGES,
+                         ids=lambda c: c if len(c) < 10 else "400 digits")
+def test_single_line_changes_decode_g2o_as_the_oracle(change):
+    # 25 cases per change, 400 in all: the change on a random record
+    # line, then in two of three cases a second change on the same line
+    # (a token one) or on another line
+    lines = _g2o(_sweep_base()).splitlines()
+    records = [k for k, line in enumerate(lines)
+               if line.startswith(("VERTEX", "EDGE"))]
+    rng = np.random.default_rng(35 + G2O_CHANGES.index(change))
+    for _ in range(25):
+        changed = list(lines)
+        at = int(rng.choice(records))
+        changed[at] = " ".join(_g2o_change(rng, changed[at].split(), change))
+        again = int(rng.integers(3))
+        if again == 1 and change not in _REPLACED:
+            second = G2O_CHANGES[rng.integers(len(G2O_PALETTE) + 2)]
+        elif again:
+            at = int(rng.choice([k for k in records if k != at]))
+            second = G2O_CHANGES[rng.integers(len(G2O_CHANGES))]
+        if again:
+            changed[at] = " ".join(
+                _g2o_change(rng, changed[at].split(), second))
+        text = "\n".join(changed) + "\n"
+        try:
+            want = _oracle_g2o(text)
+        except Exception:
+            _same_error(lambda: gio._g2o_contents(text),
+                        lambda: _oracle_g2o(text))
+        else:
+            _assert_decoded_equal(gio._g2o_contents(text), want)
 
 
 def _m(i, j, angle=0.0):
