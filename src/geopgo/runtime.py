@@ -7,7 +7,8 @@ its edges read across cut edges, the edges whose two poses belong to
 different workers), the measurements on its own poses' outgoing edges
 (a :class:`~geopgo.graph.EdgeArrays`), the velocity pairs of its own
 poses at their current state (seeded from the driver's initial
-controls), and one inbound queue per neighboring worker. A round
+controls), and one inbound ``queue.SimpleQueue`` per neighboring
+worker, so one queue per ordered pair of neighboring workers. A round
 mirrors ``solver.step``:
 
 1. integrate the worker's own poses with the velocity pairs it carries;
@@ -134,8 +135,8 @@ class NodeWorker:
     t: np.ndarray
     nu: np.ndarray
     omega: np.ndarray
-    inboxes: dict[int, tuple[queue.Queue, slice]]
-    outboxes: dict[int, tuple[queue.Queue, np.ndarray]]
+    inboxes: dict[int, tuple[queue.SimpleQueue, slice]]
+    outboxes: dict[int, tuple[queue.SimpleQueue, np.ndarray]]
     config: SolverConfig
     timeout: float
     rows: np.ndarray = field(init=False)
@@ -198,9 +199,11 @@ def block_workers(
     timeout: float,
 ) -> list[NodeWorker]:
     """``k`` workers, worker ``b`` owning poses ``b*n//k`` to
-    ``(b+1)*n//k - 1``, with one queue for each ordered pair of workers
-    that share a cut edge. ``controls`` is the ``(n, 3)`` velocity pair
-    at ``init``; each worker carries its own rows of it into round 0.
+    ``(b+1)*n//k - 1``, with one ``queue.SimpleQueue`` (implemented in
+    C; its ``get`` with a timeout raises ``queue.Empty`` too) for each
+    ordered pair of workers that share a cut edge. ``controls`` is the
+    ``(n, 3)`` velocity pair at ``init``; each worker carries its own rows
+    of it into round 0.
     A block is cut from its own edge rows; its halo ascends, so the rows
     that worker ``c`` fills are the halo's slice between ``c``'s bounds."""
     e = g.edge_arrays
@@ -213,7 +216,7 @@ def block_workers(
         cuts = (blk.size + np.searchsorted(halo, bounds)).tolist()
         for c in np.flatnonzero(np.diff(cuts)).tolist():
             rows = slice(cuts[c], cuts[c + 1])
-            box: queue.Queue = queue.Queue()
+            box: queue.SimpleQueue = queue.SimpleQueue()
             inboxes[b][c] = (box, rows)
             outboxes[c][b] = (box, blk.ids[rows] - bounds[c])
     s = as_stack(init)

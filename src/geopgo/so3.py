@@ -108,21 +108,36 @@ def exp_map(v: np.ndarray) -> np.ndarray:
 
     Takes one vector ``(3,)`` or a stack ``(..., 3)`` and returns
     ``(3, 3)`` or ``(..., 3, 3)``; each matrix equals the one-vector call
-    bit for bit. Uses second-order series coefficients below an angle of
-    1e-6 so the map stays smooth and exact-to-double through zero.
+    bit for bit. The coefficients ``sin θ / θ`` and ``(1 - cos θ) / θ²``
+    are divided directly; only rows whose angle is below
+    :data:`_SMALL_ANGLE` (1e-6) take second-order series instead, so the
+    map stays smooth and exact-to-double through zero. The result is
+    assembled in place in the :func:`hat` buffer as ``(I + a S) + b S²``,
+    with the operands of every product and sum in that order, so a NaN
+    row keeps its payload too.
     """
     v = np.asarray(v, dtype=float)
     flat = v.reshape(-1, 3)
     theta = np.sqrt(dot_rows(flat, flat))
     theta2 = theta * theta
-    a = 1.0 - theta2 / 6.0
-    b = 0.5 - theta2 / 24.0
+    a, b = np.sin(theta), 1.0 - np.cos(theta)
     big = theta >= _SMALL_ANGLE  # elsewhere the series; no 0/0 at zero
-    np.divide(np.sin(theta), theta, out=a, where=big)
-    np.divide(1.0 - np.cos(theta), theta2, out=b, where=big)
+    if big.all():
+        a /= theta
+        b /= theta2
+    else:
+        np.divide(a, theta, out=a, where=big)
+        np.divide(b, theta2, out=b, where=big)
+        small = theta2[~big]
+        a[~big] = 1.0 - small / 6.0
+        b[~big] = 0.5 - small / 24.0
     s = hat(flat)
-    r = _EYE + a[:, None, None] * s + b[:, None, None] * (s @ s)
-    return r.reshape(v.shape + (3,))
+    s2 = s @ s
+    np.multiply(b[:, None, None], s2, out=s2)
+    np.multiply(a[:, None, None], s, out=s)
+    np.add(_EYE, s, out=s)
+    s += s2
+    return s.reshape(v.shape + (3,))
 
 
 def rotation_angle(r: np.ndarray) -> float | np.ndarray:
@@ -155,6 +170,10 @@ def log_map(r: np.ndarray) -> np.ndarray:
     a rotation ``(3, 3)`` (or a stack ``(..., 3, 3)``) whose geodesic
     angle is below ``pi - 1e-9``.
 
+    The skew part ``vee(r - r.T)`` is scaled in place by ``θ / (2 sin
+    θ)``; only rows whose angle is below :data:`_SMALL_ANGLE` take the
+    second-order series ``(1 + θ²/6) / 2`` instead.
+
     Raises:
         AngleAtPiError: when an angle reaches the chart boundary, where
             the axis is not recoverable from ``r - r.T``; its ``index``
@@ -169,10 +188,16 @@ def log_map(r: np.ndarray) -> np.ndarray:
         raise AngleAtPiError(
             f"rotation angle {theta[k]:.12f} is within 1e-9 of pi; "
             "logarithm is outside its chart", index)
-    coef = 0.5 * (1.0 + theta * theta / 6.0)
-    np.divide(theta, 2.0 * np.sin(theta), out=coef,
-              where=theta >= _SMALL_ANGLE)
-    return (coef[:, None] * skew).reshape(r.shape[:-1])
+    coef = 2.0 * np.sin(theta)
+    big = theta >= _SMALL_ANGLE  # elsewhere the series; no 0/0 at zero
+    if big.all():
+        np.divide(theta, coef, out=coef)
+    else:
+        np.divide(theta, coef, out=coef, where=big)
+        small = theta[~big]
+        coef[~big] = 0.5 * (1.0 + small * small / 6.0)
+    np.multiply(coef[:, None], skew, out=skew)
+    return skew.reshape(r.shape[:-1])
 
 
 def named_log_map(r: np.ndarray, name, start: int = 0) -> np.ndarray:
@@ -299,17 +324,27 @@ def project_to_rotation(m: np.ndarray) -> np.ndarray:
 
 
 def orthonormality_drift(r: np.ndarray) -> float | np.ndarray:
-    """Frobenius distance of ``r.T @ r`` from the identity, per matrix.
+    """Frobenius distance of ``r.T @ r`` from the identity, per matrix: a
+    float for one matrix, an array for a stack.
 
-    The left operand is a contiguous copy of the transposes: numpy
+    The identity is subtracted in place from the product, as ``(r.T @ r)
+    - I``. The left operand is a contiguous copy of the transposes: numpy
     multiplies a transposed view by its own buffer on a slower BLAS path
     (a symmetric rank-k update) that gives the same bits.
     """
     r = np.asarray(r, dtype=float)
-    rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
-    e = (rt @ r - _EYE).reshape(r.shape[:-2] + (9,))
-    drift = np.sqrt(dot_rows(e, e))
+    drift = _drift(r)
     return float(drift) if r.ndim == 2 else drift
+
+
+def _drift(r: np.ndarray) -> np.ndarray:
+    """:func:`orthonormality_drift` of ``r`` ``(..., 3, 3)``, a numpy
+    scalar for one matrix."""
+    rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
+    e = rt @ r
+    e -= _EYE
+    e = e.reshape(r.shape[:-2] + (9,))
+    return np.sqrt(dot_rows(e, e))
 
 
 def renormalize(r: np.ndarray) -> np.ndarray:
@@ -319,10 +354,10 @@ def renormalize(r: np.ndarray) -> np.ndarray:
     are cheap and bit-stable; only drifted matrices pay for an SVD.
     """
     r = np.asarray(r, dtype=float)
-    drifted = orthonormality_drift(r) > _ORTHO_DRIFT_TOL
-    if not np.any(drifted):
+    drifted = _drift(r) > _ORTHO_DRIFT_TOL
+    if not drifted.any():
         return r
-    out = r.copy()  # a single matrix is indexed by a 0-d mask here
+    out = r.copy()  # a single matrix is indexed by a scalar mask here
     out[drifted] = project_to_rotation(r[drifted])
     return out
 

@@ -457,22 +457,19 @@ def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> 
 def max_control_norm(nu: np.ndarray, omega: np.ndarray) -> float:
     """Largest per-node velocity norm across both control families.
 
-    Each row's squares are added as ``(q0 + q1) + q2``, the order of
-    ``add.reduce(x * x, axis=1)`` and so of ``np.linalg.norm(x,
-    axis=1)``, and one ``sqrt`` is taken of the larger family maximum:
+    One pass over the rows of both families stacked: each row's squares
+    are added as ``(q0 + q1) + q2``, the order of ``add.reduce(x * x,
+    axis=1)`` and so of ``np.linalg.norm(x, axis=1)``, in place in the
+    stacked squares, and one ``sqrt`` is taken of their one maximum:
     ``sqrt`` is monotone and correctly rounded, so that is the largest
-    row norm. A NaN in either family gives NaN (``np.maximum``, where
-    Python's ``max`` would keep its first argument).
+    row norm. A NaN in either family gives NaN (``max`` propagates it),
+    and ``0.0`` is the norm of no rows.
     """
-    return float(np.sqrt(np.maximum(_max_sum_squares3(nu),
-                                    _max_sum_squares3(omega))))
-
-
-def _max_sum_squares3(x: np.ndarray) -> np.ndarray:
-    """Largest ``(q0 + q1) + q2`` over the rows of ``x * x`` ``(n, 3)``;
-    ``0.0`` when ``n`` is 0."""
-    sq = x * x
-    return ((sq[:, 0] + sq[:, 1]) + sq[:, 2]).max(initial=0.0)
+    sq = np.concatenate((nu, omega))
+    sq *= sq
+    total = sq[:, 0] + sq[:, 1]
+    total += sq[:, 2]
+    return float(np.sqrt(total.max(initial=0.0)))
 
 
 def step(state: SolverState, g: PoseGraph, config: SolverConfig) -> SolverState:

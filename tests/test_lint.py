@@ -247,24 +247,33 @@ def test_only_the_io_helper_switches_the_collector():
 
 # A run has at most AGENTS + 1 live threads, whatever the graph size:
 # only the distributed run starts threads, one per block worker, and
-# only the block set-up makes the workers' queues.
-THREAD_HOMES = {("threading", "Thread"): ("runtime.py", "run_distributed"),
-                ("queue", "Queue"): ("runtime.py", "block_workers")}
+# only the block set-up makes the workers' queues. Each is a
+# queue.SimpleQueue (implemented in C); a queue.Queue, whose locks and
+# conditions are Python code, is made nowhere.
+THREAD_HOME = ("runtime.py", "run_distributed")
+QUEUE_CLASSES = {"Queue", "SimpleQueue"}
+QUEUE_HOME = ("runtime.py", "block_workers")
 
 
 def test_thread_and_queue_check_sees_both_forms():
-    tree = ast.parse("import threading\nfrom queue import Queue as Q\n"
+    tree = ast.parse("import threading\nimport queue\n"
+                     "from queue import SimpleQueue as Q\n"
                      "def run():\n    threading.Thread(target=f)\n"
-                     "    Q()\nthreading.Barrier(2)\nqueue.Queue()\n")
+                     "    Q()\nthreading.Barrier(2)\nqueue.Queue()\n"
+                     "queue.Empty()\n")
     assert _module_calls(tree, "threading", {"Thread"}) == [
-        ("run", "line 4: threading.Thread")]
+        ("run", "line 5: threading.Thread")]
+    assert _module_calls(tree, "queue", QUEUE_CLASSES) == [
+        ("run", "line 6: queue.SimpleQueue"),
+        ("<module>", "line 8: queue.Queue")]
     assert _module_calls(tree, "queue", {"Queue"}) == [
-        ("run", "line 5: queue.Queue")]
+        ("<module>", "line 8: queue.Queue")]
 
 
 def test_only_the_runtime_starts_threads_and_makes_queues():
-    for (module, name), home in THREAD_HOMES.items():
-        assert _homes(module, {name}) == {home}
+    assert _homes("threading", {"Thread"}) == {THREAD_HOME}
+    assert _homes("queue", QUEUE_CLASSES) == {QUEUE_HOME}
+    assert _homes("queue", {"Queue"}) == set()
 
 
 # Tests patch graph.EDGE_BLOCK to cut small graphs into many runs and

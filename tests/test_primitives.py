@@ -1,12 +1,15 @@
 """The per-iteration primitives against the numpy forms they replaced.
 
-Each primitive below spells out an order of floating-point additions, or
-calls a lower layer of numpy, so that it makes fewer numpy calls than the
-form it replaced. The replaced forms are kept here as oracles and every
-comparison is bitwise: same shape, dtype and bytes, so signed zeros
-count. The inputs are stacks of 3x3 matrices with the cases that stress
-the arithmetic: +0.0 and -0.0 entries, identity rows, tiny angles,
-angles near pi and drifted rotations, as one matrix and as stacks.
+Each primitive below spells out an order of floating-point additions,
+calls a lower layer of numpy, or builds its result in place and its
+small-angle series only where an angle is small, so that it makes fewer
+numpy calls than the form it replaced. The replaced forms are kept here
+as oracles and every comparison is bitwise: same shape, dtype and bytes,
+so signed zeros count. The inputs are stacks of 3x3 matrices (and of
+tangent vectors) with the cases that stress the arithmetic: +0.0 and
+-0.0 entries, identity rows, tiny angles, angles at the series bound,
+angles near pi, drifted rotations and NaN rows, as one matrix and as
+stacks.
 
 ``test_numpy_still_adds_in_the_spelled_out_orders`` pins numpy's own
 orders against plain Python float arithmetic; after a numpy upgrade that
@@ -46,6 +49,23 @@ def _oracle_log_map(r):
     coef = 0.5 * (1.0 + theta * theta / 6.0)
     np.divide(theta, 2.0 * np.sin(theta), out=coef, where=theta >= 1e-6)
     return (coef[:, None] * _oracle_skew(flat)).reshape(r.shape[:-1])
+
+
+def _oracle_exp_map(v):
+    # the form that so3.exp_map replaced: the series for every row, the
+    # ratios over it where the angle is big, then one expression
+    v = np.asarray(v, dtype=float)
+    flat = v.reshape(-1, 3)
+    theta = np.sqrt(so3.dot_rows(flat, flat))
+    theta2 = theta * theta
+    a = 1.0 - theta2 / 6.0
+    b = 0.5 - theta2 / 24.0
+    big = theta >= 1e-6
+    np.divide(np.sin(theta), theta, out=a, where=big)
+    np.divide(1.0 - np.cos(theta), theta2, out=b, where=big)
+    s = so3.hat(flat)
+    r = so3._EYE + a[:, None, None] * s + b[:, None, None] * (s @ s)
+    return r.reshape(v.shape + (3,))
 
 
 def _oracle_drift(r):
@@ -99,9 +119,68 @@ def rng():
 
 
 def _shapes(r):
-    # the stack, one matrix at a time, and a stack of stacks
+    # the stack, one row at a time, and a stack of stacks
     return [r, *r[:: max(1, len(r) // 40)], r[: len(r) // 2 * 2].reshape(
-        2, -1, 3, 3)]
+        (2, -1) + r.shape[1:])]
+
+
+_BELOW_SMALL = np.nextafter(1e-6, 0.0)  # the largest angle of the series
+
+
+def _scan_the_bound():
+    """Tangent vectors along five axes, generic ones included, at angles
+    within 100 ulps of 1e-6."""
+    t = 1e-6 + np.arange(-100, 100) * np.spacing(1e-6)
+    axes = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.6, 0.8, 0.0],
+                     [1.0, 1.0, 1.0], [0.3, -0.5, 0.7]])
+    axes /= np.sqrt(so3.dot_rows(axes, axes))[:, None]
+    return (t[:, None, None] * axes).reshape(-1, 3)
+
+
+def _at_the_bound(angle, rows):
+    return rows[(angle == 1e-6) | (angle == _BELOW_SMALL)]
+
+
+def _boundary_tangents(rng, k):
+    """Tangent vectors on both sides of the series bound: every sign
+    pattern of zeros, angles from 1e-12 to 1e-7, angles exactly 1e-6 and
+    one ulp below it, generic and near-pi angles (all with +0.0 and -0.0
+    components), and NaN rows."""
+    zeros = np.array([[a, b, c] for a in (0.0, -0.0) for b in (0.0, -0.0)
+                      for c in (0.0, -0.0)])
+    unit = np.concatenate((np.eye(3), -np.eye(3)))  # -0.0 off the axis
+    scan = _scan_the_bound()
+    tiny = _signed_zeros(rng, _axes(rng, k) * 10.0 ** rng.uniform(
+        -12, -7, (k, 1)))
+    generic = _signed_zeros(rng, rng.normal(size=(k, 3)))
+    near_pi = _signed_zeros(rng, _axes(rng, k) * (
+        np.pi - 10.0 ** rng.uniform(-8.5, -3, (k, 1))))
+    nan = np.array([[np.nan, 0.0, -0.0], [1.0, np.nan, 2.0]])
+    v = np.concatenate((
+        zeros, tiny, 1e-6 * unit, _BELOW_SMALL * unit,
+        _at_the_bound(np.sqrt(so3.dot_rows(scan, scan)), scan), generic,
+        near_pi, nan))
+    return rng.permutation(v)
+
+
+def _boundary_rotations():
+    """Rotations whose angle is exactly 1e-6 or one ulp below it."""
+    r = so3.exp_map(_scan_the_bound())
+    return _at_the_bound(_oracle_angle(r), r)
+
+
+def test_exp_map_equals_the_series_everywhere_form(rng):
+    v = _boundary_tangents(rng, 300)
+    theta = np.sqrt(so3.dot_rows(v, v))
+    small = theta < 1e-6
+    assert (theta == 1e-6).sum() == 12 and (theta == _BELOW_SMALL).sum() == 11
+    assert 0 < small.sum() < len(v) - 2  # both sides, the NaN rows apart
+    big = v[theta >= 1e-6]
+    with np.errstate(invalid="ignore"):
+        # a mixed stack, the rows alone, all-big stacks and stacks of
+        # stacks of both
+        for x in [*_shapes(v), *v, *_shapes(big), v[small]]:
+            assert _same_bits(so3.exp_map(x), _oracle_exp_map(x))
 
 
 def test_skew_part_equals_the_take_form(rng):
@@ -134,10 +213,23 @@ def test_rotation_angle_equals_the_np_trace_form(rng):
 
 
 def test_log_map_equals_the_np_trace_form(rng):
-    r = _rotations(rng, 1000)
+    boundary = _boundary_rotations()
+    angle = _oracle_angle(boundary)
+    assert (angle == 1e-6).any() and (angle == _BELOW_SMALL).any()
+    with np.errstate(invalid="ignore"):
+        tangents = so3.exp_map(_boundary_tangents(rng, 300))
+    r = np.concatenate((_rotations(rng, 1000), tangents, boundary))
     r = r[_oracle_angle(r) < np.pi - 1e-9]
-    for x in _shapes(r):
-        assert _same_bits(so3.log_map(x), _oracle_log_map(x))
+    nan = np.full((2, 3, 3), np.nan)
+    nan[1] = np.eye(3)
+    nan[1, 0, 1] = np.nan
+    r = rng.permutation(np.concatenate((r, nan)))
+    theta = _oracle_angle(r)
+    assert 0 < (theta < 1e-6).sum() < len(r) - 2
+    with np.errstate(invalid="ignore"):
+        for x in [*_shapes(r), *boundary, *nan,
+                  *_shapes(r[theta >= 1e-6])]:
+            assert _same_bits(so3.log_map(x), _oracle_log_map(x))
 
 
 def test_orthonormality_drift_equals_the_transposed_view_form(rng):
