@@ -309,11 +309,6 @@ def _term_bins(src: np.ndarray) -> np.ndarray:
     return (6 * src[:, None] + _TERM_BINS).ravel()
 
 
-def _transposed_stack(r: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of the transpose of each matrix of ``r``."""
-    return np.ascontiguousarray(np.swapaxes(r, -1, -2))
-
-
 # The widest run whose products R_i t_ij the kernel makes per edge row.
 # A wider run makes them in one stacked matrix-vector product, which
 # costs three BLAS calls per node against one per edge row; on ring-200
@@ -370,8 +365,8 @@ class EdgeArrays:
     the layout are made when the arrays are frozen, ``cut`` always and
     ``bins`` and ``runs`` unless given, so a ``replace`` that keeps the
     layout may carry them over, as it may :attr:`PoseGraph.tree`.
-    Nothing derived from the measurements may: :attr:`r_rel_t` is made
-    from ``r_rel``, and :attr:`t_rel_pad` from ``t_rel``, on first read.
+    Nothing derived from the measurements may: the one such array,
+    :attr:`t_rel_pad`, is made from ``t_rel`` on first read.
     ``bins`` ``(9E,)`` is where the node sums put each entry of the
     kernel's ``(E, 3, 3)`` per-edge terms ``(d, -m, w)``: entry ``c`` of
     edge ``k``'s ``d`` and ``-m`` goes to bin ``6 * src[k] + c`` and of
@@ -408,15 +403,6 @@ class EdgeArrays:
                 a.flags.writeable = False
 
     @cached_property
-    def r_rel_t(self) -> np.ndarray:
-        """``r_rel`` with each matrix transposed, read-only and
-        C-contiguous, for the kernel's transposed rotation products (a
-        subtract that reads a transposed view is several times slower)."""
-        r_t = _transposed_stack(self.r_rel)
-        r_t.flags.writeable = False
-        return r_t
-
-    @cached_property
     def t_rel_pad(self) -> tuple[np.ndarray | None, ...]:
         """``t_rel`` per run of :attr:`runs`, as the run's nodes' rows
         zero-padded to its width ``W``, ``(m, W, 3)`` and read-only, for
@@ -437,8 +423,8 @@ class EdgeArrays:
         """The outgoing edges of poses ``lo..hi-1`` of the whole graph,
         indexed locally and cut from those rows alone: the halo is their
         distinct ``dst`` ids outside the block. The measurement stacks are
-        views of this one's (its :attr:`r_rel_t` and :attr:`t_rel_pad` are
-        made from its own rows), and its ``rev`` is a slice of this one's:
+        views of this one's (its :attr:`t_rel_pad` is made from its own
+        rows), and its ``rev`` is a slice of this one's:
         a row whose reverse lies outside the block's rows is a cut row."""
         a, b = self.offsets[lo], self.offsets[hi]
         dst = self.dst[a:b]

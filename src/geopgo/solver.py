@@ -37,13 +37,10 @@ used: stacked ``@``, elementwise ufuncs, :func:`so3.dot_rows`
 (one ``np.vecdot``) for dot products and left-to-right
 ``np.add.accumulate`` for the objective totals; no ``einsum`` or
 ``reduceat``. Where numpy's own reduction is cheaper to spell out, the
-pass spells out numpy's order: a chordal row of 9 squares is added as
-``((q0+q1)+(q2+q3))+((q4+q5)+(q6+q7))+q8`` (:func:`_sum_squares9`, in
-the entry order of the untransposed matrices), as ``np.sum`` adds it,
-a control norm's 3 squares as ``(q0+q1)+q2`` (:func:`max_control_norm`),
-as ``add.reduce`` adds them, and ``so3`` adds a trace as ``((0 + r00) +
-r11) + r22``, as ``np.trace`` does. The node sums are one
-``np.bincount`` per pass over
+pass spells out numpy's order: a control norm's 3 squares are added as
+``(q0+q1)+q2`` (:func:`max_control_norm`), as ``add.reduce`` adds them,
+and ``so3`` adds a trace as ``((0 + r00) + r11) + r22``, as ``np.trace``
+does. The node sums are one ``np.bincount`` per pass over
 :attr:`~geopgo.graph.EdgeArrays.bins`, which adds in input order, so
 each node adds its terms in edge-row order from ``+0.0``, as a per-edge
 loop does (:func:`_node_sums`). The pass keeps its memory traffic low
@@ -111,10 +108,12 @@ class ObjectiveValue:
     """Objective decomposition at one state.
 
     ``geodesic`` is the full objective with squared log-residual rotation
-    terms; ``chordal`` swaps those for squared Frobenius residuals. Both
-    include ``translation_only``. ``rotation_only`` is the geodesic
-    rotation part alone, which is twice the descent certificate that the
-    rotation flow decreases.
+    terms; ``chordal`` swaps those for the squared Frobenius residuals of
+    the rotations, ``|R_i.T R_j - r_ij|^2``, each computed from its
+    residual angle ``theta`` as ``8 sin^2(theta / 2)``, which equals it
+    (see :func:`node_controls`). Both include ``translation_only``.
+    ``rotation_only`` is the geodesic rotation part alone, which is twice
+    the descent certificate that the rotation flow decreases.
     """
 
     geodesic: float
@@ -214,24 +213,6 @@ def _node_sums(terms: np.ndarray, block: EdgeArrays
     return sums[:, 0], sums[:, 1]
 
 
-# the entries of a flat (9,) row of a matrix's transpose, in row-major
-# order: entry (a, b) of r.T is entry (b, a) of r
-_TRANSPOSED = (0, 3, 6, 1, 4, 7, 2, 5, 8)
-
-
-def _sum_squares9(c: np.ndarray, order=range(9)) -> np.ndarray:
-    """``np.sum(c[:, order] * c[:, order], axis=-1)`` of ``c`` ``(N, 9)``,
-    bit for bit, from elementwise adds in numpy's pairwise order for 9
-    values, ``((q0+q1)+(q2+q3))+((q4+q5)+(q6+q7))+q8``. (numpy adds that
-    to +0.0, which changes no sum of squares: none is -0.0.) With
-    ``order`` :data:`_TRANSPOSED` it is the sum over the transposes of
-    the rows of ``c`` read as 3x3 matrices."""
-    sq = c * c
-    q = [sq[:, k] for k in order]
-    return (((q[0] + q[1]) + (q[2] + q[3]))
-            + ((q[4] + q[5]) + (q[6] + q[7]))) + q[8]
-
-
 def _block_terms(r, t, block: EdgeArrays):
     """Per-edge terms of ``block``'s directed edges ``(i, j)``, one run
     of whole nodes at a time (``block.runs``: at most
@@ -239,10 +220,9 @@ def _block_terms(r, t, block: EdgeArrays):
 
     ``r`` and ``t`` are the stacked poses that ``block.src`` and
     ``block.dst`` index. Yields each run's edge rows, as a slice, and
-    their terms: the transposes ``R_j.T @ R_i`` of ``rrel = R_i.T @
-    R_j``, the transposes ``r_ij @ R_j.T @ R_i`` of the rotation
-    residuals ``rrel @ r_ij.T``, the consensus difference ``d = t_j -
-    t_i`` and ``R_i @ t_ij``.
+    their terms: the transposes ``r_ij @ R_j.T @ R_i`` of the rotation
+    residuals ``R_i.T @ R_j @ r_ij.T``, the consensus difference ``d =
+    t_j - t_i`` and ``R_i @ t_ij``.
 
     A run makes all its ``R_j.T @ R_i`` in one stacked product, ``(m,
     3W, 3) @ (m, 3, 3)``: node ``i``'s left operand stacks the
@@ -281,7 +261,7 @@ def _block_terms(r, t, block: EdgeArrays):
             raw = _padded_mv(t_pad, r[lo:hi]).reshape(-1, 3)
             if real is not None:
                 raw = raw.take(real, 0)
-        yield sl, (rrel_t, block.r_rel[sl] @ rrel_t, d, raw)
+        yield sl, (block.r_rel[sl] @ rrel_t, d, raw)
 
 
 def node_controls(
@@ -312,8 +292,12 @@ def node_controls(
     ``rows``, when given, is a ``(3, E)`` array over the block's edges
     that the same pass fills with each edge's objective terms: the
     squared translation residual ``|t_j - t_i - R_i t_ij|^2``, the
-    squared residual log (geodesic) and the squared Frobenius residual
-    ``|R_i.T R_j - r_ij|^2`` (chordal). They do not depend on the
+    squared residual log ``theta^2`` (geodesic) and the squared
+    Frobenius residual ``|R_i.T R_j - r_ij|^2`` (chordal). The chordal
+    row is made after the runs from the geodesic row, as ``8 * (h * h)``
+    with ``h = sin(0.5 * sqrt(theta^2))``: the Frobenius residual is
+    ``|R_i.T R_j r_ij.T - I|^2``, which is ``8 sin^2(theta / 2)`` for a
+    rotation of angle ``theta``. The rows do not depend on the
     translation mode, and :func:`evaluate_objective` sums them.
 
     Raises:
@@ -324,19 +308,18 @@ def node_controls(
     count, cut = len(block.src), block.cut
     terms = np.empty((count, 3, 3))  # see _node_sums
     raw = np.empty((count + len(cut), 3))  # R_i t_ij: own rows, cut rows
-    for sl, (rrel_t, resid_t, d, raw_sl) in _block_terms(r, t, block):
+    for sl, (resid_t, d, raw_sl) in _block_terms(r, t, block):
         w = _residual_logs(resid_t, block, sl.start)
         terms[sl, 0] = d
         terms[sl, 2] = w
         raw[sl] = raw_sl
         if rows is not None:
-            # the chordal entries are those of the transposes rrel_t -
-            # r_ij.T, added in the row-major order of rrel - r_ij
             err = d - raw_sl
             rows[0, sl] = so3.dot_rows(err, err)
             rows[1, sl] = so3.dot_rows(w, w)
-            rows[2, sl] = _sum_squares9(
-                (rrel_t - block.r_rel_t[sl]).reshape(-1, 9), _TRANSPOSED)
+    if rows is not None:
+        h = np.sin(0.5 * np.sqrt(rows[1]))  # sin(theta / 2), see above
+        rows[2] = 8.0 * (h * h)
     if translation_mode == "raw":
         np.negative(raw[:count], out=terms[:, 1])
     else:
@@ -404,8 +387,10 @@ def evaluate_objective(estimates: Sequence[Pose], g: PoseGraph,
     same state are bitwise equal wherever they run: one
     ``np.add.accumulate`` along each row's contiguous axis, whose last
     column is :func:`graph.sequential_sum` of ``rows.T`` bit for bit,
-    since no row entry is ``-0.0`` (each is a sum of squares) and so
-    the first one added to ``+0.0`` is itself. No edges give zeros.
+    since no row entry is ``-0.0`` (the translation and geodesic entries
+    are sums of squares, and a chordal entry is 8 times a square, ``h *
+    h``, which is ``+0.0`` even at ``h = -0.0``) and so the first one
+    added to ``+0.0`` is itself. No edges give zeros.
     """
     if rows is None:
         s = as_stack(estimates)
@@ -450,8 +435,8 @@ def in_basin(estimates: Sequence[Pose], g: PoseGraph, epsilon: float = 0.01) -> 
     bound = np.pi / 2.0 - epsilon
     s = as_stack(estimates)
     return not any(np.any(so3.rotation_angle(resid_t) > bound)
-                   for _, (_, resid_t, *_) in _block_terms(s.r, s.t,
-                                                           g.edge_arrays))
+                   for _, (resid_t, *_) in _block_terms(s.r, s.t,
+                                                        g.edge_arrays))
 
 
 def max_control_norm(nu: np.ndarray, omega: np.ndarray) -> float:

@@ -2,8 +2,10 @@
 averaged translation is an oracle fixture, and ``bounded_cost`` checks
 that a call's time and memory do not grow with a claimed size.
 
-The bitwise tests pin rounding orders that were measured on one numpy
-and one BLAS, so a failure report should say which ones ran.
+The bitwise tests pin rounding orders that were measured on one numpy,
+one BLAS and one set of SIMD extensions (numpy's ``sin`` dispatches on
+them, and the chordal rows pin its bits), so a failure report should
+say which ones ran.
 """
 
 import contextlib
@@ -17,15 +19,19 @@ import pytest
 
 def pytest_report_header(config):
     try:
-        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        info = np.show_config(mode="dicts")
+        deps = info["Build Dependencies"]
     except (TypeError, KeyError):  # a numpy without mode="dicts"
         return (f"numpy {np.__version__} (BLAS not reported), "
                 f"{platform.machine()}")
     blas = deps.get("blas", {})
     detail = " ".join(blas.get("openblas configuration", "").split())
+    simd = " ".join(info.get("SIMD Extensions", {}).get("found", [])
+                    ) or "not reported"
     return (f"numpy {np.__version__}, BLAS {blas.get('name', 'unknown')} "
             f"{blas.get('version', '')}"
-            + (f" ({detail})" if detail else "") + f", {platform.machine()}")
+            + (f" ({detail})" if detail else "")
+            + f", SIMD {simd}, {platform.machine()}")
 
 
 def _averaged_translation(t_ij, t_ji, r_ij_est):

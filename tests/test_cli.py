@@ -253,28 +253,29 @@ def test_tree_init_composes_the_reconciled_measurements(
 
 def test_reference_solve_transposes_the_reconciled_rotations_only(
         tmp_path, monkeypatch):
-    # the kernel reads a transposed rotation stack; a solve makes it once,
-    # for the reconciled graph it runs on, and never for the loaded one
+    # the kernel reads the padded translation stacks; a solve makes them
+    # once, for the reconciled graph it runs on, and never for the loaded one
     ds = _generate(tmp_path)
     made, graphs = [], []
-    real_stack = graph._transposed_stack
+    real_stacks = graph._padded_stacks
     real_enforce = cli.enforce_pairwise_rotations
 
-    def counted(r):
-        made.append(r)
-        return real_stack(r)
+    def counted(t, *args):
+        made.append(t)
+        return real_stacks(t, *args)
 
     def spy(g):
         graphs.append((g, real_enforce(g)))
         return graphs[-1][1]
 
-    monkeypatch.setattr(graph, "_transposed_stack", counted)
+    monkeypatch.setattr(graph, "_padded_stacks", counted)
     monkeypatch.setattr(cli, "enforce_pairwise_rotations", spy)
     assert cli.main(["solve", "--dataset", str(ds), "--max-iters", "3",
                      "--out-dir", str(tmp_path / "run")]) == 0
     [(loaded, reconciled)] = graphs
-    assert len(made) == 1 and made[0] is reconciled.edge_arrays.r_rel
-    assert "r_rel_t" not in vars(loaded.edge_arrays)
+    assert len(made) == 1 and made[0] is reconciled.edge_arrays.t_rel
+    assert "t_rel_pad" in vars(reconciled.edge_arrays)
+    assert "t_rel_pad" not in vars(loaded.edge_arrays)
 
 
 def _doubled_vertex_id(d):

@@ -3,8 +3,10 @@
 ``_loop_node_controls`` and ``_loop_objective`` are the scalar loops the
 solver used before its per-edge terms were stacked: one so3 call per
 edge, summed in ascending neighbor order. The kernel keeps their
-arithmetic, so every comparison here is bitwise (``==``), not a
-tolerance.
+arithmetic, so every comparison with them is bitwise (``==``), not a
+tolerance. The loop's chordal term is the kernel's angle form, ``8
+sin^2(theta / 2)``; the tests against the Frobenius definition of the
+chordal residual bound the difference instead.
 """
 
 from dataclasses import replace
@@ -40,8 +42,9 @@ def _loop_objective(estimates, g):
         rrel = pi.r.T @ pj.r
         w = so3.log_map(rrel @ m.r_rel.T)
         rot += float(w @ w)
-        d = rrel - m.r_rel
-        chord += float(np.sum(d * d))
+        # |rrel - r_ij|^2 from the residual angle: 8 sin^2(theta / 2)
+        h = np.sin(0.5 * np.sqrt(w @ w))
+        chord += float(8.0 * (h * h))
         e = pj.t - pi.t - pi.r @ m.t_rel
         trans += float(e @ e)
     return solver.ObjectiveValue(geodesic=trans + rot, chordal=trans + chord,
@@ -427,6 +430,73 @@ def test_objective_rows_equal_the_control_pass_rows(inst, block):
                 == solver.evaluate_objective(None, g, want))
 
 
+def _frobenius_rows(r, e):
+    # |R_i.T R_j - r_ij|^2 of every edge row, the chordal definition
+    diff = np.swapaxes(r[e.src], -1, -2) @ r[e.dst] - e.r_rel
+    return np.sum(diff * diff, axis=(1, 2))
+
+
+def test_chordal_rows_equal_the_frobenius_definition():
+    # the kernel makes each chordal entry from the residual angle, as
+    # 8 sin^2(theta / 2); on a path of Haar-random poses whose measured
+    # rotations leave residual angles of 0 and 1e-12 to 3.1, it must
+    # equal the Frobenius definition within 1e-13 * sqrt(frob)
+    rng = np.random.default_rng(37)
+    count = 20000
+    q = rng.normal(size=(count + 1, 4))
+    r = so3.quat_to_matrix(q / np.linalg.norm(q, axis=1, keepdims=True))
+    angle = 10.0 ** rng.uniform(-12, np.log10(3.1), count)
+    angle[::50] = 0.0
+    axis = rng.normal(size=(count, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    turn = so3.exp_map(angle[:, None] * axis)
+    r_rel = np.swapaxes(r[:-1], -1, -2) @ r[1:] @ np.swapaxes(turn, -1, -2)
+    ids = np.arange(count)
+    g = build_graph(count + 1, MeasurementColumns(ids, ids + 1,
+                                                  np.zeros((count, 3)), r_rel))
+    e = g.edge_arrays
+    rows = np.empty((3, g.directed_count))
+    solver.node_controls(r, np.zeros((count + 1, 3)), e, "raw", rows)
+    frob = _frobenius_rows(r, e)
+    assert np.all(np.abs(rows[2] - frob) <= 1e-13 * np.sqrt(frob))
+    assert (frob == 0.0).any() and frob.max() > 3.9
+
+
+def test_chordal_total_equals_a_frobenius_loop():
+    # a noisy sphere-50 state's chordal total against the translation
+    # total plus the Frobenius squares, one edge at a time
+    g, est = _instance("sphere", 50, 1)
+    got = solver.evaluate_objective(est, g)
+    chord = 0.0
+    for m in g.measurements:
+        d = est[m.src].r.T @ est[m.dst].r - m.r_rel
+        chord += float(np.sum(d * d))
+    want = got.translation_only + chord
+    assert chord > 1.0
+    assert abs(got.chordal - want) <= 1e-13 * want
+
+
+def test_objective_rows_have_no_negative_zero():
+    # evaluate_objective adds each row to +0.0, which keeps a first -0.0
+    # only if no row entry is -0.0: not at an exact graph's true poses,
+    # where many residuals are zero, nor at a noisy state, on the whole
+    # graph or on the blocks of 2 and 3 workers
+    spec = synth.ScenarioSpec(topology="sphere", n=50)
+    truth, exact = synth.generate_dataset(
+        spec, synth.NoiseModel(tau=0.0, kappa=0.0, seed=3), seed=3)
+    noisy, est = _instance("sphere", 50, 3)
+    for g, state in ((exact, truth), (noisy, est)):
+        s = solver.as_stack(state)
+        rows = _control_pass_rows(s.r, s.t, g.edge_arrays)
+        assert not np.signbit(rows).any()
+        if g is exact:
+            assert (rows == 0.0).any()
+        for k in (2, 3):
+            for b in _worker_blocks(g, k):
+                got = _control_pass_rows(s.r[b.ids], s.t[b.ids], b)
+                assert not np.signbit(got).any()
+
+
 def test_objective_names_the_edge_at_pi():
     g, est = _graph_with_residual_at_pi()
     with pytest.raises(so3.AngleAtPiError, match=r"edge \(1, 2\)"):
@@ -503,11 +573,11 @@ def test_node_sums_equal_the_accumulate_form():
                          ids=["reference", "k1", "k2", "k3"])
 def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
     # over building the graph and a 10-iteration solve: one bins array,
-    # one run plan, one transposed stack and one set of padded stacks per
-    # EdgeArrays (the graph's, then each worker's block); a block makes
-    # its stacks from its own rows, on its first kernel pass
+    # one run plan and one set of padded stacks per EdgeArrays (the
+    # graph's, then each worker's block); a block makes its stacks from
+    # its own rows, on its first kernel pass
     g0, est = _instance("sphere", 50, 11)
-    built = {"bins": 0, "runs": 0, "transposed": 0, "padded": 0}
+    built = {"bins": 0, "runs": 0, "padded": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -517,8 +587,6 @@ def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
 
     monkeypatch.setattr(graph, "_term_bins", counted("bins", graph._term_bins))
     monkeypatch.setattr(graph, "_run_plan", counted("runs", graph._run_plan))
-    monkeypatch.setattr(graph, "_transposed_stack",
-                        counted("transposed", graph._transposed_stack))
     monkeypatch.setattr(graph, "_padded_stacks",
                         counted("padded", graph._padded_stacks))
     blocks = []
@@ -540,27 +608,21 @@ def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
     assert res.iterations == 10
     assert len(blocks) == (workers or 0)
     assert built == {"bins": 1 + len(blocks), "runs": 1 + len(blocks),
-                     "transposed": 1 + len(blocks),
                      "padded": 1 + len(blocks)}
     for e in (g.edge_arrays, *blocks):
-        assert e.r_rel_t.flags.c_contiguous and not e.r_rel_t.flags.writeable
-        assert np.array_equal(e.r_rel_t, np.swapaxes(e.r_rel, -1, -2))
         _assert_padded(e)
     # read, not made again
-    assert built["transposed"] == built["padded"] == 1 + len(blocks)
+    assert built["padded"] == 1 + len(blocks)
 
 
 def test_reconciled_graph_keeps_the_plans():
     # pairwise reconciliation changes the measured rotations only, so the
-    # layout's bins, run plan and reverse index carry over, and the
-    # transposed stack is made from the new rotations
+    # layout's bins, run plan and reverse index carry over
     _, g = synth.generate_dataset(synth.ScenarioSpec(topology="sphere", n=40),
                                   synth.NoiseModel(seed=1), seed=1)
     e = consistency.enforce_pairwise_rotations(g).edge_arrays
     assert e.bins is g.edge_arrays.bins and e.runs is g.edge_arrays.runs
     assert e.rev is g.edge_arrays.rev
-    assert np.array_equal(e.r_rel_t, np.swapaxes(e.r_rel, -1, -2))
-    assert not np.array_equal(e.r_rel_t, g.edge_arrays.r_rel_t)
 
 
 def _kernel_rows(est, g):
@@ -576,8 +638,8 @@ def _kernel_rows(est, g):
 
 
 def test_replacing_the_rotations_leaves_no_stale_transposes():
-    # the transposed stack derives from r_rel: after a kernel pass has
-    # read the reconciled graph's, a replace of r_rel must not keep it
+    # after a kernel pass has read the reconciled graph, a replace of
+    # r_rel must pass exactly as a fresh build of the same columns
     spec = synth.ScenarioSpec(topology="sphere", n=20)
     truth, raw = synth.generate_dataset(spec, synth.NoiseModel(seed=1), seed=1)
     g = consistency.enforce_pairwise_rotations(raw)
@@ -590,8 +652,6 @@ def test_replacing_the_rotations_leaves_no_stale_transposes():
     got = _kernel_rows(est, swapped)
     assert got == _kernel_rows(est, fresh)
     assert got[0].chordal != before[0].chordal
-    with pytest.raises(TypeError):
-        replace(e, r_rel_t=e.r_rel_t)
 
 
 def _assert_padded(e):

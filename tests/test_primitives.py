@@ -249,23 +249,6 @@ def test_orthonormality_drift_equals_the_transposed_view_form(rng):
     assert _same_bits(out[~keep], so3.project_to_rotation(rotations[~keep]))
 
 
-def test_chordal_rows_equal_np_sum(rng):
-    r = _rotations(rng, 1000)
-    c = (r - r[::-1]).reshape(-1, 9)
-    assert _same_bits(solver._sum_squares9(c), np.sum(c * c, axis=-1))
-    x = _signed_zeros(rng, rng.normal(size=(5000, 9))
-                      * 10.0 ** rng.integers(-150, 150, size=(5000, 9)))
-    x[:2] = -0.0
-    x[2:4] = 0.0
-    assert _same_bits(solver._sum_squares9(x), np.sum(x * x, axis=-1))
-    # read as the transposes of 3x3 matrices: the kernel's chordal rows
-    # come from transposed products
-    xt = np.ascontiguousarray(np.swapaxes(x.reshape(-1, 3, 3), -1, -2))
-    assert _same_bits(solver._sum_squares9(xt.reshape(-1, 9),
-                                           solver._TRANSPOSED),
-                      np.sum(x * x, axis=-1))
-
-
 def _transposed(x):
     return np.ascontiguousarray(np.swapaxes(x, -1, -2))
 

@@ -235,8 +235,6 @@ def _oracle_build(n, measurements):
         "t_rel": t_rel, "offsets": offsets, "rev": rev,
         # a whole graph cuts no edge
         "cut": np.zeros(0, dtype=np.intp), "t_cut": np.zeros((0, 3)),
-        "r_rel_t": np.array([m.r_rel.T for m in ordered],
-                            dtype=float).reshape(-1, 3, 3),
         "bins": np.array(bins, dtype=np.intp),
         "runs": (np.array(bounds, dtype=np.intp), run_nbr, run_real),
     }
@@ -292,7 +290,7 @@ def _assert_columns_equal(cols, measurements):
 
 def _assert_graph_equal(g, oracle):
     e = g.edge_arrays
-    arrays = {**vars(e), "r_rel_t": e.r_rel_t}  # made on first read
+    arrays = dict(vars(e))
     assert set(arrays) == set(oracle)
     bounds, nbr, real = oracle.pop("runs")
     runs = arrays["runs"]
@@ -853,7 +851,7 @@ def test_symmetrize_equals_the_per_row_oracle():
 
 def _assert_same_graph(a, b):
     e = b.edge_arrays
-    _assert_graph_equal(a, {**vars(e), "runs": e.runs, "r_rel_t": e.r_rel_t})
+    _assert_graph_equal(a, {**vars(e), "runs": e.runs})
     assert a.tree == b.tree
 
 
