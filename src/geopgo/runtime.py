@@ -6,8 +6,8 @@ own poses and its halo as stacked arrays (the halo is the neighbor poses
 its edges read across cut edges, the edges whose two poses belong to
 different workers), the measurements on its own poses' outgoing edges
 (a :class:`~geopgo.graph.EdgeArrays`), the velocity pairs of its own
-poses at their current state (seeded from the driver's initial
-controls), and one inbound ``queue.SimpleQueue`` per neighboring
+poses at their current state (seeded from the run's one whole-graph
+pass, at state 0), and one inbound ``queue.SimpleQueue`` per neighboring
 worker, so one queue per ordered pair of neighboring workers. A round
 mirrors ``solver.step``:
 
@@ -22,13 +22,13 @@ mirrors ``solver.step``:
 
 The barrier's action runs in the last worker to arrive while the others
 are parked. It runs no kernel pass: it joins every worker's own rows,
-the velocity pairs the round used and the objective rows, and hands the
-round to the solver's :class:`~geopgo.solver.Driver`, which owns the
-stop rule and the histories (it sums the objective across all edges, a
-privilege of simulation rather than something a deployed robot could
-do). The blocks are contiguous runs of the ``(src, dst)`` edge order,
-so the joined rows are the reference pass's rows in its order and sum
-to the same bits. This module is thus only an executor plugged into
+velocity pairs and objective rows, all at the round's new state, and
+hands that state to the solver's :class:`~geopgo.solver.Driver`, which
+owns the stop rule and the histories (it sums the objective across all
+edges, a privilege of simulation rather than something a deployed robot
+could do). The blocks are contiguous runs of the ``(src, dst)`` edge
+order, so the joined rows are the reference pass's rows in its order and
+sum to the same bits. This module is thus only an executor plugged into
 that driver.
 
 Because updates are simultaneous and every row of the solver's stacked
@@ -125,8 +125,8 @@ class NodeWorker:
     queue to worker ``c`` and the rows of its own poses that ``c``
     reads; ``inboxes[c]`` is the queue from worker ``c`` and the slice
     of the halo that ``c``'s rows fill. The barrier action reads the
-    worker's own rows and objective rows once per round, only while
-    every worker is parked at the barrier.
+    worker's own rows, velocity pairs and objective rows once per
+    round, only while every worker is parked at the barrier.
     """
 
     index: int
@@ -165,14 +165,13 @@ class NodeWorker:
                     f"{c} round {round_no}")
             self.t[rows], self.r[rows] = msg.t, msg.r
 
-    def compute_round(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
+    def compute_round(self, round_no: int) -> None:
         """Advance this block one round: integrate, trade halo rows, then
-        one kernel pass at the new state. Returns the velocity pairs the
-        round integrated with."""
+        one kernel pass at the new state, which replaces the velocity
+        pairs and the objective rows."""
         b, m = self.block, self.block.size
-        nu, omega = self.nu, self.omega
         self.t[:m], self.r[:m] = integrate_pose(
-            self.t[:m], self.r[:m], nu, omega, self.config.dt)
+            self.t[:m], self.r[:m], self.nu, self.omega, self.config.dt)
         self.broadcast(round_no)
         self.collect(round_no)
         try:
@@ -180,7 +179,6 @@ class NodeWorker:
                 self.r, self.t, b, self.config.translation_mode, self.rows)
         except so3.AngleAtPiError as exc:
             raise _at_node(exc, b, f"round {round_no}") from None
-        return nu, omega
 
 
 def _at_node(exc: so3.AngleAtPiError, block: EdgeArrays,
@@ -240,10 +238,12 @@ def run_distributed(
     The caller should have applied pairwise rotation enforcement first,
     mirroring the reference pipeline. The solver's
     :class:`~geopgo.solver.Driver`, shared with ``solver.solve``, checks
-    the inputs and the step size, short-circuits a fixed point, applies
-    the stop rule and keeps the histories; this function runs the rounds.
+    the inputs and the step size, applies the stop rule and keeps the
+    histories; this function makes the state-0 pass and runs the rounds.
 
     Raises:
+        ValueError: ``deadlock_timeout`` is not in ``(0,
+            threading.TIMEOUT_MAX]``; checked before any other work.
         StepSizeUnstableError: ``dt * max_degree >= 2``.
         so3.AngleAtPiError: an edge's rotation residual left the log
             chart; the message names the node, the round (or the
@@ -252,23 +252,27 @@ def run_distributed(
             neighboring worker or at the barrier. The first error any
             worker hits is raised as soon as it is recorded.
         OSError: ``message_log_path`` cannot be written; it is created
-            (or truncated) before any other work, so this comes first.
+            (or truncated) right after that check, before other work.
     """
     if config is None:
         config = SolverConfig()
+    if not 0 < deadlock_timeout <= threading.TIMEOUT_MAX:  # NaN fails too
+        raise ValueError("deadlock_timeout must be in (0, threading."
+                         f"TIMEOUT_MAX] seconds, got {deadlock_timeout!r}")
     if message_log_path is not None:
         open(message_log_path, "w").close()  # fail before any round
     driver = Driver(g, config, objective=evaluate_objective)
+    s = driver.start(init)
+    rows = np.empty((3, g.directed_count))
     try:
-        fixed_point = driver.start(init)
+        controls = all_controls(s, g, config.translation_mode, rows)
     except so3.AngleAtPiError as exc:
         raise _at_node(exc, g.edge_arrays, "initial state") from None
-    if fixed_point:  # no round ran: the log stays empty
-        return driver.result(driver.initial_controls)
+    if driver.record(s, *controls, rows):  # a fixed point: no round, no log
+        return driver.result()
 
-    workers = block_workers(g, driver.state, driver.initial_controls,
-                            worker_count(g.n), config, deadlock_timeout)
-    controls: list = [None] * len(workers)  # each worker's (nu, omega)
+    workers = block_workers(g, s, controls, worker_count(g.n), config,
+                            deadlock_timeout)
 
     errors: list[BaseException] = []
     over = threading.Event()  # set on the last round or the first error
@@ -283,7 +287,8 @@ def run_distributed(
         try:
             t = np.concatenate([w.t[:w.block.size] for w in workers])
             r = np.concatenate([w.r[:w.block.size] for w in workers])
-            nu, omega = (np.concatenate(c) for c in zip(*controls))
+            nu = np.concatenate([w.nu for w in workers])
+            omega = np.concatenate([w.omega for w in workers])
             rows = np.concatenate([w.rows for w in workers], axis=1)
             if driver.record(PoseStack(t, r), nu, omega, rows):
                 over.set()
@@ -298,7 +303,7 @@ def run_distributed(
     def work(w: NodeWorker) -> None:
         try:
             for round_no in itertools.count():
-                controls[w.index] = w.compute_round(round_no)
+                w.compute_round(round_no)
                 try:
                     barrier.wait(timeout=deadlock_timeout)
                 except threading.BrokenBarrierError:
@@ -326,5 +331,4 @@ def run_distributed(
     if message_log_path is not None:
         _write_message_log(message_log_path, [w.block for w in workers],
                            driver.iterations)
-    return driver.result(
-        all_controls(driver.state, g, config.translation_mode))
+    return driver.result()

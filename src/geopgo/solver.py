@@ -127,10 +127,10 @@ class SolverState:
 
     ``estimates`` is a Pose sequence or a stack, kept as a
     :class:`~geopgo.graph.PoseStack`. ``controls`` is the per-node
-    velocity pair at this state, as ``(n, 3)`` arrays, once computed;
-    :func:`step` computes it when it is None. ``rows`` is the state's
-    ``(3, E)`` objective rows (see :func:`node_controls`) from the same
-    kernel pass, or None.
+    velocity pair at this state, as ``(n, 3)`` arrays, once computed
+    (:func:`step` computes it when it is None), and ``rows`` the state's
+    ``(3, E)`` objective rows from the same kernel pass, or None: what
+    :func:`solve` hands :meth:`Driver.record` with the state.
     """
 
     def __init__(self, estimates: Sequence[Pose],
@@ -476,16 +476,14 @@ def step(state: SolverState, g: PoseGraph, config: SolverConfig) -> SolverState:
 class Driver:
     """Stop rule, histories and result of one solve, for any executor.
 
-    An executor calls :meth:`start` with the initial estimates. Unless
-    that returns True (a fixed point: every initial control is exactly
-    zero), it advances one synchronous round at a time and hands
-    :meth:`record` each round's new state as a
-    :class:`~geopgo.graph.PoseStack`, the
-    ``(n, 3)`` velocity arrays the round used and the ``(3, E)``
-    objective rows of the new state (see :func:`node_controls`), until
-    that returns True. :meth:`result` then builds the
-    :class:`SolveResult` from the velocity pair at the final state; the
-    states stay stacks.
+    An executor calls :meth:`start` with the initial estimates, which
+    returns them as a :class:`~geopgo.graph.PoseStack`. It then hands
+    :meth:`record` every state in order, state 0 included, as a stack
+    with the ``(n, 3)`` velocity arrays at that state and its ``(3, E)``
+    objective rows, both from the one kernel pass at that state (see
+    :func:`node_controls`), and advances one synchronous round between
+    two calls, until :meth:`record` returns True. :meth:`result` then
+    builds the :class:`SolveResult`; the states stay stacks.
 
     ``objective`` sums the objective rows of one state and defaults to
     :func:`evaluate_objective`; an executor may pass its own binding of
@@ -498,56 +496,45 @@ class Driver:
         self.config = config
         self.objective = (evaluate_objective if objective is None
                           else objective)
-
-    def start(self, init: Sequence[Pose]) -> bool:
-        """Check the inputs, record state 0, and report a fixed point.
-
-        One kernel pass at ``init`` gives its objective and its velocity
-        pair, which is kept in ``initial_controls``; the state is kept
-        as a :class:`~geopgo.graph.PoseStack` in ``state``.
-        """
-        g, config = self.g, self.config
-        self.state = as_stack(init)
-        if len(self.state) != g.n:
-            raise ValueError(
-                f"expected {g.n} initial poses, got {len(self.state)}")
-        _check_step_size(g, config.dt)
-        rows = np.empty((3, g.directed_count))
-        self.initial_controls = all_controls(self.state, g,
-                                             config.translation_mode, rows)
-        self.history = [self.objective(self.state, g, rows)]
+        self.history: list[ObjectiveValue] = []
         self.norms: list[float] = []
-        self.trajectory = [self.state] if config.record_trajectory else None
+        self.trajectory = [] if config.record_trajectory else None
         self.iterations = 0
-        nu, omega = self.initial_controls
-        self.converged = not np.any(nu) and not np.any(omega)
-        return self.converged
+
+    def start(self, init: Sequence[Pose]) -> PoseStack:
+        """Check the count of ``init`` and the step size; return
+        ``init`` stacked, the state to record first."""
+        init = as_stack(init)
+        if len(init) != self.g.n:
+            raise ValueError(
+                f"expected {self.g.n} initial poses, got {len(init)}")
+        _check_step_size(self.g, self.config.dt)
+        return init
 
     def record(self, state: PoseStack, nu: np.ndarray, omega: np.ndarray,
                rows: np.ndarray) -> bool:
-        """Record one round; True when the solve should stop.
-
-        Stops when the geodesic objective changed by less than
-        ``stop_tol`` in this round, or after ``max_iters`` rounds.
-        """
-        self.state = state
-        self.norms.append(max_control_norm(nu, omega))
+        """Record one state; True when the solve should stop: at state 0
+        on a fixed point (every control exactly zero), after it when the
+        geodesic objective changed by less than ``stop_tol`` in the round
+        that made ``state``, or after ``max_iters`` rounds."""
         obj = self.objective(state, self.g, rows)
+        self.norms.append(max_control_norm(nu, omega))
         if self.trajectory is not None:
             self.trajectory.append(state)
-        self.iterations += 1
-        self.converged = (abs(obj.geodesic - self.history[-1].geodesic)
-                          < self.config.stop_tol)
+        if self.history:
+            self.iterations += 1
+            self.converged = (abs(obj.geodesic - self.history[-1].geodesic)
+                              < self.config.stop_tol)
+        else:
+            self.converged = not np.any(nu) and not np.any(omega)
         self.history.append(obj)
+        self.state = state
         return self.converged or self.iterations >= self.config.max_iters
 
-    def result(self, controls: tuple[np.ndarray, np.ndarray]) -> SolveResult:
-        """The solve's result; ``controls`` is the velocity pair at the
-        final state."""
+    def result(self) -> SolveResult:
+        """The solve's result, at the last recorded state."""
         return SolveResult(self.state, self.history, self.iterations,
-                           self.converged,
-                           self.norms + [max_control_norm(*controls)],
-                           self.trajectory)
+                           self.converged, self.norms, self.trajectory)
 
 
 def solve(
@@ -559,6 +546,8 @@ def solve(
     ``config.stop_tol`` between consecutive iterations, or immediately
     when the initial controls are exactly zero (a fixed point). Hitting
     ``max_iters`` is reported through ``converged=False``, not an error.
+    Every state, the initial one included, is recorded with the controls
+    and objective rows of its own kernel pass.
 
     Raises:
         so3.AngleAtPiError: an edge's rotation residual left the log
@@ -571,16 +560,17 @@ def solve(
     driver = Driver(g, config)
     k = 0  # the state of the latest kernel pass
     try:
-        stop = driver.start(init)
-        state = SolverState(driver.state, driver.initial_controls)
-        while not stop:
+        s = driver.start(init)
+        rows = np.empty((3, g.directed_count))
+        state = SolverState(
+            s, all_controls(s, g, config.translation_mode, rows), rows)
+        while not driver.record(state.estimates, *state.controls,
+                                state.rows):
             k += 1
-            nu, omega = state.controls
             state = step(state, g, config)
-            stop = driver.record(state.estimates, nu, omega, state.rows)
     except so3.AngleAtPiError as exc:
         raise so3.AngleAtPiError(f"iteration {k}: {exc}", exc.index) from None
-    return driver.result(state.controls)
+    return driver.result()
 
 
 def align_gauge(

@@ -251,7 +251,7 @@ def test_tree_init_composes_the_reconciled_measurements(
     assert np.array_equal(seen[0].edge_arrays.r_rel, want)
 
 
-def test_reference_solve_transposes_the_reconciled_rotations_only(
+def test_reference_solve_pads_the_reconciled_translations_only(
         tmp_path, monkeypatch):
     # the kernel reads the padded translation stacks; a solve makes them
     # once, for the reconciled graph it runs on, and never for the loaded one

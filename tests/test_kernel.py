@@ -294,7 +294,8 @@ def test_one_kernel_pass_per_state(monkeypatch, workers):
     # A graph of one run makes one log_map call per pass. The reference
     # solve makes one pass per state: the initial one and one per
     # iteration. Each distributed round makes one pass per worker, and
-    # the run adds the initial pass and the final controls.
+    # the run adds the initial pass: the final state's controls are the
+    # workers' own.
     real = so3.log_map
     calls = []
 
@@ -313,7 +314,7 @@ def test_one_kernel_pass_per_state(monkeypatch, workers):
     else:
         monkeypatch.setattr(runtime, "AGENTS", workers)
         res = runtime.run_distributed(g, est, cfg)
-        want = iters * workers + 2
+        want = iters * workers + 1
     assert res.iterations == iters
     assert len(calls) == want
 
@@ -362,8 +363,8 @@ def _count_products_per_row(monkeypatch, inst, workers, narrow):
     else:
         monkeypatch.setattr(runtime, "AGENTS", workers)
         runtime.run_distributed(g, est, cfg)
-        # the initial pass and the final controls run on the whole graph
-        assert sum(rows) == iters * per_round + 2 * whole
+        # only the initial pass runs on the whole graph
+        assert sum(rows) == iters * per_round + whole
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2, 3],
@@ -571,7 +572,7 @@ def test_node_sums_equal_the_accumulate_form():
 
 @pytest.mark.parametrize("workers", [None, 1, 2, 3],
                          ids=["reference", "k1", "k2", "k3"])
-def test_plan_and_transposed_stack_are_built_once(monkeypatch, workers):
+def test_plan_and_padded_stacks_are_built_once(monkeypatch, workers):
     # over building the graph and a 10-iteration solve: one bins array,
     # one run plan and one set of padded stacks per EdgeArrays (the
     # graph's, then each worker's block); a block makes its stacks from
@@ -637,7 +638,7 @@ def _kernel_rows(est, g):
     return out
 
 
-def test_replacing_the_rotations_leaves_no_stale_transposes():
+def test_replacing_the_rotations_equals_a_fresh_build():
     # after a kernel pass has read the reconciled graph, a replace of
     # r_rel must pass exactly as a fresh build of the same columns
     spec = synth.ScenarioSpec(topology="sphere", n=20)

@@ -1,5 +1,6 @@
 """Threaded block execution must reproduce the reference solver exactly."""
 
+import dataclasses
 import json
 import sys
 import threading
@@ -104,12 +105,17 @@ def test_message_counts_and_locality(tmp_path):
         assert sorted(sends) == sorted((m.src, m.dst) for m in g.measurements)
 
 
-def test_fixed_point_short_circuit(tmp_path):
-    # exactly-representable truth: no worker threads needed at all
+def _fixed_point():
+    # exactly-representable truth: every initial control is exactly zero
     fwd = RelativeMeasurement(0, 1, np.array([1.0, 0.0, 0.0]), np.eye(3))
     g = build_graph(2, [fwd, reversed_measurement(fwd)])
-    init = [Pose(t=np.zeros(3), r=np.eye(3)),
-            Pose(t=np.array([1.0, 0.0, 0.0]), r=np.eye(3))]
+    return g, [Pose(t=np.zeros(3), r=np.eye(3)),
+               Pose(t=np.array([1.0, 0.0, 0.0]), r=np.eye(3))]
+
+
+def test_fixed_point_short_circuit(tmp_path):
+    # no worker threads needed at all
+    g, init = _fixed_point()
     log_path = tmp_path / "messages.jsonl"
     log_path.write_text("a previous run's rows\n")
     dist = runtime.run_distributed(g, init, message_log_path=str(log_path))
@@ -118,6 +124,53 @@ def test_fixed_point_short_circuit(tmp_path):
     _assert_bitwise_equal_poses(dist.estimates, init)
     # the log exists and is empty, so an audit reads zero messages
     assert log_path.read_bytes() == b""
+
+
+def _bits(*values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("fixed_point", [False, True],
+                         ids=["sphere", "fixed_point"])
+@pytest.mark.parametrize("k", [None, 1, 2, 3],
+                         ids=["reference", "k1", "k2", "k3"])
+def test_each_record_is_made_from_its_own_state(monkeypatch, k, fixed_point):
+    # entry j of both histories belongs to state j: its control norm is
+    # the largest norm of the controls at that state and its objective
+    # that state's objective, bit for bit, state 0 and the last included
+    if fixed_point:
+        g, init = _fixed_point()
+    else:
+        _, g, init = _instance(n=12, seed=6)
+    cfg = solver.SolverConfig(max_iters=6, stop_tol=1e-12,
+                              record_trajectory=True)
+    if k is None:
+        res = solver.solve(g, init, cfg)
+    else:
+        monkeypatch.setattr(runtime, "AGENTS", k)
+        res = runtime.run_distributed(g, init, cfg)
+    assert res.iterations == (0 if fixed_point else 6)
+    states = res.trajectory
+    assert (len(states) == len(res.objective_history)
+            == len(res.control_norm_history) == res.iterations + 1)
+    for state, obj, norm in zip(states, res.objective_history,
+                                res.control_norm_history):
+        controls = solver.all_controls(state, g, cfg.translation_mode)
+        assert _bits(norm) == _bits(solver.max_control_norm(*controls))
+        assert (_bits(*dataclasses.astuple(obj)) == _bits(
+            *dataclasses.astuple(solver.evaluate_objective(state, g))))
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_deadlock_timeout_fails_before_any_work(tmp_path, timeout):
+    _, g, init = _instance(n=50, seed=4)
+    log_path = tmp_path / "messages.jsonl"
+    threads_before = threading.active_count()
+    with pytest.raises(ValueError, match="deadlock_timeout"):
+        runtime.run_distributed(g, init, deadlock_timeout=timeout,
+                                message_log_path=str(log_path))
+    assert not log_path.exists()
+    assert threading.active_count() == threads_before
 
 
 def test_max_iters_stops_unconverged():
